@@ -17,7 +17,6 @@ from .errors import (
     NotUniformlyPositiveError,
     SchemaError,
     StructuralError,
-    TruncationError,
     UnknownLabelError,
 )
 from .spaces import (
@@ -81,7 +80,6 @@ __all__ = [
     "NotLipschitzError",
     "DegenerateMeasureError",
     "NotUniformlyPositiveError",
-    "TruncationError",
     "SchemaError",
     # spaces
     "METRIC_TOL",

@@ -70,51 +70,56 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     n = len(labels)
     probs = mech.probs
     per_pair = np.zeros((n, n)) if include_per_pair else None
+    # math.log, not np.log: the two differ by an ulp on some inputs, and
+    # the audit must be reproducible to the bit.  Floored entries get the
+    # placeholder ln 1, which the masks below overwrite.
+    floored = probs <= PROB_FLOOR
+    logs = np.array(list(map(math.log, np.where(floored, 1.0, probs).ravel().tolist())))
+    logs = logs.reshape(probs.shape)
+
+    others = ~np.eye(n, dtype=bool)
+    zero_pairs = others & (space.dist == 0.0)
+    separated = others & (space.dist != 0.0)
 
     eps_max = 0.0
     witness = None
-    found_pair = False
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rho = space.dist[i, j]
-            if rho == 0.0:
-                diff = np.nonzero(probs[i] != probs[j])[0]
-                if diff.size:
-                    y = out_labels[int(diff[0])]
-                    if per_pair is not None:
-                        per_pair[i, j] = math.inf
-                    return PrivacyAuditReport(
-                        epsilon_max=math.inf,
-                        witness=(labels[i], labels[j], y),
-                        per_pair_max=per_pair,
-                    )
-                continue
-            found_pair = True
-            pair_max = -math.inf
-            pair_witness_y = None
-            for k in range(probs.shape[1]):
-                a, b = probs[i, k], probs[j, k]
-                if a <= PROB_FLOOR:
-                    continue  # zero numerator never binds
-                if b <= PROB_FLOOR:
-                    ratio = math.inf
-                else:
-                    ratio = (math.log(a) - math.log(b)) / rho
-                if ratio > pair_max:
-                    pair_max = ratio
-                    pair_witness_y = out_labels[k]
-            if pair_witness_y is None:
-                continue  # row i is entirely zero-floored: unconstraining
-            if per_pair is not None:
-                per_pair[i, j] = pair_max
-            if witness is None or pair_max > eps_max:
-                eps_max = pair_max
-                witness = (labels[i], labels[j], pair_witness_y)
+        # Pairs (i, j) are visited in j order up to ``stop``, the first
+        # zero-distance partner whose row differs, which ends the audit.
+        zero = np.flatnonzero(zero_pairs[i])
+        differs = zero[(probs[zero] != probs[i]).any(axis=1)]
+        stop = int(differs[0]) if differs.size else n
+        sep = np.flatnonzero(separated[i, :stop])
+        # ratio[r, k] = (ln probs[i, k] - ln probs[sep[r], k]) / dist[i, sep[r]]:
+        # infinite where the denominator's entry is floored, and never
+        # binding (-inf) where the numerator's is.
+        ratio = (logs[i] - logs[sep]) / space.dist[i, sep][:, None]
+        ratio[floored[sep]] = math.inf
+        ratio[:, floored[i]] = -math.inf
+        best_k = ratio.argmax(axis=1)
+        pair_max = ratio[np.arange(sep.size), best_k]
+        # A pair whose every ratio is -inf (row i entirely floored)
+        # constrains nothing.
+        rows = np.flatnonzero(pair_max > -math.inf)
+        if per_pair is not None:
+            per_pair[i, sep[rows]] = pair_max[rows]
+        if rows.size:
+            r = rows[np.argmax(pair_max[rows])]
+            if witness is None or pair_max[r] > eps_max:
+                eps_max = float(pair_max[r])
+                witness = (labels[i], labels[int(sep[r])], out_labels[int(best_k[r])])
             if eps_max == math.inf and not include_per_pair:
                 return PrivacyAuditReport(math.inf, witness, per_pair)
-    if not found_pair:
+        if stop < n:
+            diff = np.nonzero(probs[i] != probs[stop])[0]
+            if per_pair is not None:
+                per_pair[i, stop] = math.inf
+            return PrivacyAuditReport(
+                epsilon_max=math.inf,
+                witness=(labels[i], labels[stop], out_labels[int(diff[0])]),
+                per_pair_max=per_pair,
+            )
+    if not separated.any():
         # No two inputs are separated: the definition imposes nothing.
         return PrivacyAuditReport(0.0, None, per_pair)
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)

@@ -44,9 +44,5 @@ class NotUniformlyPositiveError(DomainError):
     exists at the requested radius."""
 
 
-class TruncationError(DomainError):
-    """A cover hierarchy is too shallow to certify the requested radius."""
-
-
 class SchemaError(Exception):
     """An interchange document does not match its expected schema."""

@@ -163,11 +163,12 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
 def _labels_space(labels) -> FiniteMetricSpace:
     """Placeholder space over given labels (all distances 1).  Used when a
     table file is audited without an accompanying metric; fine for any
-    operation that never reads distances."""
+    operation that never reads distances.  It is the discrete metric by
+    construction, so it skips validation like ``discrete_space``."""
     labels = list(labels)
     n = len(labels)
     dist = np.ones((n, n)) - np.eye(n)
-    return FiniteMetricSpace(labels, dist)
+    return FiniteMetricSpace(labels, dist, _trusted=True)
 
 
 def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:

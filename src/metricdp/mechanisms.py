@@ -126,14 +126,25 @@ class MechanismTable:
 
 
 def tabulate(params: ExpMechParams) -> MechanismTable:
-    """Materialize the mechanism as a full row-stochastic table."""
-    rows = []
-    for x in params.input_space.labels:
-        try:
-            rows.append(distribution(params, x))
-        except DegenerateMeasureError as exc:
-            raise DegenerateMeasureError(f"input {x!r}: {exc}") from exc
-    return MechanismTable(params.input_space, params.output_space, np.array(rows))
+    """Materialize the mechanism as a full row-stochastic table.
+
+    Row x equals ``distribution(params, x)`` bit for bit: the same
+    exponents, shift, weights and normalizer, computed for all rows at once.
+    """
+    labels = params.input_space.labels
+    images = [params.query.image_index(x) for x in labels]
+    # ExpMechParams guarantees positive total mass, so the support is
+    # never empty here.
+    support = params.base.values > 0
+    exponents = -params.beta * params.output_space.dist[images]
+    shift = exponents[:, support].max(axis=1)
+    weights = params.base.values * np.exp(exponents - shift[:, None])
+    totals = weights.sum(axis=1)
+    vanished = np.flatnonzero(~(totals > 0))
+    if vanished.size:
+        x = labels[vanished[0]]
+        raise DegenerateMeasureError(f"input {x!r}: normalizer vanished for input {x!r}")
+    return MechanismTable(params.input_space, params.output_space, weights / totals[:, None])
 
 
 def sample(params: ExpMechParams, x, seed: int):

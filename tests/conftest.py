@@ -1,9 +1,15 @@
-"""Shared randomized-instance generators for the test suite.
+"""Shared randomized-instance generators and reference oracles for the
+test suite.
 
 Random metrics come in two flavors so the suites exercise more than one
 geometry: Euclidean point clouds (axioms exact up to sqrt rounding) and
 shortest-path closures of random symmetric matrices.  Both keep points
 separated, so log-ratio audits stay far from floating-point cliffs.
+
+The ``*_loop`` functions are the library's original scalar loops for
+metric validation, the privacy audit, the Lipschitz constant and
+tabulation.  The library computes the same results with numpy slabs;
+``test_oracles.py`` requires the two to agree bit for bit.
 """
 
 import math
@@ -11,7 +17,19 @@ from itertools import combinations
 
 import numpy as np
 
-from metricdp import DiscreteMeasure, FiniteMetricSpace, LipschitzMap
+from metricdp import (
+    DegenerateMeasureError,
+    DiscreteMeasure,
+    FiniteMetricSpace,
+    LipschitzMap,
+    MechanismTable,
+    NotLipschitzError,
+    PrivacyAuditReport,
+    StructuralError,
+    distribution,
+)
+from metricdp.audit import PROB_FLOOR
+from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 
 
 def cloud_metric(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -77,3 +95,141 @@ def subset_epsilon(mech) -> float:
                     return math.inf
                 best = max(best, (math.log(a) - math.log(b)) / rho)
     return best
+
+
+def validate_metric_loop(dist) -> MetricValidationReport:
+    """Oracle for ``validate_metric`` on a square finite matrix: every
+    axiom checked entry by entry, O(n^3) for the triangle inequality."""
+    mat = np.asarray(dist, dtype=float)
+    n = mat.shape[0]
+    violations = []
+    for i in range(n):
+        if abs(mat[i, i]) > METRIC_TOL:
+            violations.append(
+                AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
+            )
+    for i in range(n):
+        for j in range(n):
+            if i != j and mat[i, j] < -METRIC_TOL:
+                violations.append(
+                    AxiomViolation("nonnegativity", (i, j), f"dist[{i}][{j}] = {mat[i, j]}")
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(mat[i, j] - mat[j, i]) > METRIC_TOL:
+                violations.append(
+                    AxiomViolation(
+                        "symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}"
+                    )
+                )
+    for i in range(n):
+        for k in range(n):
+            if i == k:
+                continue
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                if mat[i, k] > mat[i, j] + mat[j, k] + METRIC_TOL:
+                    violations.append(
+                        AxiomViolation(
+                            "triangle",
+                            (i, k, j),
+                            f"dist[{i}][{k}] = {mat[i, k]} > "
+                            f"{mat[i, j]} + {mat[j, k]} via {j}",
+                        )
+                    )
+    return MetricValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def lipschitz_constant_loop(domain, codomain, table) -> float:
+    """Oracle for ``lipschitz_constant``: every unordered pair in (i, j)
+    order."""
+    images = []
+    for lab in domain.labels:
+        if lab not in table:
+            raise StructuralError(f"function table missing domain label {lab!r}")
+        images.append(codomain.index_of(table[lab]))
+    best = 0.0
+    for i in range(len(domain)):
+        for j in range(i + 1, len(domain)):
+            rho = domain.dist[i, j]
+            sigma = codomain.dist[images[i], images[j]]
+            if rho == 0.0:
+                if sigma > METRIC_TOL:
+                    raise NotLipschitzError(
+                        f"points {domain.labels[i]!r} and {domain.labels[j]!r} are at "
+                        f"distance 0 but their images are {sigma:g} apart"
+                    )
+                continue
+            best = max(best, float(sigma / rho))
+    return best
+
+
+def tabulate_loop(params) -> MechanismTable:
+    """Oracle for ``tabulate``: one ``distribution`` call per input."""
+    rows = []
+    for x in params.input_space.labels:
+        try:
+            rows.append(distribution(params, x))
+        except DegenerateMeasureError as exc:
+            raise DegenerateMeasureError(f"input {x!r}: {exc}") from exc
+    return MechanismTable(params.input_space, params.output_space, np.array(rows))
+
+
+def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:
+    """Oracle for ``audit_privacy``: every ordered input pair and every
+    output label, in (i, j, k) order, with the same early exits."""
+    space = mech.input_space
+    labels = space.labels
+    out_labels = mech.output_space.labels
+    n = len(labels)
+    probs = mech.probs
+    per_pair = np.zeros((n, n)) if include_per_pair else None
+
+    eps_max = 0.0
+    witness = None
+    found_pair = False
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rho = space.dist[i, j]
+            if rho == 0.0:
+                diff = np.nonzero(probs[i] != probs[j])[0]
+                if diff.size:
+                    y = out_labels[int(diff[0])]
+                    if per_pair is not None:
+                        per_pair[i, j] = math.inf
+                    return PrivacyAuditReport(
+                        epsilon_max=math.inf,
+                        witness=(labels[i], labels[j], y),
+                        per_pair_max=per_pair,
+                    )
+                continue
+            found_pair = True
+            pair_max = -math.inf
+            pair_witness_y = None
+            for k in range(probs.shape[1]):
+                a, b = probs[i, k], probs[j, k]
+                if a <= PROB_FLOOR:
+                    continue  # zero numerator never binds
+                if b <= PROB_FLOOR:
+                    ratio = math.inf
+                else:
+                    ratio = (math.log(a) - math.log(b)) / rho
+                if ratio > pair_max:
+                    pair_max = ratio
+                    pair_witness_y = out_labels[k]
+            if pair_witness_y is None:
+                continue  # row i is entirely zero-floored: unconstraining
+            if per_pair is not None:
+                per_pair[i, j] = pair_max
+            if witness is None or pair_max > eps_max:
+                eps_max = pair_max
+                witness = (labels[i], labels[j], pair_witness_y)
+            if eps_max == math.inf and not include_per_pair:
+                return PrivacyAuditReport(math.inf, witness, per_pair)
+    if not found_pair:
+        # No two inputs are separated: the definition imposes nothing.
+        return PrivacyAuditReport(0.0, None, per_pair)
+    return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
