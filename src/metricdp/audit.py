@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError, UnknownLabelError
+from .covering import _disjoint_scan
+from .errors import DomainError, StructuralError
 from .mechanisms import ExpMechParams, MechanismTable
-from .spaces import FiniteMetricSpace, LipschitzMap
+from .spaces import LipschitzMap
 
 # Probabilities at or below this are treated as exact zeros in log-ratio
 # audits; a set both rows give zero mass imposes no constraint at all.
@@ -202,14 +203,17 @@ def impossibility_lower_bound(
     out = mech.output_space
     space = mech.input_space
 
-    balls = [out.ball_mask(query.image_index(c), radius) for c in centers]
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            if (balls[a] & balls[b]).any():
-                raise DomainError(
-                    f"target balls around {centers[a]!r} and {centers[b]!r} overlap; "
-                    "the disjointness hypothesis fails"
-                )
+    balls = np.array([out.ball_mask(query.image_index(c), radius) for c in centers])
+    # shared[a, b] counts the points balls a and b have in common; the
+    # first overlapping pair with a < b in row-major order is reported.
+    shared = balls.astype(float) @ balls.T.astype(float)
+    overlaps = np.argwhere(np.triu(shared, 1) > 0)
+    if overlaps.size:
+        a, b = overlaps[0]
+        raise DomainError(
+            f"target balls around {centers[a]!r} and {centers[b]!r} overlap; "
+            "the disjointness hypothesis fails"
+        )
 
     rows = [mech.probs[space.index_of(c)] for c in centers]
     mass_self = tuple(float(rows[i][balls[i]].sum()) for i in range(len(centers)))
@@ -255,15 +259,9 @@ def propose_centers(query: LipschitzMap, radius) -> list:
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    out = query.codomain
-    covered = np.zeros(len(out), dtype=bool)
-    chosen = []
-    for x in query.domain.labels:
-        ball = out.ball_mask(query.image_index(x), radius)
-        if not (ball & covered).any():
-            chosen.append(x)
-            covered |= ball
-    return chosen
+    labels = query.domain.labels
+    images = [query.image_index(x) for x in labels]
+    return [labels[p] for p in _disjoint_scan(query.codomain, images, radius)]
 
 
 @dataclass(frozen=True)

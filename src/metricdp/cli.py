@@ -25,7 +25,7 @@ from . import __version__
 from . import formats
 from .audit import audit_privacy, audit_utility, impossibility_lower_bound
 from .covering import covering_measure, greedy_net
-from .errors import DomainError, SchemaError, StructuralError
+from .errors import DomainError, SchemaError
 from .measures import uniform_measure
 from .mechanisms import (
     ExpMechParams,
@@ -140,10 +140,6 @@ def _load_measure(source, fallback_space=None):
 
 def cmd_validate(args):
     labels, mat = formats.space_components(args.space)
-    if len(labels) != mat.shape[0]:
-        raise StructuralError(
-            f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix"
-        )
     report = validate_metric(mat)
     violations = [
         {
@@ -176,11 +172,10 @@ def cmd_build_measure(args):
 
 
 def cmd_calibrate(args):
-    if args.m is not None:
-        modulus = args.m
-    else:
-        measure = _load_measure(args.measure)
-        modulus = measure.modulus(args.gamma / 2) / measure.total_mass
+    modulus = args.m
+    if modulus is None:
+        base = _load_measure(args.measure)
+        modulus = tradeoff_upper_bound(base, args.gamma, args.delta).modulus
     beta = calibrate_beta(args.gamma, args.delta, modulus)
     return {"beta": beta, "modulus": modulus}, 0
 
@@ -275,10 +270,9 @@ def pipeline_demo(space_name: str, gamma: float, delta: float) -> dict:
     ln(n/2) once per size."""
     space = DEMO_SPACES[space_name]()
     measure, hier = covering_measure(space)
-    modulus = measure.modulus(gamma / 2) / measure.total_mass
-    beta = calibrate_beta(gamma, delta, modulus)
+    bound = tradeoff_upper_bound(measure, gamma, delta)
     query = identity_map(space)
-    mech = tabulate(ExpMechParams(base=measure, beta=beta, query=query))
+    mech = tabulate(ExpMechParams(base=measure, beta=bound.beta, query=query))
     priv = audit_privacy(mech)
     util = audit_utility(mech, query, gamma)
 
@@ -300,9 +294,9 @@ def pipeline_demo(space_name: str, gamma: float, delta: float) -> dict:
         "space": space_name,
         "hierarchy": formats.hierarchy_to_doc(hier),
         "measure": {"weights": measure.as_dict(), "total_mass": measure.total_mass},
-        "modulus": modulus,
-        "beta": beta,
-        "privacy_bound": privacy_bound(beta, query.constant),
+        "modulus": bound.modulus,
+        "beta": bound.beta,
+        "privacy_bound": privacy_bound(bound.beta, query.constant),
         "epsilon_audited": priv.epsilon_max,
         "utility_min_mass": util.min_mass,
         "lower_bound_table": lower_rows,

@@ -35,14 +35,29 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    return [space.labels[i] for i in _disjoint_scan(space, range(len(space)), radius)]
+
+
+def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
+    """Positions in ``centers`` (point indices of ``space``, repeats
+    allowed) kept by one greedy pass: a center is kept iff its closed
+    ``radius``-ball shares no point with the balls kept before it."""
     covered = np.zeros(len(space), dtype=bool)  # union of kept balls
-    centers = []
-    for i, lab in enumerate(space.labels):
-        ball = space.ball_mask(i, radius)
+    kept = []
+    for pos, c in enumerate(centers):
+        ball = space.ball_mask(c, radius)
         if not (ball & covered).any():
-            centers.append(lab)
+            kept.append(pos)
             covered |= ball
-    return centers
+    return kept
+
+
+def _uncovered(space: FiniteMetricSpace, centers, radius) -> list:
+    """Labels outside every closed ``radius``-ball around ``centers``
+    (with METRIC_TOL slack), in label order."""
+    idx = [space.index_of(c) for c in centers]
+    covered = (space.dist[:, idx] <= radius + METRIC_TOL).any(axis=1)
+    return [space.labels[i] for i in np.flatnonzero(~covered)]
 
 
 def greedy_net(space: FiniteMetricSpace, radius) -> list:
@@ -57,12 +72,8 @@ def greedy_net(space: FiniteMetricSpace, radius) -> list:
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     centers = max_packing(space, radius / 2.0)
-    idx = [space.index_of(c) for c in centers]
-    covered = (space.dist[:, idx] <= radius + METRIC_TOL).any(axis=1)
-    assert covered.all(), (
-        f"net at radius {radius} failed to cover "
-        f"{[lab for lab, ok in zip(space.labels, covered) if not ok]}"
-    )
+    missing = _uncovered(space, centers, radius)
+    assert not missing, f"net at radius {radius} failed to cover {missing}"
     return centers
 
 
@@ -101,10 +112,8 @@ class CoverHierarchy:
                 )
             if not level.centers:
                 raise StructuralError(f"level {depth} has no centers")
-            idx = [space.index_of(c) for c in level.centers]
-            covered = (space.dist[:, idx] <= level.radius + METRIC_TOL).any(axis=1)
-            if not covered.all():
-                missing = [lab for lab, ok in zip(space.labels, covered) if not ok]
+            missing = _uncovered(space, level.centers, level.radius)
+            if missing:
                 raise StructuralError(
                     f"level {depth} balls do not cover the space (missing {missing})"
                 )

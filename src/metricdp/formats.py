@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .covering import CoverHierarchy, CoverLevel
-from .errors import SchemaError
+from .errors import SchemaError, StructuralError
 from .measures import DiscreteMeasure
 from .mechanisms import MechanismTable
 from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
@@ -145,6 +145,10 @@ def space_components(source) -> tuple:
         raise SchemaError(f"space dist is not a numeric matrix: {exc}") from exc
     if mat.ndim != 2:
         raise SchemaError(f"space dist must be a 2-d matrix, got {mat.ndim} dimension(s)")
+    if len(labels) != mat.shape[0]:
+        raise StructuralError(
+            f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix"
+        )
     return labels, mat
 
 
@@ -178,7 +182,7 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
         raise SchemaError("measure weights must be an object mapping label to number")
     if space is None:
         space = space_from_doc(_require(doc, "space", "measure"))
-    return DiscreteMeasure(space, {k: float(v) for k, v in weights.items()})
+    return DiscreteMeasure(space, {k: decode_value(v) for k, v in weights.items()})
 
 
 def measure_to_doc(measure: DiscreteMeasure) -> dict:
@@ -197,7 +201,7 @@ def map_from_doc(source) -> LipschitzMap:
         raise SchemaError("map table must be an object mapping input label to output label")
     declared = doc.get("lipschitz_c")
     if declared is not None:
-        declared = float(declared)
+        declared = decode_value(declared)
     return LipschitzMap(domain, codomain, table, declared_constant=declared)
 
 
@@ -273,7 +277,7 @@ def hierarchy_from_doc(source, space: FiniteMetricSpace) -> CoverHierarchy:
     for item in levels_doc:
         if not isinstance(item, dict):
             raise SchemaError("each hierarchy level must be an object")
-        radius = float(_require(item, "radius", "hierarchy level"))
+        radius = decode_value(_require(item, "radius", "hierarchy level"))
         centers = _require(item, "centers", "hierarchy level")
         if not isinstance(centers, list):
             raise SchemaError("hierarchy level centers must be a list of labels")

@@ -71,8 +71,6 @@ class DiscreteMeasure:
         A full-support measure has a positive modulus at every radius >= 0;
         a zero-weight point drives it to 0 once radius is small enough.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
         masses = self.ball_masses(radius)
         return float(masses.min())
 

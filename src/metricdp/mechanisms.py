@@ -59,23 +59,31 @@ class ExpMechParams:
 
 def distribution(params: ExpMechParams, x) -> np.ndarray:
     """Exact output distribution for input ``x``, over output labels in
-    label order.
+    label order: the one-row case of :func:`tabulate`.
 
     The largest exponent over the base's support is subtracted before
     exponentiating, so calibrated betas (which grow like log(1/delta))
     cannot underflow the normalizer.
     """
-    xi = params.query.image_index(x)
-    exponents = -params.beta * params.output_space.dist[xi]
+    return _rows(params, [x])[0]
+
+
+def _rows(params: ExpMechParams, inputs) -> np.ndarray:
+    """Exact output distributions of ``inputs``, one row each."""
+    images = [params.query.image_index(x) for x in inputs]
+    # ExpMechParams guarantees positive total mass, so the support is
+    # never empty here.
     support = params.base.values > 0
-    if not support.any():
-        raise DegenerateMeasureError("base measure has empty support")
-    shift = exponents[support].max()
-    weights = params.base.values * np.exp(exponents - shift)
-    total = weights.sum()
-    if not total > 0:
-        raise DegenerateMeasureError(f"normalizer vanished for input {x!r}")
-    return weights / total
+    exponents = -params.beta * params.output_space.dist[images]
+    shift = exponents[:, support].max(axis=1)
+    weights = params.base.values * np.exp(exponents - shift[:, None])
+    totals = weights.sum(axis=1)
+    vanished = np.flatnonzero(~(totals > 0))
+    if vanished.size:
+        raise DegenerateMeasureError(
+            f"normalizer vanished for input {inputs[vanished[0]]!r}"
+        )
+    return weights / totals[:, None]
 
 
 class MechanismTable:
@@ -128,23 +136,11 @@ class MechanismTable:
 def tabulate(params: ExpMechParams) -> MechanismTable:
     """Materialize the mechanism as a full row-stochastic table.
 
-    Row x equals ``distribution(params, x)`` bit for bit: the same
-    exponents, shift, weights and normalizer, computed for all rows at once.
+    Row x equals ``distribution(params, x)`` bit for bit: both run the
+    same kernel, here for all rows at once.
     """
-    labels = params.input_space.labels
-    images = [params.query.image_index(x) for x in labels]
-    # ExpMechParams guarantees positive total mass, so the support is
-    # never empty here.
-    support = params.base.values > 0
-    exponents = -params.beta * params.output_space.dist[images]
-    shift = exponents[:, support].max(axis=1)
-    weights = params.base.values * np.exp(exponents - shift[:, None])
-    totals = weights.sum(axis=1)
-    vanished = np.flatnonzero(~(totals > 0))
-    if vanished.size:
-        x = labels[vanished[0]]
-        raise DegenerateMeasureError(f"input {x!r}: normalizer vanished for input {x!r}")
-    return MechanismTable(params.input_space, params.output_space, weights / totals[:, None])
+    rows = _rows(params, params.input_space.labels)
+    return MechanismTable(params.input_space, params.output_space, rows)
 
 
 def sample(params: ExpMechParams, x, seed: int):
@@ -218,16 +214,10 @@ def tradeoff_upper_bound(base: DiscreteMeasure, gamma, delta) -> TradeoffBound:
     measures), reads off the modulus at gamma/2, calibrates beta, and
     applies the Lipschitz-1 privacy bound epsilon = 2 * beta.
     """
+    # Checked here because the modulus must not see a negative radius.
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     modulus = base.modulus(gamma / 2.0) / base.total_mass
-    if not modulus > 0:
-        raise NotUniformlyPositiveError(
-            f"base measure is not uniformly positive at radius {gamma / 2.0:g}; "
-            "no finite tradeoff bound is available from this base"
-        )
     beta = calibrate_beta(gamma, delta, modulus)
     return TradeoffBound(epsilon=privacy_bound(beta, 1.0), beta=beta, modulus=modulus)
 

@@ -7,8 +7,9 @@ shortest-path closures of random symmetric matrices.  Both keep points
 separated, so log-ratio audits stay far from floating-point cliffs.
 
 The ``*_loop`` functions are the library's original scalar loops for
-metric validation, the privacy audit, the Lipschitz constant and
-tabulation.  The library computes the same results with numpy slabs;
+metric validation, the privacy audit, the Lipschitz constant, single
+mechanism rows, tabulation and the greedy disjoint-ball scan.  The
+library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
 """
 
@@ -26,7 +27,6 @@ from metricdp import (
     NotLipschitzError,
     PrivacyAuditReport,
     StructuralError,
-    distribution,
 )
 from metricdp.audit import PROB_FLOOR
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
@@ -165,15 +165,43 @@ def lipschitz_constant_loop(domain, codomain, table) -> float:
     return best
 
 
+def distribution_loop(params, x) -> np.ndarray:
+    """Oracle for ``distribution``: one input's row on its own, shifted
+    by the largest exponent over the base's support."""
+    xi = params.query.image_index(x)
+    exponents = -params.beta * params.output_space.dist[xi]
+    support = params.base.values > 0
+    if not support.any():
+        raise DegenerateMeasureError("base measure has empty support")
+    shift = exponents[support].max()
+    weights = params.base.values * np.exp(exponents - shift)
+    total = weights.sum()
+    if not total > 0:
+        raise DegenerateMeasureError(f"normalizer vanished for input {x!r}")
+    return weights / total
+
+
 def tabulate_loop(params) -> MechanismTable:
-    """Oracle for ``tabulate``: one ``distribution`` call per input."""
-    rows = []
-    for x in params.input_space.labels:
-        try:
-            rows.append(distribution(params, x))
-        except DegenerateMeasureError as exc:
-            raise DegenerateMeasureError(f"input {x!r}: {exc}") from exc
+    """Oracle for ``tabulate``: one ``distribution_loop`` call per input."""
+    rows = [distribution_loop(params, x) for x in params.input_space.labels]
     return MechanismTable(params.input_space, params.output_space, np.array(rows))
+
+
+def propose_centers_loop(query, radius) -> list:
+    """Oracle for ``propose_centers`` (and, on the identity map, for
+    ``max_packing``): scan the domain in label order and keep an input iff
+    the closed ``radius``-ball around its image avoids every kept ball."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    out = query.codomain
+    covered = np.zeros(len(out), dtype=bool)
+    chosen = []
+    for x in query.domain.labels:
+        ball = out.ball_mask(query.image_index(x), radius)
+        if not (ball & covered).any():
+            chosen.append(x)
+            covered |= ball
+    return chosen
 
 
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:

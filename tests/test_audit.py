@@ -193,6 +193,21 @@ class TestImpossibility:
         with pytest.raises(DomainError, match="overlap"):
             impossibility_lower_bound(mech, identity_map(s), ["0", "0.25"], 0.25)
 
+    def test_first_overlapping_pair_is_named(self):
+        # Balls of radius 0.125 on grid9: "0" meets "0.125" (pair 0, 3) and
+        # "0.5" meets "0.625" (pair 1, 2); every other pair is disjoint.
+        # Row-major order reaches (0, 3) first.
+        s = grid_space(9)
+        mech = tabulate(ExpMechParams(base=uniform_measure(s), beta=9.0,
+                                      query=identity_map(s)))
+        centers = ["0", "0.5", "0.625", "0.125"]
+        with pytest.raises(DomainError) as caught:
+            impossibility_lower_bound(mech, identity_map(s), centers, 0.125)
+        assert str(caught.value) == (
+            "target balls around '0' and '0.125' overlap; "
+            "the disjointness hypothesis fails"
+        )
+
     def test_utility_hypothesis_violation_names_the_center(self):
         s = discrete_space(4)
         mech = tabulate(ExpMechParams(base=uniform_measure(s), beta=0.1,

@@ -77,6 +77,17 @@ class TestValidate:
         assert v["axiom"] == "triangle"
         assert v["witness"] == ["a", "c", "b"]
 
+    def test_label_count_mismatch_exits_3(self, capsys, tmp_path):
+        space = write(tmp_path, "short.json", {
+            "labels": ["a", "b", "c"],
+            "dist": [[0, 1], [1, 0]],
+        })
+        for argv in (["validate", "--space", space], ["net", "--space", space, "--r", "0.5"]):
+            code, doc = run(capsys, *argv)
+            assert code == 3
+            assert doc["result"]["error"] == "3 labels but a 2x2 matrix"
+            assert doc["result"]["error_kind"] == "StructuralError"
+
     def test_missing_file_exits_2_without_report(self, capsys, tmp_path):
         out = tmp_path / "never.json"
         code = main(["validate", "--space", str(tmp_path / "ghost.json"),
@@ -185,6 +196,24 @@ class TestPipeline:
         assert code == 0
         assert doc["result"]["epsilon"] == pytest.approx(2 * doc["result"]["beta"])
 
+    def test_calibrate_from_measure_agrees_with_tradeoff(self, capsys, grid5_files):
+        out = str(grid5_files["dir"] / "built.json")
+        main(["build-measure", "--space", grid5_files["space"], "--out", out])
+        for measure in (out, grid5_files["measure"]):
+            for gamma, delta in (("0.5", "0.1"), ("0.2", "0.01"), ("1.5", "0.5")):
+                _, cal = run(capsys, "calibrate", "--gamma", gamma, "--delta", delta,
+                             "--measure", measure)
+                _, trade = run(capsys, "tradeoff", "--gamma", gamma, "--delta", delta,
+                               "--measure", measure)
+                assert cal["result"]["beta"] == trade["result"]["beta"]
+                assert cal["result"]["modulus"] == trade["result"]["modulus"]
+
+    def test_calibrate_from_measure_rejects_negative_gamma(self, capsys, grid5_files):
+        code, doc = run(capsys, "calibrate", "--gamma", "-0.5", "--delta", "0.1",
+                        "--measure", grid5_files["measure"])
+        assert code == 3
+        assert doc["result"]["error"] == "gamma must be positive, got -0.5"
+
     def test_sample_is_reproducible(self, capsys, grid5_files):
         argv = ["sample", "--map", grid5_files["map"], "--measure",
                 grid5_files["measure"], "--beta", "3", "--input", "0.5",
@@ -231,3 +260,28 @@ class TestDemo:
         assert code == 0
         assert doc["result"]["epsilon_audited"] == 0.0
         assert doc["result"]["utility_min_mass"] == 1.0
+
+
+class TestMalformedNumbers:
+    """A malformed number in a document is a schema error: exit 2 and no
+    report, never a traceback."""
+
+    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True])
+    def test_measure_weight(self, capsys, grid5_files, weight):
+        doc = json.loads(open(grid5_files["measure"]).read())
+        doc["weights"]["0"] = weight
+        measure = write(grid5_files["dir"], "bad_measure.json", doc)
+        code, out = run(capsys, "tradeoff", "--measure", measure,
+                        "--gamma", "0.5", "--delta", "0.1")
+        assert code == 2
+        assert out is None
+
+    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}])
+    def test_map_lipschitz_constant(self, capsys, grid5_files, declared):
+        doc = json.loads(open(grid5_files["map"]).read())
+        doc["lipschitz_c"] = declared
+        the_map = write(grid5_files["dir"], "bad_map.json", doc)
+        code, out = run(capsys, "tabulate", "--map", the_map, "--measure",
+                        grid5_files["measure"], "--beta", "1")
+        assert code == 2
+        assert out is None

@@ -122,6 +122,15 @@ class TestSpaceDocs:
         with pytest.raises(SchemaError):
             formats.space_from_doc({"labels": ["a", "b"], "dist": [0, 1]})
 
+    def test_label_count_is_checked_before_validation(self):
+        # The matrix also breaks the triangle inequality; the shape is
+        # reported first.
+        doc = {"labels": ["a", "b"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+        with pytest.raises(StructuralError, match="2 labels but a 3x3 matrix"):
+            formats.space_components(doc)
+        with pytest.raises(StructuralError, match="2 labels but a 3x3 matrix"):
+            formats.space_from_doc(doc)
+
     def test_invalid_metric_is_a_domain_error(self):
         doc = {"labels": ["a", "b"], "dist": [[0, -1], [-1, 0]]}
         with pytest.raises(InvalidMetricError):
@@ -248,6 +257,12 @@ class TestHierarchyDocs:
         doc = {"L": 1, "levels": [{"radius": 0.5, "centers": ["0"]}]}
         with pytest.raises(StructuralError, match="cover"):
             formats.hierarchy_from_doc(doc, s)
+
+    @pytest.mark.parametrize("radius", ["half", None, [0.5], True])
+    def test_non_numeric_radius(self, radius):
+        doc = {"L": 1, "levels": [{"radius": radius, "centers": ["0", "1"]}]}
+        with pytest.raises(SchemaError):
+            formats.hierarchy_from_doc(doc, grid_space(3))
 
     def test_levels_must_be_list(self):
         with pytest.raises(SchemaError):

@@ -3,7 +3,8 @@
 Each test compares one library function with the ``*_loop`` oracle in
 ``conftest`` on the same input: epsilon, witness and per-pair maxima of
 the privacy audit, every axiom violation of the validator, the Lipschitz
-constant, the table bits, and the type and text of every error raised.
+constant, the row and table bits, the centers of the greedy disjoint-ball
+scan, and the type and text of every error raised.
 Inputs come from ``hypothesis`` and from seeded generators, and are built
 to hit the edge cases: many violations of every kind, pseudometrics with
 zero-distance twins, probabilities at 1e-305 (below the audit's floor),
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from conftest import (
     audit_privacy_loop,
     closure_metric,
+    distribution_loop,
     lipschitz_constant_loop,
+    propose_centers_loop,
     random_map,
     random_measure,
     random_space,
@@ -37,8 +40,11 @@ from metricdp import (
     MechanismTable,
     audit_privacy,
     discrete_space,
+    distribution,
     identity_map,
     lipschitz_constant,
+    max_packing,
+    propose_centers,
     tabulate,
     validate_metric,
 )
@@ -318,6 +324,11 @@ class TestTabulateOracle:
         if outcome is not None:
             got, want = outcome
             assert got.probs.tobytes() == want.probs.tobytes()
+        for x in domain.labels:
+            outcome = same_outcome(distribution, distribution_loop, params, x)
+            if outcome is not None:
+                got, want = outcome
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 127, 128, 129, 300, 1000])
     def test_row_sums_at_every_length(self, m):
@@ -339,5 +350,41 @@ class TestTabulateOracle:
         params = ExpMechParams(base=DiscreteMeasure(space, [1.0, 0.0, 0.0]), beta=800.0,
                                query=identity_map(space))
         same_outcome(tabulate, tabulate_loop, params)
-        with pytest.raises(DegenerateMeasureError, match="input 'x1'"):
+        same_outcome(distribution, distribution_loop, params, "x1")
+        with pytest.raises(DegenerateMeasureError) as caught:
             tabulate(params)
+        assert str(caught.value) == "normalizer vanished for input 'x1'"
+
+
+class TestDisjointScanOracle:
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.25, 0.5, 1.0, 1.5]),
+           st.booleans())
+    def test_packing_is_the_identity_proposal(self, seed, scale, twins):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        if twins:
+            # Repeated coordinates give zero-distance twins.
+            space = line_space(rng.choice([0.0, 0.25, 0.5, 1.0], size=n))
+        else:
+            space = random_space(rng, n)
+        r = scale * max(space.diameter(), 0.1)
+        query = identity_map(space)
+        assert max_packing(space, r) == propose_centers(query, r)
+        assert propose_centers(query, r) == propose_centers_loop(query, r)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.25, 0.5, 1.0, 1.5]))
+    def test_random_maps(self, seed, scale):
+        """Non-identity maps repeat images and skip codomain points."""
+        rng = np.random.default_rng(seed)
+        domain = random_space(rng, int(rng.integers(1, 12)))
+        codomain = random_space(rng, int(rng.integers(1, 12)))
+        query = random_map(rng, domain, codomain)
+        r = scale * max(codomain.diameter(), 0.1)
+        assert propose_centers(query, r) == propose_centers_loop(query, r)
+
+    def test_radius_validation(self):
+        query = identity_map(line_space([0.0, 1.0]))
+        for r in (0.0, -1.0, math.nan):
+            same_outcome(propose_centers, propose_centers_loop, query, r)
