@@ -25,7 +25,7 @@ from . import __version__
 from . import formats
 from .audit import audit_privacy, audit_utility, impossibility_lower_bound
 from .covering import covering_measure, greedy_net
-from .errors import DomainError, SchemaError
+from .errors import DomainError, InvalidMetricError, SchemaError
 from .measures import uniform_measure
 from .mechanisms import (
     ExpMechParams,
@@ -35,7 +35,7 @@ from .mechanisms import (
     tabulate,
     tradeoff_upper_bound,
 )
-from .spaces import discrete_space, grid_space, identity_map, validate_metric
+from .spaces import FiniteMetricSpace, discrete_space, grid_space, identity_map
 
 DEMO_SPACES = {
     "grid3": lambda: grid_space(3),
@@ -127,30 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_measure(source, fallback_space=None):
-    """Measure file, with the space taken from the file itself or, when the
-    file names none, from the surrounding command's map."""
-    doc = formats.load_doc(source)
-    if "space" in doc:
-        return formats.measure_from_doc(doc)
-    if fallback_space is None:
-        raise SchemaError("measure document names no space and none is implied")
-    return formats.measure_from_doc(doc, space=fallback_space)
-
-
 def cmd_validate(args):
     labels, mat = formats.space_components(args.space)
-    report = validate_metric(mat)
-    violations = [
-        {
-            "axiom": v.axiom,
-            "witness": [labels[i] for i in v.witness],
-            "detail": v.detail,
-        }
-        for v in report.violations
-    ]
-    result = {"ok": report.ok, "points": len(labels), "violations": violations}
-    return result, (0 if report.ok else 3)
+    try:
+        FiniteMetricSpace(labels, mat)
+        violations = ()
+    except InvalidMetricError as exc:
+        violations = exc.report.violations
+    result = {
+        "ok": not violations,
+        "points": len(labels),
+        "violations": [
+            {"axiom": v.axiom, "witness": [labels[i] for i in v.witness], "detail": v.detail}
+            for v in violations
+        ],
+    }
+    return result, (3 if violations else 0)
 
 
 def cmd_net(args):
@@ -162,19 +154,16 @@ def cmd_net(args):
 def cmd_build_measure(args):
     space = formats.space_from_doc(args.space)
     measure, hier = covering_measure(space, depth=args.L)
-    result = {
-        "space": formats.space_to_doc(space),
-        "weights": measure.as_dict(),
-        "total_mass": measure.total_mass,
-        "hierarchy": formats.hierarchy_to_doc(hier),
-    }
+    result = formats.measure_to_doc(measure)
+    result["total_mass"] = measure.total_mass
+    result["hierarchy"] = formats.hierarchy_to_doc(hier)
     return result, 0
 
 
 def cmd_calibrate(args):
     modulus = args.m
     if modulus is None:
-        base = _load_measure(args.measure)
+        base = formats.measure_from_doc(args.measure)
         modulus = tradeoff_upper_bound(base, args.gamma, args.delta).modulus
     beta = calibrate_beta(args.gamma, args.delta, modulus)
     return {"beta": beta, "modulus": modulus}, 0
@@ -182,7 +171,7 @@ def cmd_calibrate(args):
 
 def _mechanism_params(args):
     lmap = formats.map_from_doc(args.map)
-    base = _load_measure(args.measure, fallback_space=lmap.codomain)
+    base = formats.measure_from_doc(args.measure, space=lmap.codomain)
     return ExpMechParams(base=base, beta=args.beta, query=lmap), lmap
 
 
@@ -223,10 +212,15 @@ def cmd_audit_privacy(args):
     return _thresholded(result, ok, args.threshold)
 
 
-def cmd_audit_utility(args):
+def _map_and_table(args):
     lmap = formats.map_from_doc(args.map)
     mech = formats.table_from_doc(args.mech, input_space=lmap.domain,
                                   output_space=lmap.codomain)
+    return lmap, mech
+
+
+def cmd_audit_utility(args):
+    lmap, mech = _map_and_table(args)
     rep = audit_utility(mech, lmap, args.gamma)
     result = {
         "gamma": rep.gamma,
@@ -239,9 +233,7 @@ def cmd_audit_utility(args):
 
 
 def cmd_lower_bound(args):
-    lmap = formats.map_from_doc(args.map)
-    mech = formats.table_from_doc(args.mech, input_space=lmap.domain,
-                                  output_space=lmap.codomain)
+    lmap, mech = _map_and_table(args)
     centers = [c for c in args.centers.split(",") if c]
     rep = impossibility_lower_bound(mech, lmap, centers, args.r,
                                     utility_threshold=args.utility_threshold)
@@ -257,7 +249,7 @@ def cmd_lower_bound(args):
 
 
 def cmd_tradeoff(args):
-    base = _load_measure(args.measure)
+    base = formats.measure_from_doc(args.measure)
     bound = tradeoff_upper_bound(base, args.gamma, args.delta)
     return {"epsilon": bound.epsilon, "beta": bound.beta, "modulus": bound.modulus}, 0
 

@@ -88,7 +88,8 @@ class CoverLevel:
 
 
 class CoverHierarchy:
-    """Per-level cover centers at radii 2^-1 ... 2^-L.
+    """Per-level cover centers at radii 2^-1 ... 2^-L, one
+    :class:`CoverLevel` per level.
 
     Level i's closed balls of radius 2^-i around its centers must cover
     the whole space; this is verified on construction so imported
@@ -98,10 +99,7 @@ class CoverHierarchy:
     __slots__ = ("space", "levels")
 
     def __init__(self, space: FiniteMetricSpace, levels):
-        levels = tuple(
-            lv if isinstance(lv, CoverLevel) else CoverLevel(float(lv[0]), tuple(lv[1]))
-            for lv in levels
-        )
+        levels = tuple(levels)
         if not levels:
             raise StructuralError("a hierarchy needs at least one level")
         for depth, level in enumerate(levels, start=1):
@@ -146,18 +144,13 @@ class PositivityBound:
 def level_for_radius(radius) -> int:
     """Smallest level i >= 1 with 2^-i <= radius.
 
-    Radii >= 1 clamp to level 1 (the level-1 balls already have radius
-    1/2 <= radius).  Computed by formula then nudged to be robust against
-    log2 rounding at exact powers of two.
+    Radii >= 1 (and inf) clamp to level 1 (the level-1 balls already have
+    radius 1/2 <= radius).  Exact for every positive float, subnormals
+    included: ``frexp`` gives the exponent e with 2^(e-1) <= radius < 2^e.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    i = max(1, math.ceil(math.log2(1.0 / radius)))
-    while i > 1 and 2.0 ** (-(i - 1)) <= radius:
-        i -= 1
-    while 2.0 ** (-i) > radius:
-        i += 1
-    return i
+    return max(1, 1 - math.frexp(radius)[1])
 
 
 def positivity_lower_bound(hier: CoverHierarchy, radius) -> PositivityBound:

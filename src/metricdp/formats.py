@@ -158,38 +158,35 @@ def space_from_doc(source) -> FiniteMetricSpace:
 
 
 def space_to_doc(space: FiniteMetricSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "dist": [[float(v) for v in row] for row in space.dist],
-    }
+    return {"labels": list(space.labels), "dist": space.dist.tolist()}
 
 
 def _labels_space(labels) -> FiniteMetricSpace:
-    """Placeholder space over given labels (all distances 1).  Used when a
-    table file is audited without an accompanying metric; fine for any
-    operation that never reads distances.  It is the discrete metric by
-    construction, so it skips validation like ``discrete_space``."""
+    """Placeholder space over given labels: the discrete metric (all
+    distances 1), which skips validation.  Used when a table file is
+    audited without an accompanying metric; fine for any operation that
+    never reads distances."""
     labels = list(labels)
-    n = len(labels)
-    dist = np.ones((n, n)) - np.eye(n)
-    return FiniteMetricSpace(labels, dist, _trusted=True)
+    return FiniteMetricSpace(labels, discrete_space(len(labels)).dist, _trusted=True)
 
 
 def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:
+    """Load a measure.  The document's own ``space`` wins; ``space`` is
+    used only for a document that names none (the CLI passes a map's
+    codomain), and with neither the document is rejected."""
     doc = load_doc(source)
+    if "space" not in doc and space is None:
+        raise SchemaError("measure document names no space and none is implied")
     weights = _require(doc, "weights", "measure")
     if not isinstance(weights, dict):
         raise SchemaError("measure weights must be an object mapping label to number")
-    if space is None:
-        space = space_from_doc(_require(doc, "space", "measure"))
+    if "space" in doc:
+        space = space_from_doc(doc["space"])
     return DiscreteMeasure(space, {k: decode_value(v) for k, v in weights.items()})
 
 
 def measure_to_doc(measure: DiscreteMeasure) -> dict:
-    return {
-        "space": space_to_doc(measure.space),
-        "weights": {lab: float(w) for lab, w in zip(measure.space.labels, measure.values)},
-    }
+    return {"space": space_to_doc(measure.space), "weights": measure.as_dict()}
 
 
 def map_from_doc(source) -> LipschitzMap:
@@ -229,8 +226,8 @@ def table_from_doc(
     outputs = _require(doc, "outputs", "table")
     rows = _require(doc, "rows", "table")
     for name, val in (("inputs", inputs), ("outputs", outputs)):
-        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-            raise SchemaError(f"table {name} must be a list of strings")
+        if not isinstance(val, list) or not val or not all(isinstance(x, str) for x in val):
+            raise SchemaError(f"table {name} must be a nonempty list of strings")
     if not isinstance(rows, dict):
         raise SchemaError("table rows must be an object mapping input label to a row")
     if input_space is None:
@@ -261,10 +258,7 @@ def table_to_doc(mech: MechanismTable) -> dict:
     return {
         "inputs": list(mech.input_space.labels),
         "outputs": list(mech.output_space.labels),
-        "rows": {
-            x: [float(p) for p in mech.probs[i]]
-            for i, x in enumerate(mech.input_space.labels)
-        },
+        "rows": dict(zip(mech.input_space.labels, mech.probs.tolist())),
     }
 
 

@@ -89,21 +89,17 @@ def _rows(params: ExpMechParams, inputs) -> np.ndarray:
 class MechanismTable:
     """One exact output distribution per input point.
 
-    Rows are validated on construction: entrywise nonnegative and summing
-    to 1 within ROW_SUM_TOL.  This is both the audit subject and the
-    interchange object for externally produced mechanisms.
+    ``rows`` is a matrix with one row per input and one column per output,
+    in label order.  Rows are validated on construction: entrywise
+    nonnegative and summing to 1 within ROW_SUM_TOL.  This is both the
+    audit subject and the interchange object for externally produced
+    mechanisms.
     """
 
     __slots__ = ("input_space", "output_space", "probs")
 
     def __init__(self, input_space: FiniteMetricSpace, output_space: FiniteMetricSpace, rows):
-        if isinstance(rows, dict):
-            missing = [lab for lab in input_space.labels if lab not in rows]
-            if missing:
-                raise StructuralError(f"rows missing for inputs {missing}")
-            mat = np.array([np.asarray(rows[lab], dtype=float) for lab in input_space.labels])
-        else:
-            mat = np.asarray(rows, dtype=float)
+        mat = np.asarray(rows, dtype=float)
         if mat.shape != (len(input_space), len(output_space)):
             raise StructuralError(
                 f"row matrix shape {mat.shape} does not match "

@@ -11,6 +11,8 @@ metric validation, the privacy audit, the Lipschitz constant, single
 mechanism rows, tabulation and the greedy disjoint-ball scan.  The
 library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
+``level_for_radius_loop`` is a brute-force search for the same level
+that ``level_for_radius`` computes from the binary exponent.
 """
 
 import math
@@ -185,6 +187,18 @@ def tabulate_loop(params) -> MechanismTable:
     """Oracle for ``tabulate``: one ``distribution_loop`` call per input."""
     rows = [distribution_loop(params, x) for x in params.input_space.labels]
     return MechanismTable(params.input_space, params.output_space, np.array(rows))
+
+
+def level_for_radius_loop(radius) -> int:
+    """Oracle for ``level_for_radius``: try levels 1, 2, ... until 2^-i
+    drops to ``radius`` (2.0 ** -i reaches 0.0 past the subnormals, so the
+    search always stops)."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    i = 1
+    while 2.0 ** -i > radius:
+        i += 1
+    return i
 
 
 def propose_centers_loop(query, radius) -> list:

@@ -77,6 +77,14 @@ class TestValidate:
         assert v["axiom"] == "triangle"
         assert v["witness"] == ["a", "c", "b"]
 
+    def test_duplicate_labels_exit_3_with_report(self, capsys, tmp_path):
+        space = write(tmp_path, "dup.json", {"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]})
+        out = str(tmp_path / "err.json")
+        assert main(["validate", "--space", space, "--out", out]) == 3
+        err = json.loads(open(out).read())["result"]
+        assert err["error_kind"] == "StructuralError"
+        assert err["error"] == "labels must be distinct"
+
     def test_label_count_mismatch_exits_3(self, capsys, tmp_path):
         space = write(tmp_path, "short.json", {
             "labels": ["a", "b", "c"],
@@ -236,6 +244,46 @@ class TestPipeline:
               grid5_files["measure"], "--beta", "1", "--out", mech])
         table = formats.table_from_doc(mech)
         assert table.probs.shape == (5, 5)
+
+
+class TestMeasureSpace:
+    """A measure's own space wins; a weights-only measure takes the map's
+    codomain, and commands without a map reject it."""
+
+    @pytest.fixture
+    def weights_only(self, grid5_files):
+        doc = json.loads(open(grid5_files["measure"]).read())
+        del doc["space"]
+        return write(grid5_files["dir"], "weights_only.json", doc)
+
+    def test_map_supplies_the_space(self, capsys, grid5_files, weights_only):
+        for command, extra in (("tabulate", []), ("sample", ["--input", "0.5", "--seed", "3"])):
+            argv = [command, "--map", grid5_files["map"], "--beta", "2", *extra]
+            _, with_space = run(capsys, *argv, "--measure", grid5_files["measure"])
+            code, without = run(capsys, *argv, "--measure", weights_only)
+            assert code == 0
+            assert without["result"] == with_space["result"]
+
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--gamma", "0.5", "--delta", "0.1"],
+        ["calibrate", "--gamma", "0.5", "--delta", "0.1"],
+    ])
+    def test_no_space_and_no_map_exits_2(self, capsys, grid5_files, weights_only, argv):
+        out = grid5_files["dir"] / "report.json"
+        code = main([*argv, "--measure", weights_only, "--out", str(out)])
+        assert code == 2
+        assert "measure document names no space and none is implied" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_own_space_beats_the_codomain(self, capsys, grid5_files):
+        measure = write(grid5_files["dir"], "grid3_measure.json", {
+            "space": {"kind": "grid", "n": 3},
+            "weights": {"0": 1.0, "0.5": 1.0, "1": 1.0},
+        })
+        code, doc = run(capsys, "tabulate", "--map", grid5_files["map"],
+                        "--measure", measure, "--beta", "2")
+        assert code == 3
+        assert doc["result"]["error"] == "base measure must live on the query's codomain"
 
 
 class TestDemo:

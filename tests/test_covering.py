@@ -147,6 +147,12 @@ class TestPositivityBound:
         assert b.value == 0.0
         assert b.level == 4
 
+    def test_radii_beyond_the_float_range_of_one_over_r(self):
+        _, hier = covering_measure(grid_space(5))
+        tiny = positivity_lower_bound(hier, 1e-310)
+        assert tiny.truncated and tiny.value == 0.0 and tiny.level == 1030
+        assert positivity_lower_bound(hier, math.inf) == positivity_lower_bound(hier, 0.5)
+
     @pytest.mark.filterwarnings("ignore:space diameter")
     def test_bound_is_certified_by_ball_masses(self):
         rng = np.random.default_rng(43)

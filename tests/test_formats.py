@@ -156,6 +156,15 @@ class TestMeasureDocs:
         m = formats.measure_from_doc({"weights": {"0": 1.0}}, space=grid_space(3))
         assert m.space == grid_space(3)
 
+    def test_document_space_wins(self):
+        doc = {"space": {"kind": "discrete", "n": 3}, "weights": {"0": 1.0}}
+        m = formats.measure_from_doc(doc, space=grid_space(3))
+        assert m.space == discrete_space(3)
+
+    def test_no_space_anywhere(self):
+        with pytest.raises(SchemaError, match="names no space and none is implied"):
+            formats.measure_from_doc({"weights": {"0": 1.0}})
+
     def test_missing_weights(self):
         with pytest.raises(SchemaError):
             formats.measure_from_doc({"space": {"kind": "grid", "n": 3}})
@@ -220,6 +229,12 @@ class TestTableDocs:
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"]["9"] = [1.0, 0.0, 0.0]
         with pytest.raises(SchemaError, match="unknown input"):
+            formats.table_from_doc(doc)
+
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_empty_label_lists(self, key):
+        doc = {"inputs": ["0"], "outputs": ["0"], "rows": {"0": [1.0]}, key: []}
+        with pytest.raises(SchemaError, match=f"table {key} must be a nonempty list"):
             formats.table_from_doc(doc)
 
     def test_ragged_rows(self):

@@ -112,16 +112,6 @@ class TestDistribution:
 
 
 class TestMechanismTable:
-    def test_from_dict_rows(self):
-        s = grid_space(2)
-        t = MechanismTable(s, s, {"0": [0.7, 0.3], "1": [0.2, 0.8]})
-        assert t.row("1") == pytest.approx([0.2, 0.8])
-
-    def test_missing_row(self):
-        s = grid_space(2)
-        with pytest.raises(StructuralError, match="missing"):
-            MechanismTable(s, s, {"0": [1.0, 0.0]})
-
     def test_row_sum_violation_names_the_input(self):
         s = grid_space(2)
         with pytest.raises(StructuralError, match="'1'"):

@@ -4,7 +4,7 @@ Each test compares one library function with the ``*_loop`` oracle in
 ``conftest`` on the same input: epsilon, witness and per-pair maxima of
 the privacy audit, every axiom violation of the validator, the Lipschitz
 constant, the row and table bits, the centers of the greedy disjoint-ball
-scan, and the type and text of every error raised.
+scan, the level of a radius, and the type and text of every error raised.
 Inputs come from ``hypothesis`` and from seeded generators, and are built
 to hit the edge cases: many violations of every kind, pseudometrics with
 zero-distance twins, probabilities at 1e-305 (below the audit's floor),
@@ -22,6 +22,7 @@ from conftest import (
     audit_privacy_loop,
     closure_metric,
     distribution_loop,
+    level_for_radius_loop,
     lipschitz_constant_loop,
     propose_centers_loop,
     random_map,
@@ -42,6 +43,7 @@ from metricdp import (
     discrete_space,
     distribution,
     identity_map,
+    level_for_radius,
     lipschitz_constant,
     max_packing,
     propose_centers,
@@ -388,3 +390,16 @@ class TestDisjointScanOracle:
         query = identity_map(line_space([0.0, 1.0]))
         for r in (0.0, -1.0, math.nan):
             same_outcome(propose_centers, propose_centers_loop, query, r)
+
+
+class TestLevelForRadiusOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_subnormal=True)
+           | st.sampled_from([5e-324, 1e-310, 2.0**-1022, 2.0**-44, 0.5, 1.0, math.inf]))
+    def test_matches_brute_force(self, radius):
+        """Positive floats from the smallest subnormal to inf."""
+        assert level_for_radius(radius) == level_for_radius_loop(radius)
+
+    def test_radius_validation(self):
+        for r in (0.0, -0.0, -1.0, -math.inf, math.nan):
+            same_outcome(level_for_radius, level_for_radius_loop, r)
