@@ -32,10 +32,13 @@ class PrivacyAuditReport:
 
     ``epsilon_max`` is inf when some output has positive mass under one
     input and zero under another (no finite epsilon works), or when two
-    zero-distance inputs have different rows.  ``witness`` is the
-    (x, z, y) triple attaining the maximum, None when there is no
-    constraint at all (single-input spaces).  ``per_pair_max`` is the
-    optional matrix of per-(x, z) maxima in label order.
+    zero-distance inputs have different rows.  ``witness`` is the first
+    (x, z, y) triple in label order attaining the maximum, None when
+    there is no constraint at all (single-input spaces).
+    ``per_pair_max`` is the optional matrix of per-(x, z) maxima in label
+    order: 0 where a pair constrains nothing, inf where zero-distance
+    rows differ.  Asking for it changes neither ``epsilon_max`` nor
+    ``witness``.
     """
 
     epsilon_max: float
@@ -61,9 +64,10 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     """Smallest epsilon the table satisfies, by exhaustive enumeration.
 
     Maximizes (ln rows[x][y] - ln rows[z][y]) / dist(x, z) over ordered
-    input pairs at positive distance and single output labels.  Pairs at
-    distance zero must have identical rows; any difference is reported as
-    an infinite epsilon with a zero-distance witness.
+    input pairs and single output labels.  A pair at distance zero gives
+    an infinite ratio at every output where its rows differ and none
+    elsewhere.  Without the per-pair matrix the audit stops after the
+    first row whose maximum is infinite.
     """
     space = mech.input_space
     labels = space.labels
@@ -73,56 +77,41 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     per_pair = np.zeros((n, n)) if include_per_pair else None
     # math.log, not np.log: the two differ by an ulp on some inputs, and
     # the audit must be reproducible to the bit.  Floored entries get the
-    # placeholder ln 1, which the masks below overwrite.
+    # placeholder ln 1, and zero distances the placeholder 1.0; the masks
+    # below overwrite every ratio either one touches.
     floored = probs <= PROB_FLOOR
     logs = np.array(list(map(math.log, np.where(floored, 1.0, probs).ravel().tolist())))
     logs = logs.reshape(probs.shape)
-
+    zero = space.dist == 0.0
+    dist = np.where(zero, 1.0, space.dist)
     others = ~np.eye(n, dtype=bool)
-    zero_pairs = others & (space.dist == 0.0)
-    separated = others & (space.dist != 0.0)
 
     eps_max = 0.0
     witness = None
     for i in range(n):
-        # Pairs (i, j) are visited in j order up to ``stop``, the first
-        # zero-distance partner whose row differs, which ends the audit.
-        zero = np.flatnonzero(zero_pairs[i])
-        differs = zero[(probs[zero] != probs[i]).any(axis=1)]
-        stop = int(differs[0]) if differs.size else n
-        sep = np.flatnonzero(separated[i, :stop])
-        # ratio[r, k] = (ln probs[i, k] - ln probs[sep[r], k]) / dist[i, sep[r]]:
+        js = np.flatnonzero(others[i])
+        # ratio[r, k] = (ln probs[i, k] - ln probs[js[r], k]) / dist[i, js[r]]:
         # infinite where the denominator's entry is floored, and never
-        # binding (-inf) where the numerator's is.
-        ratio = (logs[i] - logs[sep]) / space.dist[i, sep][:, None]
-        ratio[floored[sep]] = math.inf
+        # binding (-inf) where the numerator's is.  A zero-distance pair
+        # is infinite wherever the rows differ and never binding elsewhere.
+        ratio = (logs[i] - logs[js]) / dist[i, js][:, None]
+        ratio[floored[js]] = math.inf
         ratio[:, floored[i]] = -math.inf
+        twins = zero[i, js]
+        ratio[twins] = np.where(probs[js[twins]] != probs[i], math.inf, -math.inf)
         best_k = ratio.argmax(axis=1)
-        pair_max = ratio[np.arange(sep.size), best_k]
-        # A pair whose every ratio is -inf (row i entirely floored)
-        # constrains nothing.
+        pair_max = ratio[np.arange(js.size), best_k]
+        # A pair whose every ratio is -inf constrains nothing.
         rows = np.flatnonzero(pair_max > -math.inf)
         if per_pair is not None:
-            per_pair[i, sep[rows]] = pair_max[rows]
+            per_pair[i, js[rows]] = pair_max[rows]
         if rows.size:
             r = rows[np.argmax(pair_max[rows])]
             if witness is None or pair_max[r] > eps_max:
                 eps_max = float(pair_max[r])
-                witness = (labels[i], labels[int(sep[r])], out_labels[int(best_k[r])])
-            if eps_max == math.inf and not include_per_pair:
-                return PrivacyAuditReport(math.inf, witness, per_pair)
-        if stop < n:
-            diff = np.nonzero(probs[i] != probs[stop])[0]
-            if per_pair is not None:
-                per_pair[i, stop] = math.inf
-            return PrivacyAuditReport(
-                epsilon_max=math.inf,
-                witness=(labels[i], labels[stop], out_labels[int(diff[0])]),
-                per_pair_max=per_pair,
-            )
-    if not separated.any():
-        # No two inputs are separated: the definition imposes nothing.
-        return PrivacyAuditReport(0.0, None, per_pair)
+                witness = (labels[i], labels[int(js[r])], out_labels[int(best_k[r])])
+        if eps_max == math.inf and per_pair is None:
+            break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
 
 
@@ -134,11 +123,9 @@ def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAu
         raise StructuralError("query codomain does not match the table's output space")
     if query.domain != mech.input_space:
         raise StructuralError("query domain does not match the table's input space")
-    out = mech.output_space
-    masses = np.empty(len(mech.input_space))
-    for i, x in enumerate(mech.input_space.labels):
-        inside = out.ball_mask(query.image_index(x), gamma)
-        masses[i] = mech.probs[i, inside].sum()
+    images = [query.image_index(x) for x in mech.input_space.labels]
+    inside = mech.output_space.dist[images] <= gamma
+    masses = np.array([row[mask].sum() for row, mask in zip(mech.probs, inside)])
     worst = int(np.argmin(masses))
     return UtilityAuditReport(
         gamma=float(gamma),
@@ -215,7 +202,8 @@ def impossibility_lower_bound(
             "the disjointness hypothesis fails"
         )
 
-    rows = [mech.probs[space.index_of(c)] for c in centers]
+    idx = [space.index_of(c) for c in centers]
+    rows = mech.probs[idx]
     mass_self = tuple(float(rows[i][balls[i]].sum()) for i in range(len(centers)))
     mass_ref = tuple(float(rows[0][balls[i]].sum()) for i in range(len(centers)))
     for c, m in zip(centers, mass_self):
@@ -225,11 +213,10 @@ def impossibility_lower_bound(
                 f"mass {m:g}, not above {utility_threshold:g}"
             )
 
-    ref_idx = space.index_of(centers[0])
     best = -math.inf
     best_i = None
     for i in range(1, len(centers)):
-        rho = float(space.dist[space.index_of(centers[i]), ref_idx])
+        rho = float(space.dist[idx[i], idx[0]])
         if rho <= 0.0:
             raise DomainError(
                 f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "

@@ -95,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("audit-privacy", "exact smallest epsilon a mechanism table satisfies")
     sp.add_argument("--mech", required=True, help="mechanism table file")
     sp.add_argument("--space", required=True, help="input space file (supplies the metric)")
-    sp.add_argument("--per-pair", action="store_true", help="include the per-pair maxima matrix")
+    sp.add_argument("--per-pair", action="store_true",
+                    help="add the full per-pair maxima matrix (0 where a pair constrains "
+                         "nothing, inf where zero-distance rows differ); epsilon_max and "
+                         "witness are unchanged")
     sp.add_argument("--threshold", type=float, help="pass iff epsilon_max <= threshold")
 
     sp = cmd("audit-utility", "worst-case in-ball mass at radius gamma")

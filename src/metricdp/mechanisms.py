@@ -71,19 +71,15 @@ def distribution(params: ExpMechParams, x) -> np.ndarray:
 def _rows(params: ExpMechParams, inputs) -> np.ndarray:
     """Exact output distributions of ``inputs``, one row each."""
     images = [params.query.image_index(x) for x in inputs]
-    # ExpMechParams guarantees positive total mass, so the support is
-    # never empty here.
+    # Unsupported outputs get the exponent -inf, so they weigh exactly 0
+    # however close they lie.  ExpMechParams guarantees positive total
+    # mass, so every row keeps exp(0) at a supported point and its total
+    # is positive.
     support = params.base.values > 0
-    exponents = -params.beta * params.output_space.dist[images]
-    shift = exponents[:, support].max(axis=1)
+    exponents = np.where(support, -params.beta * params.output_space.dist[images], -np.inf)
+    shift = exponents.max(axis=1)
     weights = params.base.values * np.exp(exponents - shift[:, None])
-    totals = weights.sum(axis=1)
-    vanished = np.flatnonzero(~(totals > 0))
-    if vanished.size:
-        raise DegenerateMeasureError(
-            f"normalizer vanished for input {inputs[vanished[0]]!r}"
-        )
-    return weights / totals[:, None]
+    return weights / weights.sum(axis=1)[:, None]
 
 
 class MechanismTable:

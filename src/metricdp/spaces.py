@@ -43,15 +43,6 @@ class MetricValidationReport:
     ok: bool
     violations: tuple = field(default_factory=tuple)
 
-    def to_doc(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
-                for v in self.violations
-            ],
-        }
-
 
 def validate_metric(dist) -> MetricValidationReport:
     """Check a square matrix against the four metric axioms.
@@ -127,9 +118,7 @@ class FiniteMetricSpace:
             raise StructuralError("a metric space needs at least one point")
         if len(set(labels)) != len(labels):
             raise StructuralError("labels must be distinct")
-        if _trusted:
-            mat = np.asarray(dist, dtype=float)
-        else:
+        if not _trusted:
             report = validate_metric(dist)
             if not report.ok:
                 first = report.violations[0]
@@ -138,7 +127,7 @@ class FiniteMetricSpace:
                     f"{len(report.violations)} violation(s) total)",
                     report=report,
                 )
-            mat = np.asarray(dist, dtype=float)
+        mat = np.asarray(dist, dtype=float)
         if mat.shape != (len(labels), len(labels)):
             raise StructuralError(
                 f"distance matrix shape {mat.shape} does not match {len(labels)} labels"
@@ -181,8 +170,7 @@ class FiniteMetricSpace:
         """
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        i = self.index_of(center)
-        mask = self.dist[i] <= radius
+        mask = self.ball_mask(self.index_of(center), radius)
         return [lab for lab, inside in zip(self.labels, mask) if inside]
 
     def ball_mask(self, center_index: int, radius) -> np.ndarray:
@@ -250,21 +238,11 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
     NotLipschitzError
         If a zero-distance pair maps to separated points.
     """
-    return _lipschitz_from_images(domain, codomain, _image_indices(domain, codomain, table))
-
-
-def _image_indices(domain, codomain, table):
     images = []
     for lab in domain.labels:
         if lab not in table:
             raise StructuralError(f"function table missing domain label {lab!r}")
         images.append(codomain.index_of(table[lab]))
-    return images
-
-
-def _lipschitz_from_images(domain, codomain, images) -> float:
-    """:func:`lipschitz_constant` given the codomain index of every
-    domain point's image."""
     first, second = np.triu_indices(len(domain), 1)
     images = np.asarray(images, dtype=np.intp)
     rho = domain.dist[first, second]
@@ -289,7 +267,7 @@ class LipschitzMap:
     is rejected, because every privacy bound downstream multiplies by it.
     """
 
-    __slots__ = ("domain", "codomain", "table", "constant", "_image_idx")
+    __slots__ = ("domain", "codomain", "table", "constant")
 
     def __init__(self, domain: FiniteMetricSpace, codomain: FiniteMetricSpace, table,
                  declared_constant=None):
@@ -299,8 +277,7 @@ class LipschitzMap:
         extra = set(self.table) - set(domain.labels)
         if extra:
             raise StructuralError(f"table has labels outside the domain: {sorted(map(repr, extra))}")
-        self._image_idx = np.array(_image_indices(domain, codomain, self.table))
-        self.constant = _lipschitz_from_images(domain, codomain, self._image_idx)
+        self.constant = lipschitz_constant(domain, codomain, self.table)
         if declared_constant is not None and abs(declared_constant - self.constant) > 1e-9:
             raise StructuralError(
                 f"declared Lipschitz constant {declared_constant} does not match "
@@ -315,7 +292,7 @@ class LipschitzMap:
 
     def image_index(self, x) -> int:
         """Codomain index of f(x)."""
-        return int(self._image_idx[self.domain.index_of(x)])
+        return self.codomain.index_of(self(x))
 
     def __repr__(self):
         return (f"LipschitzMap({len(self.domain)} -> {len(self.codomain)} points, "

@@ -21,7 +21,6 @@ from itertools import combinations
 import numpy as np
 
 from metricdp import (
-    DegenerateMeasureError,
     DiscreteMeasure,
     FiniteMetricSpace,
     LipschitzMap,
@@ -169,18 +168,15 @@ def lipschitz_constant_loop(domain, codomain, table) -> float:
 
 def distribution_loop(params, x) -> np.ndarray:
     """Oracle for ``distribution``: one input's row on its own, shifted
-    by the largest exponent over the base's support."""
+    by the largest exponent over the base's support.  Only supported
+    points are weighed; the rest keep weight 0."""
     xi = params.query.image_index(x)
     exponents = -params.beta * params.output_space.dist[xi]
     support = params.base.values > 0
-    if not support.any():
-        raise DegenerateMeasureError("base measure has empty support")
     shift = exponents[support].max()
-    weights = params.base.values * np.exp(exponents - shift)
-    total = weights.sum()
-    if not total > 0:
-        raise DegenerateMeasureError(f"normalizer vanished for input {x!r}")
-    return weights / total
+    weights = np.zeros(len(exponents))
+    weights[support] = params.base.values[support] * np.exp(exponents[support] - shift)
+    return weights / weights.sum()
 
 
 def tabulate_loop(params) -> MechanismTable:
@@ -220,7 +216,9 @@ def propose_centers_loop(query, radius) -> list:
 
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Oracle for ``audit_privacy``: every ordered input pair and every
-    output label, in (i, j, k) order, with the same early exits."""
+    output label, in (i, j, k) order.  A zero-distance pair's ratio is inf
+    where its rows differ and -inf where they agree.  Without per-pair
+    maxima the audit ends after the first row whose maximum is inf."""
     space = mech.input_space
     labels = space.labels
     out_labels = mech.output_space.labels
@@ -230,32 +228,20 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
 
     eps_max = 0.0
     witness = None
-    found_pair = False
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             rho = space.dist[i, j]
-            if rho == 0.0:
-                diff = np.nonzero(probs[i] != probs[j])[0]
-                if diff.size:
-                    y = out_labels[int(diff[0])]
-                    if per_pair is not None:
-                        per_pair[i, j] = math.inf
-                    return PrivacyAuditReport(
-                        epsilon_max=math.inf,
-                        witness=(labels[i], labels[j], y),
-                        per_pair_max=per_pair,
-                    )
-                continue
-            found_pair = True
             pair_max = -math.inf
             pair_witness_y = None
             for k in range(probs.shape[1]):
                 a, b = probs[i, k], probs[j, k]
-                if a <= PROB_FLOOR:
-                    continue  # zero numerator never binds
-                if b <= PROB_FLOOR:
+                if rho == 0.0:
+                    ratio = math.inf if a != b else -math.inf
+                elif a <= PROB_FLOOR:
+                    ratio = -math.inf  # zero numerator never binds
+                elif b <= PROB_FLOOR:
                     ratio = math.inf
                 else:
                     ratio = (math.log(a) - math.log(b)) / rho
@@ -263,15 +249,12 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
                     pair_max = ratio
                     pair_witness_y = out_labels[k]
             if pair_witness_y is None:
-                continue  # row i is entirely zero-floored: unconstraining
+                continue  # every ratio is -inf: the pair constrains nothing
             if per_pair is not None:
                 per_pair[i, j] = pair_max
             if witness is None or pair_max > eps_max:
                 eps_max = pair_max
                 witness = (labels[i], labels[j], pair_witness_y)
-            if eps_max == math.inf and not include_per_pair:
-                return PrivacyAuditReport(math.inf, witness, per_pair)
-    if not found_pair:
-        # No two inputs are separated: the definition imposes nothing.
-        return PrivacyAuditReport(0.0, None, per_pair)
+        if eps_max == math.inf and not include_per_pair:
+            break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)

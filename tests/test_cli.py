@@ -172,6 +172,26 @@ class TestPipeline:
         assert code == 1
         assert doc["result"]["passed"] is False
 
+    def test_per_pair_keeps_the_witness_on_a_pseudometric(self, capsys, tmp_path):
+        # a and b are at distance 0 with differing rows; (a, c) is infinite
+        # first in label order, with or without the per-pair matrix.
+        space = write(tmp_path, "space.json", {
+            "labels": ["a", "c", "b"],
+            "dist": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+        })
+        mech = write(tmp_path, "mech.json", {
+            "inputs": ["a", "c", "b"],
+            "outputs": ["y0", "y1"],
+            "rows": {"a": [0.5, 0.5], "c": [1.0, 0.0], "b": [0.4, 0.6]},
+        })
+        code, plain = run(capsys, "audit-privacy", "--mech", mech, "--space", space)
+        assert code == 0
+        code, full = run(capsys, "audit-privacy", "--mech", mech, "--space", space,
+                         "--per-pair")
+        assert code == 0
+        assert plain["result"]["witness"] == full["result"]["witness"] == ["a", "c", "y1"]
+        assert plain["result"]["epsilon_max"] == full["result"]["epsilon_max"]
+
     def test_audit_utility(self, capsys, grid5_files):
         mech = str(grid5_files["dir"] / "mech.json")
         main(["tabulate", "--map", grid5_files["map"], "--measure",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestDistribution:
         # point wins even when the true image has weight zero
         assert row[0] == 0.0
         assert row[1] == pytest.approx(1.0)
+
+    def test_unsupported_image_cannot_overflow(self):
+        # At beta=2000 the unsupported image's weight would be exp(1000),
+        # which overflows; it must stay an exact 0 without a warning.
+        s = grid_space(3)
+        p = ExpMechParams(base=DiscreteMeasure(s, [0.0, 1.0, 1.0]), beta=2000.0,
+                          query=identity_map(s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distribution(p, "0").tolist() == [0.0, 1.0, 0.0]
+            assert tabulate(p).row("0").tolist() == [0.0, 1.0, 0.0]
 
     def test_larger_distance_never_gets_more_mass(self):
         p = x3_params(beta=2.3)

@@ -33,7 +33,6 @@ from conftest import (
 )
 from metricdp import (
     METRIC_TOL,
-    DegenerateMeasureError,
     DiscreteMeasure,
     ExpMechParams,
     FiniteMetricSpace,
@@ -253,15 +252,42 @@ class TestAuditPrivacyOracle:
 
     def test_zero_distance_exit_after_infinite_pair(self):
         # (x0, x1) is infinite; (x0, x2) is a zero-distance pair whose rows
-        # differ.  Without per-pair maxima the infinite pair ends the audit;
-        # with them the zero-distance pair does.
+        # differ, so it is infinite too.  The first infinite pair in label
+        # order is the witness, with or without per-pair maxima.
         space = line_space([0.0, 1.0, 0.0])
         out = line_space([0.0, 1.0])
         probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
         mech = MechanismTable(space, out, probs)
         assert_same_audit(mech)
         assert audit_privacy(mech).witness == ("x0", "x1", "x1")
-        assert audit_privacy(mech, include_per_pair=True).witness == ("x0", "x2", "x0")
+        assert audit_privacy(mech, include_per_pair=True).witness == ("x0", "x1", "x1")
+
+    @PROPERTY
+    @given(audit_cases())
+    def test_per_pair_matrix_changes_no_verdict(self, mech):
+        """Tables over line pseudometrics with twins: the per-pair matrix
+        leaves epsilon (to the bit) and witness as they are."""
+        plain = audit_privacy(mech)
+        full = audit_privacy(mech, include_per_pair=True)
+        assert bits(plain.epsilon_max) == bits(full.epsilon_max)
+        assert plain.witness == full.witness
+
+    def test_per_pair_matrix_past_a_zero_distance_pair(self):
+        # a and b are at distance 0 with differing rows; row c comes
+        # after them in the audit and still gets its true maxima.
+        space = FiniteMetricSpace(["a", "c", "b"], [[0.0, 1.0, 0.0],
+                                                    [1.0, 0.0, 1.0],
+                                                    [0.0, 1.0, 0.0]])
+        out = FiniteMetricSpace(["y0", "y1"], [[0.0, 1.0], [1.0, 0.0]])
+        mech = MechanismTable(space, out, [[0.5, 0.5], [1.0, 0.0], [0.4, 0.6]])
+        assert_same_audit(mech)
+        full = audit_privacy(mech, include_per_pair=True)
+        assert full.witness == audit_privacy(mech).witness == ("a", "c", "y1")
+        assert full.epsilon_max == math.inf
+        expected = [[0.0, math.inf, math.inf],
+                    [math.log(1.0) - math.log(0.5), 0.0, math.log(1.0) - math.log(0.4)],
+                    [math.inf, math.inf, 0.0]]
+        assert full.per_pair_max.tolist() == expected
 
 
 class TestLipschitzOracle:
@@ -345,17 +371,18 @@ class TestTabulateOracle:
                                query=identity_map(space))
         assert tabulate(params).probs.tobytes() == tabulate_loop(params).probs.tobytes()
 
-    def test_vanishing_normalizer_names_the_input(self):
+    def test_unsupported_point_at_the_image_weighs_zero(self):
         # The only supported point is far from the image of x1, and an
-        # unsupported point sits on it: the weights overflow to nan.
+        # unsupported point sits on it: its exponent is -inf, not an
+        # overflow to inf that would turn its weight into nan.
         space = line_space([0.0, 1.0, 2.0])
         params = ExpMechParams(base=DiscreteMeasure(space, [1.0, 0.0, 0.0]), beta=800.0,
                                query=identity_map(space))
-        same_outcome(tabulate, tabulate_loop, params)
-        same_outcome(distribution, distribution_loop, params, "x1")
-        with pytest.raises(DegenerateMeasureError) as caught:
-            tabulate(params)
-        assert str(caught.value) == "normalizer vanished for input 'x1'"
+        got, want = same_outcome(tabulate, tabulate_loop, params)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        got, want = same_outcome(distribution, distribution_loop, params, "x1")
+        assert got.tobytes() == want.tobytes()
+        assert tabulate(params).row("x1").tolist() == [1.0, 0.0, 0.0]
 
 
 class TestDisjointScanOracle:

@@ -75,12 +75,6 @@ class TestValidateMetric:
         with pytest.raises(StructuralError):
             validate_metric([["a", "b"], ["c", "d"]])
 
-    def test_to_doc_round_trip_fields(self):
-        doc = validate_metric([[0, -2], [-2, 0]]).to_doc()
-        assert doc["ok"] is False
-        assert doc["violations"][0]["axiom"] == "nonnegativity"
-        assert doc["violations"][0]["witness"] == [0, 1]
-
     def test_fuzz_random_metrics_validate(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
