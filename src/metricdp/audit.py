@@ -115,14 +115,19 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
 
 
-def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAuditReport:
-    """Per-input mass inside the closed gamma-ball around the true image."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
+    """The query must map the table's input space to its output space."""
     if query.codomain != mech.output_space:
         raise StructuralError("query codomain does not match the table's output space")
     if query.domain != mech.input_space:
         raise StructuralError("query domain does not match the table's input space")
+
+
+def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAuditReport:
+    """Per-input mass inside the closed gamma-ball around the true image."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _require_query_spaces(mech, query)
     images = [query.image_index(x) for x in mech.input_space.labels]
     inside = mech.output_space.dist[images] <= gamma
     masses = np.array([row[mask].sum() for row, mask in zip(mech.probs, inside)])
@@ -174,9 +179,11 @@ def impossibility_lower_bound(
     lowering it rescales the guaranteed floor to ln(k * threshold); the
     check and the returned maximum are otherwise unchanged.
 
-    Raises DomainError if the balls are not pairwise disjoint or some
-    center's ball mass is not above the threshold (the hypothesis of the
-    argument, validated rather than assumed).
+    Raises StructuralError if ``query`` does not map the table's input
+    space to its output space, and DomainError if the balls are not
+    pairwise disjoint or some center's ball mass is not above the
+    threshold (the hypothesis of the argument, validated rather than
+    assumed).
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -187,6 +194,7 @@ def impossibility_lower_bound(
         raise ValueError("need at least two centers (one reference, one challenger)")
     if len(set(centers)) != len(centers):
         raise DomainError("centers must be distinct")
+    _require_query_spaces(mech, query)
     out = mech.output_space
     space = mech.input_space
 

@@ -14,6 +14,7 @@ the module that owns the object.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -90,11 +91,65 @@ def load_doc(source) -> dict:
     return doc
 
 
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder (``indent`` is None), writing between items the
+    newline and padding that ``indent=2`` writes at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                            sort_keys=True, allow_nan=False)
+
+
+def _write(obj, depth: int, out: list) -> None:
+    """Append the ``indent=2`` text of ``obj``, nested ``depth`` deep, to
+    ``out``.  A scalar, or a container holding only scalars, takes one
+    encoder call; infinities and numpy scalars make that call raise and
+    are encoded again through ``jsonable``, where a NaN still raises."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        items = obj.values()
+    else:
+        items = obj if isinstance(obj, (list, tuple)) else ()
+    pad = "\n" + "  " * (depth + 1)
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        encoder = _encoder(depth + 1)
+        try:
+            text = encoder.encode(obj)
+        except (TypeError, ValueError):
+            text = encoder.encode(jsonable(obj))
+        # Scalars and empty containers stay on one line.
+        out.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if items else text)
+        return
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "") + pad + json.dumps(key) + ": ")
+            _write(obj[key], depth + 1, out)
+        out.append(pad[:-2] + "}")
+    else:
+        out.append("[")
+        for i, item in enumerate(obj):
+            out.append(("," if i else "") + pad)
+            _write(item, depth + 1, out)
+        out.append(pad[:-2] + "]")
+
+
 def dump_doc(doc: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing
-    newline.  allow_nan=False so an accidental NaN fails loudly instead of
-    producing invalid JSON."""
-    return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, one scalar
+    per line, ASCII escapes, infinities as ``"infinity"`` strings and a
+    trailing newline.  The bytes are those of ``json.dumps(jsonable(doc),
+    indent=2, sort_keys=True, allow_nan=False)``, written through json's C
+    encoder one container of scalars at a time.  A NaN raises ValueError
+    instead of producing invalid JSON."""
+    out = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_doc(path: str, doc: dict) -> None:
@@ -153,7 +208,16 @@ def space_components(source) -> tuple:
 
 
 def space_from_doc(source) -> FiniteMetricSpace:
+    return _space_from_doc(source, None)
+
+
+def _space_from_doc(source, known: FiniteMetricSpace | None) -> FiniteMetricSpace:
+    """The space a document describes, validated, or ``known`` itself when
+    the document describes it (same labels, equal distances), so a command
+    validates each space once."""
     labels, mat = space_components(source)
+    if known is not None and labels == known.labels and np.array_equal(mat, known.dist):
+        return known
     return FiniteMetricSpace(labels, mat)
 
 
@@ -181,7 +245,7 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
     if not isinstance(weights, dict):
         raise SchemaError("measure weights must be an object mapping label to number")
     if "space" in doc:
-        space = space_from_doc(doc["space"])
+        space = _space_from_doc(doc["space"], space)
     return DiscreteMeasure(space, {k: decode_value(v) for k, v in weights.items()})
 
 
@@ -192,7 +256,7 @@ def measure_to_doc(measure: DiscreteMeasure) -> dict:
 def map_from_doc(source) -> LipschitzMap:
     doc = load_doc(source)
     domain = space_from_doc(_require(doc, "domain", "map"))
-    codomain = space_from_doc(_require(doc, "codomain", "map"))
+    codomain = _space_from_doc(_require(doc, "codomain", "map"), domain)
     table = _require(doc, "table", "map")
     if not isinstance(table, dict):
         raise SchemaError("map table must be an object mapping input label to output label")

@@ -147,7 +147,8 @@ class FiniteMetricSpace:
         return self.labels == other.labels and np.array_equal(self.dist, other.dist)
 
     def __hash__(self):
-        return hash((tuple(self.labels), self.dist.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal.
+        return hash((tuple(self.labels), (self.dist + 0.0).tobytes()))
 
     def __repr__(self):
         return f"FiniteMetricSpace({len(self)} points, diameter={self.diameter():g})"

@@ -13,12 +13,16 @@ library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
 ``level_for_radius_loop`` is a brute-force search for the same level
 that ``level_for_radius`` computes from the binary exponent.
+``dump_doc_reference`` is the original report writer, json's ``indent=2``
+encoder, whose bytes ``dump_doc`` must reproduce.
 """
 
+import json
 import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from metricdp import (
     DiscreteMeasure,
@@ -29,8 +33,25 @@ from metricdp import (
     PrivacyAuditReport,
     StructuralError,
 )
+from metricdp import spaces
 from metricdp.audit import PROB_FLOOR
+from metricdp.formats import jsonable
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Sizes of the matrices validated while the test runs, one entry per
+    ``validate_metric`` call."""
+    calls = []
+    original = spaces.validate_metric
+
+    def counted(dist):
+        calls.append(len(dist))
+        return original(dist)
+
+    monkeypatch.setattr(spaces, "validate_metric", counted)
+    return calls
 
 
 def cloud_metric(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -258,3 +279,9 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
         if eps_max == math.inf and not include_per_pair:
             break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
+
+
+def dump_doc_reference(doc) -> str:
+    """Oracle for ``dump_doc``: json's pure-Python ``indent=2`` encoder over
+    the ``jsonable`` form of the document."""
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"

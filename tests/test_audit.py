@@ -9,6 +9,7 @@ from metricdp import (
     DomainError,
     ExpMechParams,
     FiniteMetricSpace,
+    LipschitzMap,
     MechanismTable,
     StructuralError,
     audit_privacy,
@@ -185,6 +186,22 @@ class TestImpossibility:
         mech = MechanismTable(s, s, rows)
         rep = impossibility_lower_bound(mech, identity_map(s), ["0", "1", "2"], 0.5)
         assert rep.eps_lower == math.inf
+
+    @pytest.mark.parametrize("query_side", ["codomain", "domain"])
+    def test_query_on_other_spaces_rejected(self, query_side):
+        # t is grid3 with every distance scaled by 10: the balls of radius 2
+        # around "0" and "1" are disjoint in t but not in the table's grid3.
+        s = grid_space(3)
+        t = FiniteMetricSpace(s.labels, 10 * s.dist)
+        mech = MechanismTable(s, s, np.full((3, 3), 1 / 3))
+        if query_side == "codomain":
+            query = identity_map(t)
+            message = "query codomain does not match the table's output space"
+        else:
+            query = LipschitzMap(t, s, {x: x for x in s.labels})
+            message = "query domain does not match the table's input space"
+        with pytest.raises(StructuralError, match=message):
+            impossibility_lower_bound(mech, query, ["0", "1"], 2)
 
     def test_overlapping_balls_rejected(self):
         s = grid_space(5)

@@ -295,6 +295,26 @@ class TestMeasureSpace:
         assert "measure document names no space and none is implied" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tabulate_validates_one_space(self, capsys, grid5_files, validations):
+        code, _ = run(capsys, "tabulate", "--map", grid5_files["map"],
+                      "--measure", grid5_files["measure"], "--beta", "2")
+        assert code == 0
+        assert validations == [5]
+
+    def test_invalid_codomain_exits_3(self, capsys, tmp_path):
+        good = {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        bad = {"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+        the_map = write(tmp_path, "map.json", {"domain": good, "codomain": bad,
+                                               "table": {x: x for x in good["labels"]}})
+        measure = write(tmp_path, "measure.json", {"space": good, "weights": {"a": 1.0}})
+        code, doc = run(capsys, "tabulate", "--map", the_map, "--measure", measure,
+                        "--beta", "1")
+        assert code == 3
+        assert doc["result"] == {
+            "error": "metric axioms violated (triangle at (0, 2, 1); 2 violation(s) total)",
+            "error_kind": "InvalidMetricError",
+        }
+
     def test_own_space_beats_the_codomain(self, capsys, grid5_files):
         measure = write(grid5_files["dir"], "grid3_measure.json", {
             "space": {"kind": "grid", "n": 3},

@@ -195,6 +195,47 @@ class TestMapDocs:
             formats.map_from_doc(doc)
 
 
+SPACE_DOC = {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+WIDER_DOC = {"labels": ["a", "b", "c"], "dist": [[0, 2, 4], [2, 0, 2], [4, 2, 0]]}
+
+
+class TestOneValidationPerSpace:
+    """A document describing a space the loader already holds reuses that
+    object; any other space document is validated."""
+
+    def map_doc(self, codomain):
+        return {"domain": SPACE_DOC, "codomain": codomain,
+                "table": {x: x for x in SPACE_DOC["labels"]}}
+
+    def test_codomain_equal_to_domain_reuses_it(self, validations):
+        lmap = formats.map_from_doc(self.map_doc(json.loads(json.dumps(SPACE_DOC))))
+        assert lmap.codomain is lmap.domain
+        assert validations == [3]
+
+    def test_differing_codomain_is_validated(self, validations):
+        lmap = formats.map_from_doc(self.map_doc(WIDER_DOC))
+        assert lmap.codomain == formats.space_from_doc(WIDER_DOC)
+        assert lmap.constant == 2.0
+        assert len(validations) == 3
+
+    def test_invalid_codomain_is_rejected(self):
+        bad = {"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+        with pytest.raises(InvalidMetricError, match=r"triangle at \(0, 2, 1\)"):
+            formats.map_from_doc(self.map_doc(bad))
+
+    def test_measure_on_the_implied_space_reuses_it(self, validations):
+        space = formats.space_from_doc(SPACE_DOC)
+        m = formats.measure_from_doc({"space": SPACE_DOC, "weights": {"a": 1.0}}, space=space)
+        assert m.space is space
+        assert validations == [3]
+
+    def test_measure_on_another_space_is_validated(self, validations):
+        space = formats.space_from_doc(SPACE_DOC)
+        m = formats.measure_from_doc({"space": WIDER_DOC, "weights": {"a": 1.0}}, space=space)
+        assert m.space == formats.space_from_doc(WIDER_DOC) != space
+        assert len(validations) == 3
+
+
 class TestTableDocs:
     def make_mech(self):
         s = grid_space(3)

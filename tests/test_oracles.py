@@ -4,7 +4,8 @@ Each test compares one library function with the ``*_loop`` oracle in
 ``conftest`` on the same input: epsilon, witness and per-pair maxima of
 the privacy audit, every axiom violation of the validator, the Lipschitz
 constant, the row and table bits, the centers of the greedy disjoint-ball
-scan, the level of a radius, and the type and text of every error raised.
+scan, the level of a radius, the bytes of a written report, and the type
+and text of every error raised.
 Inputs come from ``hypothesis`` and from seeded generators, and are built
 to hit the edge cases: many violations of every kind, pseudometrics with
 zero-distance twins, probabilities at 1e-305 (below the audit's floor),
@@ -17,11 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     audit_privacy_loop,
     closure_metric,
     distribution_loop,
+    dump_doc_reference,
     level_for_radius_loop,
     lipschitz_constant_loop,
     propose_centers_loop,
@@ -49,6 +52,7 @@ from metricdp import (
     tabulate,
     validate_metric,
 )
+from metricdp.formats import dump_doc
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -430,3 +434,53 @@ class TestLevelForRadiusOracle:
     def test_radius_validation(self):
         for r in (0.0, -0.0, -1.0, -math.inf, math.nan):
             same_outcome(level_for_radius, level_for_radius_loop, r)
+
+
+# Report values: the floats a report can hold (infinities, -0.0,
+# subnormals), numpy scalars and arrays, tuples, and strings that need
+# escapes or look like the writer's own separators.
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [math.inf, -math.inf, -0.0, 1e-310, 5e-324, 0.1, 1e16])
+DOC_SCALARS = (
+    FLOATS | st.integers() | st.booleans() | st.none()
+    | st.text() | st.sampled_from(["a, b", ", ", ",\n  ", "ü", "\u2603 snow", '"\\', "infinity"])
+    | FLOATS.map(np.float64) | st.floats(width=32, allow_nan=False).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+DOC_KEYS = st.text(max_size=4) | st.integers(-20, 20) | st.sampled_from(["a, b", "é"])
+DOC_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                        elements=FLOATS) | hnp.arrays(np.int64, st.integers(0, 4))
+DOCS = st.dictionaries(DOC_KEYS, st.recursive(
+    DOC_SCALARS | DOC_ARRAYS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(DOC_KEYS, inner, max_size=5)),
+    max_leaves=30,
+), max_size=6)
+
+
+class TestDumpDocOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCS)
+    def test_same_bytes_as_indent_2(self, doc):
+        assert dump_doc(doc) == dump_doc_reference(doc)
+
+    def test_report_shapes(self):
+        """Envelopes around matrices, rows by label and empty containers."""
+        probs = np.array([[0.5, 0.5], [1.0, 0.0]])
+        doc = {"command": "x", "params": {"per_pair": True, "threshold": 1e-310},
+               "result": {"rows": dict(zip("ab", probs)), "per_pair_max": np.array(
+                   [[0.0, math.inf], [-0.0, 0.25]]), "witness": ("a", "b", "y0"),
+                   "levels": [{"centers": [], "radius": 1.0}], "empty": {}}}
+        assert dump_doc(doc) == dump_doc_reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": math.nan},
+        {"x": [1.0, math.nan]},
+        {"x": {"y": np.float64("nan")}},
+        {"x": [[0.0], np.array([math.nan])]},
+    ])
+    def test_nan_raises(self, doc):
+        with pytest.raises(ValueError):
+            dump_doc_reference(doc)
+        with pytest.raises(ValueError):
+            dump_doc(doc)

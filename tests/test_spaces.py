@@ -113,6 +113,13 @@ class TestFiniteMetricSpace:
         assert hash(a) == hash(b)
         assert a != discrete_space(4)
 
+    def test_signed_zeros_hash_alike(self):
+        a = FiniteMetricSpace(["a", "b"], [[-0.0, 1], [1, 0]])
+        b = FiniteMetricSpace(["a", "b"], [[0.0, 1], [1, 0]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_index_of_unknown_label(self):
         with pytest.raises(UnknownLabelError):
             grid_space(3).index_of("7")
