@@ -5,9 +5,7 @@ Exact auditing of a finite mechanism table
 Any mechanism on finite spaces is just a row-stochastic matrix, so
 its true privacy level is computable: maximize
 (ln P[x -> y] - ln P[z -> y]) / dist(x, z) over all pairs and
-outputs.  Utility is audited the same way, and the per-subset
-inequalities behind the 2*beta bound can be checked exhaustively on
-small output spaces.
+outputs.  Utility is audited the same way.
 """
 
 import numpy as np
@@ -17,7 +15,6 @@ from metricdp import (
     MechanismTable,
     audit_privacy,
     audit_utility,
-    check_em_inequalities,
     grid_space,
     identity_map,
     privacy_bound,
@@ -55,9 +52,3 @@ print("\nhand-written table epsilon:", round(lrep.epsilon_max, 4),
 # ratio is infinite and no finite epsilon works.
 det = MechanismTable(space, space, np.eye(3))
 print("deterministic table epsilon:", audit_privacy(det).epsilon_max)
-
-# On small output spaces the two inequalities behind the privacy
-# proof can be verified for every output subset.
-r = check_em_inequalities(params, "0", "1")
-print("\nsubset inequalities for x='0', z='1': numerator ok", r.numerator_ok,
-      " normalizer ok", r.normalizer_ok)

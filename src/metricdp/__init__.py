@@ -51,19 +51,16 @@ from .mechanisms import (
     distribution,
     min_database_size,
     privacy_bound,
-    sample,
     sample_many,
     tabulate,
     tradeoff_upper_bound,
 )
 from .audit import (
-    EMInequalityReport,
     ImpossibilityReport,
     PrivacyAuditReport,
     UtilityAuditReport,
     audit_privacy,
     audit_utility,
-    check_em_inequalities,
     impossibility_lower_bound,
     propose_centers,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "MechanismTable",
     "distribution",
     "tabulate",
-    "sample",
     "sample_many",
     "calibrate_beta",
     "privacy_bound",
@@ -121,10 +117,8 @@ __all__ = [
     "PrivacyAuditReport",
     "UtilityAuditReport",
     "ImpossibilityReport",
-    "EMInequalityReport",
     "audit_privacy",
     "audit_utility",
     "impossibility_lower_bound",
-    "check_em_inequalities",
     "propose_centers",
 ]

@@ -5,8 +5,6 @@ are exact maxima/minima, not statistical estimates.  The privacy audit
 only needs singleton output sets: for nonnegative vectors the ratio of
 set sums never exceeds the largest entrywise ratio (mediant inequality),
 so the singleton maximum already dominates every output set.
-``check_em_inequalities`` exhausts all subsets anyway, as an independent
-verification of that reduction on small spaces.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
-from .mechanisms import ExpMechParams, MechanismTable
+from .mechanisms import MechanismTable
 from .spaces import LipschitzMap
 
 # Probabilities at or below this are treated as exact zeros in log-ratio
@@ -88,30 +86,32 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
 
     eps_max = 0.0
     witness = None
-    for i in range(n):
-        js = np.flatnonzero(others[i])
-        # ratio[r, k] = (ln probs[i, k] - ln probs[js[r], k]) / dist[i, js[r]]:
-        # infinite where the denominator's entry is floored, and never
-        # binding (-inf) where the numerator's is.  A zero-distance pair
-        # is infinite wherever the rows differ and never binding elsewhere.
-        ratio = (logs[i] - logs[js]) / dist[i, js][:, None]
-        ratio[floored[js]] = math.inf
-        ratio[:, floored[i]] = -math.inf
-        twins = zero[i, js]
-        ratio[twins] = np.where(probs[js[twins]] != probs[i], math.inf, -math.inf)
-        best_k = ratio.argmax(axis=1)
-        pair_max = ratio[np.arange(js.size), best_k]
-        # A pair whose every ratio is -inf constrains nothing.
-        rows = np.flatnonzero(pair_max > -math.inf)
-        if per_pair is not None:
-            per_pair[i, js[rows]] = pair_max[rows]
-        if rows.size:
-            r = rows[np.argmax(pair_max[rows])]
-            if witness is None or pair_max[r] > eps_max:
-                eps_max = float(pair_max[r])
-                witness = (labels[i], labels[int(js[r])], out_labels[int(best_k[r])])
-        if eps_max == math.inf and per_pair is None:
-            break
+    # A near-zero distance overflows its quotients to inf, the exact value.
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            js = np.flatnonzero(others[i])
+            # ratio[r, k] = (ln probs[i, k] - ln probs[js[r], k]) / dist[i, js[r]]:
+            # infinite where the denominator's entry is floored, and never
+            # binding (-inf) where the numerator's is.  A zero-distance pair
+            # is infinite wherever the rows differ and never binding elsewhere.
+            ratio = (logs[i] - logs[js]) / dist[i, js][:, None]
+            ratio[floored[js]] = math.inf
+            ratio[:, floored[i]] = -math.inf
+            twins = zero[i, js]
+            ratio[twins] = np.where(probs[js[twins]] != probs[i], math.inf, -math.inf)
+            best_k = ratio.argmax(axis=1)
+            pair_max = ratio[np.arange(js.size), best_k]
+            # A pair whose every ratio is -inf constrains nothing.
+            rows = np.flatnonzero(pair_max > -math.inf)
+            if per_pair is not None:
+                per_pair[i, js[rows]] = pair_max[rows]
+            if rows.size:
+                r = rows[np.argmax(pair_max[rows])]
+                if witness is None or pair_max[r] > eps_max:
+                    eps_max = float(pair_max[r])
+                    witness = (labels[i], labels[int(js[r])], out_labels[int(best_k[r])])
+            if eps_max == math.inf and per_pair is None:
+                break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
 
 
@@ -257,94 +257,3 @@ def propose_centers(query: LipschitzMap, radius) -> list:
     labels = query.domain.labels
     images = [query.image_index(x) for x in labels]
     return [labels[p] for p in _disjoint_scan(query.codomain, images, radius)]
-
-
-@dataclass(frozen=True)
-class EMInequalityReport:
-    """Outcome of the exhaustive two-inequality check behind the 2*beta
-    privacy factor.
-
-    ``numerator_ok``: sum_T w_x <= e^(beta*rho) * sum_T w_z held for every
-    nonempty output subset T (w is the unnormalized tilted weight).
-    ``normalizer_ok``: Z(x) >= e^(-beta*rho) * Z(z).
-    ``first_violation`` carries (labels, lhs, rhs) for the first failing
-    subset, None when everything held.
-    """
-
-    x: object
-    z: object
-    numerator_ok: bool
-    normalizer_ok: bool
-    first_violation: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return self.numerator_ok and self.normalizer_ok
-
-
-# Exhausting 2^|Y| subsets is gated to keep the audit interactive.
-SUBSET_GATE = 20
-EM_TOL = 1e-9
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[m] = sum of values at the bit positions set in m, for every
-    bitmask m in [0, 2^n); built by doubling in O(2^n)."""
-    n = len(values)
-    sums = np.zeros(1 << n)
-    for b in range(n):
-        block = 1 << b
-        sums[block : 2 * block] = sums[:block] + values[b]
-    return sums
-
-
-def check_em_inequalities(params: ExpMechParams, x, z) -> EMInequalityReport:
-    """Verify, over every nonempty output subset, the two unnormalized
-    inequalities whose quotient yields the 2*beta privacy factor.
-
-    For w_x(y) = base_weight(y) * exp(-beta * dist(f(x), y)):
-    sum_T w_x <= e^(beta*rho(x,z)) * sum_T w_z for all T, and
-    Z(x) >= e^(-beta*rho(x,z)) * Z(z), both with 1e-9 slack.
-
-    Gated at |output space| <= 20; beyond that use the singleton privacy
-    audit, which the subset maximum provably cannot exceed.
-    """
-    out = params.output_space
-    ny = len(out)
-    if ny > SUBSET_GATE:
-        raise ValueError(
-            f"output space has {ny} points; subset exhaustion is gated at "
-            f"{SUBSET_GATE} (use audit_privacy, whose singleton maximum "
-            "dominates every subset)"
-        )
-    xi = params.query.image_index(x)
-    zi = params.query.image_index(z)
-    rho = float(params.input_space.dist[params.input_space.index_of(x),
-                                        params.input_space.index_of(z)])
-    w_x = params.base.values * np.exp(-params.beta * out.dist[xi])
-    w_z = params.base.values * np.exp(-params.beta * out.dist[zi])
-
-    factor = math.exp(params.beta * rho)
-    sums_x = _subset_sums(w_x)
-    sums_z = _subset_sums(w_z)
-    slack = sums_x - factor * sums_z  # positive entries are violations
-    slack[0] = -math.inf  # empty set is vacuous
-    worst = int(np.argmax(slack))
-    numerator_ok = slack[worst] <= EM_TOL
-
-    z_x = float(w_x.sum())
-    z_z = float(w_z.sum())
-    normalizer_ok = z_x >= math.exp(-params.beta * rho) * z_z - EM_TOL
-
-    first_violation = None
-    if not numerator_ok:
-        members = tuple(out.labels[b] for b in range(ny) if worst >> b & 1)
-        first_violation = (members, float(sums_x[worst]), float(factor * sums_z[worst]))
-    elif not normalizer_ok:
-        first_violation = (tuple(out.labels), z_x, math.exp(-params.beta * rho) * z_z)
-    return EMInequalityReport(
-        x=x, z=z,
-        numerator_ok=bool(numerator_ok),
-        normalizer_ok=bool(normalizer_ok),
-        first_violation=first_violation,
-    )

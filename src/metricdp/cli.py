@@ -47,6 +47,17 @@ DEMO_SPACES = {
 }
 
 
+def _float(text: str) -> float:
+    """Type of every float flag: a float, infinities included, never NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="metricdp",
@@ -66,28 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = cmd("net", "greedy covering net at a given radius")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--r", type=float, required=True, help="covering radius")
+    sp.add_argument("--r", type=_float, required=True, help="covering radius")
 
     sp = cmd("build-measure", "hierarchical base measure that is positive on every ball")
     sp.add_argument("--space", required=True)
     sp.add_argument("--L", type=int, help="number of levels (default: resolve the space)")
 
     sp = cmd("calibrate", "noise parameter beta meeting a (gamma, delta) utility target")
-    sp.add_argument("--gamma", type=float, required=True, help="target output radius")
-    sp.add_argument("--delta", type=float, required=True, help="allowed failure probability")
+    sp.add_argument("--gamma", type=_float, required=True, help="target output radius")
+    sp.add_argument("--delta", type=_float, required=True, help="allowed failure probability")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=float, help="ball-mass floor of the normalized base at gamma/2")
+    group.add_argument("--m", type=_float, help="ball-mass floor of the normalized base at gamma/2")
     group.add_argument("--measure", help="measure file; its normalized modulus at gamma/2 is used")
 
     sp = cmd("tabulate", "exact mechanism table for a map, base measure, and beta")
     sp.add_argument("--map", required=True, help="map file (domain, codomain, table)")
     sp.add_argument("--measure", required=True, help="base measure file")
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_float, required=True)
 
     sp = cmd("sample", "seeded draws from the mechanism at one input")
     sp.add_argument("--map", required=True)
     sp.add_argument("--measure", required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_float, required=True)
     sp.add_argument("--input", required=True, help="input label to run the mechanism at")
     sp.add_argument("--seed", type=int, required=True, help="generator seed (no silent default)")
     sp.add_argument("--count", type=int, default=1)
@@ -99,33 +110,33 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add the full per-pair maxima matrix (0 where a pair constrains "
                          "nothing, inf where zero-distance rows differ); epsilon_max and "
                          "witness are unchanged")
-    sp.add_argument("--threshold", type=float, help="pass iff epsilon_max <= threshold")
+    sp.add_argument("--threshold", type=_float, help="pass iff epsilon_max <= threshold")
 
     sp = cmd("audit-utility", "worst-case in-ball mass at radius gamma")
     sp.add_argument("--mech", required=True)
     sp.add_argument("--map", required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--threshold", type=float, help="pass iff min_mass >= threshold")
+    sp.add_argument("--gamma", type=_float, required=True)
+    sp.add_argument("--threshold", type=_float, help="pass iff min_mass >= threshold")
 
     sp = cmd("lower-bound", "privacy floor forced by disjoint well-served balls")
     sp.add_argument("--mech", required=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--centers", required=True, help="comma-separated input labels; first is the reference")
-    sp.add_argument("--r", type=float, required=True, help="target ball radius")
-    sp.add_argument("--utility-threshold", type=float, default=0.5,
+    sp.add_argument("--r", type=_float, required=True, help="target ball radius")
+    sp.add_argument("--utility-threshold", type=_float, default=0.5,
                     help="required per-ball mass (default 0.5)")
-    sp.add_argument("--threshold", type=float, help="pass iff eps_lower >= threshold")
+    sp.add_argument("--threshold", type=_float, help="pass iff eps_lower >= threshold")
 
     sp = cmd("tradeoff", "privacy level sufficient for a (gamma, delta) target on a base")
     sp.add_argument("--measure", required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--gamma", type=_float, required=True)
+    sp.add_argument("--delta", type=_float, required=True)
 
     sp = cmd("demo", "end-to-end pipeline on a built-in space, plus the "
                      "discrete-family lower-bound table")
     sp.add_argument("--space", choices=sorted(DEMO_SPACES), default="grid5")
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--gamma", type=_float, default=0.5)
+    sp.add_argument("--delta", type=_float, default=0.1)
 
     return p
 

@@ -92,8 +92,8 @@ class CoverHierarchy:
     :class:`CoverLevel` per level.
 
     Level i's closed balls of radius 2^-i around its centers must cover
-    the whole space; this is verified on construction so imported
-    hierarchies certify as much as freshly built ones.
+    the whole space; this is verified on construction so a hand-built
+    hierarchy certifies as much as one from :func:`covering_measure`.
     """
 
     __slots__ = ("space", "levels")
@@ -182,7 +182,7 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     For each level i = 1..depth computes the greedy net at radius 2^-i
     and gives each of its n_i centers weight 1/(2^i * n_i).  A point in
     several nets accumulates the sum.  Total mass is exactly 1 - 2^-depth;
-    callers wanting a probability measure can ``normalize`` the result.
+    :func:`tradeoff_upper_bound` divides by it to calibrate.
 
     Returns (measure, hierarchy).  ``depth=None`` uses
     :func:`default_depth`, which is deep enough that the last level nets

@@ -15,6 +15,7 @@ the module that owns the object.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .covering import CoverHierarchy, CoverLevel
+from .covering import CoverHierarchy
 from .errors import SchemaError, StructuralError
 from .measures import DiscreteMeasure
 from .mechanisms import MechanismTable
@@ -173,6 +174,21 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _number_matrix(rows, what: str) -> np.ndarray:
+    """A 2-d float matrix of numbers; unlike ``np.array``, refuses strings
+    and booleans, as ``decode_value`` does."""
+    try:
+        mat = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} is not a numeric matrix: {exc}") from exc
+    if mat.ndim != 2:
+        raise SchemaError(f"{what} must be a 2-d matrix, got {mat.ndim} dimension(s)")
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if any(issubclass(k, bool) or not issubclass(k, (int, float)) for k in kinds):
+        raise SchemaError(f"{what} must hold only numbers")
+    return mat
+
+
 def space_components(source) -> tuple:
     """(labels, dist matrix) from a space document, expanding the generator
     forms {"kind": "grid"|"discrete", "n": k}.  Returns raw parts so callers
@@ -194,12 +210,7 @@ def space_components(source) -> tuple:
     dist = _require(doc, "dist", "space")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("space labels must be a list of strings")
-    try:
-        mat = np.array(dist, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"space dist is not a numeric matrix: {exc}") from exc
-    if mat.ndim != 2:
-        raise SchemaError(f"space dist must be a 2-d matrix, got {mat.ndim} dimension(s)")
+    mat = _number_matrix(dist, "space dist")
     if len(labels) != mat.shape[0]:
         raise StructuralError(
             f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix"
@@ -225,12 +236,9 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
     return {"labels": list(space.labels), "dist": space.dist.tolist()}
 
 
-def _labels_space(labels) -> FiniteMetricSpace:
-    """Placeholder space over given labels: the discrete metric (all
-    distances 1), which skips validation.  Used when a table file is
-    audited without an accompanying metric; fine for any operation that
-    never reads distances."""
-    labels = list(labels)
+def _labels_space(labels: list) -> FiniteMetricSpace:
+    """Placeholder space over ``labels``: the discrete metric, unvalidated,
+    for a side of a table whose distances the caller never reads."""
     return FiniteMetricSpace(labels, discrete_space(len(labels)).dist, _trusted=True)
 
 
@@ -264,15 +272,6 @@ def map_from_doc(source) -> LipschitzMap:
     if declared is not None:
         declared = decode_value(declared)
     return LipschitzMap(domain, codomain, table, declared_constant=declared)
-
-
-def map_to_doc(lmap: LipschitzMap) -> dict:
-    return {
-        "domain": space_to_doc(lmap.domain),
-        "codomain": space_to_doc(lmap.codomain),
-        "table": {x: lmap(x) for x in lmap.domain.labels},
-        "lipschitz_c": float(lmap.constant),
-    }
 
 
 def table_from_doc(
@@ -309,11 +308,8 @@ def table_from_doc(
     extra = [x for x in rows if x not in known]
     if extra:
         raise SchemaError(f"table has a row for unknown input {extra[0]!r}")
-    try:
-        mat = np.array([rows[x] for x in inputs], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"table rows are not numeric arrays: {exc}") from exc
-    if mat.ndim != 2 or mat.shape[1] != len(outputs):
+    mat = _number_matrix([rows[x] for x in inputs], "table rows")
+    if mat.shape[1] != len(outputs):
         raise SchemaError("table rows must all have one probability per output label")
     return MechanismTable(input_space, output_space, mat)
 
@@ -324,26 +320,6 @@ def table_to_doc(mech: MechanismTable) -> dict:
         "outputs": list(mech.output_space.labels),
         "rows": dict(zip(mech.input_space.labels, mech.probs.tolist())),
     }
-
-
-def hierarchy_from_doc(source, space: FiniteMetricSpace) -> CoverHierarchy:
-    doc = load_doc(source)
-    levels_doc = _require(doc, "levels", "hierarchy")
-    if not isinstance(levels_doc, list) or not levels_doc:
-        raise SchemaError("hierarchy levels must be a nonempty list")
-    levels = []
-    for item in levels_doc:
-        if not isinstance(item, dict):
-            raise SchemaError("each hierarchy level must be an object")
-        radius = decode_value(_require(item, "radius", "hierarchy level"))
-        centers = _require(item, "centers", "hierarchy level")
-        if not isinstance(centers, list):
-            raise SchemaError("hierarchy level centers must be a list of labels")
-        levels.append(CoverLevel(radius=radius, centers=tuple(centers)))
-    declared = doc.get("L")
-    if declared is not None and declared != len(levels):
-        raise SchemaError(f"hierarchy declares L={declared} but has {len(levels)} levels")
-    return CoverHierarchy(space, levels)
 
 
 def hierarchy_to_doc(hier: CoverHierarchy) -> dict:

@@ -1,18 +1,18 @@
 """Nonnegative weighted measures on finite metric spaces.
 
 Weights are raw nonnegative reals, not forced to sum to 1: the exponential
-mechanism self-normalizes, so only proportions matter there.  ``normalize``
-is provided for the calibration path, which does need a probability
-measure.  Zero-weight points are legal; they simply make the positivity
-modulus 0 at small radii, which downstream calibration reports as an
-error instead of silently producing an infinite temperature.
+mechanism self-normalizes, so only proportions matter there, and the
+calibration path divides by ``total_mass`` itself.  Zero-weight points are
+legal; they simply make the positivity modulus 0 at small radii, which
+downstream calibration reports as an error instead of silently producing
+an infinite temperature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, StructuralError, UnknownLabelError
+from .errors import StructuralError, UnknownLabelError
 from .spaces import FiniteMetricSpace
 
 
@@ -53,16 +53,8 @@ class DiscreteMeasure:
     def __repr__(self):
         return f"DiscreteMeasure({len(self.space)} points, total_mass={self.total_mass:g})"
 
-    def weight_of(self, label) -> float:
-        return float(self.values[self.space.index_of(label)])
-
     def as_dict(self) -> dict:
         return {lab: float(w) for lab, w in zip(self.space.labels, self.values)}
-
-    def mass_of(self, labels) -> float:
-        """Total weight of a set of labels (each must belong to the space)."""
-        idx = [self.space.index_of(lab) for lab in set(labels)]
-        return float(self.values[idx].sum()) if idx else 0.0
 
     def modulus(self, radius) -> float:
         """Uniform-positivity modulus: the smallest closed-ball mass.
@@ -71,8 +63,7 @@ class DiscreteMeasure:
         A full-support measure has a positive modulus at every radius >= 0;
         a zero-weight point drives it to 0 once radius is small enough.
         """
-        masses = self.ball_masses(radius)
-        return float(masses.min())
+        return float(self.ball_masses(radius).min())
 
     def ball_masses(self, radius) -> np.ndarray:
         """Mass of the closed ``radius``-ball around every point, in label
@@ -81,12 +72,6 @@ class DiscreteMeasure:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         inside = self.space.dist <= radius
         return inside @ self.values
-
-    def normalize(self) -> "DiscreteMeasure":
-        """Same proportions, total mass 1."""
-        if self.total_mass <= 0.0:
-            raise DegenerateMeasureError("cannot normalize a zero-mass measure")
-        return DiscreteMeasure(self.space, self.values / self.total_mass)
 
 
 def uniform_measure(space: FiniteMetricSpace) -> DiscreteMeasure:

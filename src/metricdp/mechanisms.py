@@ -135,18 +135,9 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
     return MechanismTable(params.input_space, params.output_space, rows)
 
 
-def sample(params: ExpMechParams, x, seed: int):
-    """One output label drawn from the exact distribution for ``x``.
-
-    Inverse-CDF over label order, driven by a single uniform from a
-    PCG64 generator seeded with ``seed``.  Same (params, x, seed) always
-    returns the same label; there is no implicit global randomness.
-    """
-    return sample_many(params, x, seed, 1)[0]
-
-
 def sample_many(params: ExpMechParams, x, seed: int, count: int) -> list:
-    """``count`` draws from one seeded generator, as a list of labels."""
+    """``count`` labels drawn for ``x`` by inverse CDF from a PCG64 generator
+    seeded with ``seed``; a smaller count draws a prefix of the same labels."""
     if not (isinstance(count, int) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     probs = distribution(params, x)
@@ -209,6 +200,8 @@ def tradeoff_upper_bound(base: DiscreteMeasure, gamma, delta) -> TradeoffBound:
     # Checked here because the modulus must not see a negative radius.
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if base.total_mass <= 0:
+        raise DegenerateMeasureError("base measure has zero total mass")
     modulus = base.modulus(gamma / 2.0) / base.total_mass
     beta = calibrate_beta(gamma, delta, modulus)
     return TradeoffBound(epsilon=privacy_bound(beta, 1.0), beta=beta, modulus=modulus)

@@ -159,9 +159,6 @@ class FiniteMetricSpace:
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
-    def distance(self, a, b) -> float:
-        return float(self.dist[self.index_of(a), self.index_of(b)])
-
     def ball(self, center, radius) -> list:
         """Closed ball: every label within distance ``radius`` of ``center``.
 
@@ -182,16 +179,6 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         """Largest pairwise distance; 0 for a singleton."""
         return float(self.dist.max())
-
-    def rescale(self, factor) -> "FiniteMetricSpace":
-        """Multiply every distance by ``factor`` (> 0).
-
-        Scaling preserves the metric axioms exactly, so the result skips
-        re-validation (which could trip on ulp noise at large factors).
-        """
-        if not factor > 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return FiniteMetricSpace(self.labels, self.dist * float(factor), _trusted=True)
 
     def min_positive_distance(self) -> float:
         """Smallest nonzero pairwise distance; 0.0 if there is none
@@ -256,7 +243,9 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
             f"points {domain.labels[first[p]]!r} and {domain.labels[second[p]]!r} are at "
             f"distance 0 but their images are {sigma[p]:g} apart"
         )
-    ratios = sigma[~zero] / rho[~zero]
+    # A near-zero distance overflows the quotient to inf, the exact value.
+    with np.errstate(over="ignore"):
+        ratios = sigma[~zero] / rho[~zero]
     return max(0.0, float(ratios.max())) if ratios.size else 0.0
 
 

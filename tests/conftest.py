@@ -15,11 +15,15 @@ library computes the same results with numpy slabs or shared helpers;
 that ``level_for_radius`` computes from the binary exponent.
 ``dump_doc_reference`` is the original report writer, json's ``indent=2``
 encoder, whose bytes ``dump_doc`` must reproduce.
+
+``subset_epsilon`` and ``check_em_inequalities`` enumerate every output
+subset through one ``subset_sums`` to re-check the mediant reduction that
+lets ``audit_privacy`` look at single outputs only.
 """
 
 import json
 import math
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -94,29 +98,106 @@ def random_measure(rng, space: FiniteMetricSpace, low: float = 0.1, high: float 
     return DiscreteMeasure(space, rng.uniform(low, high, size=len(space)))
 
 
+def subset_sums(values) -> np.ndarray:
+    """sums[..., m] = sum of values[..., b] over the bits b set in m, for
+    every bitmask m in [0, 2^k) of the last axis's k entries; built by
+    doubling in O(2^k).  Bit 0 of m is the first entry."""
+    values = np.asarray(values, dtype=float)
+    sums = np.zeros(values.shape[:-1] + (1 << values.shape[-1],))
+    for b in range(values.shape[-1]):
+        block = 1 << b
+        sums[..., block : 2 * block] = sums[..., :block] + values[..., b, None]
+    return sums
+
+
 def subset_epsilon(mech) -> float:
     """Independent oracle: the audited privacy level maximized over ALL
     nonempty output subsets, not just singletons.  Exponential in the
     output size; callers keep |Y| small."""
     space = mech.input_space
     n = len(space)
-    m = mech.probs.shape[1]
-    subsets = [list(c) for size in range(1, m + 1) for c in combinations(range(m), size)]
+    sums = subset_sums(mech.probs)[:, 1:]  # every nonempty subset, per row
     best = 0.0
     for i in range(n):
         for j in range(n):
             if i == j or space.dist[i, j] == 0.0:
                 continue
-            rho = float(space.dist[i, j])
-            for T in subsets:
-                a = float(mech.probs[i, T].sum())
-                b = float(mech.probs[j, T].sum())
-                if a <= 1e-300:
-                    continue
-                if b <= 1e-300:
-                    return math.inf
-                best = max(best, (math.log(a) - math.log(b)) / rho)
+            live = sums[i] > 1e-300
+            if (sums[j][live] <= 1e-300).any():
+                return math.inf
+            ratios = (np.log(sums[i][live]) - np.log(sums[j][live])) / space.dist[i, j]
+            best = max(best, float(ratios.max(initial=0.0)))
     return best
+
+
+@dataclass(frozen=True)
+class EMInequalityReport:
+    """Outcome of the exhaustive two-inequality check behind the 2*beta
+    privacy factor.
+
+    ``numerator_ok``: sum_T w_x <= e^(beta*rho) * sum_T w_z held for every
+    nonempty output subset T (w is the unnormalized tilted weight).
+    ``normalizer_ok``: Z(x) >= e^(-beta*rho) * Z(z).
+    ``first_violation`` carries (labels, lhs, rhs) for the first failing
+    subset, None when everything held.
+    """
+
+    x: object
+    z: object
+    numerator_ok: bool
+    normalizer_ok: bool
+    first_violation: tuple | None
+
+    @property
+    def ok(self) -> bool:
+        return self.numerator_ok and self.normalizer_ok
+
+
+EM_TOL = 1e-9
+
+
+def check_em_inequalities(params, x, z) -> EMInequalityReport:
+    """Oracle for the mediant reduction behind ``audit_privacy``: verify,
+    over every nonempty output subset, the two unnormalized inequalities
+    whose quotient yields the 2*beta privacy factor.
+
+    For w_x(y) = base_weight(y) * exp(-beta * dist(f(x), y)):
+    sum_T w_x <= e^(beta*rho(x,z)) * sum_T w_z for all T, and
+    Z(x) >= e^(-beta*rho(x,z)) * Z(z), both with EM_TOL slack.
+    Exponential in the output size; callers keep |Y| small.
+    """
+    out = params.output_space
+    xi = params.query.image_index(x)
+    zi = params.query.image_index(z)
+    rho = float(params.input_space.dist[params.input_space.index_of(x),
+                                        params.input_space.index_of(z)])
+    w_x = params.base.values * np.exp(-params.beta * out.dist[xi])
+    w_z = params.base.values * np.exp(-params.beta * out.dist[zi])
+
+    factor = math.exp(params.beta * rho)
+    sums_x = subset_sums(w_x)
+    sums_z = subset_sums(w_z)
+    slack = sums_x - factor * sums_z  # positive entries are violations
+    slack[0] = -math.inf  # empty set is vacuous
+    worst = int(np.argmax(slack))
+    numerator_ok = slack[worst] <= EM_TOL
+
+    z_x = float(w_x.sum())
+    z_z = float(w_z.sum())
+    normalizer_ok = z_x >= math.exp(-params.beta * rho) * z_z - EM_TOL
+
+    first_violation = None
+    if not numerator_ok:
+        members = tuple(out.labels[b] for b in range(len(out)) if worst >> b & 1)
+        first_violation = (members, float(sums_x[worst]), float(factor * sums_z[worst]))
+    elif not normalizer_ok:
+        first_violation = (tuple(out.labels), z_x, math.exp(-params.beta * rho) * z_z)
+    return EMInequalityReport(
+        x=x, z=z,
+        numerator_ok=bool(numerator_ok),
+        normalizer_ok=bool(normalizer_ok),
+        first_violation=first_violation,
+    )
 
 
 def validate_metric_loop(dist) -> MetricValidationReport:

@@ -6,19 +6,28 @@ stated criterion.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
-from conftest import random_map, random_measure, random_space, subset_epsilon
+import metricdp
+
+from conftest import (
+    check_em_inequalities,
+    random_map,
+    random_measure,
+    random_space,
+    subset_epsilon,
+)
 from metricdp import (
     DiscreteMeasure,
     ExpMechParams,
+    FiniteMetricSpace,
     LipschitzMap,
     MechanismTable,
     audit_privacy,
     audit_utility,
     calibrate_beta,
-    check_em_inequalities,
     covering_measure,
     discrete_space,
     distribution,
@@ -119,7 +128,7 @@ def test_criterion_5_subset_exhaustion_matches_singleton_audit():
     # 50 random instances with |Y| <= 6: the max over all 2^|Y| output sets
     # equals the singleton audit, and both unnormalized inequalities hold.
     # The inequalities assume a short map, so dilate each domain until the
-    # query is exactly 1-Lipschitz.
+    # query is exactly 1-Lipschitz (the dilated space is validated anew).
     rng = np.random.default_rng(4096)
     worst = 0.0
     for _ in range(50):
@@ -127,7 +136,7 @@ def test_criterion_5_subset_exhaustion_matches_singleton_audit():
         cod = random_space(rng, int(rng.integers(2, 7)))
         query = random_map(rng, dom, cod)
         if query.constant > 1.0:
-            dom = dom.rescale(query.constant)
+            dom = FiniteMetricSpace(dom.labels, dom.dist * query.constant)
             query = LipschitzMap(dom, cod, dict(query.table))
         assert query.constant <= 1.0 + 1e-12
         params = ExpMechParams(base=random_measure(rng, cod),
@@ -214,3 +223,20 @@ def test_criterion_8_sampler_fidelity():
                     worst_sigma = max(worst_sigma, dev / sigma)
     print(f"CRITERION 8 PASS: 3 instances x all inputs x 1e5 draws, "
           f"worst deviation {worst_sigma:.2f} sigma")
+
+
+def test_readme_quick_start_runs_on_the_public_api(capsys):
+    # The README's library example runs as printed, and every exported name
+    # exists, so a name deleted from the library cannot linger in either.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    epsilon, min_mass = map(float, capsys.readouterr().out.split())
+    assert epsilon <= privacy_bound(scope["beta"], 1.0)
+    assert min_mass >= 1 - scope["delta"]
+    missing = [name for name in metricdp.__all__ if not hasattr(metricdp, name)]
+    assert not missing
+    print(f"README PASS: quick start runs, epsilon {epsilon:.4g}, "
+          f"{len(metricdp.__all__)} exported names resolve")

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from metricdp import formats
-from metricdp.cli import main
+from metricdp.cli import _float, build_parser, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,78 @@ class TestArgparseErrors:
         assert exc.value.code == 2
 
 
+# Every flag the parser reads as a float, by command.
+FLOAT_FLAGS = [
+    ("net", "--r"),
+    ("calibrate", "--gamma"), ("calibrate", "--delta"), ("calibrate", "--m"),
+    ("tabulate", "--beta"),
+    ("sample", "--beta"),
+    ("audit-privacy", "--threshold"),
+    ("audit-utility", "--gamma"), ("audit-utility", "--threshold"),
+    ("lower-bound", "--r"), ("lower-bound", "--utility-threshold"),
+    ("lower-bound", "--threshold"),
+    ("tradeoff", "--gamma"), ("tradeoff", "--delta"),
+    ("demo", "--gamma"), ("demo", "--delta"),
+]
+
+
+def float_flag_argv(files, command):
+    """A valid invocation of ``command`` giving each of its float flags."""
+    mech = str(files["dir"] / "mech.json")
+    assert main(["tabulate", "--map", files["map"], "--measure", files["measure"],
+                 "--beta", "4", "--out", mech]) == 0
+    mechanism = ["--map", files["map"], "--measure", files["measure"], "--beta", "4"]
+    return [command] + {
+        "net": ["--space", files["space"], "--r", "0.5"],
+        "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--m", "0.5"],
+        "tabulate": mechanism,
+        "sample": mechanism + ["--input", "0", "--seed", "1"],
+        "audit-privacy": ["--mech", mech, "--space", files["space"], "--threshold", "9"],
+        "audit-utility": ["--mech", mech, "--map", files["map"], "--gamma", "0.5",
+                          "--threshold", "0.5"],
+        "lower-bound": ["--mech", mech, "--map", files["map"], "--centers", "0,1",
+                        "--r", "0.25", "--utility-threshold", "0.5", "--threshold", "0"],
+        "tradeoff": ["--measure", files["measure"], "--gamma", "0.5", "--delta", "0.1"],
+        "demo": ["--gamma", "0.5", "--delta", "0.1"],
+    }[command]
+
+
+class TestNaNFlags:
+    """NaN passes no comparison, so a float flag refuses it at parse time:
+    exit 2 and no report, as for any malformed number."""
+
+    def test_every_float_flag_is_listed(self):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        found = {(name, action.option_strings[0]): action.type
+                 for name, sp in subcommands.items() for action in sp._actions
+                 if action.type in (float, _float)}
+        assert found == dict.fromkeys(FLOAT_FLAGS, _float)
+
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_nan_exits_2_without_report(self, capsys, grid5_files, command, flag):
+        argv = float_flag_argv(grid5_files, command)
+        assert main(argv) != 2
+        argv[argv.index(flag) + 1] = "nan"
+        out = grid5_files["dir"] / "never.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert f"argument {flag}: invalid float value: 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["NaN", "+nan", " nan "])
+    def test_every_nan_spelling_is_refused(self, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--gamma", "0.5", "--delta", "0.1", "--m", text])
+        assert exc.value.code == 2
+
+    def test_infinity_is_still_a_number(self, capsys, grid5_files):
+        code, doc = run(capsys, *float_flag_argv(grid5_files, "audit-privacy")[:-1], "inf")
+        assert code == 0
+        assert doc["params"]["threshold"] == "infinity"
+        assert doc["result"]["passed"] is True
+
+
 class TestPipeline:
     def test_net(self, capsys, grid5_files):
         code, doc = run(capsys, "net", "--space", grid5_files["space"], "--r", "0.5")
@@ -223,6 +295,15 @@ class TestPipeline:
                         "--gamma", "0.5", "--delta", "0.1")
         assert code == 0
         assert doc["result"]["epsilon"] == pytest.approx(2 * doc["result"]["beta"])
+
+    @pytest.mark.parametrize("command", ["tradeoff", "calibrate"])
+    def test_zero_mass_base_exits_3(self, capsys, tmp_path, command):
+        measure = write(tmp_path, "zero.json",
+                        {"space": {"kind": "grid", "n": 3}, "weights": {"0": 0}})
+        code, doc = run(capsys, command, "--measure", measure, "--gamma", "0.5",
+                        "--delta", "0.1")
+        assert code == 3
+        assert doc["result"]["error_kind"] == "DegenerateMeasureError"
 
     def test_calibrate_from_measure_agrees_with_tradeoff(self, capsys, grid5_files):
         out = str(grid5_files["dir"] / "built.json")
@@ -373,3 +454,27 @@ class TestMalformedNumbers:
                         grid5_files["measure"], "--beta", "1")
         assert code == 2
         assert out is None
+
+    BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]]]
+
+    @pytest.mark.parametrize("dist", BAD_DIST)
+    def test_space_dist(self, capsys, tmp_path, dist):
+        # np.array(..., dtype=float) takes each of these as a valid metric.
+        space = write(tmp_path, "space.json", {"labels": ["a", "b"], "dist": dist})
+        the_map = write(tmp_path, "map.json",
+                        {"domain": space, "codomain": space, "table": {"a": "a", "b": "b"}})
+        measure = write(tmp_path, "measure.json", {"weights": {"a": 1, "b": 1}})
+        mech = write(tmp_path, "mech.json", {"inputs": ["a", "b"], "outputs": ["a", "b"],
+                                              "rows": {"a": [0.5, 0.5], "b": [0.5, 0.5]}})
+        for argv in (["validate", "--space", space],
+                     ["tabulate", "--map", the_map, "--measure", measure, "--beta", "1"],
+                     ["audit-privacy", "--mech", mech, "--space", space]):
+            assert run(capsys, *argv) == (2, None), argv
+
+    @pytest.mark.parametrize("row", [["0.5", 0.5], [0.5, "0.5"], [True, 0], [1, False]])
+    def test_table_rows(self, capsys, tmp_path, row):
+        # Each row sums to 1 once coerced to floats.
+        space = write(tmp_path, "space.json", {"kind": "discrete", "n": 2})
+        mech = write(tmp_path, "mech.json", {"inputs": ["0", "1"], "outputs": ["0", "1"],
+                                              "rows": {"0": row, "1": [0.5, 0.5]}})
+        assert run(capsys, "audit-privacy", "--mech", mech, "--space", space) == (2, None)

@@ -8,6 +8,7 @@ from metricdp import (
     METRIC_TOL,
     CoverHierarchy,
     CoverLevel,
+    FiniteMetricSpace,
     StructuralError,
     covering_measure,
     default_depth,
@@ -207,7 +208,7 @@ class TestCoveringMeasure:
             assert (measure.values > 0).all()
 
     def test_oversized_diameter_warns(self):
-        s = grid_space(3).rescale(3.0)
+        s = FiniteMetricSpace(grid_space(3).labels, grid_space(3).dist * 3.0)
         with pytest.warns(UserWarning, match="diameter"):
             covering_measure(s, depth=1)
 

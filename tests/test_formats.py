@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from metricdp import (
+    CoverHierarchy,
+    CoverLevel,
     InvalidMetricError,
     SchemaError,
     StructuralError,
@@ -149,8 +151,7 @@ class TestMeasureDocs:
         sp.write_text(json.dumps({"kind": "grid", "n": 3}))
         doc = {"space": str(sp), "weights": {"0": 1.0, "1": 2.0}}
         m = formats.measure_from_doc(doc)
-        assert m.weight_of("0.5") == 0.0
-        assert m.total_mass == 3.0
+        assert m.values.tolist() == [1.0, 0.0, 2.0]
 
     def test_supplied_space_wins(self):
         m = formats.measure_from_doc({"weights": {"0": 1.0}}, space=grid_space(3))
@@ -176,14 +177,20 @@ class TestMeasureDocs:
 
 
 class TestMapDocs:
+    @staticmethod
+    def map_doc(f):
+        return {"domain": formats.space_to_doc(f.domain),
+                "codomain": formats.space_to_doc(f.codomain),
+                "table": f.table, "lipschitz_c": f.constant}
+
     def test_round_trip(self):
         f = identity_map(grid_space(4))
-        again = formats.map_from_doc(formats.map_to_doc(f))
+        again = formats.map_from_doc(self.map_doc(f))
         assert again.table == f.table
         assert again.constant == f.constant
 
     def test_declared_constant_checked(self):
-        doc = formats.map_to_doc(identity_map(grid_space(3)))
+        doc = self.map_doc(identity_map(grid_space(3)))
         doc["lipschitz_c"] = 0.25
         with pytest.raises(StructuralError):
             formats.map_from_doc(doc)
@@ -253,7 +260,7 @@ class TestTableDocs:
         doc = formats.table_to_doc(self.make_mech())
         mech = formats.table_from_doc(doc)
         assert mech.input_space.labels == ["0", "0.5", "1"]
-        assert mech.input_space.distance("0", "0.5") == 1.0  # placeholder metric
+        assert mech.input_space.dist[0, 1] == 1.0  # placeholder metric
 
     def test_space_label_mismatch(self):
         doc = formats.table_to_doc(self.make_mech())
@@ -293,33 +300,12 @@ class TestTableDocs:
 
 class TestHierarchyDocs:
     def test_round_trip(self):
+        # No command reads a hierarchy back; the document still holds every
+        # level needed to rebuild, and so re-certify, the one written.
         s = grid_space(5)
         _, hier = covering_measure(s)
         doc = formats.hierarchy_to_doc(hier)
-        again = formats.hierarchy_from_doc(doc, s)
-        assert again.depth == hier.depth
-        assert [lv.centers for lv in again.levels] == [lv.centers for lv in hier.levels]
-
-    def test_declared_depth_must_match(self):
-        s = grid_space(5)
-        _, hier = covering_measure(s)
-        doc = formats.hierarchy_to_doc(hier)
-        doc["L"] = 7
-        with pytest.raises(SchemaError, match="L=7"):
-            formats.hierarchy_from_doc(doc, s)
-
-    def test_cover_property_is_revalidated(self):
-        s = grid_space(5)
-        doc = {"L": 1, "levels": [{"radius": 0.5, "centers": ["0"]}]}
-        with pytest.raises(StructuralError, match="cover"):
-            formats.hierarchy_from_doc(doc, s)
-
-    @pytest.mark.parametrize("radius", ["half", None, [0.5], True])
-    def test_non_numeric_radius(self, radius):
-        doc = {"L": 1, "levels": [{"radius": radius, "centers": ["0", "1"]}]}
-        with pytest.raises(SchemaError):
-            formats.hierarchy_from_doc(doc, grid_space(3))
-
-    def test_levels_must_be_list(self):
-        with pytest.raises(SchemaError):
-            formats.hierarchy_from_doc({"levels": {}}, grid_space(3))
+        assert doc["L"] == hier.depth
+        again = CoverHierarchy(s, [CoverLevel(lv["radius"], tuple(lv["centers"]))
+                                   for lv in doc["levels"]])
+        assert again.levels == hier.levels

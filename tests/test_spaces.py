@@ -130,8 +130,8 @@ class TestFiniteMetricSpace:
 
     def test_distance_lookup(self):
         s = grid_space(3)
-        assert s.distance("0", "1") == 1.0
-        assert s.distance("0.5", "0") == 0.5
+        assert s.dist[s.index_of("0"), s.index_of("1")] == 1.0
+        assert s.dist[s.index_of("0.5"), s.index_of("0")] == 0.5
 
     def test_ball_is_closed(self):
         s = grid_space(3)
@@ -163,27 +163,12 @@ class TestFiniteMetricSpace:
         assert grid_space(5).min_positive_distance() == 0.25
         assert grid_space(1).min_positive_distance() == 0.0
 
-    def test_rescale(self):
-        s = grid_space(3).rescale(1000.0)
-        assert s.distance("0", "1") == 1000.0
-        assert s.labels == grid_space(3).labels
-
-    def test_rescale_survives_large_factors(self):
-        rng = np.random.default_rng(3)
-        s = random_space(rng, 8)
-        big = s.rescale(1e9)
-        assert big.diameter() == pytest.approx(s.diameter() * 1e9)
-
-    def test_rescale_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            grid_space(3).rescale(0.0)
-
 
 class TestGenerators:
     def test_grid_labels_and_distances(self):
         s = grid_space(3)
         assert s.labels == ["0", "0.5", "1"]
-        assert s.distance("0", "0.5") == 0.5
+        assert s.dist[0, 1] == 0.5
 
     def test_grid_singleton(self):
         s = grid_space(1)
@@ -197,8 +182,8 @@ class TestGenerators:
     def test_discrete_distances(self):
         s = discrete_space(4)
         assert s.labels == ["0", "1", "2", "3"]
-        assert s.distance("0", "3") == 1.0
-        assert s.distance("2", "2") == 0.0
+        assert s.dist[0, 3] == 1.0
+        assert s.dist[2, 2] == 0.0
 
 
 class TestLipschitz:
@@ -243,8 +228,8 @@ class TestLipschitz:
             c = lipschitz_constant(dom, cod, table)
             for a in dom.labels:
                 for b in dom.labels:
-                    sigma = cod.distance(table[a], table[b])
-                    assert sigma <= c * dom.distance(a, b) + METRIC_TOL
+                    sigma = cod.dist[cod.index_of(table[a]), cod.index_of(table[b])]
+                    assert sigma <= c * dom.dist[dom.index_of(a), dom.index_of(b)] + METRIC_TOL
 
 
 class TestLipschitzMap:
