@@ -58,6 +58,16 @@ class UtilityAuditReport:
     per_input_mass: np.ndarray
 
 
+def _logs(probs) -> np.ndarray:
+    """Entrywise math.log (np.log can differ by an ulp, and the audits must
+    be reproducible to the bit), with -inf at or below PROB_FLOOR."""
+    probs = np.asarray(probs, dtype=float)
+    floored = probs <= PROB_FLOOR
+    logs = np.array(list(map(math.log, np.where(floored, 1.0, probs).ravel().tolist())))
+    logs[floored.ravel()] = -math.inf
+    return logs.reshape(probs.shape)
+
+
 def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Smallest epsilon the table satisfies, by exhaustive enumeration.
 
@@ -73,43 +83,40 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     n = len(labels)
     probs = mech.probs
     per_pair = np.zeros((n, n)) if include_per_pair else None
-    # math.log, not np.log: the two differ by an ulp on some inputs, and
-    # the audit must be reproducible to the bit.  Floored entries get the
-    # placeholder ln 1, and zero distances the placeholder 1.0; the masks
-    # below overwrite every ratio either one touches.
-    floored = probs <= PROB_FLOOR
-    logs = np.array(list(map(math.log, np.where(floored, 1.0, probs).ravel().tolist())))
-    logs = logs.reshape(probs.shape)
+    logs = _logs(probs)
+    floored = logs == -math.inf
+    # Each point is its own twin.  Twins get the placeholder distance 1.0,
+    # and the twin mask below overwrites every ratio they touch.
     zero = space.dist == 0.0
+    np.fill_diagonal(zero, True)
     dist = np.where(zero, 1.0, space.dist)
-    others = ~np.eye(n, dtype=bool)
 
     eps_max = 0.0
     witness = None
-    # A near-zero distance overflows its quotients to inf, the exact value.
-    with np.errstate(over="ignore"):
+    # A near-zero distance overflows its quotients to inf, the exact value;
+    # an entry floored in both rows gives nan until the masks overwrite it.
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            js = np.flatnonzero(others[i])
-            # ratio[r, k] = (ln probs[i, k] - ln probs[js[r], k]) / dist[i, js[r]]:
-            # infinite where the denominator's entry is floored, and never
-            # binding (-inf) where the numerator's is.  A zero-distance pair
-            # is infinite wherever the rows differ and never binding elsewhere.
-            ratio = (logs[i] - logs[js]) / dist[i, js][:, None]
-            ratio[floored[js]] = math.inf
+            # ratio[j, k] = (ln probs[i, k] - ln probs[j, k]) / dist[i, j]:
+            # inf where the denominator's entry is floored (a distance just
+            # below zero would flip it), and never binding (-inf) where the
+            # numerator's is.  Twins are inf wherever the rows differ.
+            ratio = (logs[i] - logs) / dist[i][:, None]
+            ratio[floored] = math.inf
             ratio[:, floored[i]] = -math.inf
-            twins = zero[i, js]
-            ratio[twins] = np.where(probs[js[twins]] != probs[i], math.inf, -math.inf)
+            twins = zero[i]
+            ratio[twins] = np.where(probs[twins] != probs[i], math.inf, -math.inf)
             best_k = ratio.argmax(axis=1)
-            pair_max = ratio[np.arange(js.size), best_k]
+            pair_max = ratio[np.arange(n), best_k]
             # A pair whose every ratio is -inf constrains nothing.
             rows = np.flatnonzero(pair_max > -math.inf)
             if per_pair is not None:
-                per_pair[i, js[rows]] = pair_max[rows]
+                per_pair[i, rows] = pair_max[rows]
             if rows.size:
-                r = rows[np.argmax(pair_max[rows])]
-                if witness is None or pair_max[r] > eps_max:
-                    eps_max = float(pair_max[r])
-                    witness = (labels[i], labels[int(js[r])], out_labels[int(best_k[r])])
+                j = rows[np.argmax(pair_max[rows])]
+                if witness is None or pair_max[j] > eps_max:
+                    eps_max = float(pair_max[j])
+                    witness = (labels[i], labels[int(j)], out_labels[int(best_k[j])])
             if eps_max == math.inf and per_pair is None:
                 break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
@@ -128,8 +135,7 @@ def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAu
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
-    images = [query.image_index(x) for x in mech.input_space.labels]
-    inside = mech.output_space.dist[images] <= gamma
+    inside = mech.output_space.dist[query.images] <= gamma
     masses = np.array([row[mask].sum() for row, mask in zip(mech.probs, inside)])
     worst = int(np.argmin(masses))
     return UtilityAuditReport(
@@ -195,10 +201,9 @@ def impossibility_lower_bound(
     if len(set(centers)) != len(centers):
         raise DomainError("centers must be distinct")
     _require_query_spaces(mech, query)
-    out = mech.output_space
     space = mech.input_space
-
-    balls = np.array([out.ball_mask(query.image_index(c), radius) for c in centers])
+    idx = [space.index_of(c) for c in centers]
+    balls = mech.output_space.dist[query.images[idx]] <= radius
     # shared[a, b] counts the points balls a and b have in common; the
     # first overlapping pair with a < b in row-major order is reported.
     shared = balls.astype(float) @ balls.T.astype(float)
@@ -210,7 +215,6 @@ def impossibility_lower_bound(
             "the disjointness hypothesis fails"
         )
 
-    idx = [space.index_of(c) for c in centers]
     rows = mech.probs[idx]
     mass_self = tuple(float(rows[i][balls[i]].sum()) for i in range(len(centers)))
     mass_ref = tuple(float(rows[0][balls[i]].sum()) for i in range(len(centers)))
@@ -221,24 +225,20 @@ def impossibility_lower_bound(
                 f"mass {m:g}, not above {utility_threshold:g}"
             )
 
-    best = -math.inf
-    best_i = None
-    for i in range(1, len(centers)):
-        rho = float(space.dist[idx[i], idx[0]])
-        if rho <= 0.0:
-            raise DomainError(
-                f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "
-                "yet target disjoint balls; the table cannot be a Lipschitz image"
-            )
-        if mass_ref[i] <= PROB_FLOOR:
-            value = math.inf
-        else:
-            value = (math.log(mass_self[i]) - math.log(mass_ref[i])) / rho
-        if value > best:
-            best = value
-            best_i = i
+    rho = space.dist[idx[1:], idx[0]]
+    if (rho <= 0.0).any():
+        i = int(np.argmax(rho <= 0.0)) + 1
+        raise DomainError(
+            f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "
+            "yet target disjoint balls; the table cannot be a Lipschitz image"
+        )
+    # Own-ball masses exceed the threshold, so their logs are finite as they
+    # are; a near-zero rho overflows to the exact infinity.
+    with np.errstate(over="ignore"):
+        values = (np.array(list(map(math.log, mass_self[1:]))) - _logs(mass_ref[1:])) / rho
+    best_i = int(np.argmax(values)) + 1
     return ImpossibilityReport(
-        eps_lower=best,
+        eps_lower=float(values[best_i - 1]),
         witness_index=best_i,
         ball_mass_self=mass_self,
         ball_mass_ref=mass_ref,
@@ -255,5 +255,4 @@ def propose_centers(query: LipschitzMap, radius) -> list:
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     labels = query.domain.labels
-    images = [query.image_index(x) for x in labels]
-    return [labels[p] for p in _disjoint_scan(query.codomain, images, radius)]
+    return [labels[p] for p in _disjoint_scan(query.codomain, query.images, radius)]

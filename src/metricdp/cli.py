@@ -4,8 +4,8 @@ calibrate mechanisms, sample, audit, and emit JSON reports.
 Exit status contract:
   0  success (and the audited quantity passed --threshold, if given)
   1  the audited quantity failed the user-supplied --threshold
-  2  parse or schema errors (bad flags, unreadable or malformed files);
-     no report is written
+  2  parse or schema errors (bad flags, unreadable or malformed files,
+     a report that cannot be written); no report is written
   3  domain precondition errors (invalid metric, degenerate measure,
      unmet audit hypotheses); an error report is written
 
@@ -67,35 +67,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def cmd(name, help_text):
+    def cmd(name, help_text, handler):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--out", help="write the JSON report here (default: stdout)")
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = cmd("validate", "check a space file against the metric axioms")
+    sp = cmd("validate", "check a space file against the metric axioms", cmd_validate)
     sp.add_argument("--space", required=True, help="space file or generator JSON")
 
-    sp = cmd("net", "greedy covering net at a given radius")
+    sp = cmd("net", "greedy covering net at a given radius", cmd_net)
     sp.add_argument("--space", required=True)
     sp.add_argument("--r", type=_float, required=True, help="covering radius")
 
-    sp = cmd("build-measure", "hierarchical base measure that is positive on every ball")
+    sp = cmd("build-measure", "hierarchical base measure that is positive on every ball", cmd_build_measure)
     sp.add_argument("--space", required=True)
     sp.add_argument("--L", type=int, help="number of levels (default: resolve the space)")
 
-    sp = cmd("calibrate", "noise parameter beta meeting a (gamma, delta) utility target")
+    sp = cmd("calibrate", "noise parameter beta meeting a (gamma, delta) utility target", cmd_calibrate)
     sp.add_argument("--gamma", type=_float, required=True, help="target output radius")
     sp.add_argument("--delta", type=_float, required=True, help="allowed failure probability")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=_float, help="ball-mass floor of the normalized base at gamma/2")
     group.add_argument("--measure", help="measure file; its normalized modulus at gamma/2 is used")
 
-    sp = cmd("tabulate", "exact mechanism table for a map, base measure, and beta")
+    sp = cmd("tabulate", "exact mechanism table for a map, base measure, and beta", cmd_tabulate)
     sp.add_argument("--map", required=True, help="map file (domain, codomain, table)")
     sp.add_argument("--measure", required=True, help="base measure file")
     sp.add_argument("--beta", type=_float, required=True)
 
-    sp = cmd("sample", "seeded draws from the mechanism at one input")
+    sp = cmd("sample", "seeded draws from the mechanism at one input", cmd_sample)
     sp.add_argument("--map", required=True)
     sp.add_argument("--measure", required=True)
     sp.add_argument("--beta", type=_float, required=True)
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True, help="generator seed (no silent default)")
     sp.add_argument("--count", type=int, default=1)
 
-    sp = cmd("audit-privacy", "exact smallest epsilon a mechanism table satisfies")
+    sp = cmd("audit-privacy", "exact smallest epsilon a mechanism table satisfies", cmd_audit_privacy)
     sp.add_argument("--mech", required=True, help="mechanism table file")
     sp.add_argument("--space", required=True, help="input space file (supplies the metric)")
     sp.add_argument("--per-pair", action="store_true",
@@ -112,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "witness are unchanged")
     sp.add_argument("--threshold", type=_float, help="pass iff epsilon_max <= threshold")
 
-    sp = cmd("audit-utility", "worst-case in-ball mass at radius gamma")
+    sp = cmd("audit-utility", "worst-case in-ball mass at radius gamma", cmd_audit_utility)
     sp.add_argument("--mech", required=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--gamma", type=_float, required=True)
     sp.add_argument("--threshold", type=_float, help="pass iff min_mass >= threshold")
 
-    sp = cmd("lower-bound", "privacy floor forced by disjoint well-served balls")
+    sp = cmd("lower-bound", "privacy floor forced by disjoint well-served balls", cmd_lower_bound)
     sp.add_argument("--mech", required=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--centers", required=True, help="comma-separated input labels; first is the reference")
@@ -127,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="required per-ball mass (default 0.5)")
     sp.add_argument("--threshold", type=_float, help="pass iff eps_lower >= threshold")
 
-    sp = cmd("tradeoff", "privacy level sufficient for a (gamma, delta) target on a base")
+    sp = cmd("tradeoff", "privacy level sufficient for a (gamma, delta) target on a base", cmd_tradeoff)
     sp.add_argument("--measure", required=True)
     sp.add_argument("--gamma", type=_float, required=True)
     sp.add_argument("--delta", type=_float, required=True)
 
     sp = cmd("demo", "end-to-end pipeline on a built-in space, plus the "
-                     "discrete-family lower-bound table")
+                     "discrete-family lower-bound table", cmd_demo)
     sp.add_argument("--space", choices=sorted(DEMO_SPACES), default="grid5")
     sp.add_argument("--gamma", type=_float, default=0.5)
     sp.add_argument("--delta", type=_float, default=0.1)
@@ -313,26 +314,11 @@ def cmd_demo(args):
     return pipeline_demo(args.space, args.gamma, args.delta), 0
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "net": cmd_net,
-    "build-measure": cmd_build_measure,
-    "calibrate": cmd_calibrate,
-    "tabulate": cmd_tabulate,
-    "sample": cmd_sample,
-    "audit-privacy": cmd_audit_privacy,
-    "audit-utility": cmd_audit_utility,
-    "lower-bound": cmd_lower_bound,
-    "tradeoff": cmd_tradeoff,
-    "demo": cmd_demo,
-}
-
-
 def _envelope(args, result: dict) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("command", "out") and v is not None
+        if k not in ("command", "handler", "out") and v is not None
     }
     return {
         "command": args.command,
@@ -342,27 +328,32 @@ def _envelope(args, result: dict) -> dict:
     }
 
 
-def _emit(args, doc: dict) -> None:
-    if args.out:
-        formats.write_doc(args.out, doc)
-    else:
-        sys.stdout.write(formats.dump_doc(doc))
+def _emit(args, result: dict, code: int) -> int:
+    """Write the report; return ``code``, or 2 if it cannot be written."""
+    doc = _envelope(args, result)
+    try:
+        if args.out:
+            formats.write_doc(args.out, doc)
+        else:
+            sys.stdout.write(formats.dump_doc(doc))
+    except OSError as exc:
+        print(f"metricdp: error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result, code = HANDLERS[args.command](args)
+        result, code = args.handler(args)
     except SchemaError as exc:
         # Malformed input: report nothing, mirror argparse's own exit code.
         print(f"metricdp: error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ValueError) as exc:
-        _emit(args, _envelope(args, {"error": str(exc), "error_kind": type(exc).__name__}))
         print(f"metricdp: error: {exc}", file=sys.stderr)
-        return 3
-    _emit(args, _envelope(args, result))
-    return code
+        result, code = {"error": str(exc), "error_kind": type(exc).__name__}, 3
+    return _emit(args, result, code)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,8 @@ class InvalidMetricError(StructuralError):
 class UnknownLabelError(DomainError, KeyError):
     """A label is not a point of the space it was looked up in."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class NotLipschitzError(DomainError):
     """A function table admits no finite Lipschitz constant."""

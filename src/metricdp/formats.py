@@ -76,7 +76,8 @@ def load_doc(source) -> dict:
     if isinstance(source, str):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                # decode_value refuses the NaN and Infinity json would accept.
+                doc = json.load(fh, parse_constant=decode_value)
         except OSError as exc:
             raise SchemaError(f"cannot read {source}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -218,11 +219,7 @@ def space_components(source) -> tuple:
     return labels, mat
 
 
-def space_from_doc(source) -> FiniteMetricSpace:
-    return _space_from_doc(source, None)
-
-
-def _space_from_doc(source, known: FiniteMetricSpace | None) -> FiniteMetricSpace:
+def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetricSpace:
     """The space a document describes, validated, or ``known`` itself when
     the document describes it (same labels, equal distances), so a command
     validates each space once."""
@@ -253,7 +250,7 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
     if not isinstance(weights, dict):
         raise SchemaError("measure weights must be an object mapping label to number")
     if "space" in doc:
-        space = _space_from_doc(doc["space"], space)
+        space = space_from_doc(doc["space"], space)
     return DiscreteMeasure(space, {k: decode_value(v) for k, v in weights.items()})
 
 
@@ -264,7 +261,7 @@ def measure_to_doc(measure: DiscreteMeasure) -> dict:
 def map_from_doc(source) -> LipschitzMap:
     doc = load_doc(source)
     domain = space_from_doc(_require(doc, "domain", "map"))
-    codomain = _space_from_doc(_require(doc, "codomain", "map"), domain)
+    codomain = space_from_doc(_require(doc, "codomain", "map"), domain)
     table = _require(doc, "table", "map")
     if not isinstance(table, dict):
         raise SchemaError("map table must be an object mapping input label to output label")

@@ -65,12 +65,11 @@ def distribution(params: ExpMechParams, x) -> np.ndarray:
     exponentiating, so calibrated betas (which grow like log(1/delta))
     cannot underflow the normalizer.
     """
-    return _rows(params, [x])[0]
+    return _rows(params, [params.query.image_index(x)])[0]
 
 
-def _rows(params: ExpMechParams, inputs) -> np.ndarray:
-    """Exact output distributions of ``inputs``, one row each."""
-    images = [params.query.image_index(x) for x in inputs]
+def _rows(params: ExpMechParams, images) -> np.ndarray:
+    """Exact output distributions, one row per codomain index in ``images``."""
     # Unsupported outputs get the exponent -inf, so they weigh exactly 0
     # however close they lie.  ExpMechParams guarantees positive total
     # mass, so every row keeps exp(0) at a supported point and its total
@@ -131,7 +130,7 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
     Row x equals ``distribution(params, x)`` bit for bit: both run the
     same kernel, here for all rows at once.
     """
-    rows = _rows(params, params.input_space.labels)
+    rows = _rows(params, params.query.images)
     return MechanismTable(params.input_space, params.output_space, rows)
 
 
@@ -166,7 +165,13 @@ def calibrate_beta(gamma, delta, modulus) -> float:
             f"base measure is not uniformly positive at radius gamma/2 "
             f"(modulus {modulus}); no finite temperature can meet the target"
         )
-    return max(0.0, (2.0 / gamma) * math.log(1.0 / (delta * modulus)))
+    product = delta * modulus
+    if product >= 1.0:
+        return 0.0
+    if product > 0.0 and 1.0 / product < math.inf:
+        return (2.0 / gamma) * math.log(1.0 / product)
+    # Past the float range, ln(1/delta) + ln(1/modulus) stays finite.
+    return (2.0 / gamma) * -(math.log(delta) + math.log(modulus))
 
 
 def privacy_bound(beta, lipschitz_c) -> float:

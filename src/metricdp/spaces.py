@@ -9,6 +9,7 @@ except where they would force an infinite Lipschitz constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,9 +256,10 @@ class LipschitzMap:
     The Lipschitz constant is always computed from the table, never
     trusted from a file; a declared constant that disagrees beyond 1e-9
     is rejected, because every privacy bound downstream multiplies by it.
+    ``images[i]`` is the codomain index of f(domain.labels[i]) (read-only).
     """
 
-    __slots__ = ("domain", "codomain", "table", "constant")
+    __slots__ = ("domain", "codomain", "table", "constant", "images")
 
     def __init__(self, domain: FiniteMetricSpace, codomain: FiniteMetricSpace, table,
                  declared_constant=None):
@@ -268,7 +270,11 @@ class LipschitzMap:
         if extra:
             raise StructuralError(f"table has labels outside the domain: {sorted(map(repr, extra))}")
         self.constant = lipschitz_constant(domain, codomain, self.table)
-        if declared_constant is not None and abs(declared_constant - self.constant) > 1e-9:
+        self.images = np.array([codomain.index_of(self.table[x]) for x in domain.labels], np.intp)
+        self.images.flags.writeable = False
+        # isclose: a declared NaN fails it, a declared infinity matches inf.
+        if declared_constant is not None and not math.isclose(
+                declared_constant, self.constant, rel_tol=0.0, abs_tol=1e-9):
             raise StructuralError(
                 f"declared Lipschitz constant {declared_constant} does not match "
                 f"the computed value {self.constant}"

@@ -8,7 +8,8 @@ separated, so log-ratio audits stay far from floating-point cliffs.
 
 The ``*_loop`` functions are the library's original scalar loops for
 metric validation, the privacy audit, the Lipschitz constant, single
-mechanism rows, tabulation and the greedy disjoint-ball scan.  The
+mechanism rows, tabulation, the greedy disjoint-ball scan and the
+impossibility lower bound.  The
 library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
 ``level_for_radius_loop`` is a brute-force search for the same level
@@ -30,7 +31,9 @@ import pytest
 
 from metricdp import (
     DiscreteMeasure,
+    DomainError,
     FiniteMetricSpace,
+    ImpossibilityReport,
     LipschitzMap,
     MechanismTable,
     NotLipschitzError,
@@ -264,7 +267,9 @@ def lipschitz_constant_loop(domain, codomain, table) -> float:
                         f"distance 0 but their images are {sigma:g} apart"
                     )
                 continue
-            best = max(best, float(sigma / rho))
+            # A near-zero distance overflows the quotient to inf, the exact value.
+            with np.errstate(over="ignore"):
+                best = max(best, float(sigma / rho))
     return best
 
 
@@ -346,7 +351,9 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
                 elif b <= PROB_FLOOR:
                     ratio = math.inf
                 else:
-                    ratio = (math.log(a) - math.log(b)) / rho
+                    # A near-zero distance overflows the quotient to inf, the exact value.
+                    with np.errstate(over="ignore"):
+                        ratio = (math.log(a) - math.log(b)) / rho
                 if ratio > pair_max:
                     pair_max = ratio
                     pair_witness_y = out_labels[k]
@@ -360,6 +367,62 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
         if eps_max == math.inf and not include_per_pair:
             break
     return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
+
+
+def impossibility_lower_bound_loop(mech, query, centers, radius,
+                                   utility_threshold: float = 0.5) -> ImpossibilityReport:
+    """Oracle for ``impossibility_lower_bound``: the same hypothesis
+    checks, then one challenger center at a time in list order, keeping
+    the first maximum."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < utility_threshold < 1:
+        raise ValueError(f"utility threshold must be in (0, 1), got {utility_threshold}")
+    centers = list(centers)
+    if len(centers) < 2:
+        raise ValueError("need at least two centers (one reference, one challenger)")
+    if len(set(centers)) != len(centers):
+        raise DomainError("centers must be distinct")
+    if query.codomain != mech.output_space:
+        raise StructuralError("query codomain does not match the table's output space")
+    if query.domain != mech.input_space:
+        raise StructuralError("query domain does not match the table's input space")
+    out = mech.output_space
+    space = mech.input_space
+    balls = [out.ball_mask(query.image_index(c), radius) for c in centers]
+    for a in range(len(centers)):
+        for b in range(a + 1, len(centers)):
+            if (balls[a] & balls[b]).any():
+                raise DomainError(
+                    f"target balls around {centers[a]!r} and {centers[b]!r} overlap; "
+                    "the disjointness hypothesis fails"
+                )
+    idx = [space.index_of(c) for c in centers]
+    mass_self = tuple(float(mech.probs[idx[i]][balls[i]].sum()) for i in range(len(centers)))
+    mass_ref = tuple(float(mech.probs[idx[0]][balls[i]].sum()) for i in range(len(centers)))
+    for c, m in zip(centers, mass_self):
+        if not m > utility_threshold:
+            raise DomainError(
+                f"utility hypothesis violated: input {c!r} gives its own ball "
+                f"mass {m:g}, not above {utility_threshold:g}"
+            )
+    best = -math.inf
+    best_i = None
+    for i in range(1, len(centers)):
+        rho = float(space.dist[idx[i], idx[0]])
+        if rho <= 0.0:
+            raise DomainError(
+                f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "
+                "yet target disjoint balls; the table cannot be a Lipschitz image"
+            )
+        if mass_ref[i] <= PROB_FLOOR:
+            value = math.inf
+        else:
+            value = (math.log(mass_self[i]) - math.log(mass_ref[i])) / rho
+        if best_i is None or value > best:
+            best = value
+            best_i = i
+    return ImpossibilityReport(best, best_i, mass_self, mass_ref)
 
 
 def dump_doc_reference(doc) -> str:

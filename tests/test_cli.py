@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -81,7 +82,7 @@ class TestValidate:
         space = write(tmp_path, "dup.json", {"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]})
         out = str(tmp_path / "err.json")
         assert main(["validate", "--space", space, "--out", out]) == 3
-        err = json.loads(open(out).read())["result"]
+        err = json.loads(Path(out).read_text())["result"]
         assert err["error_kind"] == "StructuralError"
         assert err["error"] == "labels must be distinct"
 
@@ -107,6 +108,35 @@ class TestValidate:
         path = tmp_path / "x.json"
         path.write_text("{broken")
         assert main(["validate", "--space", str(path)]) == 2
+
+
+class TestUnwritableReport:
+    """A report that cannot be written is an input error: exit 2, a one-line
+    message and no file, never a traceback."""
+
+    def test_missing_directory(self, capsys, tmp_path):
+        space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
+        out = tmp_path / "missing" / "r.json"
+        assert main(["validate", "--space", space, "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"metricdp: error: cannot write {out}: No such file or directory\n"
+
+    def test_error_report(self, capsys, tmp_path):
+        space = write(tmp_path, "dup.json", {"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]})
+        out = tmp_path / "missing" / "r.json"
+        assert main(["validate", "--space", space, "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_directory_in_the_way(self, capsys, tmp_path):
+        space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["validate", "--space", space, "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "taken"]
+        assert list(out.iterdir()) == []
 
 
 class TestArgparseErrors:
@@ -199,6 +229,19 @@ class TestNaNFlags:
         assert doc["result"]["passed"] is True
 
 
+class TestNegativeFlagValues:
+    """argparse reads ``--threshold -inf`` as a missing value; the
+    ``--flag=value`` form passes any number."""
+
+    @pytest.mark.parametrize("text", ["-inf", "-1e-3"])
+    def test_equals_form(self, capsys, grid5_files, text):
+        argv = float_flag_argv(grid5_files, "audit-privacy")[:-2]
+        code, doc = run(capsys, *argv, f"--threshold={text}")
+        assert code == 1
+        assert doc["params"]["threshold"] == formats.encode_value(float(text))
+        assert doc["result"]["passed"] is False
+
+
 class TestPipeline:
     def test_net(self, capsys, grid5_files):
         code, doc = run(capsys, "net", "--space", grid5_files["space"], "--r", "0.5")
@@ -212,7 +255,7 @@ class TestPipeline:
                      "--out", out]) == 0
         measure = formats.measure_from_doc(out)
         assert measure.total_mass == pytest.approx(0.75)
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["result"]["hierarchy"]["L"] == 2
 
     def test_calibrate_from_measure_file(self, capsys, grid5_files):
@@ -286,7 +329,7 @@ class TestPipeline:
         code = main(["lower-bound", "--mech", mech, "--map", grid5_files["map"],
                      "--centers", "0,0.25", "--r", "0.25", "--out", err_out])
         assert code == 3
-        err = json.loads(open(err_out).read())
+        err = json.loads(Path(err_out).read_text())
         assert "overlap" in err["result"]["error"]
         assert err["result"]["error_kind"] == "DomainError"
 
@@ -332,12 +375,49 @@ class TestPipeline:
         assert a["result"]["outputs"] == b["result"]["outputs"]
         assert len(a["result"]["outputs"]) == 8
 
+    def test_unknown_label_error_is_not_quoted(self, capsys, grid5_files):
+        code = main(["sample", "--map", grid5_files["map"], "--measure", grid5_files["measure"],
+                     "--beta", "1", "--input", "zz", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["result"] == {"error": "unknown label 'zz'",
+                                                     "error_kind": "UnknownLabelError"}
+        assert captured.err == "metricdp: error: unknown label 'zz'\n"
+
+    def test_lower_bound_with_every_ratio_at_minus_infinity(self, capsys, tmp_path):
+        # Input distance 1e-320: ln(0.7 / 0.8) / 1e-320 overflows to -inf.
+        space = write(tmp_path, "in.json", {"labels": ["a", "b"],
+                                            "dist": [[0, 1e-320], [1e-320, 0]]})
+        the_map = write(tmp_path, "map.json", {"domain": space, "codomain": {"kind": "grid", "n": 2},
+                                               "table": {"a": "0", "b": "1"}})
+        mech = write(tmp_path, "mech.json", {"inputs": ["a", "b"], "outputs": ["0", "1"],
+                                              "rows": {"a": [0.2, 0.8], "b": [0.3, 0.7]}})
+        code, doc = run(capsys, "lower-bound", "--mech", mech, "--map", the_map,
+                        "--centers", "a,b", "--r", "0.25", "--utility-threshold", "0.1")
+        assert code == 0
+        assert doc["result"]["eps_lower"] == "-infinity"
+        assert (doc["result"]["witness_index"], doc["result"]["witness_center"]) == (1, "b")
+
+    @pytest.mark.parametrize("argv,beta", [
+        # 1e-320 is subnormal, so its log is taken from the float itself.
+        (["calibrate", "--m", "1e-320"], 4.0 * (10 * math.log(10.0) - math.log(1e-320))),
+        (["calibrate", "--m", "inf"], 0.0),
+        (["tradeoff", "--measure", {"space": {"kind": "discrete", "n": 2},
+                                    "weights": {"0": 1, "1": 1e-300}}], 4.0 * 310 * math.log(10.0)),
+    ])
+    def test_calibration_past_the_float_range(self, capsys, tmp_path, argv, beta):
+        if isinstance(argv[-1], dict):
+            argv = argv[:-1] + [write(tmp_path, "tiny.json", argv[-1])]
+        code, doc = run(capsys, *argv, "--gamma", "0.5", "--delta", "1e-10")
+        assert code == 0
+        assert doc["result"]["beta"] == pytest.approx(beta, rel=1e-12)
+
     def test_domain_error_writes_report_and_exits_3(self, capsys, grid5_files):
         out = str(grid5_files["dir"] / "err2.json")
         code = main(["build-measure", "--space", grid5_files["space"],
                      "--L", "0", "--out", out])
         assert code == 3
-        assert "error" in json.loads(open(out).read())["result"]
+        assert "error" in json.loads(Path(out).read_text())["result"]
 
     def test_reports_round_trip_through_loaders(self, capsys, grid5_files):
         mech = str(grid5_files["dir"] / "mech.json")
@@ -353,7 +433,7 @@ class TestMeasureSpace:
 
     @pytest.fixture
     def weights_only(self, grid5_files):
-        doc = json.loads(open(grid5_files["measure"]).read())
+        doc = json.loads(Path(grid5_files["measure"]).read_text())
         del doc["space"]
         return write(grid5_files["dir"], "weights_only.json", doc)
 
@@ -433,11 +513,12 @@ class TestDemo:
 
 class TestMalformedNumbers:
     """A malformed number in a document is a schema error: exit 2 and no
-    report, never a traceback."""
+    report, never a traceback.  ``write`` spells math.nan and math.inf as
+    the NaN and Infinity literals that Python's json reads but JSON lacks."""
 
-    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True])
+    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True, math.nan, math.inf])
     def test_measure_weight(self, capsys, grid5_files, weight):
-        doc = json.loads(open(grid5_files["measure"]).read())
+        doc = json.loads(Path(grid5_files["measure"]).read_text())
         doc["weights"]["0"] = weight
         measure = write(grid5_files["dir"], "bad_measure.json", doc)
         code, out = run(capsys, "tradeoff", "--measure", measure,
@@ -445,9 +526,9 @@ class TestMalformedNumbers:
         assert code == 2
         assert out is None
 
-    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}])
+    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}, math.nan, math.inf])
     def test_map_lipschitz_constant(self, capsys, grid5_files, declared):
-        doc = json.loads(open(grid5_files["map"]).read())
+        doc = json.loads(Path(grid5_files["map"]).read_text())
         doc["lipschitz_c"] = declared
         the_map = write(grid5_files["dir"], "bad_map.json", doc)
         code, out = run(capsys, "tabulate", "--map", the_map, "--measure",
@@ -455,7 +536,8 @@ class TestMalformedNumbers:
         assert code == 2
         assert out is None
 
-    BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]]]
+    BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]],
+                [[0, math.nan], [math.nan, 0]], [[0, math.inf], [math.inf, 0]]]
 
     @pytest.mark.parametrize("dist", BAD_DIST)
     def test_space_dist(self, capsys, tmp_path, dist):
@@ -471,7 +553,8 @@ class TestMalformedNumbers:
                      ["audit-privacy", "--mech", mech, "--space", space]):
             assert run(capsys, *argv) == (2, None), argv
 
-    @pytest.mark.parametrize("row", [["0.5", 0.5], [0.5, "0.5"], [True, 0], [1, False]])
+    @pytest.mark.parametrize("row", [["0.5", 0.5], [0.5, "0.5"], [True, 0], [1, False],
+                                     [math.nan, 0.5], [math.inf, 0]])
     def test_table_rows(self, capsys, tmp_path, row):
         # Each row sums to 1 once coerced to floats.
         space = write(tmp_path, "space.json", {"kind": "discrete", "n": 2})

@@ -75,6 +75,14 @@ class TestLoadDoc:
         with pytest.raises(SchemaError, match="not valid JSON"):
             formats.load_doc(str(path))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_literals_are_schema_errors(self, tmp_path, literal):
+        # Python's json reads these; JSON has no such numbers.
+        path = tmp_path / "x.json"
+        path.write_text('{"k": [1, %s]}' % literal)
+        with pytest.raises(SchemaError, match=literal):
+            formats.load_doc(str(path))
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("[1, 2]")
@@ -192,6 +200,24 @@ class TestMapDocs:
     def test_declared_constant_checked(self):
         doc = self.map_doc(identity_map(grid_space(3)))
         doc["lipschitz_c"] = 0.25
+        with pytest.raises(StructuralError):
+            formats.map_from_doc(doc)
+
+    def test_declared_nan_fails_the_check(self):
+        # abs(nan - c) > 1e-9 is False: a NaN declared in a dict document
+        # would pass a check written that way.
+        doc = self.map_doc(identity_map(grid_space(3)))
+        doc["lipschitz_c"] = math.nan
+        with pytest.raises(StructuralError, match="declared Lipschitz constant nan"):
+            formats.map_from_doc(doc)
+
+    def test_declared_infinity_matches_an_infinite_constant(self):
+        # 1 / 1e-320 overflows: the computed constant is inf.
+        domain = {"labels": ["a", "b"], "dist": [[0, 1e-320], [1e-320, 0]]}
+        doc = {"domain": domain, "codomain": {"kind": "grid", "n": 2},
+               "table": {"a": "0", "b": "1"}, "lipschitz_c": "infinity"}
+        assert formats.map_from_doc(doc).constant == math.inf
+        doc["lipschitz_c"] = 1e300
         with pytest.raises(StructuralError):
             formats.map_from_doc(doc)
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from bisect import bisect_left
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ class TestCalibration:
         # delta * modulus above 1 would invert preferences; clamp instead
         assert calibrate_beta(1.0, 0.6, 2.0) == 0.0
 
+    @pytest.mark.parametrize("gamma,delta,modulus", [
+        (0.5, 1e-10, 1e-300),  # delta * modulus is subnormal: 1 / it overflows
+        (0.5, 1e-10, 1e-320),  # delta * modulus underflows to 0
+        (2.0, 5e-324, 0.5),
+        (0.25, 1e-200, 1e-200),
+    ])
+    def test_past_the_float_range(self, gamma, delta, modulus):
+        # (2 / gamma) * ln(1 / (delta * modulus)) in 40-digit decimals.
+        with localcontext() as ctx:
+            ctx.prec = 40
+            closed_form = float(2 / Decimal(gamma) * -(Decimal(delta) * Decimal(modulus)).ln())
+        assert calibrate_beta(gamma, delta, modulus) == pytest.approx(closed_form, rel=1e-12)
+
+    @pytest.mark.parametrize("modulus", [math.inf, 1e300, 10.0])
+    def test_large_modulus_needs_no_concentration(self, modulus):
+        assert calibrate_beta(0.5, 0.1, modulus) == 0.0
+
+    def test_finite_results_keep_their_bits(self):
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            gamma = float(10.0 ** rng.uniform(-3, 3))
+            delta = float(10.0 ** rng.uniform(-150, 0))
+            modulus = float(10.0 ** rng.uniform(-150, 1))
+            if delta >= 1.0:
+                continue
+            old = max(0.0, (2.0 / gamma) * math.log(1.0 / (delta * modulus)))
+            assert np.float64(calibrate_beta(gamma, delta, modulus)).tobytes() == \
+                np.float64(old).tobytes()
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             calibrate_beta(0.0, 0.5, 1.0)
@@ -268,6 +298,14 @@ class TestTradeoff:
         a = tradeoff_upper_bound(uniform_measure(s), 0.4, 0.2)
         b = tradeoff_upper_bound(DiscreteMeasure(s, [2.5] * 4), 0.4, 0.2)
         assert a.epsilon == pytest.approx(b.epsilon, abs=1e-12)
+
+    def test_tiny_weight_gives_a_finite_bound(self):
+        # modulus 1e-300 at delta 1e-10: delta * modulus is 1e-310, whose
+        # reciprocal overflows, but beta = 4 ln(1e310) is finite.
+        s = grid_space(2)
+        bound = tradeoff_upper_bound(DiscreteMeasure(s, [1.0, 1e-300]), 0.5, 1e-10)
+        assert bound.beta == pytest.approx(4.0 * 310 * math.log(10.0), rel=1e-12)
+        assert bound.epsilon == 2.0 * bound.beta
 
     def test_gap_in_support_has_no_finite_bound(self):
         s = grid_space(3)

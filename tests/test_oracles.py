@@ -25,6 +25,7 @@ from conftest import (
     closure_metric,
     distribution_loop,
     dump_doc_reference,
+    impossibility_lower_bound_loop,
     level_for_radius_loop,
     lipschitz_constant_loop,
     propose_centers_loop,
@@ -45,6 +46,7 @@ from metricdp import (
     discrete_space,
     distribution,
     identity_map,
+    impossibility_lower_bound,
     level_for_radius,
     lipschitz_constant,
     max_packing,
@@ -292,6 +294,110 @@ class TestAuditPrivacyOracle:
                     [math.log(1.0) - math.log(0.5), 0.0, math.log(1.0) - math.log(0.4)],
                     [math.inf, math.inf, 0.0]]
         assert full.per_pair_max.tolist() == expected
+
+
+    def test_distance_below_zero_with_a_floored_entry(self):
+        # b is within METRIC_TOL below zero from a, and its row gives y1
+        # zero mass: the pair (a, b) is inf at y1, as in the loop, not the
+        # -inf that inf / (-5e-13) would give.
+        space = FiniteMetricSpace(["a", "b", "c"], [[0.0, -5e-13, 1.0],
+                                                    [-5e-13, 0.0, 1.0],
+                                                    [1.0, 1.0, 0.0]])
+        mech = MechanismTable(space, line_space([0.0, 1.0]),
+                              [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+        assert_same_audit(mech)
+        report = audit_privacy(mech, include_per_pair=True)
+        assert report.witness == ("a", "b", "x1")
+        assert report.per_pair_max[0, 1] == math.inf
+
+    @pytest.mark.parametrize("diagonal", [1e-13, -1e-13])
+    def test_diagonal_within_tolerance_of_zero(self, diagonal):
+        # A point is never paired with itself, whatever its diagonal entry:
+        # with equal rows the witness is the first pair of distinct points.
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        np.fill_diagonal(dist, diagonal)
+        space = FiniteMetricSpace(["a", "b", "c"], dist)
+        mech = MechanismTable(space, line_space([0.0, 1.0]), [[0.5, 0.5]] * 3)
+        assert_same_audit(mech)
+        assert audit_privacy(mech).witness == ("a", "b", "x0")
+
+
+def lower_bound_case(rng):
+    """Arguments for ``impossibility_lower_bound``: a line pseudometric
+    input space whose twins sit at distance 0 (sharing their image) or
+    just below it (mapped anywhere), and sometimes only subnormal
+    distances apart; rows that mostly favour their own image, with
+    entries below the audit's floor and repeated weights; random centers."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    coords = rng.integers(0, 4, size=n)
+    dist = np.abs(coords[:, None] - coords[None, :]) * (1e-320 if rng.random() < 0.2 else 1.0)
+    images = coords % m
+    if rng.random() < 0.3:
+        dist[(dist == 0.0) & ~np.eye(n, dtype=bool)] = -5e-13
+        images = rng.integers(m, size=n)
+    domain = FiniteMetricSpace([f"x{i}" for i in range(n)], dist)
+    codomain = line_space(2.0 * np.arange(m))  # balls of radius <= 1 hold one point
+    query = LipschitzMap(domain, codomain,
+                         {x: codomain.labels[i] for x, i in zip(domain.labels, images)})
+    if rng.random() < 0.3:
+        # One weight on the image and another elsewhere: challengers as far
+        # from the reference on either side tie.
+        own, other = [(4.0, 1.0), (1.0, 0.0), (3.0, 1e-305)][rng.integers(3)]
+        probs = np.where(np.arange(m) == images[:, None], own, other)
+    else:
+        probs = rng.choice([0.0, 1e-305, 0.1, 0.25, 0.5], size=(n, m))
+        probs[np.arange(n), images] += rng.choice([0.0, 2.0, 4.0], size=n)
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    mech = MechanismTable(domain, codomain, probs / probs.sum(axis=1, keepdims=True))
+    k = int(rng.integers(2, min(n, 4) + 1))
+    centers = [domain.labels[i] for i in rng.permutation(n)[:k]]
+    radius = float(rng.choice([0.25, 0.5, 1.0]))
+    threshold = float(rng.choice([0.05, 0.3, 0.5]))
+    return mech, query, centers, radius, threshold
+
+
+class TestLowerBoundOracle:
+    def test_seeded_instances(self):
+        """Every report field to the bit, or the same error type and text.
+        The seeds reach infinite bounds (floored reference masses), ties
+        between challengers, overflowing ratios and zero-distance centers."""
+        seen = dict.fromkeys(["finite", "inf", "tie", "zero distance", "overlap"], 0)
+        for seed in range(400):
+            args = lower_bound_case(np.random.default_rng(seed))
+            try:
+                want = impossibility_lower_bound_loop(*args)
+            except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
+                with pytest.raises(type(exc)) as caught:
+                    impossibility_lower_bound(*args)
+                assert str(caught.value) == str(exc)
+                seen["zero distance"] += "input distance 0" in str(exc)
+                seen["overlap"] += "overlap" in str(exc)
+                continue
+            got = impossibility_lower_bound(*args)
+            assert bits(got.eps_lower) == bits(want.eps_lower)
+            assert got.witness_index == want.witness_index
+            assert np.array(got.ball_mass_self).tobytes() == np.array(want.ball_mass_self).tobytes()
+            assert np.array(got.ball_mass_ref).tobytes() == np.array(want.ball_mass_ref).tobytes()
+            seen["inf" if got.eps_lower == math.inf else "finite"] += 1
+            mech, query, centers = args[:3]
+            idx = [mech.input_space.index_of(c) for c in centers]
+            rho = mech.input_space.dist[idx[1:], idx[0]]
+            with np.errstate(divide="ignore", over="ignore"):
+                values = np.log(np.divide(got.ball_mass_self[1:], got.ball_mass_ref[1:])) / rho
+            seen["tie"] += int(np.count_nonzero(values == values.max()) > 1)
+        assert min(seen.values()) >= 3, seen
+
+    def test_every_ratio_overflows_to_minus_infinity(self):
+        # The challenger's own ball gets less than the reference row gives
+        # it, over a subnormal distance: -inf, witnessed by the challenger.
+        space = line_space([0.0, 1e-320])
+        out = line_space([0.0, 1.0])
+        query = LipschitzMap(space, out, {"x0": "x0", "x1": "x1"})
+        mech = MechanismTable(space, out, [[0.2, 0.8], [0.3, 0.7]])
+        got = impossibility_lower_bound(mech, query, ["x0", "x1"], 0.25, 0.1)
+        want = impossibility_lower_bound_loop(mech, query, ["x0", "x1"], 0.25, 0.1)
+        assert got == want
+        assert (got.eps_lower, got.witness_index) == (-math.inf, 1)
 
 
 class TestLipschitzOracle:

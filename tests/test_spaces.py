@@ -243,6 +243,19 @@ class TestLipschitzMap:
         with pytest.raises(UnknownLabelError):
             identity_map(grid_space(3))("2")
 
+    def test_unknown_label_message_is_not_quoted(self):
+        with pytest.raises(KeyError) as caught:
+            grid_space(3).index_of("zz")
+        assert str(caught.value) == "unknown label 'zz'"
+
+    def test_images_are_one_read_only_array(self):
+        dom, cod = grid_space(4), grid_space(3)
+        f = LipschitzMap(dom, cod, {"0": "0", "0.333333": "0.5", "0.666667": "0.5", "1": "1"})
+        assert f.images.dtype == np.intp
+        assert f.images.tolist() == [f.image_index(x) for x in dom.labels] == [0, 1, 1, 2]
+        with pytest.raises(ValueError):
+            f.images[0] = 2
+
     def test_extra_table_labels_rejected(self):
         s = grid_space(2)
         with pytest.raises(StructuralError):
