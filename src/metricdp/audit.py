@@ -71,18 +71,18 @@ def _logs(probs) -> np.ndarray:
 def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Smallest epsilon the table satisfies, by exhaustive enumeration.
 
-    Maximizes (ln rows[x][y] - ln rows[z][y]) / dist(x, z) over ordered
-    input pairs and single output labels.  A pair at distance zero gives
-    an infinite ratio at every output where its rows differ and none
-    elsewhere.  Without the per-pair matrix the audit stops after the
-    first row whose maximum is infinite.
+    Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y])
+    / dist(x, z) over single output labels y, -inf where a pair constrains
+    nothing.  A pair at distance zero gives an infinite ratio at every
+    output where its rows differ and none elsewhere.  One argmax over that
+    matrix gives ``epsilon_max`` and ``witness``, the first maximum in label
+    order.  Without the per-pair matrix the audit stops after the first
+    row whose maximum is infinite.
     """
     space = mech.input_space
     labels = space.labels
-    out_labels = mech.output_space.labels
     n = len(labels)
     probs = mech.probs
-    per_pair = np.zeros((n, n)) if include_per_pair else None
     logs = _logs(probs)
     floored = logs == -math.inf
     # Each point is its own twin.  Twins get the placeholder distance 1.0,
@@ -91,8 +91,8 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     np.fill_diagonal(zero, True)
     dist = np.where(zero, 1.0, space.dist)
 
-    eps_max = 0.0
-    witness = None
+    pair_max = np.full((n, n), -math.inf)
+    best_k = np.zeros((n, n), dtype=int)
     # A near-zero distance overflows its quotients to inf, the exact value;
     # an entry floored in both rows gives nan until the masks overwrite it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -106,20 +106,15 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
             ratio[:, floored[i]] = -math.inf
             twins = zero[i]
             ratio[twins] = np.where(probs[twins] != probs[i], math.inf, -math.inf)
-            best_k = ratio.argmax(axis=1)
-            pair_max = ratio[np.arange(n), best_k]
-            # A pair whose every ratio is -inf constrains nothing.
-            rows = np.flatnonzero(pair_max > -math.inf)
-            if per_pair is not None:
-                per_pair[i, rows] = pair_max[rows]
-            if rows.size:
-                j = rows[np.argmax(pair_max[rows])]
-                if witness is None or pair_max[j] > eps_max:
-                    eps_max = float(pair_max[j])
-                    witness = (labels[i], labels[int(j)], out_labels[int(best_k[j])])
-            if eps_max == math.inf and per_pair is None:
+            best_k[i] = ratio.argmax(axis=1)
+            pair_max[i] = ratio[np.arange(n), best_k[i]]
+            if pair_max[i].max() == math.inf and not include_per_pair:
                 break
-    return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
+    live = pair_max > -math.inf
+    i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
+    witness = (labels[i], labels[j], mech.output_space.labels[best_k[i, j]]) if live[i, j] else None
+    per_pair = np.where(live, pair_max, 0.0) if include_per_pair else None
+    return PrivacyAuditReport(max(float(pair_max[i, j]), 0.0), witness, per_pair)
 
 
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:

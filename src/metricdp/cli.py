@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from . import formats
@@ -217,12 +218,9 @@ def cmd_audit_privacy(args):
     space = formats.space_from_doc(args.space)
     mech = formats.table_from_doc(args.mech, input_space=space)
     rep = audit_privacy(mech, include_per_pair=args.per_pair)
-    result = {
-        "epsilon_max": rep.epsilon_max,
-        "witness": list(rep.witness) if rep.witness is not None else None,
-    }
-    if args.per_pair:
-        result["per_pair_max"] = rep.per_pair_max
+    result = asdict(rep)
+    if not args.per_pair:
+        del result["per_pair_max"]
     ok = args.threshold is None or rep.epsilon_max <= args.threshold
     return _thresholded(result, ok, args.threshold)
 
@@ -237,12 +235,7 @@ def _map_and_table(args):
 def cmd_audit_utility(args):
     lmap, mech = _map_and_table(args)
     rep = audit_utility(mech, lmap, args.gamma)
-    result = {
-        "gamma": rep.gamma,
-        "min_mass": rep.min_mass,
-        "worst_input": rep.worst_input,
-        "per_input_mass": rep.per_input_mass,
-    }
+    result = asdict(rep)
     ok = args.threshold is None or rep.min_mass >= args.threshold
     return _thresholded(result, ok, args.threshold)
 
@@ -252,21 +245,15 @@ def cmd_lower_bound(args):
     centers = [c for c in args.centers.split(",") if c]
     rep = impossibility_lower_bound(mech, lmap, centers, args.r,
                                     utility_threshold=args.utility_threshold)
-    result = {
-        "eps_lower": rep.eps_lower,
-        "witness_index": rep.witness_index,
-        "witness_center": centers[rep.witness_index],
-        "ball_mass_self": list(rep.ball_mass_self),
-        "ball_mass_ref": list(rep.ball_mass_ref),
-    }
+    result = asdict(rep)
+    result["witness_center"] = centers[rep.witness_index]
     ok = args.threshold is None or rep.eps_lower >= args.threshold
     return _thresholded(result, ok, args.threshold)
 
 
 def cmd_tradeoff(args):
     base = formats.measure_from_doc(args.measure)
-    bound = tradeoff_upper_bound(base, args.gamma, args.delta)
-    return {"epsilon": bound.epsilon, "beta": bound.beta, "modulus": bound.modulus}, 0
+    return asdict(tradeoff_upper_bound(base, args.gamma, args.delta)), 0
 
 
 def pipeline_demo(space_name: str, gamma: float, delta: float) -> dict:

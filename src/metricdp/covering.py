@@ -164,7 +164,7 @@ def positivity_lower_bound(hier: CoverHierarchy, radius) -> PositivityBound:
     if i > hier.depth:
         return PositivityBound(value=0.0, level=i, truncated=True)
     n_i = hier.levels[i - 1].size
-    return PositivityBound(value=1.0 / (2.0**i * n_i), level=i, truncated=False)
+    return PositivityBound(value=math.ldexp(1.0, -i) / n_i, level=i, truncated=False)
 
 
 def default_depth(space: FiniteMetricSpace) -> int:
@@ -204,7 +204,7 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
         radius = 2.0 ** (-i)
         centers = greedy_net(space, radius)
         levels.append(CoverLevel(radius, tuple(centers)))
-        w = 1.0 / (2.0**i * len(centers))
+        w = math.ldexp(1.0, -i) / len(centers)
         for c in centers:
             weights[space.index_of(c)] += w
     measure = DiscreteMeasure(space, weights)

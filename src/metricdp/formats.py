@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -80,7 +79,7 @@ def load_doc(source) -> dict:
                 doc = json.load(fh, parse_constant=decode_value)
         except OSError as exc:
             raise SchemaError(f"cannot read {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{source} is not valid JSON: {exc}") from exc
     else:
         doc = source
@@ -155,10 +154,11 @@ def dump_doc(doc: dict) -> str:
 
 
 def write_doc(path: str, doc: dict) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: a new file in the target directory, then rename.  The
+    file is created with mode 0666 less the umask, as a plain open is."""
     text = dump_doc(doc)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -263,7 +263,7 @@ def map_from_doc(source) -> LipschitzMap:
     domain = space_from_doc(_require(doc, "domain", "map"))
     codomain = space_from_doc(_require(doc, "codomain", "map"), domain)
     table = _require(doc, "table", "map")
-    if not isinstance(table, dict):
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
         raise SchemaError("map table must be an object mapping input label to output label")
     declared = doc.get("lipschitz_c")
     if declared is not None:

@@ -1,10 +1,19 @@
+import dataclasses
 import json
 import math
+import os
+import shlex
 from pathlib import Path
 
 import pytest
 
-from metricdp import formats
+from metricdp import (
+    ImpossibilityReport,
+    PrivacyAuditReport,
+    TradeoffBound,
+    UtilityAuditReport,
+    formats,
+)
 from metricdp.cli import _float, build_parser, main
 
 
@@ -59,6 +68,20 @@ class TestEnvelope:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_has_the_mode_of_a_plain_write(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            plain = tmp_path / "plain.json"
+            with open(plain, "w"):
+                pass
+            out = tmp_path / "r.json"
+            assert main(["calibrate", "--gamma", "1", "--delta", "0.5", "--m", "1",
+                         "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "r.json"]
+
 
 class TestValidate:
     def test_good_space(self, capsys, tmp_path):
@@ -108,6 +131,14 @@ class TestValidate:
         path = tmp_path / "x.json"
         path.write_text("{broken")
         assert main(["validate", "--space", str(path)]) == 2
+
+    def test_not_utf8_exits_2_without_report(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"kind": "grid", "n": 3\xff}')
+        out = tmp_path / "never.json"
+        assert main(["validate", "--space", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 class TestUnwritableReport:
@@ -307,6 +338,28 @@ class TestPipeline:
         assert plain["result"]["witness"] == full["result"]["witness"] == ["a", "c", "y1"]
         assert plain["result"]["epsilon_max"] == full["result"]["epsilon_max"]
 
+    def test_results_hold_the_report_fields(self, capsys, grid5_files):
+        files = grid5_files
+        mech = str(files["dir"] / "mech.json")
+        main(["tabulate", "--map", files["map"], "--measure", files["measure"],
+              "--beta", "12", "--out", mech])
+        cases = [
+            (PrivacyAuditReport, set(), ["audit-privacy", "--space", files["space"]]),
+            (PrivacyAuditReport, set(), ["audit-privacy", "--space", files["space"], "--per-pair"]),
+            (UtilityAuditReport, set(), ["audit-utility", "--map", files["map"], "--gamma", "0.5"]),
+            (ImpossibilityReport, {"witness_center"},
+             ["lower-bound", "--map", files["map"], "--centers", "0,1", "--r", "0.1"]),
+        ]
+        for report, extra, argv in cases:
+            code, doc = run(capsys, *argv, "--mech", mech)
+            names = {f.name for f in dataclasses.fields(report)} | extra
+            if argv[0] == "audit-privacy" and "--per-pair" not in argv:
+                names.remove("per_pair_max")
+            assert code == 0 and set(doc["result"]) == names, argv
+        code, doc = run(capsys, "tradeoff", "--measure", files["measure"],
+                        "--gamma", "0.5", "--delta", "0.1")
+        assert set(doc["result"]) == {f.name for f in dataclasses.fields(TradeoffBound)}
+
     def test_audit_utility(self, capsys, grid5_files):
         mech = str(grid5_files["dir"] / "mech.json")
         main(["tabulate", "--map", grid5_files["map"], "--measure",
@@ -411,6 +464,22 @@ class TestPipeline:
         code, doc = run(capsys, *argv, "--gamma", "0.5", "--delta", "1e-10")
         assert code == 0
         assert doc["result"]["beta"] == pytest.approx(beta, rel=1e-12)
+
+    def test_build_measure_on_subnormal_distances(self, capsys, tmp_path):
+        space = write(tmp_path, "s.json",
+                      {"labels": ["a", "b"], "dist": [[0, 1e-310], [1e-310, 0]]})
+        code, doc = run(capsys, "build-measure", "--space", space)
+        assert code == 0
+        assert doc["result"]["hierarchy"]["L"] == 1030
+        assert doc["result"]["weights"]["b"] > 0
+
+    def test_build_measure_past_the_float_range(self, capsys, tmp_path):
+        # Level 1080's radius 2**-1080 underflows to 0.
+        space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
+        code, doc = run(capsys, "build-measure", "--space", space, "--L", "1080")
+        assert code == 3
+        assert doc["result"] == {"error": "radius must be positive, got 0.0",
+                                 "error_kind": "ValueError"}
 
     def test_domain_error_writes_report_and_exits_3(self, capsys, grid5_files):
         out = str(grid5_files["dir"] / "err2.json")
@@ -536,6 +605,16 @@ class TestMalformedNumbers:
         assert code == 2
         assert out is None
 
+    @pytest.mark.parametrize("output", [[1], 1])
+    def test_map_table_value(self, capsys, grid5_files, output):
+        doc = json.loads(Path(grid5_files["map"]).read_text())
+        doc["table"]["0"] = output
+        the_map = write(grid5_files["dir"], "bad_map.json", doc)
+        code, out = run(capsys, "tabulate", "--map", the_map, "--measure",
+                        grid5_files["measure"], "--beta", "1")
+        assert code == 2
+        assert out is None
+
     BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]],
                 [[0, math.nan], [math.nan, 0]], [[0, math.inf], [math.inf, 0]]]
 
@@ -561,3 +640,27 @@ class TestMalformedNumbers:
         mech = write(tmp_path, "mech.json", {"inputs": ["0", "1"], "outputs": ["0", "1"],
                                               "rows": {"0": row, "1": [0.5, 0.5]}})
         assert run(capsys, "audit-privacy", "--mech", mech, "--space", space) == (2, None)
+
+
+def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
+    # Every line of the README's command block exits 0 on the files it
+    # names, and audit-privacy prints the envelope shown under the block.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", "")
+    envelope = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    labels = ["0", "0.25", "0.5", "0.75", "1"]
+    write(tmp_path, "space.json", {"kind": "grid", "n": 5})
+    write(tmp_path, "query.json", {"domain": "space.json", "codomain": "space.json",
+                                   "table": {lab: lab for lab in labels}})
+    reports = {}
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "metricdp"
+        assert main(argv) == 0, line
+        reports[argv[0]] = capsys.readouterr().out
+    doc = json.loads(reports["audit-privacy"])
+    assert doc["result"]["epsilon_max"] == 18.496190890947364
+    assert doc["result"]["witness"] == ["1", "0.75", "1"]
+    assert doc == envelope

@@ -154,6 +154,15 @@ class TestPositivityBound:
         assert tiny.truncated and tiny.value == 0.0 and tiny.level == 1030
         assert positivity_lower_bound(hier, math.inf) == positivity_lower_bound(hier, 0.5)
 
+    def test_levels_past_two_to_the_1023(self):
+        # 2.0**1030 overflows; the level weight 2**-1030 / n does not.
+        space = FiniteMetricSpace(["a", "b"], np.array([[0.0, 1e-310], [1e-310, 0.0]]))
+        measure, hier = covering_measure(space)
+        assert hier.depth == 1030
+        assert (measure.values > 0).all()
+        bound = positivity_lower_bound(hier, 1e-310)
+        assert bound.value > 0 and bound.level == 1030 and not bound.truncated
+
     @pytest.mark.filterwarnings("ignore:space diameter")
     def test_bound_is_certified_by_ball_masses(self):
         rng = np.random.default_rng(43)
