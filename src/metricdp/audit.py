@@ -4,13 +4,18 @@ Everything here works on the finite table itself, so the reported numbers
 are exact maxima/minima, not statistical estimates.  The privacy audit
 only needs singleton output sets: for nonnegative vectors the ratio of
 set sums never exceeds the largest entrywise ratio (mediant inequality),
-so the singleton maximum already dominates every output set.
+so the singleton maximum already dominates every output set.  Division
+by a positive distance is monotone, so each input pair's maximum is one
+max-plus reduction of log differences divided once, over blocks of rows
+that stop at the first infinite maximum; the pairs it cannot take go
+output by output through ``_pair_ratios``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +27,11 @@ from .spaces import LipschitzMap
 # Probabilities at or below this are treated as exact zeros in log-ratio
 # audits; a set both rows give zero mass imposes no constraint at all.
 PROB_FLOOR = 1e-300
+
+# Log differences reduced at a time (1 MB, or one row of pairs if larger); a nonzero
+# one is at least 2**-106, so over at most _BULK_MAX_DIST it does not round to zero.
+_BLOCK_CELLS = 1 << 17
+_BULK_MAX_DIST = 2.0**900
 
 
 @dataclass(frozen=True)
@@ -60,60 +70,60 @@ class UtilityAuditReport:
 
 def _logs(probs) -> np.ndarray:
     """Entrywise math.log (np.log can differ by an ulp, and the audits must
-    be reproducible to the bit), with -inf at or below PROB_FLOOR."""
+    be reproducible to the bit), with -inf at or below PROB_FLOOR, by rows."""
     probs = np.asarray(probs, dtype=float)
     floored = probs <= PROB_FLOOR
-    logs = np.array(list(map(math.log, np.where(floored, 1.0, probs).ravel().tolist())))
+    safe = np.atleast_2d(np.where(floored, 1.0, probs))
+    logs = np.fromiter(chain.from_iterable(map(math.log, row.tolist()) for row in safe), float, safe.size)
     logs[floored.ravel()] = -math.inf
     return logs.reshape(probs.shape)
+
+
+def _pair_ratios(mech, logs, i, j) -> np.ndarray:
+    """Ratios of the pairs (i[p], j[p]), output by output: -inf where the numerator's entry
+    is floored, else inf where the denominator's is; at distance zero, inf where rows differ."""
+    rho = mech.input_space.dist[i, j][:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = (logs[i] - logs[j]) / rho
+    ratio[logs[j] == -math.inf] = math.inf
+    ratio[logs[i] == -math.inf] = -math.inf
+    return np.where(rho == 0.0, np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf), ratio)
 
 
 def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Smallest epsilon the table satisfies, by exhaustive enumeration.
 
-    Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y])
-    / dist(x, z) over single output labels y, -inf where a pair constrains
-    nothing.  A pair at distance zero gives an infinite ratio at every
-    output where its rows differ and none elsewhere.  One argmax over that
-    matrix gives ``epsilon_max`` and ``witness``, the first maximum in label
-    order.  Without the per-pair matrix the audit stops after the first
-    row whose maximum is infinite.
+    Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y]) / dist(x, z)
+    over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
+    per pair over blocks of rows, divided once, and ``_pair_ratios`` for twins and
+    distances at most zero or beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max``
+    and the witness pair, whose first maximizing output ``_pair_ratios`` finds.  Without
+    the per-pair matrix the audit stops after the first block of rows holding an inf.
     """
     space = mech.input_space
-    labels = space.labels
-    n = len(labels)
-    probs = mech.probs
-    logs = _logs(probs)
-    floored = logs == -math.inf
-    # Each point is its own twin.  Twins get the placeholder distance 1.0,
-    # and the twin mask below overwrites every ratio they touch.
-    zero = space.dist == 0.0
-    np.fill_diagonal(zero, True)
-    dist = np.where(zero, 1.0, space.dist)
-
-    pair_max = np.full((n, n), -math.inf)
-    best_k = np.zeros((n, n), dtype=int)
-    # A near-zero distance overflows its quotients to inf, the exact value;
-    # an entry floored in both rows gives nan until the masks overwrite it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            # ratio[j, k] = (ln probs[i, k] - ln probs[j, k]) / dist[i, j]:
-            # inf where the denominator's entry is floored (a distance just
-            # below zero would flip it), and never binding (-inf) where the
-            # numerator's is.  Twins are inf wherever the rows differ.
-            ratio = (logs[i] - logs) / dist[i][:, None]
-            ratio[floored] = math.inf
-            ratio[:, floored[i]] = -math.inf
-            twins = zero[i]
-            ratio[twins] = np.where(probs[twins] != probs[i], math.inf, -math.inf)
-            best_k[i] = ratio.argmax(axis=1)
-            pair_max[i] = ratio[np.arange(n), best_k[i]]
-            if pair_max[i].max() == math.inf and not include_per_pair:
-                break
-    live = pair_max > -math.inf
+    logs = _logs(mech.probs)
+    logs_t = np.ascontiguousarray(logs.T)
+    pair_max = np.full(space.dist.shape, -math.inf)
+    step = max(1, _BLOCK_CELLS // logs.size)
+    for r0 in range(0, len(space), step):
+        rows = slice(r0, r0 + step)
+        # A floored numerator entry gives -inf, a denominator one inf, both nan (fmax skips
+        # it); a near-zero distance overflows the quotient to inf, the exact value.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            top = np.fmax.reduce(logs[rows, :, None] - logs_t, axis=1, initial=-math.inf)
+            pair_max[rows] = top / space.dist[rows]
+        i, j = np.nonzero((space.dist[rows] <= 0.0) | (space.dist[rows] > _BULK_MAX_DIST))
+        if i.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
+            ratio = _pair_ratios(mech, logs, i + r0, j)
+            pair_max[i + r0, j] = ratio[np.arange(i.size), ratio.argmax(axis=1)]
+        np.fill_diagonal(pair_max[rows, r0:], -math.inf)  # no point is paired with itself
+        if pair_max[rows].max() == math.inf and not include_per_pair:
+            break
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
-    witness = (labels[i], labels[j], mech.output_space.labels[best_k[i, j]]) if live[i, j] else None
-    per_pair = np.where(live, pair_max, 0.0) if include_per_pair else None
+    k = np.argmax(_pair_ratios(mech, logs, [i], [j])[0])
+    live = pair_max[i, j] > -math.inf
+    witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
+    per_pair = np.where(pair_max > -math.inf, pair_max, 0.0) if include_per_pair else None
     return PrivacyAuditReport(max(float(pair_max[i, j]), 0.0), witness, per_pair)
 
 

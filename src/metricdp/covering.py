@@ -192,6 +192,8 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
         depth = default_depth(space)
     if not (isinstance(depth, int) and depth >= 1):
         raise ValueError(f"depth must be a positive integer, got {depth}")
+    if depth > 1073:  # level 1074 would pack at radius 2^-1075, which is 0.0
+        raise ValueError(f"depth must be at most 1073 (deeper packing radii underflow to 0), got {depth}")
     if space.diameter() > 1.0 + METRIC_TOL:
         warnings.warn(
             f"space diameter {space.diameter():g} exceeds 1; level radii start "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from metricdp import (
     tabulate,
     uniform_measure,
 )
+from metricdp import audit
 
 
 def x3_mech(beta=1.0):
@@ -106,6 +108,24 @@ class TestAuditPrivacy:
             k = cod.index_of(y)
             ratio = (math.log(mech.probs[i, k]) - math.log(mech.probs[j, k]))
             assert ratio / dom.dist[i, j] == pytest.approx(rep.epsilon_max)
+
+    def test_peak_memory_is_a_few_tables(self):
+        # The audit holds the logs, their transpose, the pair matrix and one
+        # block of log differences, never an n x n x m slab or a list of
+        # n * m Python floats.
+        n = m = 300
+        rng = np.random.default_rng(11)
+        probs = rng.uniform(0.0, 1.0, size=(n, m))
+        probs[rng.random((n, m)) < 0.1] = 0.0
+        mech = MechanismTable(discrete_space(n), discrete_space(m), probs / probs.sum(axis=1, keepdims=True))
+        for include in (False, True):
+            tracemalloc.start()
+            try:
+                audit_privacy(mech, include_per_pair=include)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (5 * n * m + audit._BLOCK_CELLS) * 8, include
 
     def test_relabeling_invariance(self):
         mech, _ = x3_mech(beta=2.1)

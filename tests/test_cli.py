@@ -474,12 +474,26 @@ class TestPipeline:
         assert doc["result"]["weights"]["b"] > 0
 
     def test_build_measure_past_the_float_range(self, capsys, tmp_path):
-        # Level 1080's radius 2**-1080 underflows to 0.
+        # Level 1080's radius 2**-1080 underflows to 0; the depth is refused
+        # before any level is built.
         space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
         code, doc = run(capsys, "build-measure", "--space", space, "--L", "1080")
         assert code == 3
-        assert doc["result"] == {"error": "radius must be positive, got 0.0",
-                                 "error_kind": "ValueError"}
+        assert doc["result"] == {
+            "error": "depth must be at most 1073 (deeper packing radii underflow to 0), got 1080",
+            "error_kind": "ValueError"}
+
+    @pytest.mark.parametrize("depth, code", [(1073, 0), (1074, 3)])
+    def test_build_measure_at_the_deepest_level(self, capsys, tmp_path, depth, code):
+        # Level 1073 packs at 2**-1074, the smallest positive float; level
+        # 1074 would pack at 2**-1075, which is 0.
+        space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
+        got, doc = run(capsys, "build-measure", "--space", space, "--L", str(depth))
+        assert got == code
+        if code == 0:
+            assert doc["result"]["hierarchy"]["L"] == 1073
+        else:
+            assert doc["result"]["error"].startswith("depth must be at most 1073")
 
     def test_domain_error_writes_report_and_exits_3(self, capsys, grid5_files):
         out = str(grid5_files["dir"] / "err2.json")

@@ -10,6 +10,7 @@ from metricdp import (
     CoverLevel,
     FiniteMetricSpace,
     StructuralError,
+    covering,
     covering_measure,
     default_depth,
     discrete_space,
@@ -226,6 +227,14 @@ class TestCoveringMeasure:
             covering_measure(grid_space(3), depth=0)
         with pytest.raises(ValueError):
             covering_measure(grid_space(3), depth=2.5)
+
+    def test_depth_past_the_float_range_fails_before_building(self, monkeypatch):
+        # Level 1074 would pack at 2**-1075, which is 0.0: no level is built.
+        nets = []
+        monkeypatch.setattr(covering, "greedy_net", lambda *args: nets.append(args))
+        with pytest.raises(ValueError, match=r"depth must be at most 1073 .*, got 1074$"):
+            covering_measure(grid_space(3), depth=1074)
+        assert nets == []
 
     def test_deterministic(self):
         a, _ = covering_measure(grid_space(9))

@@ -54,6 +54,7 @@ from metricdp import (
     tabulate,
     validate_metric,
 )
+from metricdp import audit
 from metricdp.formats import dump_doc
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -310,6 +311,45 @@ class TestAuditPrivacyOracle:
         assert report.witness == ("a", "b", "x1")
         assert report.per_pair_max[0, 1] == math.inf
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["twins", "below_zero", "late_inf"])
+    def test_tables_larger_than_one_block(self, kind, seed):
+        mech = multi_block_table(seed, kind)
+        n, m = mech.probs.shape
+        assert n * n * m > audit._BLOCK_CELLS
+        assert_same_audit(mech)
+        b = audit._BLOCK_CELLS // (n * m)
+        report = audit_privacy(mech, include_per_pair=True)
+        if kind == "twins":
+            assert report.witness == (f"x{b - 1}", f"x{b}", "x0")
+            assert report.epsilon_max == math.inf
+        elif kind == "below_zero":
+            # A difference over -5e-13 outweighs every other pair's ratio.
+            assert report.witness[:2] == (f"x{b - 1}", f"x{b}")
+            assert 1e10 < report.epsilon_max < math.inf
+        else:
+            # The first block is finite; row b is infinite against row 0 at
+            # the first output.
+            assert report.witness == (f"x{b}", "x0", "x0")
+            assert report.epsilon_max == math.inf
+            assert np.isfinite(report.per_pair_max[:b]).all()
+        assert audit_privacy(mech).witness == report.witness
+
+    def test_huge_distance_keeps_the_first_zero(self):
+        # Over a distance of about 8.5e307 the log difference at the first
+        # output (about -1.1e-16) gives -0.0 and the equal entries give 0.0: the
+        # pair's maximum is the first of them, -0.0, not 0.0 / 8.5e307.  The
+        # distance stays below half the float range, so validation's sums of
+        # two distances do not overflow.
+        far = 1.9 * 2.0**1022
+        space = FiniteMetricSpace(["a", "b"], [[0.0, far], [far, 0.0]])
+        rows = [[np.nextafter(0.5, 0.0), 0.25, 0.25], [0.5, 0.25, 0.25]]
+        mech = MechanismTable(space, line_space([0.0, 1.0, 2.0]), rows)
+        assert_same_audit(mech)
+        report = audit_privacy(mech, include_per_pair=True)
+        assert bits(report.per_pair_max[0, 1]) == bits(-0.0)
+        assert report.witness == ("a", "b", "x0")
+
     @pytest.mark.parametrize("diagonal", [1e-13, -1e-13])
     def test_diagonal_within_tolerance_of_zero(self, diagonal):
         # A point is never paired with itself, whatever its diagonal entry:
@@ -320,6 +360,37 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(space, line_space([0.0, 1.0]), [[0.5, 0.5]] * 3)
         assert_same_audit(mech)
         assert audit_privacy(mech).witness == ("a", "b", "x0")
+
+
+def multi_block_table(seed, kind) -> MechanismTable:
+    """A 70-point table over 30 outputs: its privacy audit reduces 147,000
+    log differences, more than one block of rows.  Points b - 1 and b sit
+    on either side of the first block boundary.  ``kind``:
+
+    - "twins": b - 1 and b at distance 0, with different rows;
+    - "below_zero": b - 1 and b 5e-13 below 0, with different rows;
+    - "late_inf": the first three outputs floored in every row of the
+      first block only, so only later rows have an infinite maximum.
+
+    The last output is at 1e-305, below the floor, in every row."""
+    rng = np.random.default_rng(seed)
+    n, m = 70, 30
+    b = audit._BLOCK_CELLS // (n * m)  # first row of the second block
+    assert 0 < b < n
+    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    if kind != "late_inf":
+        pts[b] = pts[b - 1]
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    if kind == "below_zero":
+        dist[b - 1, b] = dist[b, b - 1] = -5e-13
+    probs = rng.uniform(0.1, 1.0, size=(n, m))
+    probs[:, -1] = 0.0
+    if kind == "late_inf":
+        probs[:b, :3] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[:, -1] = 1e-305
+    space = FiniteMetricSpace([f"x{i}" for i in range(n)], dist)
+    return MechanismTable(space, line_space(np.arange(m)), probs)
 
 
 def lower_bound_case(rng):
