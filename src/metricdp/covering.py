@@ -24,6 +24,9 @@ from .errors import StructuralError
 from .measures import DiscreteMeasure
 from .spaces import METRIC_TOL, FiniteMetricSpace
 
+# Level i packs at 2^-(i+1); past this depth that radius underflows to 0.
+_MAX_DEPTH = 1073
+
 
 def max_packing(space: FiniteMetricSpace, radius) -> list:
     """Greedy maximal set of points whose closed ``radius``-balls are
@@ -69,8 +72,8 @@ def greedy_net(space: FiniteMetricSpace, radius) -> list:
     maximality argument and would indicate a bug, hence AssertionError
     rather than a domain error.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
+        raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
     centers = max_packing(space, radius / 2.0)
     missing = _uncovered(space, centers, radius)
     assert not missing, f"net at radius {radius} failed to cover {missing}"
@@ -103,7 +106,7 @@ class CoverHierarchy:
         if not levels:
             raise StructuralError("a hierarchy needs at least one level")
         for depth, level in enumerate(levels, start=1):
-            expected = 2.0 ** (-depth)
+            expected = math.ldexp(1.0, -depth)
             if abs(level.radius - expected) > METRIC_TOL:
                 raise StructuralError(
                     f"level {depth} radius {level.radius} is not 2^-{depth}"
@@ -168,12 +171,12 @@ def positivity_lower_bound(hier: CoverHierarchy, radius) -> PositivityBound:
 
 
 def default_depth(space: FiniteMetricSpace) -> int:
-    """Depth beyond which further levels are redundant: once 2^-L drops
-    to the smallest positive distance, every level nets all points."""
+    """The level of the smallest positive distance, past which every level
+    nets all points, capped at the deepest level that can be built."""
     d = space.min_positive_distance()
     if d <= 0.0:
         return 1
-    return level_for_radius(d)
+    return min(level_for_radius(d), _MAX_DEPTH)
 
 
 def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
@@ -186,14 +189,15 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
 
     Returns (measure, hierarchy).  ``depth=None`` uses
     :func:`default_depth`, which is deep enough that the last level nets
-    every point, making the measure full-support.
+    every point, making the measure full-support, except at its cap of
+    1073, whose level packs at 2^-1074: points 2^-1074 apart share a center.
     """
     if depth is None:
         depth = default_depth(space)
     if not (isinstance(depth, int) and depth >= 1):
         raise ValueError(f"depth must be a positive integer, got {depth}")
-    if depth > 1073:  # level 1074 would pack at radius 2^-1075, which is 0.0
-        raise ValueError(f"depth must be at most 1073 (deeper packing radii underflow to 0), got {depth}")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be at most {_MAX_DEPTH} (deeper packing radii underflow to 0), got {depth}")
     if space.diameter() > 1.0 + METRIC_TOL:
         warnings.warn(
             f"space diameter {space.diameter():g} exceeds 1; level radii start "
@@ -203,12 +207,10 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     weights = np.zeros(len(space))
     levels = []
     for i in range(1, depth + 1):
-        radius = 2.0 ** (-i)
+        radius = math.ldexp(1.0, -i)
         centers = greedy_net(space, radius)
         levels.append(CoverLevel(radius, tuple(centers)))
-        w = math.ldexp(1.0, -i) / len(centers)
-        for c in centers:
-            weights[space.index_of(c)] += w
+        weights[[space.index_of(c) for c in centers]] += radius / len(centers)
     measure = DiscreteMeasure(space, weights)
     hier = CoverHierarchy(space, levels)
     return measure, hier

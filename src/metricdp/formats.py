@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .covering import CoverHierarchy
-from .errors import SchemaError, StructuralError
+from .errors import SchemaError, StructuralError, UnknownLabelError
 from .measures import DiscreteMeasure
 from .mechanisms import MechanismTable
 from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
@@ -49,24 +49,6 @@ def decode_value(v) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
-
-
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and infinities to plain
-    JSON-serializable Python values."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return encode_value(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def load_doc(source) -> dict:
@@ -103,11 +85,22 @@ def _encoder(depth: int) -> json.JSONEncoder:
                             sort_keys=True, allow_nan=False)
 
 
+def _scalar(v):
+    """``v`` as the encoder takes it: a numpy scalar as a Python one, an
+    infinity as its string; a NaN is left for the encoder to refuse."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and math.isinf(v):
+        return encode_value(v)
+    return v
+
+
 def _write(obj, depth: int, out: list) -> None:
     """Append the ``indent=2`` text of ``obj``, nested ``depth`` deep, to
     ``out``.  A scalar, or a container holding only scalars, takes one
     encoder call; infinities and numpy scalars make that call raise and
-    are encoded again through ``jsonable``, where a NaN still raises."""
+    are encoded again through ``_scalar``, where a NaN still raises.  The
+    byte reference is ``tests/conftest.py::dump_doc_reference``."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, dict):
@@ -122,7 +115,11 @@ def _write(obj, depth: int, out: list) -> None:
         try:
             text = encoder.encode(obj)
         except (TypeError, ValueError):
-            text = encoder.encode(jsonable(obj))
+            if isinstance(obj, dict):
+                obj = {k: _scalar(v) for k, v in obj.items()}
+            else:
+                obj = list(map(_scalar, obj)) if isinstance(obj, (list, tuple)) else _scalar(obj)
+            text = encoder.encode(obj)
         # Scalars and empty containers stay on one line.
         out.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if items else text)
         return
@@ -143,9 +140,9 @@ def _write(obj, depth: int, out: list) -> None:
 def dump_doc(doc: dict) -> str:
     """Canonical serialization: sorted keys, two-space indent, one scalar
     per line, ASCII escapes, infinities as ``"infinity"`` strings and a
-    trailing newline.  The bytes are those of ``json.dumps(jsonable(doc),
-    indent=2, sort_keys=True, allow_nan=False)``, written through json's C
-    encoder one container of scalars at a time.  A NaN raises ValueError
+    trailing newline, written through json's C encoder one container of
+    scalars at a time.  The byte reference is ``json.dumps(..., indent=2)``
+    in ``tests/conftest.py::dump_doc_reference``.  A NaN raises ValueError
     instead of producing invalid JSON."""
     out = []
     _write(doc, 0, out)
@@ -240,9 +237,9 @@ def _labels_space(labels: list) -> FiniteMetricSpace:
 
 
 def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:
-    """Load a measure.  The document's own ``space`` wins; ``space`` is
-    used only for a document that names none (the CLI passes a map's
-    codomain), and with neither the document is rejected."""
+    """Load a measure.  The document's own ``space`` wins; ``space`` is used
+    only for a document that names none (the CLI passes a map's codomain),
+    and with neither it is rejected.  Labels ``weights`` omits weigh 0."""
     doc = load_doc(source)
     if "space" not in doc and space is None:
         raise SchemaError("measure document names no space and none is implied")
@@ -251,7 +248,11 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
         raise SchemaError("measure weights must be an object mapping label to number")
     if "space" in doc:
         space = space_from_doc(doc["space"], space)
-    return DiscreteMeasure(space, {k: decode_value(v) for k, v in weights.items()})
+    weights = {k: decode_value(v) for k, v in weights.items()}
+    unknown = set(weights) - set(space.labels)
+    if unknown:
+        raise UnknownLabelError(f"weights name labels outside the space: {sorted(map(repr, unknown))}")
+    return DiscreteMeasure(space, [weights.get(lab, 0.0) for lab in space.labels])
 
 
 def measure_to_doc(measure: DiscreteMeasure) -> dict:

@@ -2,45 +2,35 @@
 
 Weights are raw nonnegative reals, not forced to sum to 1: the exponential
 mechanism self-normalizes, so only proportions matter there, and the
-calibration path divides by ``total_mass`` itself.  Zero-weight points are
-legal; they simply make the positivity modulus 0 at small radii, which
-downstream calibration reports as an error instead of silently producing
-an infinite temperature.
+calibration path divides by ``total_mass`` itself.  Weights are a vector
+in label order; label-keyed weights belong to the file format
+(``formats.measure_from_doc``).  Zero-weight points are legal; they simply
+make the positivity modulus 0 at small radii, which downstream calibration
+reports as an error instead of silently producing an infinite temperature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructuralError, UnknownLabelError
+from .errors import StructuralError
 from .spaces import FiniteMetricSpace
 
 
 class DiscreteMeasure:
-    """Nonnegative weights on the points of a finite metric space.
-
-    Immutable after construction.  ``total_mass`` is cached at build time.
-    """
+    """Nonnegative weights on the points of a finite metric space, a vector
+    in label order.  Immutable; ``total_mass`` is cached at build time."""
 
     __slots__ = ("space", "values", "total_mass")
 
     def __init__(self, space: FiniteMetricSpace, weights):
         self.space = space
-        if isinstance(weights, dict):
-            unknown = set(weights) - set(space.labels)
-            if unknown:
-                raise UnknownLabelError(
-                    f"weights name labels outside the space: {sorted(map(repr, unknown))}"
-                )
-            vals = np.array([float(weights.get(lab, 0.0)) for lab in space.labels])
-        else:
-            vals = np.asarray(weights, dtype=float)
-            if vals.shape != (len(space),):
-                raise StructuralError(
-                    f"weight vector length {vals.shape} does not match "
-                    f"{len(space)} points"
-                )
-            vals = vals.copy()
+        vals = np.array(weights, dtype=float)
+        if vals.shape != (len(space),):
+            raise StructuralError(
+                f"weight vector length {vals.shape} does not match "
+                f"{len(space)} points"
+            )
         if not np.isfinite(vals).all():
             raise StructuralError("weights must be finite")
         if (vals < 0).any():

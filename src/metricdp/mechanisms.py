@@ -65,7 +65,7 @@ def distribution(params: ExpMechParams, x) -> np.ndarray:
     exponentiating, so calibrated betas (which grow like log(1/delta))
     cannot underflow the normalizer.
     """
-    return _rows(params, [params.query.image_index(x)])[0]
+    return _rows(params, params.query.images[[params.input_space.index_of(x)]])[0]
 
 
 def _rows(params: ExpMechParams, images) -> np.ndarray:

@@ -84,21 +84,23 @@ def validate_metric(dist) -> MetricValidationReport:
     # One (k, j) slab per point i: bad[k, j] means dist[i][k] exceeds the
     # path through j, summed in the same order as the scalar expression.
     mat_t = np.ascontiguousarray(mat.T)
-    for i in range(n):
-        bad = mat[i][:, None] > (mat[i][None, :] + mat_t) + METRIC_TOL
-        bad &= off_diag
-        bad[i, :] = False
-        bad[:, i] = False
-        if not bad.any():
-            continue
-        violations += [
-            AxiomViolation(
-                "triangle",
-                (i, k, j),
-                f"dist[{i}][{k}] = {mat[i, k]} > {mat[i, j]} + {mat[j, k]} via {j}",
-            )
-            for k, j in np.argwhere(bad).tolist()
-        ]
+    # An overflowed sum is +inf, which no finite distance exceeds: exact.
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            bad = mat[i][:, None] > (mat[i][None, :] + mat_t) + METRIC_TOL
+            bad &= off_diag
+            bad[i, :] = False
+            bad[:, i] = False
+            if not bad.any():
+                continue
+            violations += [
+                AxiomViolation(
+                    "triangle",
+                    (i, k, j),
+                    f"dist[{i}][{k}] = {mat[i, k]} > {mat[i, j]} + {mat[j, k]} via {j}",
+                )
+                for k, j in np.argwhere(bad).tolist()
+            ]
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -285,10 +287,6 @@ class LipschitzMap:
         if x not in self.table:
             raise UnknownLabelError(f"unknown label {x!r}")
         return self.table[x]
-
-    def image_index(self, x) -> int:
-        """Codomain index of f(x)."""
-        return self.codomain.index_of(self(x))
 
     def __repr__(self):
         return (f"LipschitzMap({len(self.domain)} -> {len(self.codomain)} points, "

@@ -15,13 +15,20 @@ library computes the same results with numpy slabs or shared helpers;
 ``level_for_radius_loop`` is a brute-force search for the same level
 that ``level_for_radius`` computes from the binary exponent.
 ``dump_doc_reference`` is the original report writer, json's ``indent=2``
-encoder, whose bytes ``dump_doc`` must reproduce.
+encoder over the ``jsonable`` walk, whose bytes ``dump_doc`` must
+reproduce.
 
 ``subset_epsilon`` and ``check_em_inequalities`` enumerate every output
 subset through one ``subset_sums`` to re-check the mediant reduction that
 lets ``audit_privacy`` look at single outputs only.
+
+``randomized_response`` and ``truncated_geometric`` are classical
+mechanisms whose exact epsilon is known in closed form, so the audits can
+be checked against numbers the library never computes.
 """
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +49,7 @@ from metricdp import (
 )
 from metricdp import spaces
 from metricdp.audit import PROB_FLOOR
-from metricdp.formats import jsonable
+from metricdp.formats import encode_value
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 
 
@@ -99,6 +106,40 @@ def random_map(rng, domain: FiniteMetricSpace, codomain: FiniteMetricSpace) -> L
 
 def random_measure(rng, space: FiniteMetricSpace, low: float = 0.1, high: float = 2.0) -> DiscreteMeasure:
     return DiscreteMeasure(space, rng.uniform(low, high, size=len(space)))
+
+
+@functools.lru_cache(maxsize=None)
+def hamming_cube(k: int) -> FiniteMetricSpace:
+    """{0,1}^k under Hamming distance, labels the bit strings in binary
+    order."""
+    bits = np.array(list(itertools.product((0, 1), repeat=k)))
+    dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+    return FiniteMetricSpace(["".join(map(str, b)) for b in bits], dist)
+
+
+def path_space(n: int) -> FiniteMetricSpace:
+    """The integers 0..n under absolute difference."""
+    points = np.arange(n + 1)
+    return FiniteMetricSpace([str(i) for i in points], np.abs(points[:, None] - points[None, :]))
+
+
+def randomized_response(k: int, p: float) -> MechanismTable:
+    """Randomized response on {0,1}^k: each bit flips independently with
+    probability p, so y at Hamming distance d from x gets p^d (1-p)^(k-d).
+    Its exact epsilon is ln((1-p)/p) for p < 1/2."""
+    cube = hamming_cube(k)
+    return MechanismTable(cube, cube, p ** cube.dist * (1.0 - p) ** (k - cube.dist))
+
+
+def truncated_geometric(n: int, alpha: float) -> MechanismTable:
+    """The range-restricted geometric mechanism on 0..n (Ghosh, Roughgarden
+    and Sundararajan, 2009): the two-sided geometric noise of ratio alpha,
+    with the mass past either end moved onto that end.  Its exact epsilon
+    is ln(1/alpha)."""
+    path = path_space(n)
+    probs = (1.0 - alpha) / (1.0 + alpha) * alpha ** path.dist
+    probs[:, [0, -1]] = alpha ** path.dist[:, [0, -1]] / (1.0 + alpha)
+    return MechanismTable(path, path, probs)
 
 
 def subset_sums(values) -> np.ndarray:
@@ -170,8 +211,8 @@ def check_em_inequalities(params, x, z) -> EMInequalityReport:
     Exponential in the output size; callers keep |Y| small.
     """
     out = params.output_space
-    xi = params.query.image_index(x)
-    zi = params.query.image_index(z)
+    xi = out.index_of(params.query(x))
+    zi = out.index_of(params.query(z))
     rho = float(params.input_space.dist[params.input_space.index_of(x),
                                         params.input_space.index_of(z)])
     w_x = params.base.values * np.exp(-params.beta * out.dist[xi])
@@ -277,7 +318,7 @@ def distribution_loop(params, x) -> np.ndarray:
     """Oracle for ``distribution``: one input's row on its own, shifted
     by the largest exponent over the base's support.  Only supported
     points are weighed; the rest keep weight 0."""
-    xi = params.query.image_index(x)
+    xi = params.output_space.index_of(params.query(x))
     exponents = -params.beta * params.output_space.dist[xi]
     support = params.base.values > 0
     shift = exponents[support].max()
@@ -314,7 +355,7 @@ def propose_centers_loop(query, radius) -> list:
     covered = np.zeros(len(out), dtype=bool)
     chosen = []
     for x in query.domain.labels:
-        ball = out.ball_mask(query.image_index(x), radius)
+        ball = out.ball_mask(out.index_of(query(x)), radius)
         if not (ball & covered).any():
             chosen.append(x)
             covered |= ball
@@ -389,7 +430,7 @@ def impossibility_lower_bound_loop(mech, query, centers, radius,
         raise StructuralError("query domain does not match the table's input space")
     out = mech.output_space
     space = mech.input_space
-    balls = [out.ball_mask(query.image_index(c), radius) for c in centers]
+    balls = [out.ball_mask(out.index_of(query(c)), radius) for c in centers]
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):
             if (balls[a] & balls[b]).any():
@@ -423,6 +464,24 @@ def impossibility_lower_bound_loop(mech, query, centers, radius,
             best = value
             best_i = i
     return ImpossibilityReport(best, best_i, mass_self, mass_ref)
+
+
+def jsonable(obj):
+    """Recursively convert numpy scalars/arrays and infinities to plain
+    JSON-serializable Python values."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return encode_value(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
 
 
 def dump_doc_reference(doc) -> str:

@@ -3,13 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     check_em_inequalities,
+    hamming_cube,
     random_map,
     random_measure,
     random_space,
+    randomized_response,
     subset_epsilon,
+    truncated_geometric,
 )
 from metricdp import (
     DiscreteMeasure,
@@ -31,6 +36,34 @@ from metricdp import (
     uniform_measure,
 )
 from metricdp import audit
+
+
+KNOWN_ANSWER = settings(max_examples=40, deadline=None)
+
+
+class TestKnownAnswers:
+    """Closed forms from outside the library: the exact epsilon of
+    randomized response and of the truncated geometric mechanism, and
+    the binomial tail as randomized response's utility."""
+
+    @KNOWN_ANSWER
+    @given(st.sampled_from([3, 6, 8]), st.floats(0.01, 0.49))
+    def test_randomized_response_epsilon(self, k, p):
+        report = audit_privacy(randomized_response(k, p))
+        assert report.epsilon_max == pytest.approx(math.log((1.0 - p) / p), rel=1e-12)
+
+    @KNOWN_ANSWER
+    @given(st.integers(1, 40), st.floats(0.05, 0.95))
+    def test_truncated_geometric_epsilon(self, n, alpha):
+        report = audit_privacy(truncated_geometric(n, alpha))
+        assert report.epsilon_max == pytest.approx(math.log(1.0 / alpha), rel=1e-12)
+
+    @KNOWN_ANSWER
+    @given(st.sampled_from([3, 6, 8]), st.floats(0.01, 0.49), st.integers(0, 8))
+    def test_randomized_response_utility_is_the_binomial_tail(self, k, p, r):
+        tail = sum(math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(min(r, k) + 1))
+        report = audit_utility(randomized_response(k, p), identity_map(hamming_cube(k)), r)
+        assert report.per_input_mass == pytest.approx(np.full(2**k, tail), rel=1e-12)
 
 
 def x3_mech(beta=1.0):

@@ -473,6 +473,27 @@ class TestPipeline:
         assert doc["result"]["hierarchy"]["L"] == 1030
         assert doc["result"]["weights"]["b"] > 0
 
+    def test_build_measure_on_the_smallest_distance(self, capsys, tmp_path):
+        # The default depth stops at the deepest level that can be built,
+        # which packs at 5e-324 and so keeps one of the two points.
+        space = write(tmp_path, "s.json",
+                      {"labels": ["a", "b"], "dist": [[0, 5e-324], [5e-324, 0]]})
+        code, doc = run(capsys, "build-measure", "--space", space)
+        assert code == 0
+        assert doc["result"]["hierarchy"]["L"] == 1073
+        assert doc["result"]["weights"]["b"] == 0.0
+
+    @pytest.mark.parametrize("radius, code", [("5e-324", 3), ("1e-323", 0)])
+    def test_net_at_the_smallest_radii(self, capsys, tmp_path, radius, code):
+        # A net at r packs at r/2; 1e-323 is 2**-1073, whose half is 5e-324.
+        space = write(tmp_path, "s.json", {"kind": "grid", "n": 3})
+        got, doc = run(capsys, "net", "--space", space, "--r", radius)
+        assert got == code
+        if code == 0:
+            assert doc["result"]["centers"] == ["0", "0.5", "1"]
+        else:
+            assert doc["result"]["error"] == "radius must be at least 2^-1073, got 5e-324"
+
     def test_build_measure_past_the_float_range(self, capsys, tmp_path):
         # Level 1080's radius 2**-1080 underflows to 0; the depth is refused
         # before any level is built.
@@ -654,6 +675,37 @@ class TestMalformedNumbers:
         mech = write(tmp_path, "mech.json", {"inputs": ["0", "1"], "outputs": ["0", "1"],
                                               "rows": {"0": row, "1": [0.5, 0.5]}})
         assert run(capsys, "audit-privacy", "--mech", mech, "--space", space) == (2, None)
+
+
+GRID5 = ["0", "0.25", "0.5", "0.75", "1"]
+
+
+class TestMalformedDocuments:
+    """A document of the wrong shape is a schema error: exit 2, the reason
+    on stderr, and no report.  ``bad.json`` is the malformed document;
+    ``space`` and ``map`` name the fixture's grid-5 files."""
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"command": "net", "result": [1]},
+         ["validate", "--space", "bad.json"], "non-object result"),
+        ({"space": {"kind": "grid", "n": 5}, "weights": [1] * 5},
+         ["tradeoff", "--measure", "bad.json", "--gamma", "0.5", "--delta", "0.1"],
+         "weights must be an object"),
+        ({"inputs": GRID5, "outputs": ["0"], "rows": [[1]] * 5},
+         ["audit-privacy", "--mech", "bad.json", "--space", "space"], "rows must be an object"),
+        ({"inputs": GRID5, "outputs": ["a"], "rows": {x: [1] for x in GRID5}},
+         ["audit-utility", "--mech", "bad.json", "--map", "map", "--gamma", "0.5"],
+         "outputs do not match"),
+        ({"inputs": GRID5, "outputs": ["a", "b", "c"], "rows": {x: [0.5, 0.5] for x in GRID5}},
+         ["audit-privacy", "--mech", "bad.json", "--space", "space"],
+         "one probability per output label"),
+    ])
+    def test_exits_2(self, capsys, grid5_files, doc, argv, message):
+        files = dict(grid5_files, **{"bad.json": write(grid5_files["dir"], "bad.json", doc)})
+        code = main([files.get(arg, arg) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):

@@ -84,6 +84,12 @@ class TestGreedyNet:
         with pytest.raises(ValueError):
             greedy_net(grid_space(3), -1.0)
 
+    def test_radius_whose_half_underflows(self):
+        # The error names the radius given, not its half, which is 0.0.
+        with pytest.raises(ValueError, match=r"at least 2\^-1073, got 5e-324$"):
+            greedy_net(grid_space(3), 5e-324)
+        assert greedy_net(grid_space(3), 2.0**-1073) == ["0", "0.5", "1"]
+
 
 class TestHierarchy:
     def test_level_size(self):
@@ -103,6 +109,10 @@ class TestHierarchy:
     def test_empty_levels_rejected(self):
         with pytest.raises(StructuralError):
             CoverHierarchy(grid_space(3), [])
+
+    def test_level_without_centers_rejected(self):
+        with pytest.raises(StructuralError, match="level 1 has no centers"):
+            CoverHierarchy(grid_space(3), [CoverLevel(0.5, ())])
 
     def test_depth(self):
         _, hier = covering_measure(grid_space(5))
@@ -185,6 +195,14 @@ class TestDefaultDepth:
     def test_discrete_and_singleton(self):
         assert default_depth(discrete_space(6)) == 1
         assert default_depth(grid_space(1)) == 1
+
+    def test_capped_at_the_deepest_buildable_level(self):
+        # 5e-324 is 2**-1074, whose level is 1074; level 1073 is the last
+        # whose packing radius is positive.
+        s = FiniteMetricSpace(["a", "b"], [[0.0, 5e-324], [5e-324, 0.0]])
+        assert default_depth(s) == 1073
+        _, hier = covering_measure(s)
+        assert hier.depth == 1073
 
 
 class TestCoveringMeasure:

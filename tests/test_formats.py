@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import jsonable
 from metricdp import (
     CoverHierarchy,
     CoverLevel,
@@ -41,7 +42,7 @@ class TestValues:
             formats.decode_value(True)
 
     def test_jsonable_handles_numpy(self):
-        doc = formats.jsonable({
+        doc = jsonable({
             "a": np.float64(0.5),
             "b": np.array([1.0, math.inf]),
             "c": (np.int64(3), np.bool_(True)),
@@ -92,6 +93,11 @@ class TestLoadDoc:
     def test_envelope_unwrapping(self):
         doc = {"command": "net", "version": "0", "params": {}, "result": {"k": 9}}
         assert formats.load_doc(doc) == {"k": 9}
+
+    def test_envelope_with_non_object_result(self):
+        doc = {"command": "net", "version": "0", "params": {}, "result": [9]}
+        with pytest.raises(SchemaError, match="non-object result"):
+            formats.load_doc(doc)
 
     def test_write_doc_round_trip(self, tmp_path):
         path = tmp_path / "out.json"
@@ -178,9 +184,14 @@ class TestMeasureDocs:
         with pytest.raises(SchemaError):
             formats.measure_from_doc({"space": {"kind": "grid", "n": 3}})
 
+    def test_weights_must_be_an_object(self):
+        doc = {"space": {"kind": "grid", "n": 3}, "weights": [1.0, 1.0, 1.0]}
+        with pytest.raises(SchemaError, match="weights must be an object"):
+            formats.measure_from_doc(doc)
+
     def test_unknown_weight_label_is_domain_error(self):
         doc = {"space": {"kind": "grid", "n": 3}, "weights": {"9": 1.0}}
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(UnknownLabelError, match=r"outside the space: \[\"'9'\"\]$"):
             formats.measure_from_doc(doc)
 
 
@@ -292,6 +303,23 @@ class TestTableDocs:
         doc = formats.table_to_doc(self.make_mech())
         with pytest.raises(SchemaError, match="labels"):
             formats.table_from_doc(doc, input_space=discrete_space(3))
+
+    def test_output_space_label_mismatch(self):
+        doc = formats.table_to_doc(self.make_mech())
+        with pytest.raises(SchemaError, match="outputs do not match"):
+            formats.table_from_doc(doc, output_space=discrete_space(3))
+
+    def test_rows_must_be_an_object(self):
+        doc = formats.table_to_doc(self.make_mech())
+        doc["rows"] = list(doc["rows"].values())
+        with pytest.raises(SchemaError, match="rows must be an object"):
+            formats.table_from_doc(doc)
+
+    def test_rows_of_the_wrong_width(self):
+        doc = {"inputs": ["0", "1"], "outputs": ["0", "1", "2"],
+               "rows": {"0": [0.5, 0.5], "1": [0.5, 0.5]}}
+        with pytest.raises(SchemaError, match="one probability per output label"):
+            formats.table_from_doc(doc)
 
     def test_missing_row(self):
         doc = formats.table_to_doc(self.make_mech())

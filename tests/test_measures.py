@@ -6,7 +6,6 @@ from metricdp import (
     DegenerateMeasureError,
     DiscreteMeasure,
     StructuralError,
-    UnknownLabelError,
     discrete_space,
     grid_space,
     tradeoff_upper_bound,
@@ -15,21 +14,6 @@ from metricdp import (
 
 
 class TestConstruction:
-    def test_dict_and_array_agree(self):
-        s = grid_space(3)
-        a = DiscreteMeasure(s, {"0": 1.0, "0.5": 2.0, "1": 3.0})
-        b = DiscreteMeasure(s, [1.0, 2.0, 3.0])
-        assert np.array_equal(a.values, b.values)
-
-    def test_omitted_labels_default_to_zero(self):
-        m = DiscreteMeasure(grid_space(3), {"0.5": 4.0})
-        assert m.values.tolist() == [0.0, 4.0, 0.0]
-        assert m.total_mass == 4.0
-
-    def test_unknown_label_in_dict(self):
-        with pytest.raises(UnknownLabelError):
-            DiscreteMeasure(grid_space(3), {"2": 1.0})
-
     def test_negative_weight_rejected(self):
         with pytest.raises(StructuralError, match="'0.5'"):
             DiscreteMeasure(grid_space(3), [1.0, -0.1, 1.0])
@@ -46,12 +30,6 @@ class TestConstruction:
         m = uniform_measure(grid_space(3))
         with pytest.raises(ValueError):
             m.values[0] = 5.0
-
-    def test_as_dict_round_trip(self):
-        s = grid_space(4)
-        m = DiscreteMeasure(s, [0.0, 1.0, 2.0, 0.5])
-        again = DiscreteMeasure(s, m.as_dict())
-        assert np.array_equal(m.values, again.values)
 
 
 class TestModulus:

@@ -134,6 +134,12 @@ class TestMechanismTable:
         with pytest.raises(StructuralError):
             MechanismTable(s, s, [[1.1, -0.1], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_entry(self, entry):
+        s = grid_space(2)
+        with pytest.raises(StructuralError, match="finite"):
+            MechanismTable(s, s, [[entry, 0.0], [0.5, 0.5]])
+
     def test_shape_mismatch(self):
         with pytest.raises(StructuralError):
             MechanismTable(grid_space(2), grid_space(3), [[0.5, 0.5], [0.5, 0.5]])

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -121,7 +121,8 @@ def assert_same_audit(mech):
 
 def assert_same_validation(mat):
     got = validate_metric(mat)
-    want = validate_metric_loop(mat)
+    with np.errstate(over="ignore"):
+        want = validate_metric_loop(mat)
     assert got == want
     for v in got.violations:
         assert all(type(i) is int for i in v.witness)
@@ -132,6 +133,17 @@ def line_space(coords) -> FiniteMetricSpace:
     coords = np.asarray(coords, dtype=float)
     labels = [f"x{i}" for i in range(len(coords))]
     return FiniteMetricSpace(labels, np.abs(coords[:, None] - coords[None, :]))
+
+
+def far_apart(h, violating):
+    """Points at mutual distance ``h``, so that path sums pass the float
+    maximum.  ``violating`` adds a fourth point and puts points 0 and 3
+    at distance 1 from point 1, which breaks the triangle 0-1-3."""
+    if not violating:
+        return h * (1.0 - np.eye(3))
+    mat = h * (1.0 - np.eye(4))
+    mat[0, 1] = mat[1, 0] = mat[1, 3] = mat[3, 1] = 1.0
+    return mat
 
 
 @st.composite
@@ -167,6 +179,10 @@ def audit_cases(draw):
 class TestValidateMetricOracle:
     @PROPERTY
     @given(square_matrices())
+    @example(far_apart(2.0**1023, violating=False))
+    @example(far_apart(2.0**1023, violating=True))
+    @example(far_apart(1.7e308, violating=False))
+    @example(far_apart(1.7e308, violating=True))
     def test_hand_made_matrices(self, mat):
         assert_same_validation(mat)
 

@@ -97,6 +97,12 @@ class TestFiniteMetricSpace:
         with pytest.raises(StructuralError):
             FiniteMetricSpace([], [])
 
+    def test_never_equal_to_other_types(self):
+        s = grid_space(2)
+        assert s.__eq__(s.dist) is NotImplemented
+        assert s != s.dist.tolist()
+        assert s != "grid"
+
     def test_label_matrix_size_mismatch(self):
         with pytest.raises(StructuralError):
             FiniteMetricSpace(["a", "b", "c"], [[0, 1], [1, 0]])
@@ -179,6 +185,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             grid_space(0)
 
+    def test_discrete_size_validation(self):
+        with pytest.raises(ValueError, match="discrete size"):
+            discrete_space(0)
+
     def test_discrete_distances(self):
         s = discrete_space(4)
         assert s.labels == ["0", "1", "2", "3"]
@@ -236,7 +246,7 @@ class TestLipschitzMap:
     def test_call_and_image_index(self):
         f = identity_map(grid_space(3))
         assert f("0.5") == "0.5"
-        assert f.image_index("1") == 2
+        assert f.images[f.domain.index_of("1")] == 2
         assert f.constant == 1.0
 
     def test_unknown_input(self):
@@ -252,7 +262,7 @@ class TestLipschitzMap:
         dom, cod = grid_space(4), grid_space(3)
         f = LipschitzMap(dom, cod, {"0": "0", "0.333333": "0.5", "0.666667": "0.5", "1": "1"})
         assert f.images.dtype == np.intp
-        assert f.images.tolist() == [f.image_index(x) for x in dom.labels] == [0, 1, 1, 2]
+        assert f.images.tolist() == [cod.index_of(f(x)) for x in dom.labels] == [0, 1, 1, 2]
         with pytest.raises(ValueError):
             f.images[0] = 2
 
