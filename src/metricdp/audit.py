@@ -1,14 +1,15 @@
 """Exact privacy, utility, and impossibility audits of mechanism tables.
 
 Everything here works on the finite table itself, so the reported numbers
-are exact maxima/minima, not statistical estimates.  The privacy audit
-only needs singleton output sets: for nonnegative vectors the ratio of
-set sums never exceeds the largest entrywise ratio (mediant inequality),
-so the singleton maximum already dominates every output set.  Division
-by a positive distance is monotone, so each input pair's maximum is one
-max-plus reduction of log differences divided once, over blocks of rows
-that stop at the first infinite maximum; the pairs it cannot take go
-output by output through ``_pair_ratios``.
+are exact maxima/minima, not statistical estimates.  A probability is zero
+only when it is 0.0; any positive entry, however small, keeps its finite
+log.  The privacy audit only needs singleton output sets: for nonnegative
+vectors the ratio of set sums never exceeds the largest entrywise ratio
+(mediant inequality), so the singleton maximum already dominates every
+output set.  Division by a positive distance is monotone, so each input
+pair's maximum is one max-plus reduction of log differences divided once,
+over blocks of rows that stop at the first infinite maximum; the pairs it
+cannot take go output by output through ``_pair_ratios``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
 from .mechanisms import MechanismTable
 from .spaces import LipschitzMap
-
-# Probabilities at or below this are treated as exact zeros in log-ratio
-# audits; a set both rows give zero mass imposes no constraint at all.
-PROB_FLOOR = 1e-300
 
 # Log differences reduced at a time (1 MB, or one row of pairs if larger); a nonzero
 # one is at least 2**-106, so over at most _BULK_MAX_DIST it does not round to zero.
@@ -70,18 +67,19 @@ class UtilityAuditReport:
 
 def _logs(probs) -> np.ndarray:
     """Entrywise math.log (np.log can differ by an ulp, and the audits must
-    be reproducible to the bit), with -inf at or below PROB_FLOOR, by rows."""
+    be reproducible to the bit), by rows: -inf exactly at 0.0, and a
+    subnormal entry keeps its finite log."""
     probs = np.asarray(probs, dtype=float)
-    floored = probs <= PROB_FLOOR
-    safe = np.atleast_2d(np.where(floored, 1.0, probs))
+    zero = probs == 0.0
+    safe = np.atleast_2d(np.where(zero, 1.0, probs))
     logs = np.fromiter(chain.from_iterable(map(math.log, row.tolist()) for row in safe), float, safe.size)
-    logs[floored.ravel()] = -math.inf
+    logs[zero.ravel()] = -math.inf
     return logs.reshape(probs.shape)
 
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:
     """Ratios of the pairs (i[p], j[p]), output by output: -inf where the numerator's entry
-    is floored, else inf where the denominator's is; at distance zero, inf where rows differ."""
+    is 0.0, else inf where the denominator's is; at distance zero, inf where rows differ."""
     rho = mech.input_space.dist[i, j][:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = (logs[i] - logs[j]) / rho
@@ -107,8 +105,8 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     step = max(1, _BLOCK_CELLS // logs.size)
     for r0 in range(0, len(space), step):
         rows = slice(r0, r0 + step)
-        # A floored numerator entry gives -inf, a denominator one inf, both nan (fmax skips
-        # it); a near-zero distance overflows the quotient to inf, the exact value.
+        # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
+        # skips it); a near-zero distance overflows the quotient to inf, the exact value.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             top = np.fmax.reduce(logs[rows, :, None] - logs_t, axis=1, initial=-math.inf)
             pair_max[rows] = top / space.dist[rows]
@@ -137,7 +135,7 @@ def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
 
 def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAuditReport:
     """Per-input mass inside the closed gamma-ball around the true image."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
     inside = mech.output_space.dist[query.images] <= gamma

@@ -230,12 +230,6 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
     return {"labels": list(space.labels), "dist": space.dist.tolist()}
 
 
-def _labels_space(labels: list) -> FiniteMetricSpace:
-    """Placeholder space over ``labels``: the discrete metric, unvalidated,
-    for a side of a table whose distances the caller never reads."""
-    return FiniteMetricSpace(labels, discrete_space(len(labels)).dist, _trusted=True)
-
-
 def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:
     """Load a measure.  The document's own ``space`` wins; ``space`` is used
     only for a document that names none (the CLI passes a map's codomain),
@@ -274,14 +268,14 @@ def map_from_doc(source) -> LipschitzMap:
 
 def table_from_doc(
     source,
-    input_space: FiniteMetricSpace | None = None,
+    input_space: FiniteMetricSpace,
     output_space: FiniteMetricSpace | None = None,
 ) -> MechanismTable:
-    """Load a mechanism table.  The file stores only label lists; callers
-    that need real geometry (privacy audits need input distances, utility
-    audits output distances) pass the spaces, which must list the same
-    labels in the same order.  Omitted spaces default to all-ones
-    placeholders over the file's labels."""
+    """Load a mechanism table.  The file stores only label lists, so the
+    caller supplies the input space (privacy audits read its distances)
+    and, where its distances matter, the output space; each must list the
+    file's labels in order.  An omitted output space is an all-ones
+    placeholder over the file's output labels."""
     doc = load_doc(source)
     inputs = _require(doc, "inputs", "table")
     outputs = _require(doc, "outputs", "table")
@@ -291,12 +285,10 @@ def table_from_doc(
             raise SchemaError(f"table {name} must be a nonempty list of strings")
     if not isinstance(rows, dict):
         raise SchemaError("table rows must be an object mapping input label to a row")
-    if input_space is None:
-        input_space = _labels_space(inputs)
-    elif list(input_space.labels) != inputs:
+    if list(input_space.labels) != inputs:
         raise SchemaError("table inputs do not match the supplied input space's labels")
     if output_space is None:
-        output_space = _labels_space(outputs)
+        output_space = FiniteMetricSpace(outputs, discrete_space(len(outputs)).dist, _trusted=True)
     elif list(output_space.labels) != outputs:
         raise SchemaError("table outputs do not match the supplied output space's labels")
     missing = [x for x in inputs if x not in rows]

@@ -58,7 +58,7 @@ class DiscreteMeasure:
     def ball_masses(self, radius) -> np.ndarray:
         """Mass of the closed ``radius``-ball around every point, in label
         order."""
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         inside = self.space.dist <= radius
         return inside @ self.values

@@ -180,7 +180,7 @@ def privacy_bound(beta, lipschitz_c) -> float:
     Holds for every base measure; a constant query (C = 0) leaks nothing
     at any temperature.
     """
-    if beta < 0 or lipschitz_c < 0:
+    if not (beta >= 0 and lipschitz_c >= 0):
         raise ValueError("beta and the Lipschitz constant must be nonnegative")
     return 2.0 * lipschitz_c * beta
 

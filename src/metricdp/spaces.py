@@ -3,8 +3,8 @@
 A space is a list of distinct labels plus a full pairwise distance matrix.
 All four metric axioms are checked with an absolute slack of
 ``METRIC_TOL`` (pure floating-point guard; desk-scale distances are exact
-or nearly so).  Distinct points at distance zero are tolerated everywhere
-except where they would force an infinite Lipschitz constant.
+or nearly so).  Distinct points at distance zero are tolerated everywhere,
+but a Lipschitz map must send them to one and the same image.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     UnknownLabelError,
 )
 
-# Absolute slack for all metric-axiom and Lipschitz checks.
+# Absolute slack for all metric-axiom checks.
 METRIC_TOL = 1e-12
 
 
@@ -169,7 +169,7 @@ class FiniteMetricSpace:
         is included, so a zero-radius ball holds the center itself plus any
         distance-zero twins.
         """
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         mask = self.ball_mask(self.index_of(center), radius)
         return [lab for lab, inside in zip(self.labels, mask) if inside]
@@ -220,7 +220,7 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
 
     ``table`` maps every domain label to a codomain label.  Constant maps
     (and singleton domains) give 0.  A pair at domain distance zero whose
-    images are separated has no finite constant.
+    images are apart at all, by however little, has no finite constant.
 
     Raises
     ------
@@ -239,7 +239,7 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
     rho = domain.dist[first, second]
     sigma = codomain.dist[images[first], images[second]]
     zero = rho == 0.0
-    broken = np.flatnonzero(zero & (sigma > METRIC_TOL))
+    broken = np.flatnonzero(zero & (sigma > 0.0))
     if broken.size:
         p = broken[0]
         raise NotLipschitzError(

@@ -48,7 +48,6 @@ from metricdp import (
     StructuralError,
 )
 from metricdp import spaces
-from metricdp.audit import PROB_FLOOR
 from metricdp.formats import encode_value
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 
@@ -96,6 +95,13 @@ def random_space(rng, n: int, scale: float = 1.0) -> FiniteMetricSpace:
     make = cloud_metric if rng.integers(2) == 0 else closure_metric
     labels = [f"p{i}" for i in range(n)]
     return FiniteMetricSpace(labels, make(rng, n, scale))
+
+
+def line_space(coords) -> FiniteMetricSpace:
+    """Points on a line; repeated coordinates make zero-distance twins."""
+    coords = np.asarray(coords, dtype=float)
+    labels = [f"x{i}" for i in range(len(coords))]
+    return FiniteMetricSpace(labels, np.abs(coords[:, None] - coords[None, :]))
 
 
 def random_map(rng, domain: FiniteMetricSpace, codomain: FiniteMetricSpace) -> LipschitzMap:
@@ -166,8 +172,8 @@ def subset_epsilon(mech) -> float:
         for j in range(n):
             if i == j or space.dist[i, j] == 0.0:
                 continue
-            live = sums[i] > 1e-300
-            if (sums[j][live] <= 1e-300).any():
+            live = sums[i] > 0.0
+            if (sums[j][live] <= 0.0).any():
                 return math.inf
             ratios = (np.log(sums[i][live]) - np.log(sums[j][live])) / space.dist[i, j]
             best = max(best, float(ratios.max(initial=0.0)))
@@ -302,7 +308,7 @@ def lipschitz_constant_loop(domain, codomain, table) -> float:
             rho = domain.dist[i, j]
             sigma = codomain.dist[images[i], images[j]]
             if rho == 0.0:
-                if sigma > METRIC_TOL:
+                if sigma > 0.0:
                     raise NotLipschitzError(
                         f"points {domain.labels[i]!r} and {domain.labels[j]!r} are at "
                         f"distance 0 but their images are {sigma:g} apart"
@@ -387,9 +393,9 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
                 a, b = probs[i, k], probs[j, k]
                 if rho == 0.0:
                     ratio = math.inf if a != b else -math.inf
-                elif a <= PROB_FLOOR:
+                elif a == 0.0:
                     ratio = -math.inf  # zero numerator never binds
-                elif b <= PROB_FLOOR:
+                elif b == 0.0:
                     ratio = math.inf
                 else:
                     # A near-zero distance overflows the quotient to inf, the exact value.
@@ -456,7 +462,7 @@ def impossibility_lower_bound_loop(mech, query, centers, radius,
                 f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "
                 "yet target disjoint balls; the table cannot be a Lipschitz image"
             )
-        if mass_ref[i] <= PROB_FLOOR:
+        if mass_ref[i] == 0.0:
             value = math.inf
         else:
             value = (math.log(mass_self[i]) - math.log(mass_ref[i])) / rho

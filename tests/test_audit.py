@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     check_em_inequalities,
     hamming_cube,
+    line_space,
+    path_space,
     random_map,
     random_measure,
     random_space,
@@ -23,6 +25,7 @@ from metricdp import (
     FiniteMetricSpace,
     LipschitzMap,
     MechanismTable,
+    NotLipschitzError,
     StructuralError,
     audit_privacy,
     audit_utility,
@@ -57,6 +60,19 @@ class TestKnownAnswers:
     def test_truncated_geometric_epsilon(self, n, alpha):
         report = audit_privacy(truncated_geometric(n, alpha))
         assert report.epsilon_max == pytest.approx(math.log(1.0 / alpha), rel=1e-12)
+
+    @KNOWN_ANSWER
+    @given(st.sampled_from([2, 3, 5, 8]), st.floats(0.05, 0.95))
+    def test_counting_query_epsilon(self, k, alpha):
+        """Counting the ones of a bit string is 1-Lipschitz from the Hamming
+        cube onto the path, so the truncated geometric mechanism on the
+        count has the same exact epsilon, ln(1/alpha), on the cube."""
+        cube, path = hamming_cube(k), path_space(k)
+        weights = np.array([x.count("1") for x in cube.labels])
+        count = LipschitzMap(cube, path, {x: str(w) for x, w in zip(cube.labels, weights)})
+        assert count.constant == 1.0
+        mech = MechanismTable(cube, path, truncated_geometric(k, alpha).probs[weights])
+        assert audit_privacy(mech).epsilon_max == pytest.approx(math.log(1.0 / alpha), rel=1e-12)
 
     @KNOWN_ANSWER
     @given(st.sampled_from([3, 6, 8]), st.floats(0.01, 0.49), st.integers(0, 8))
@@ -184,6 +200,55 @@ class TestAuditPrivacy:
             assert rep.epsilon_max <= privacy_bound(beta, query.constant) + 1e-9
 
 
+class TestClosedFormBound:
+    """The exact audit never exceeds the closed form 2 * C * beta."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 30.0))
+    def test_exact_audit_within_the_bound(self, seed, twins, beta):
+        """On metrics and on line pseudometrics with exact twins, whose
+        random maps mostly fail to send every twin to one image."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        domain = line_space(rng.integers(0, n, size=n)) if twins else random_space(rng, n)
+        codomain = random_space(rng, int(rng.integers(1, 9)))
+        try:
+            query = random_map(rng, domain, codomain)
+        except NotLipschitzError:
+            assume(False)
+        mech = tabulate(ExpMechParams(base=random_measure(rng, codomain), beta=beta, query=query))
+        assume((mech.probs > 0.0).all())
+        bound = privacy_bound(beta, query.constant)
+        # Entries rounded to doubles put a few units of 2**-52 into each log
+        # ratio, which the relative slack no longer covers as beta nears 0.
+        rounding = 16 * 2.0**-52 / (domain.min_positive_distance() or 1.0)
+        assert audit_privacy(mech).epsilon_max <= bound * (1 + 1e-9) + rounding
+
+    def test_twins_images_must_coincide(self):
+        """Twins a and b mapped 1e-13 apart have no finite constant: a
+        slack between their images would give C = 1 and a bound of 2 for
+        a table whose exact epsilon is inf."""
+        domain = FiniteMetricSpace(list("abc"), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        codomain = FiniteMetricSpace(list("pqr"), [[0, 1e-13, 1], [1e-13, 0, 1], [1, 1, 0]])
+        with pytest.raises(NotLipschitzError, match="images are 1e-13 apart"):
+            LipschitzMap(domain, codomain, {"a": "p", "b": "q", "c": "r"})
+
+    @pytest.mark.xfail(strict=True, reason="a distance just below zero is not read as zero")
+    def test_pair_just_below_zero(self):
+        """The validator accepts a distance of -5e-13.  Read as zero, the
+        pair's separated images have no finite constant; read as a distance,
+        the bound must still cover the audit.  Today the constant is 0, the
+        bound 0, and the audit 2e12."""
+        domain = FiniteMetricSpace(["a", "b"], [[0.0, -5e-13], [-5e-13, 0.0]])
+        codomain = grid_space(2)
+        try:
+            query = LipschitzMap(domain, codomain, {"a": "0", "b": "1"})
+        except NotLipschitzError:
+            return
+        mech = tabulate(ExpMechParams(base=uniform_measure(codomain), beta=1.0, query=query))
+        assert audit_privacy(mech).epsilon_max <= privacy_bound(1.0, query.constant) * (1 + 1e-9)
+
+
 class TestAuditUtility:
     def test_x3_anchor(self):
         mech, _ = x3_mech(beta=1.0)
@@ -212,6 +277,11 @@ class TestAuditUtility:
         mech, _ = x3_mech()
         with pytest.raises(ValueError):
             audit_utility(mech, identity_map(grid_space(3)), -0.1)
+
+    def test_nan_gamma_rejected(self):
+        mech, _ = x3_mech()
+        with pytest.raises(ValueError, match="gamma must be nonnegative, got nan"):
+            audit_utility(mech, identity_map(grid_space(3)), math.nan)
 
     def test_space_mismatch_rejected(self):
         mech, _ = x3_mech()

@@ -527,7 +527,7 @@ class TestPipeline:
         mech = str(grid5_files["dir"] / "mech.json")
         main(["tabulate", "--map", grid5_files["map"], "--measure",
               grid5_files["measure"], "--beta", "1", "--out", mech])
-        table = formats.table_from_doc(mech)
+        table = formats.table_from_doc(mech, formats.space_from_doc(grid5_files["space"]))
         assert table.probs.shape == (5, 5)
 
 

@@ -293,12 +293,6 @@ class TestTableDocs:
         again = formats.table_from_doc(doc, input_space=s, output_space=s)
         assert np.allclose(again.probs, mech.probs)
 
-    def test_placeholder_spaces_when_none_supplied(self):
-        doc = formats.table_to_doc(self.make_mech())
-        mech = formats.table_from_doc(doc)
-        assert mech.input_space.labels == ["0", "0.5", "1"]
-        assert mech.input_space.dist[0, 1] == 1.0  # placeholder metric
-
     def test_space_label_mismatch(self):
         doc = formats.table_to_doc(self.make_mech())
         with pytest.raises(SchemaError, match="labels"):
@@ -307,49 +301,49 @@ class TestTableDocs:
     def test_output_space_label_mismatch(self):
         doc = formats.table_to_doc(self.make_mech())
         with pytest.raises(SchemaError, match="outputs do not match"):
-            formats.table_from_doc(doc, output_space=discrete_space(3))
+            formats.table_from_doc(doc, input_space=grid_space(3), output_space=discrete_space(3))
 
     def test_rows_must_be_an_object(self):
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"] = list(doc["rows"].values())
         with pytest.raises(SchemaError, match="rows must be an object"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(3))
 
     def test_rows_of_the_wrong_width(self):
         doc = {"inputs": ["0", "1"], "outputs": ["0", "1", "2"],
                "rows": {"0": [0.5, 0.5], "1": [0.5, 0.5]}}
         with pytest.raises(SchemaError, match="one probability per output label"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(2))
 
     def test_missing_row(self):
         doc = formats.table_to_doc(self.make_mech())
         del doc["rows"]["0.5"]
         with pytest.raises(SchemaError, match="no row"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(3))
 
     def test_unknown_row(self):
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"]["9"] = [1.0, 0.0, 0.0]
         with pytest.raises(SchemaError, match="unknown input"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(3))
 
     @pytest.mark.parametrize("key", ["inputs", "outputs"])
     def test_empty_label_lists(self, key):
         doc = {"inputs": ["0"], "outputs": ["0"], "rows": {"0": [1.0]}, key: []}
         with pytest.raises(SchemaError, match=f"table {key} must be a nonempty list"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(1))
 
     def test_ragged_rows(self):
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"]["0"] = [1.0]
         with pytest.raises(SchemaError):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(3))
 
     def test_bad_row_sums_are_domain_errors(self):
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"]["0"] = [0.9, 0.0, 0.0]
         with pytest.raises(StructuralError, match="sums"):
-            formats.table_from_doc(doc)
+            formats.table_from_doc(doc, grid_space(3))
 
 
 class TestHierarchyDocs:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,10 @@ class TestModulus:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             uniform_measure(grid_space(3)).modulus(-0.5)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
+            uniform_measure(grid_space(3)).ball_masses(math.nan)
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(29)

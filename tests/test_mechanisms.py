@@ -290,6 +290,11 @@ class TestPrivacyBound:
         with pytest.raises(ValueError):
             privacy_bound(1.0, -1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_arguments(self, args):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            privacy_bound(*args)
+
 
 class TestTradeoff:
     def test_x3_uniform_anchor(self):

@@ -8,8 +8,8 @@ scan, the level of a radius, the bytes of a written report, and the type
 and text of every error raised.
 Inputs come from ``hypothesis`` and from seeded generators, and are built
 to hit the edge cases: many violations of every kind, pseudometrics with
-zero-distance twins, probabilities at 1e-305 (below the audit's floor),
-rows that are floored entirely, and exact ties.
+zero-distance twins, tiny positive probabilities at 1e-305 next to exact
+zeros, rows of nothing but zeros and tiny entries, and exact ties.
 """
 
 import math
@@ -27,6 +27,7 @@ from conftest import (
     dump_doc_reference,
     impossibility_lower_bound_loop,
     level_for_radius_loop,
+    line_space,
     lipschitz_constant_loop,
     propose_centers_loop,
     random_map,
@@ -65,8 +66,8 @@ MATRIX_ENTRIES = st.sampled_from(
     [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, -1.0, 1e-13, -1e-13, 2e-12, -2e-12, 1.0 + 1e-13, 1.5]
 ) | st.floats(-2.0, 4.0, allow_nan=False)
 
-# Row weights before normalizing: zeros, entries that stay below the
-# audit's floor after normalizing, and halves that make ratios tie.
+# Row weights before normalizing: exact zeros, tiny positive entries that
+# stay near 1e-305 after normalizing, and halves that make ratios tie.
 WEIGHTS = st.sampled_from([0.0, 1e-305, 0.5, 1.0, 1.0, 2.0, 3.0])
 
 
@@ -98,8 +99,8 @@ def same_outcome(fast, slow, *args):
 
 
 def raw_table(input_space, output_space, probs) -> MechanismTable:
-    """A table that skips the row-sum check, so a row may be floored
-    entirely (an imported table could carry one)."""
+    """A table that skips the row-sum check, so a row may hold nothing
+    but zeros and tiny entries (an imported table could carry one)."""
     table = object.__new__(MechanismTable)
     table.input_space = input_space
     table.output_space = output_space
@@ -126,13 +127,6 @@ def assert_same_validation(mat):
     assert got == want
     for v in got.violations:
         assert all(type(i) is int for i in v.witness)
-
-
-def line_space(coords) -> FiniteMetricSpace:
-    """Points on a line; repeated coordinates make zero-distance twins."""
-    coords = np.asarray(coords, dtype=float)
-    labels = [f"x{i}" for i in range(len(coords))]
-    return FiniteMetricSpace(labels, np.abs(coords[:, None] - coords[None, :]))
 
 
 def far_apart(h, violating):
@@ -225,8 +219,9 @@ class TestAuditPrivacyOracle:
     @PROPERTY
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_floored_rows(self, seed, twins):
-        """Rows floored entirely constrain nothing, but still count as
-        separated pairs."""
+        """Rows of only zeros and 1e-305 entries: an all-zero row constrains
+        nothing but still counts in separated pairs, and a 1e-305 entry is
+        positive mass against a zero."""
         rng = np.random.default_rng(seed)
         n, m = rng.integers(2, 6), rng.integers(1, 5)
         coords = rng.integers(0, 3, size=n) if twins else np.arange(n)
@@ -385,10 +380,10 @@ def multi_block_table(seed, kind) -> MechanismTable:
 
     - "twins": b - 1 and b at distance 0, with different rows;
     - "below_zero": b - 1 and b 5e-13 below 0, with different rows;
-    - "late_inf": the first three outputs floored in every row of the
+    - "late_inf": the first three outputs zero in every row of the
       first block only, so only later rows have an infinite maximum.
 
-    The last output is at 1e-305, below the floor, in every row."""
+    The last output is at 1e-305, a tiny positive mass, in every row."""
     rng = np.random.default_rng(seed)
     n, m = 70, 30
     b = audit._BLOCK_CELLS // (n * m)  # first row of the second block
@@ -414,7 +409,7 @@ def lower_bound_case(rng):
     input space whose twins sit at distance 0 (sharing their image) or
     just below it (mapped anywhere), and sometimes only subnormal
     distances apart; rows that mostly favour their own image, with
-    entries below the audit's floor and repeated weights; random centers."""
+    tiny positive entries near 1e-305 and repeated weights; random centers."""
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     coords = rng.integers(0, 4, size=n)
     dist = np.abs(coords[:, None] - coords[None, :]) * (1e-320 if rng.random() < 0.2 else 1.0)
@@ -446,7 +441,7 @@ def lower_bound_case(rng):
 class TestLowerBoundOracle:
     def test_seeded_instances(self):
         """Every report field to the bit, or the same error type and text.
-        The seeds reach infinite bounds (floored reference masses), ties
+        The seeds reach infinite bounds (zero reference masses), ties
         between challengers, overflowing ratios and zero-distance centers."""
         seen = dict.fromkeys(["finite", "inf", "tie", "zero distance", "overlap"], 0)
         for seed in range(400):

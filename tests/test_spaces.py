@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,10 @@ class TestFiniteMetricSpace:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             grid_space(3).ball("0", -0.1)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
+            grid_space(3).ball("0", math.nan)
 
     def test_ball_mask_agrees_with_ball(self):
         rng = np.random.default_rng(5)
