@@ -36,14 +36,13 @@ class PrivacyAuditReport:
     """Exact privacy level of a table: the smallest epsilon it satisfies.
 
     ``epsilon_max`` is inf when some output has positive mass under one
-    input and zero under another (no finite epsilon works), or when two
-    zero-distance inputs have different rows.  ``witness`` is the first
-    (x, z, y) triple in label order attaining the maximum, None when
-    there is no constraint at all (single-input spaces).
-    ``per_pair_max`` is the optional matrix of per-(x, z) maxima in label
-    order: 0 where a pair constrains nothing, inf where zero-distance
-    rows differ.  Asking for it changes neither ``epsilon_max`` nor
-    ``witness``.
+    input and zero under another (no finite epsilon works), or when twins
+    (inputs at distance 0.0) have different rows.  ``witness`` is the
+    first (x, z, y) triple in label order attaining the maximum, None when
+    there is no constraint at all (single-input spaces).  ``per_pair_max``
+    is the optional matrix of per-(x, z) maxima in label order: 0 where a
+    pair constrains nothing, inf where twins' rows differ.  Asking for it
+    changes neither ``epsilon_max`` nor ``witness``.
     """
 
     epsilon_max: float
@@ -79,7 +78,7 @@ def _logs(probs) -> np.ndarray:
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:
     """Ratios of the pairs (i[p], j[p]), output by output: -inf where the numerator's entry
-    is 0.0, else inf where the denominator's is; at distance zero, inf where rows differ."""
+    is 0.0, else inf where the denominator's is; for twins or i = j, inf where rows differ."""
     rho = mech.input_space.dist[i, j][:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = (logs[i] - logs[j]) / rho
@@ -94,9 +93,12 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y]) / dist(x, z)
     over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
     per pair over blocks of rows, divided once, and ``_pair_ratios`` for twins and
-    distances at most zero or beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max``
-    and the witness pair, whose first maximizing output ``_pair_ratios`` finds.  Without
-    the per-pair matrix the audit stops after the first block of rows holding an inf.
+    distances beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max`` and the witness
+    pair, whose first maximizing output ``_pair_ratios`` finds.  Without the per-pair
+    matrix the audit stops after the first block of rows holding an inf.
+
+    It audits the stored table: ``tabulate`` rounds entries to doubles, so at tiny beta
+    epsilon can pass ``privacy_bound`` by a few units of 2**-52 over the least distance.
     """
     space = mech.input_space
     logs = _logs(mech.probs)
@@ -110,11 +112,10 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             top = np.fmax.reduce(logs[rows, :, None] - logs_t, axis=1, initial=-math.inf)
             pair_max[rows] = top / space.dist[rows]
-        i, j = np.nonzero((space.dist[rows] <= 0.0) | (space.dist[rows] > _BULK_MAX_DIST))
+        i, j = np.nonzero((space.dist[rows] == 0.0) | (space.dist[rows] > _BULK_MAX_DIST))
         if i.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
             ratio = _pair_ratios(mech, logs, i + r0, j)
             pair_max[i + r0, j] = ratio[np.arange(i.size), ratio.argmax(axis=1)]
-        np.fill_diagonal(pair_max[rows, r0:], -math.inf)  # no point is paired with itself
         if pair_max[rows].max() == math.inf and not include_per_pair:
             break
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
@@ -122,7 +123,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     live = pair_max[i, j] > -math.inf
     witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
     per_pair = np.where(pair_max > -math.inf, pair_max, 0.0) if include_per_pair else None
-    return PrivacyAuditReport(max(float(pair_max[i, j]), 0.0), witness, per_pair)
+    return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
 
 
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
@@ -192,7 +193,7 @@ def impossibility_lower_bound(
     space to its output space, and DomainError if the balls are not
     pairwise disjoint or some center's ball mass is not above the
     threshold (the hypothesis of the argument, validated rather than
-    assumed).
+    assumed).  Twin centers share an image, so the overlap check stops them.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -229,14 +230,8 @@ def impossibility_lower_bound(
             )
 
     rho = space.dist[idx[1:], idx[0]]
-    if (rho <= 0.0).any():
-        i = int(np.argmax(rho <= 0.0)) + 1
-        raise DomainError(
-            f"centers {centers[i]!r} and {centers[0]!r} are at input distance 0 "
-            "yet target disjoint balls; the table cannot be a Lipschitz image"
-        )
     # Own-ball masses exceed the threshold, so their logs are finite as they
-    # are; a near-zero rho overflows to the exact infinity.
+    # are; a near-zero positive rho overflows to the exact infinity.
     with np.errstate(over="ignore"):
         values = (np.array(list(map(math.log, mass_self[1:]))) - _logs(mass_ref[1:])) / rho
     best_i = int(np.argmax(values)) + 1

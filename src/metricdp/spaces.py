@@ -1,10 +1,10 @@
 """Finite metric spaces, balls, and Lipschitz function tables.
 
 A space is a list of distinct labels plus a full pairwise distance matrix.
-All four metric axioms are checked with an absolute slack of
-``METRIC_TOL`` (pure floating-point guard; desk-scale distances are exact
-or nearly so).  Distinct points at distance zero are tolerated everywhere,
-but a Lipschitz map must send them to one and the same image.
+The metric axioms are checked with an absolute slack of ``METRIC_TOL`` (a
+floating-point guard); the space stores each pair's larger entry, and +0.0
+on the diagonal and for every entry not above zero.  Twins, distinct points
+at distance 0.0, are allowed, but a Lipschitz map must give them one image.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ def validate_metric(dist) -> MetricValidationReport:
 class FiniteMetricSpace:
     """A finite metric space: distinct labels plus a distance matrix.
 
-    The matrix is validated on construction and frozen afterwards; all
-    operations on the space are pure, so instances are safe to share
-    between threads.  Label order is significant: greedy scans and
-    sampling both iterate points in this order.
+    The matrix is validated on construction, stored exactly symmetric (see
+    the module docstring) and frozen; all operations on the space are pure,
+    so instances are safe to share between threads.  Label order is
+    significant: greedy scans and sampling both iterate points in this order.
     """
 
     __slots__ = ("labels", "dist", "_index")
@@ -135,7 +135,8 @@ class FiniteMetricSpace:
             raise StructuralError(
                 f"distance matrix shape {mat.shape} does not match {len(labels)} labels"
             )
-        mat = mat.copy()
+        mat = np.maximum(mat, mat.T)  # the validator's band, read once
+        mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
         mat.flags.writeable = False
         self.labels = labels
         self.dist = mat
@@ -150,8 +151,7 @@ class FiniteMetricSpace:
         return self.labels == other.labels and np.array_equal(self.dist, other.dist)
 
     def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal.
-        return hash((tuple(self.labels), (self.dist + 0.0).tobytes()))
+        return hash((tuple(self.labels), self.dist.tobytes()))
 
     def __repr__(self):
         return f"FiniteMetricSpace({len(self)} points, diameter={self.diameter():g})"
@@ -249,7 +249,7 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
     # A near-zero distance overflows the quotient to inf, the exact value.
     with np.errstate(over="ignore"):
         ratios = sigma[~zero] / rho[~zero]
-    return max(0.0, float(ratios.max())) if ratios.size else 0.0
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 class LipschitzMap:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from metricdp import (
     DiscreteMeasure,
@@ -50,6 +51,12 @@ from metricdp import (
 from metricdp import spaces
 from metricdp.formats import encode_value
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
+
+# Entries of hand-made matrices: exact values, values within and just
+# beyond METRIC_TOL of each other, and negatives.
+MATRIX_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, -1.0, 1e-13, -1e-13, 2e-12, -2e-12, 1.0 + 1e-13, 1.5]
+) | st.floats(-2.0, 4.0, allow_nan=False)
 
 
 @pytest.fixture
@@ -413,7 +420,7 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
                 witness = (labels[i], labels[j], pair_witness_y)
         if eps_max == math.inf and not include_per_pair:
             break
-    return PrivacyAuditReport(max(eps_max, 0.0), witness, per_pair)
+    return PrivacyAuditReport(max(0.0, eps_max), witness, per_pair)
 
 
 def impossibility_lower_bound_loop(mech, query, centers, radius,

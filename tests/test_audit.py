@@ -233,20 +233,27 @@ class TestClosedFormBound:
         with pytest.raises(NotLipschitzError, match="images are 1e-13 apart"):
             LipschitzMap(domain, codomain, {"a": "p", "b": "q", "c": "r"})
 
-    @pytest.mark.xfail(strict=True, reason="a distance just below zero is not read as zero")
     def test_pair_just_below_zero(self):
-        """The validator accepts a distance of -5e-13.  Read as zero, the
-        pair's separated images have no finite constant; read as a distance,
-        the bound must still cover the audit.  Today the constant is 0, the
-        bound 0, and the audit 2e12."""
+        """The validator accepts a distance of -5e-13, and the space stores
+        it as 0.0: the pair are twins, so separated images have no finite
+        constant (not a constant of 0 beside an audited 2e12)."""
         domain = FiniteMetricSpace(["a", "b"], [[0.0, -5e-13], [-5e-13, 0.0]])
+        with pytest.raises(NotLipschitzError, match="distance 0 but their images are 1 apart"):
+            LipschitzMap(domain, grid_space(2), {"a": "0", "b": "1"})
+
+    def test_asymmetric_pair_reads_its_larger_entry(self):
+        """The validator accepts dist(a, b) = 1e-12 beside dist(b, a) = 0.
+        The space stores 1e-12 both ways, so the audit divides by the
+        distance the constant was taken over: 1e12 within the bound 2e12,
+        not the inf of reading (b, a) as twins."""
+        domain = FiniteMetricSpace(["a", "b"], [[0.0, 1e-12], [0.0, 0.0]])
         codomain = grid_space(2)
-        try:
-            query = LipschitzMap(domain, codomain, {"a": "0", "b": "1"})
-        except NotLipschitzError:
-            return
+        query = LipschitzMap(domain, codomain, {"a": "0", "b": "1"})
+        assert query.constant == 1.0 / 1e-12
         mech = tabulate(ExpMechParams(base=uniform_measure(codomain), beta=1.0, query=query))
-        assert audit_privacy(mech).epsilon_max <= privacy_bound(1.0, query.constant) * (1 + 1e-9)
+        epsilon = audit_privacy(mech).epsilon_max
+        assert epsilon == pytest.approx(1e12, rel=1e-9)
+        assert epsilon <= privacy_bound(1.0, query.constant)
 
 
 class TestAuditUtility:

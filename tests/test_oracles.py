@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    MATRIX_ENTRIES,
     audit_privacy_loop,
     closure_metric,
     distribution_loop,
@@ -43,7 +44,9 @@ from metricdp import (
     FiniteMetricSpace,
     LipschitzMap,
     MechanismTable,
+    NotLipschitzError,
     audit_privacy,
+    default_depth,
     discrete_space,
     distribution,
     identity_map,
@@ -60,20 +63,14 @@ from metricdp.formats import dump_doc
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
-# Entries of hand-made matrices: exact values, values within and just
-# beyond METRIC_TOL of each other, and negatives.
-MATRIX_ENTRIES = st.sampled_from(
-    [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, -1.0, 1e-13, -1e-13, 2e-12, -2e-12, 1.0 + 1e-13, 1.5]
-) | st.floats(-2.0, 4.0, allow_nan=False)
-
 # Row weights before normalizing: exact zeros, tiny positive entries that
 # stay near 1e-305 after normalizing, and halves that make ratios tie.
 WEIGHTS = st.sampled_from([0.0, 1e-305, 0.5, 1.0, 1.0, 2.0, 3.0])
 
 
-# A validated space may hold distances just below zero (within
-# METRIC_TOL) and subnormal ones; ratios over them change sign or
-# overflow, and must do so exactly as in the loops.
+# The validator accepts distances just below zero (within METRIC_TOL),
+# which a space stores as 0.0, and subnormal ones, whose ratios overflow
+# and must do so exactly as in the loops.
 NEAR_ZERO_DIST = np.array([[0.0, -5e-13, 1e-310, 1.0],
                            [-5e-13, 0.0, 1e-310, 1.0],
                            [1e-310, 1e-310, 0.0, 1.0],
@@ -309,9 +306,9 @@ class TestAuditPrivacyOracle:
 
 
     def test_distance_below_zero_with_a_floored_entry(self):
-        # b is within METRIC_TOL below zero from a, and its row gives y1
-        # zero mass: the pair (a, b) is inf at y1, as in the loop, not the
-        # -inf that inf / (-5e-13) would give.
+        # b is given within METRIC_TOL below zero from a, so the space
+        # stores 0.0 and a, b are twins; their rows differ first at x0
+        # (b's row also gives x1 zero mass), so the pair is inf there.
         space = FiniteMetricSpace(["a", "b", "c"], [[0.0, -5e-13, 1.0],
                                                     [-5e-13, 0.0, 1.0],
                                                     [1.0, 1.0, 0.0]])
@@ -319,11 +316,12 @@ class TestAuditPrivacyOracle:
                               [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
         assert_same_audit(mech)
         report = audit_privacy(mech, include_per_pair=True)
-        assert report.witness == ("a", "b", "x1")
+        assert report.epsilon_max == math.inf
+        assert report.witness == ("a", "b", "x0")
         assert report.per_pair_max[0, 1] == math.inf
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("kind", ["twins", "below_zero", "late_inf"])
+    @pytest.mark.parametrize("kind", ["twins", "in_band", "late_inf"])
     def test_tables_larger_than_one_block(self, kind, seed):
         mech = multi_block_table(seed, kind)
         n, m = mech.probs.shape
@@ -334,9 +332,10 @@ class TestAuditPrivacyOracle:
         if kind == "twins":
             assert report.witness == (f"x{b - 1}", f"x{b}", "x0")
             assert report.epsilon_max == math.inf
-        elif kind == "below_zero":
-            # A difference over -5e-13 outweighs every other pair's ratio.
-            assert report.witness[:2] == (f"x{b - 1}", f"x{b}")
+        elif kind == "in_band":
+            # A difference over 5e-13 outweighs every other pair's ratio; the
+            # larger of its two directions is the witness.
+            assert set(report.witness[:2]) == {f"x{b - 1}", f"x{b}"}
             assert 1e10 < report.epsilon_max < math.inf
         else:
             # The first block is finite; row b is infinite against row 0 at
@@ -359,15 +358,19 @@ class TestAuditPrivacyOracle:
         assert_same_audit(mech)
         report = audit_privacy(mech, include_per_pair=True)
         assert bits(report.per_pair_max[0, 1]) == bits(-0.0)
+        assert bits(report.epsilon_max) == bits(0.0)
         assert report.witness == ("a", "b", "x0")
 
     @pytest.mark.parametrize("diagonal", [1e-13, -1e-13])
     def test_diagonal_within_tolerance_of_zero(self, diagonal):
-        # A point is never paired with itself, whatever its diagonal entry:
-        # with equal rows the witness is the first pair of distinct points.
+        # The space stores a zero diagonal, whatever the entry given, so no
+        # point is paired with itself and the smallest positive distance is
+        # 1: with equal rows the witness is the first pair of distinct points.
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         np.fill_diagonal(dist, diagonal)
         space = FiniteMetricSpace(["a", "b", "c"], dist)
+        assert np.diagonal(space.dist).tobytes() == bytes(24)
+        assert default_depth(space) == 1
         mech = MechanismTable(space, line_space([0.0, 1.0]), [[0.5, 0.5]] * 3)
         assert_same_audit(mech)
         assert audit_privacy(mech).witness == ("a", "b", "x0")
@@ -379,7 +382,8 @@ def multi_block_table(seed, kind) -> MechanismTable:
     on either side of the first block boundary.  ``kind``:
 
     - "twins": b - 1 and b at distance 0, with different rows;
-    - "below_zero": b - 1 and b 5e-13 below 0, with different rows;
+    - "in_band": b - 1 and b 5e-13 apart, a positive distance within
+      METRIC_TOL, with different rows;
     - "late_inf": the first three outputs zero in every row of the
       first block only, so only later rows have an infinite maximum.
 
@@ -392,8 +396,8 @@ def multi_block_table(seed, kind) -> MechanismTable:
     if kind != "late_inf":
         pts[b] = pts[b - 1]
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    if kind == "below_zero":
-        dist[b - 1, b] = dist[b, b - 1] = -5e-13
+    if kind == "in_band":
+        dist[b - 1, b] = dist[b, b - 1] = 5e-13
     probs = rng.uniform(0.1, 1.0, size=(n, m))
     probs[:, -1] = 0.0
     if kind == "late_inf":
@@ -407,7 +411,7 @@ def multi_block_table(seed, kind) -> MechanismTable:
 def lower_bound_case(rng):
     """Arguments for ``impossibility_lower_bound``: a line pseudometric
     input space whose twins sit at distance 0 (sharing their image) or
-    just below it (mapped anywhere), and sometimes only subnormal
+    5e-13 apart (mapped anywhere), and sometimes only subnormal
     distances apart; rows that mostly favour their own image, with
     tiny positive entries near 1e-305 and repeated weights; random centers."""
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -415,7 +419,7 @@ def lower_bound_case(rng):
     dist = np.abs(coords[:, None] - coords[None, :]) * (1e-320 if rng.random() < 0.2 else 1.0)
     images = coords % m
     if rng.random() < 0.3:
-        dist[(dist == 0.0) & ~np.eye(n, dtype=bool)] = -5e-13
+        dist[(dist == 0.0) & ~np.eye(n, dtype=bool)] = 5e-13
         images = rng.integers(m, size=n)
     domain = FiniteMetricSpace([f"x{i}" for i in range(n)], dist)
     codomain = line_space(2.0 * np.arange(m))  # balls of radius <= 1 hold one point
@@ -442,8 +446,8 @@ class TestLowerBoundOracle:
     def test_seeded_instances(self):
         """Every report field to the bit, or the same error type and text.
         The seeds reach infinite bounds (zero reference masses), ties
-        between challengers, overflowing ratios and zero-distance centers."""
-        seen = dict.fromkeys(["finite", "inf", "tie", "zero distance", "overlap"], 0)
+        between challengers, overflowing ratios and overlapping balls."""
+        seen = dict.fromkeys(["finite", "inf", "tie", "overlap"], 0)
         for seed in range(400):
             args = lower_bound_case(np.random.default_rng(seed))
             try:
@@ -452,7 +456,6 @@ class TestLowerBoundOracle:
                 with pytest.raises(type(exc)) as caught:
                     impossibility_lower_bound(*args)
                 assert str(caught.value) == str(exc)
-                seen["zero distance"] += "input distance 0" in str(exc)
                 seen["overlap"] += "overlap" in str(exc)
                 continue
             got = impossibility_lower_bound(*args)
@@ -511,17 +514,20 @@ class TestLipschitzOracle:
     def test_distances_within_tolerance_of_zero(self):
         space = FiniteMetricSpace(["a", "b", "c", "d"], NEAR_ZERO_DIST)
         out = line_space([0.0, 1.0, 2.0])
-        for images in (["x0", "x0", "x0", "x2"], ["x0", "x1", "x1", "x2"]):
+        for images in (["x0", "x0", "x0", "x2"], ["x0", "x0", "x1", "x2"]):
             table = dict(zip(space.labels, images))
             assert bits(LipschitzMap(space, out, table).constant) == \
                 bits(lipschitz_constant_loop(space, out, table))
-        # Only the pair below zero: its ratios are -2e12 and -0.0, and the
-        # constant is still 0.0.
+        # Only the pair given below zero, stored at 0.0: twins, whose images
+        # must coincide.
         pair = FiniteMetricSpace(["a", "b"], NEAR_ZERO_DIST[:2, :2])
-        for images in (["x0", "x1"], ["x0", "x0"]):
-            table = dict(zip(pair.labels, images))
-            assert bits(LipschitzMap(pair, out, table).constant) == bits(0.0)
-            assert bits(lipschitz_constant_loop(pair, out, table)) == bits(0.0)
+        apart = {"a": "x0", "b": "x1"}
+        assert same_outcome(lipschitz_constant, lipschitz_constant_loop, pair, out, apart) is None
+        with pytest.raises(NotLipschitzError, match="distance 0 but their images are 1 apart"):
+            LipschitzMap(pair, out, apart)
+        together = {"a": "x0", "b": "x0"}
+        assert bits(LipschitzMap(pair, out, together).constant) == bits(0.0)
+        assert bits(lipschitz_constant_loop(pair, out, together)) == bits(0.0)
 
     def test_missing_label(self):
         domain = line_space([0.0, 1.0])

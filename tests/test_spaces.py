@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import cloud_metric, closure_metric, random_space
+from conftest import MATRIX_ENTRIES, cloud_metric, closure_metric, random_space
 from metricdp import (
     METRIC_TOL,
     FiniteMetricSpace,
@@ -174,6 +176,45 @@ class TestFiniteMetricSpace:
     def test_min_positive_distance(self):
         assert grid_space(5).min_positive_distance() == 0.25
         assert grid_space(1).min_positive_distance() == 0.0
+
+
+@st.composite
+def band_matrices(draw):
+    """Square matrices of ``MATRIX_ENTRIES`` that mostly pass the axioms
+    only within ``METRIC_TOL``: entries at most that far below zero, and
+    a lower triangle that mirrors the upper one exactly, a step within
+    the band off, or with its sign flipped."""
+    n = draw(st.sampled_from([1, 2, 2, 3, 3, 3, 4]))
+    upper = MATRIX_ENTRIES.filter(lambda x: x >= -METRIC_TOL)
+    mat = np.array(draw(st.lists(upper, min_size=n * n, max_size=n * n))).reshape(n, n)
+    steps = draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, None]), min_size=n * n, max_size=n * n))
+    for (i, j), step in zip(zip(*np.tril_indices(n)), steps):
+        mirror = mat[j, i] if i > j else 0.0
+        mat[i, j] = -mirror if step is None else mirror + step
+    return mat
+
+
+class TestStoredMatrix:
+    """A built space stores the metric the validator accepted: the band
+    around zero and between a pair's two entries is read once, here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(band_matrices())
+    def test_accepted_matrices_are_stored_exact(self, raw):
+        assume(validate_metric(raw).ok)
+        labels = [f"p{i}" for i in range(len(raw))]
+        dist = FiniteMetricSpace(labels, raw).dist
+        assert dist.tobytes() == dist.T.copy().tobytes()
+        assert not np.signbit(dist).any()
+        assert not np.diagonal(dist).any()
+        assert validate_metric(dist).ok
+        assert FiniteMetricSpace(labels, dist).dist.tobytes() == dist.tobytes()
+        off = ~np.eye(len(raw), dtype=bool)
+        agreed = (raw == raw.T) & (raw > 0.0) & off
+        assert (dist[agreed] == raw[agreed]).all()
+        # Every positive entry stored is one of the pair's given entries.
+        positive = dist > 0.0
+        assert ((dist == raw) | (dist == raw.T))[positive].all()
 
 
 class TestGenerators:
