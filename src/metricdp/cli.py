@@ -18,6 +18,7 @@ later command (loaders unwrap the envelope).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -59,7 +60,10 @@ def _float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by every ``main`` call: do not mutate it."""
     p = argparse.ArgumentParser(
         prog="metricdp",
         description="Build, calibrate, sample, and audit distance-scaled "
@@ -330,6 +334,7 @@ def _emit(args, result: dict, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; repeated calls in one process share one parser."""
     args = build_parser().parse_args(argv)
     try:
         result, code = args.handler(args)

@@ -16,6 +16,8 @@ from metricdp import (
 )
 from metricdp.cli import _float, build_parser, main
 
+SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -188,6 +190,63 @@ class TestArgparseErrors:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    """``main`` parses every call with the one parser ``build_parser``
+    built; no call leaves behind anything a later call reads."""
+
+    def chain(self, files):
+        """Run six commands, each writing its report under ``files["dir"]``;
+        return each report's bytes."""
+        d = files["dir"]
+        argvs = {
+            "build-measure": ["--space", files["space"]],
+            "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--measure", d / "build-measure"],
+            "tabulate": ["--map", files["map"], "--measure", d / "build-measure", "--beta", "4"],
+            "audit-privacy": ["--mech", d / "tabulate", "--space", files["space"], "--per-pair"],
+            "audit-utility": ["--mech", d / "tabulate", "--map", files["map"], "--gamma", "0.5"],
+            "lower-bound": ["--mech", d / "tabulate", "--map", files["map"],
+                            "--centers", "0,1", "--r", "0.25"],
+        }
+        for command, argv in argvs.items():
+            assert main([command, *map(str, argv), "--out", str(d / command)]) == 0
+        return {command: (d / command).read_bytes() for command in argvs}
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reports_survive_errors_help_and_version(self, capsys, grid5_files):
+        first = self.chain(grid5_files)
+        for argv, code in ((["calibrate", "--gamma", "one", "--delta", "0.5", "--m", "1"], 2),
+                           (["calibrate", "--gamma", "1", "--delta", "0.5"], 2),
+                           (["audit-privacy", "--help"], 0),
+                           (["--version"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert self.chain(grid5_files) == first
+
+    def test_params_hold_only_the_commands_own_flags(self, grid5_files):
+        params = {command: json.loads(report)["params"]
+                  for command, report in self.chain(grid5_files).items()}
+        for command, keys in params.items():
+            flags = {action.dest for action in SUBCOMMANDS[command]._actions}
+            assert set(keys) <= flags - {"help", "out"}
+        assert params["audit-privacy"]["per_pair"] is True
+        assert "per_pair" not in params["audit-utility"]
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_help_is_the_same_twice(self, capsys, command):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: metricdp {command}")
+
+
 # Every flag the parser reads as a float, by command.
 FLOAT_FLAGS = [
     ("net", "--r"),
@@ -229,9 +288,8 @@ class TestNaNFlags:
     exit 2 and no report, as for any malformed number."""
 
     def test_every_float_flag_is_listed(self):
-        subcommands = build_parser()._subparsers._group_actions[0].choices
         found = {(name, action.option_strings[0]): action.type
-                 for name, sp in subcommands.items() for action in sp._actions
+                 for name, sp in SUBCOMMANDS.items() for action in sp._actions
                  if action.type in (float, _float)}
         assert found == dict.fromkeys(FLOAT_FLAGS, _float)
 

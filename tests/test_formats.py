@@ -256,6 +256,16 @@ class TestOneValidationPerSpace:
         assert lmap.codomain is lmap.domain
         assert validations == [3]
 
+    @pytest.mark.parametrize("dist", [
+        [[0, -1, 2], [1, 0, 1], [2, 1, 0]],
+        [[0, 1, 2], [0.5, 0, 1], [2, 1, 0]],
+    ], ids=["negative", "asymmetric"])
+    def test_codomain_that_snaps_to_the_domain_is_validated(self, dist):
+        # Both matrices would store as the domain's; the raw one is invalid.
+        bad = {"labels": ["a", "b", "c"], "dist": dist}
+        with pytest.raises(InvalidMetricError):
+            formats.map_from_doc(self.map_doc(bad))
+
     def test_differing_codomain_is_validated(self, validations):
         lmap = formats.map_from_doc(self.map_doc(WIDER_DOC))
         assert lmap.codomain == formats.space_from_doc(WIDER_DOC)
