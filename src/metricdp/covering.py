@@ -9,7 +9,8 @@ at radii 2^-1, 2^-2, ..., 2^-L and giving each level-i center weight
 bound is what ``positivity_lower_bound`` certifies.
 
 Greedy scans walk points in label order, so every construction here is
-deterministic and reproducible from the space file alone.
+deterministic and reproducible from the space file alone.  Scans run over
+Python-int bitsets, one bit row per distinct scanned center.
 """
 
 from __future__ import annotations
@@ -44,23 +45,37 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
 def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     """Positions in ``centers`` (point indices of ``space``, repeats
     allowed) kept by one greedy pass: a center is kept iff its closed
-    ``radius``-ball shares no point with the balls kept before it."""
-    covered = np.zeros(len(space), dtype=bool)  # union of kept balls
-    kept = []
-    for pos, c in enumerate(centers):
-        ball = space.ball_mask(c, radius)
-        if not (ball & covered).any():
+    ``radius``-ball shares no point with the balls kept before it.  Each
+    distinct center's ball is one Python int, bit j set iff point j is in
+    it, so a step is one ``&`` and one ``|`` of ints, not numpy calls."""
+    distinct, inverse = np.unique(np.asarray(centers, dtype=np.intp), return_inverse=True)
+    data = np.packbits(space.dist[distinct] <= radius, axis=1, bitorder="little").tobytes()
+    width = (len(space) + 7) // 8  # bytes per packed row
+    balls = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    covered, kept = 0, []  # covered: the union of kept balls
+    for pos, ball in enumerate([balls[b] for b in inverse.tolist()]):
+        if not ball & covered:
             kept.append(pos)
             covered |= ball
     return kept
 
 
-def _uncovered(space: FiniteMetricSpace, centers, radius) -> list:
-    """Labels outside every closed ``radius``-ball around ``centers``
-    (with METRIC_TOL slack), in label order."""
-    idx = [space.index_of(c) for c in centers]
-    covered = (space.dist[:, idx] <= radius + METRIC_TOL).any(axis=1)
+def _uncovered(space: FiniteMetricSpace, idx, radius) -> list:
+    """Labels outside every closed ``radius``-ball around the points at
+    indices ``idx`` (with METRIC_TOL slack), in label order."""
+    covered = (space.dist[idx] <= radius + METRIC_TOL).any(axis=0)
     return [space.labels[i] for i in np.flatnonzero(~covered)]
+
+
+def _net(space: FiniteMetricSpace, radius) -> list:
+    """Point indices of :func:`greedy_net`, cover re-check included."""
+    if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
+        raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
+    net = _disjoint_scan(space, range(len(space)), radius / 2.0)
+    missing = _uncovered(space, net, radius)
+    if missing:
+        raise AssertionError(f"net at radius {radius} failed to cover {missing}")
+    return net
 
 
 def greedy_net(space: FiniteMetricSpace, radius) -> list:
@@ -72,12 +87,7 @@ def greedy_net(space: FiniteMetricSpace, radius) -> list:
     maximality argument and would indicate a bug, hence AssertionError
     rather than a domain error.
     """
-    if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
-        raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
-    centers = max_packing(space, radius / 2.0)
-    missing = _uncovered(space, centers, radius)
-    assert not missing, f"net at radius {radius} failed to cover {missing}"
-    return centers
+    return [space.labels[i] for i in _net(space, radius)]
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ class CoverHierarchy:
                 )
             if not level.centers:
                 raise StructuralError(f"level {depth} has no centers")
-            missing = _uncovered(space, level.centers, level.radius)
+            missing = _uncovered(space, [space.index_of(c) for c in level.centers], level.radius)
             if missing:
                 raise StructuralError(
                     f"level {depth} balls do not cover the space (missing {missing})"
@@ -208,9 +218,9 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     levels = []
     for i in range(1, depth + 1):
         radius = math.ldexp(1.0, -i)
-        centers = greedy_net(space, radius)
-        levels.append(CoverLevel(radius, tuple(centers)))
-        weights[[space.index_of(c) for c in centers]] += radius / len(centers)
+        net = _net(space, radius)
+        levels.append(CoverLevel(radius, tuple(space.labels[j] for j in net)))
+        weights[net] += radius / len(net)
     measure = DiscreteMeasure(space, weights)
     hier = CoverHierarchy(space, levels)
     return measure, hier

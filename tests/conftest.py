@@ -8,8 +8,8 @@ separated, so log-ratio audits stay far from floating-point cliffs.
 
 The ``*_loop`` functions are the library's original scalar loops for
 metric validation, the privacy audit, the Lipschitz constant, single
-mechanism rows, tabulation, the greedy disjoint-ball scan and the
-impossibility lower bound.  The
+mechanism rows, tabulation, the greedy disjoint-ball scan, the covering
+measure and the impossibility lower bound.  The
 library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
 ``level_for_radius_loop`` is a brute-force search for the same level
@@ -47,6 +47,7 @@ from metricdp import (
     NotLipschitzError,
     PrivacyAuditReport,
     StructuralError,
+    identity_map,
 )
 from metricdp import spaces
 from metricdp.formats import encode_value
@@ -373,6 +374,30 @@ def propose_centers_loop(query, radius) -> list:
             chosen.append(x)
             covered |= ball
     return chosen
+
+
+def covering_measure_loop(space):
+    """Oracle for ``covering_measure`` at its default depth: returns
+    (measure, centers per level).  The depth is the brute-force level of
+    the smallest positive distance, capped at 1073; level i is
+    ``propose_centers_loop`` on the identity at 2^-(i+1), every point must
+    lie within 2^-i (plus METRIC_TOL) of a center, and each center gets
+    weight 2^-i / n_i added on its own."""
+    positive = [d for d in space.dist.ravel().tolist() if d > 0.0]
+    depth = min(level_for_radius_loop(min(positive)), 1073) if positive else 1
+    query = identity_map(space)
+    weights = np.zeros(len(space))
+    levels = []
+    for i in range(1, depth + 1):
+        radius = math.ldexp(1.0, -i)
+        centers = propose_centers_loop(query, radius / 2.0)
+        idx = [space.index_of(c) for c in centers]
+        for x in range(len(space)):
+            assert (space.dist[x, idx] <= radius + METRIC_TOL).any(), (i, space.labels[x])
+        for j in idx:
+            weights[j] += radius / len(centers)
+        levels.append(tuple(centers))
+    return DiscreteMeasure(space, weights), levels
 
 
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:

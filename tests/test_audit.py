@@ -11,6 +11,7 @@ from conftest import (
     hamming_cube,
     line_space,
     path_space,
+    propose_centers_loop,
     random_map,
     random_measure,
     random_space,
@@ -450,6 +451,22 @@ class TestProposeCenters:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             propose_centers(identity_map(grid_space(3)), 0.0)
+
+    def test_small_domain_into_a_large_codomain_stays_small(self):
+        """Bit rows are built for the distinct images only: three inputs
+        into 3000 outputs stay far below the 9 MB of a full 3000 x 3000
+        membership mask."""
+        codomain = grid_space(3000)
+        images = [codomain.labels[0], codomain.labels[2999], codomain.labels[0]]
+        query = LipschitzMap(line_space([0.0, 1.0, 2.0]), codomain, dict(zip(["x0", "x1", "x2"], images)))
+        tracemalloc.start()
+        try:
+            centers = propose_centers(query, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert centers == propose_centers_loop(query, 0.1) == ["x0", "x1"]
+        assert peak < 1_000_000
 
 
 class TestEMInequalities:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,25 @@ class TestGreedyNet:
     def test_nonpositive_radius(self):
         with pytest.raises(ValueError):
             greedy_net(grid_space(3), -1.0)
+
+    def test_cover_check_survives_python_O(self):
+        """The re-check is an explicit raise, so ``python -O``, which strips
+        asserts, still refuses a net that does not cover."""
+        code = (
+            "import sys\n"
+            "from metricdp import covering, grid_space\n"
+            "scan = covering._disjoint_scan\n"
+            "covering._disjoint_scan = lambda *args: scan(*args)[:-1]  # drop a center\n"
+            "try:\n"
+            "    covering.greedy_net(grid_space(9), 0.25)\n"
+            "except AssertionError as e:\n"
+            "    print(sys.flags.optimize, e)\n"
+        )
+        src = str(Path(covering.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "1 net at radius 0.25 failed to cover ['0.75', '0.875', '1']\n"
 
     def test_radius_whose_half_underflows(self):
         # The error names the radius given, not its half, which is 0.0.
@@ -249,7 +272,7 @@ class TestCoveringMeasure:
     def test_depth_past_the_float_range_fails_before_building(self, monkeypatch):
         # Level 1074 would pack at 2**-1075, which is 0.0: no level is built.
         nets = []
-        monkeypatch.setattr(covering, "greedy_net", lambda *args: nets.append(args))
+        monkeypatch.setattr(covering, "_net", lambda *args: nets.append(args))
         with pytest.raises(ValueError, match=r"depth must be at most 1073 .*, got 1074$"):
             covering_measure(grid_space(3), depth=1074)
         assert nets == []

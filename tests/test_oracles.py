@@ -24,6 +24,7 @@ from conftest import (
     MATRIX_ENTRIES,
     audit_privacy_loop,
     closure_metric,
+    covering_measure_loop,
     distribution_loop,
     dump_doc_reference,
     impossibility_lower_bound_loop,
@@ -46,6 +47,7 @@ from metricdp import (
     MechanismTable,
     NotLipschitzError,
     audit_privacy,
+    covering_measure,
     default_depth,
     discrete_space,
     distribution,
@@ -615,6 +617,62 @@ class TestDisjointScanOracle:
         query = identity_map(line_space([0.0, 1.0]))
         for r in (0.0, -1.0, math.nan):
             same_outcome(propose_centers, propose_centers_loop, query, r)
+
+
+# Sizes on both sides of the byte and 64-bit word edges of the scan's
+# bit rows.
+BIT_EDGE_SIZES = st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130])
+
+
+def bit_edge_space(rng, n: int, kind: str) -> FiniteMetricSpace:
+    """An n-point space of diameter at most 1.  ``random`` is
+    ``random_space`` up to 9 points and a shortest-path closure beyond,
+    where the cloud flavor's 0.03 spacing is out of reach; ``twins`` puts
+    points on a coarse grid of a line, so coordinates repeat; ``pseudo``
+    is a planar cloud in which a third of the points repeat others."""
+    if kind == "random":
+        if n <= 9:
+            return random_space(rng, n, scale=0.7)
+        return FiniteMetricSpace([f"p{i}" for i in range(n)], closure_metric(rng, n, 0.7))
+    if kind == "twins":
+        k = max(2, n // 2)
+        return line_space(rng.integers(k, size=n) / (k - 1))
+    pts = rng.uniform(size=(max(1, (2 * n) // 3), 2))
+    pts = rng.permutation(np.vstack([pts, pts[rng.integers(len(pts), size=n - len(pts))]]))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return FiniteMetricSpace([f"q{i}" for i in range(n)], dist / max(dist.max(), 1.0))
+
+
+class TestBitsetScanOracle:
+    """The bitset scan against the loops at sizes that cross byte and
+    word edges of its bit rows."""
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), BIT_EDGE_SIZES, st.sampled_from(["random", "twins", "pseudo"]))
+    def test_covering_measure(self, seed, n, kind):
+        space = bit_edge_space(np.random.default_rng(seed), n, kind)
+        measure, hier = covering_measure(space)
+        want, levels = covering_measure_loop(space)
+        assert hier.depth == len(levels)
+        assert [lv.centers for lv in hier.levels] == levels
+        assert measure.values.tobytes() == want.values.tobytes()
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), BIT_EDGE_SIZES, BIT_EDGE_SIZES,
+           st.sampled_from(["random", "twins", "pseudo"]), st.sampled_from([0.05, 0.25, 0.5, 1.0, 1.5]))
+    def test_propose_centers_into_a_larger_codomain(self, seed, n, m, kind, scale):
+        """The domain has the smaller of the two sizes; its images repeat,
+        about n/2 distinct points of the codomain."""
+        n, m = min(n, m), max(n, m)
+        rng = np.random.default_rng(seed)
+        domain = FiniteMetricSpace([f"d{i}" for i in range(n)], closure_metric(rng, n))
+        codomain = bit_edge_space(rng, m, kind)
+        targets = rng.choice(m, size=max(1, n // 2), replace=False)
+        images = targets[rng.integers(len(targets), size=n)]
+        query = LipschitzMap(domain, codomain,
+                             {x: codomain.labels[int(i)] for x, i in zip(domain.labels, images)})
+        r = scale * max(codomain.diameter(), 0.1)
+        assert propose_centers(query, r) == propose_centers_loop(query, r)
 
 
 class TestLevelForRadiusOracle:
