@@ -6,7 +6,9 @@ point's half-radius ball would have extended the packing); stacking nets
 at radii 2^-1, 2^-2, ..., 2^-L and giving each level-i center weight
 1/(2^i * n_i) yields a measure whose every r-ball holds at least
 1/(2^i * n_i) mass for the smallest level i with 2^-i <= r.  That lower
-bound is what ``positivity_lower_bound`` certifies.
+bound is what ``positivity_lower_bound`` certifies.  Each cover is checked
+once: :class:`CoverHierarchy` certifies every level that
+:func:`covering_measure` builds, and :func:`greedy_net` re-checks its own net.
 
 Greedy scans walk points in label order, so every construction here is
 deterministic and reproducible from the space file alone.  Scans run over
@@ -67,27 +69,22 @@ def _uncovered(space: FiniteMetricSpace, idx, radius) -> list:
     return [space.labels[i] for i in np.flatnonzero(~covered)]
 
 
-def _net(space: FiniteMetricSpace, radius) -> list:
-    """Point indices of :func:`greedy_net`, cover re-check included."""
+def greedy_net(space: FiniteMetricSpace, radius) -> list:
+    """Centers whose closed ``radius``-balls cover the space.
+
+    Built as the greedy maximal (radius/2)-packing, so
+    len(greedy_net(X, r)) == len(max_packing(X, r/2)) always.  The net
+    re-checks its own cover before returning; failure is impossible by the
+    maximality argument and would indicate a bug, hence AssertionError
+    rather than a domain error.
+    """
     if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
         raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
     net = _disjoint_scan(space, range(len(space)), radius / 2.0)
     missing = _uncovered(space, net, radius)
     if missing:
         raise AssertionError(f"net at radius {radius} failed to cover {missing}")
-    return net
-
-
-def greedy_net(space: FiniteMetricSpace, radius) -> list:
-    """Centers whose closed ``radius``-balls cover the space.
-
-    Built as the greedy maximal (radius/2)-packing, so
-    len(greedy_net(X, r)) == len(max_packing(X, r/2)) always.  The cover
-    property is re-checked before returning; failure is impossible by the
-    maximality argument and would indicate a bug, hence AssertionError
-    rather than a domain error.
-    """
-    return [space.labels[i] for i in _net(space, radius)]
+    return [space.labels[i] for i in net]
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,8 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     For each level i = 1..depth computes the greedy net at radius 2^-i
     and gives each of its n_i centers weight 1/(2^i * n_i).  A point in
     several nets accumulates the sum.  Total mass is exactly 1 - 2^-depth;
-    :func:`tradeoff_upper_bound` divides by it to calibrate.
+    :func:`tradeoff_upper_bound` divides by it to calibrate.  The returned
+    :class:`CoverHierarchy` is the one cover check: it certifies each level.
 
     Returns (measure, hierarchy).  ``depth=None`` uses
     :func:`default_depth`, which is deep enough that the last level nets
@@ -218,9 +216,7 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     levels = []
     for i in range(1, depth + 1):
         radius = math.ldexp(1.0, -i)
-        net = _net(space, radius)
+        net = _disjoint_scan(space, range(len(space)), radius / 2.0)
         levels.append(CoverLevel(radius, tuple(space.labels[j] for j in net)))
         weights[net] += radius / len(net)
-    measure = DiscreteMeasure(space, weights)
-    hier = CoverHierarchy(space, levels)
-    return measure, hier
+    return DiscreteMeasure(space, weights), CoverHierarchy(space, levels)

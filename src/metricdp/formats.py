@@ -47,7 +47,10 @@ def decode_value(v) -> float:
     if v == "-" + INFINITY:
         return -math.inf
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise SchemaError(f"a {v.bit_length()}-bit integer is too large for a double") from None
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
 
 
@@ -61,7 +64,7 @@ def load_doc(source) -> dict:
                 doc = json.load(fh, parse_constant=decode_value)
         except OSError as exc:
             raise SchemaError(f"cannot read {source}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
             raise SchemaError(f"{source} is not valid JSON: {exc}") from exc
     else:
         doc = source
@@ -177,7 +180,7 @@ def _number_matrix(rows, what: str) -> np.ndarray:
     and booleans, as ``decode_value`` does."""
     try:
         mat = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} is not a numeric matrix: {exc}") from exc
     if mat.ndim != 2:
         raise SchemaError(f"{what} must be a 2-d matrix, got {mat.ndim} dimension(s)")

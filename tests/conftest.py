@@ -77,13 +77,15 @@ def validations(monkeypatch):
 
 def cloud_metric(rng, n: int, scale: float = 1.0) -> np.ndarray:
     """Pairwise Euclidean distances of n random points in the plane,
-    resampled until no two points are closer than 0.03 * scale."""
+    resampled until no two points are closer than 0.03 * scale, a gap that
+    shrinks as 24/n past 24 points so that large clouds still get drawn."""
+    gap = 0.03 * scale * min(1.0, 24 / n)
     while True:
         pts = rng.uniform(0.0, scale, size=(n, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         d = np.sqrt((diff * diff).sum(axis=2))
         off = d[~np.eye(n, dtype=bool)]
-        if n == 1 or off.min() >= 0.03 * scale:
+        if n == 1 or off.min() >= gap:
             return d
 
 

@@ -676,9 +676,12 @@ class TestDemo:
 class TestMalformedNumbers:
     """A malformed number in a document is a schema error: exit 2 and no
     report, never a traceback.  ``write`` spells math.nan and math.inf as
-    the NaN and Infinity literals that Python's json reads but JSON lacks."""
+    the NaN and Infinity literals that Python's json reads but JSON lacks;
+    BIG is an integer too large for a double."""
 
-    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True, math.nan, math.inf])
+    BIG = pytest.param(10**400, id="10**400")
+
+    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True, math.nan, math.inf, BIG])
     def test_measure_weight(self, capsys, grid5_files, weight):
         doc = json.loads(Path(grid5_files["measure"]).read_text())
         doc["weights"]["0"] = weight
@@ -688,7 +691,7 @@ class TestMalformedNumbers:
         assert code == 2
         assert out is None
 
-    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}, math.nan, math.inf])
+    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}, math.nan, math.inf, BIG])
     def test_map_lipschitz_constant(self, capsys, grid5_files, declared):
         doc = json.loads(Path(grid5_files["map"]).read_text())
         doc["lipschitz_c"] = declared
@@ -709,7 +712,8 @@ class TestMalformedNumbers:
         assert out is None
 
     BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]],
-                [[0, math.nan], [math.nan, 0]], [[0, math.inf], [math.inf, 0]]]
+                [[0, math.nan], [math.nan, 0]], [[0, math.inf], [math.inf, 0]],
+                pytest.param([[0, 10**400], [10**400, 0]], id="10**400")]
 
     @pytest.mark.parametrize("dist", BAD_DIST)
     def test_space_dist(self, capsys, tmp_path, dist):
@@ -725,8 +729,15 @@ class TestMalformedNumbers:
                      ["audit-privacy", "--mech", mech, "--space", space]):
             assert run(capsys, *argv) == (2, None), argv
 
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # json reads integers with int(), which refuses more than 4300 digits.
+        path, big = tmp_path / "space.json", "1" + "0" * 5000
+        path.write_text(f'{{"labels": ["a", "b"], "dist": [[0, {big}], [{big}, 0]]}}')
+        assert run(capsys, "validate", "--space", str(path)) == (2, None)
+
     @pytest.mark.parametrize("row", [["0.5", 0.5], [0.5, "0.5"], [True, 0], [1, False],
-                                     [math.nan, 0.5], [math.inf, 0]])
+                                     [math.nan, 0.5], [math.inf, 0],
+                                     pytest.param([10**400, 0], id="10**400")])
     def test_table_rows(self, capsys, tmp_path, row):
         # Each row sums to 1 once coerced to floats.
         space = write(tmp_path, "space.json", {"kind": "discrete", "n": 2})

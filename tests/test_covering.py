@@ -88,24 +88,30 @@ class TestGreedyNet:
         with pytest.raises(ValueError):
             greedy_net(grid_space(3), -1.0)
 
-    def test_cover_check_survives_python_O(self):
-        """The re-check is an explicit raise, so ``python -O``, which strips
-        asserts, still refuses a net that does not cover."""
+    @pytest.mark.parametrize("call, error, message", [
+        ("covering.greedy_net(grid_space(9), 0.25)", "AssertionError",
+         "net at radius 0.25 failed to cover ['0.75', '0.875', '1']"),
+        ("covering.covering_measure(grid_space(9))", "StructuralError",
+         "level 1 balls do not cover the space (missing ['0.625', '0.75', '0.875', '1'])"),
+    ], ids=["greedy_net", "covering_measure"])
+    def test_cover_check_survives_python_O(self, call, error, message):
+        """Both cover checks are explicit raises, so ``python -O``, which
+        strips asserts, still refuses a net that does not cover."""
         code = (
             "import sys\n"
-            "from metricdp import covering, grid_space\n"
+            "from metricdp import StructuralError, covering, grid_space\n"
             "scan = covering._disjoint_scan\n"
             "covering._disjoint_scan = lambda *args: scan(*args)[:-1]  # drop a center\n"
             "try:\n"
-            "    covering.greedy_net(grid_space(9), 0.25)\n"
-            "except AssertionError as e:\n"
+            f"    {call}\n"
+            f"except {error} as e:\n"
             "    print(sys.flags.optimize, e)\n"
         )
         src = str(Path(covering.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "1 net at radius 0.25 failed to cover ['0.75', '0.875', '1']\n"
+        assert out == f"1 {message}\n"
 
     def test_radius_whose_half_underflows(self):
         # The error names the radius given, not its half, which is 0.0.
@@ -271,11 +277,18 @@ class TestCoveringMeasure:
 
     def test_depth_past_the_float_range_fails_before_building(self, monkeypatch):
         # Level 1074 would pack at 2**-1075, which is 0.0: no level is built.
-        nets = []
-        monkeypatch.setattr(covering, "_net", lambda *args: nets.append(args))
+        scans = []
+        monkeypatch.setattr(covering, "_disjoint_scan", lambda *args: scans.append(args))
         with pytest.raises(ValueError, match=r"depth must be at most 1073 .*, got 1074$"):
             covering_measure(grid_space(3), depth=1074)
-        assert nets == []
+        assert scans == []
+
+    def test_each_level_is_checked_once(self, monkeypatch):
+        # The hierarchy's check is the only cover check on this path.
+        calls, check = [], covering._uncovered
+        monkeypatch.setattr(covering, "_uncovered", lambda *args: calls.append(args) or check(*args))
+        _, hier = covering_measure(grid_space(9))
+        assert len(calls) == hier.depth == 3
 
     def test_deterministic(self):
         a, _ = covering_measure(grid_space(9))

@@ -86,6 +86,12 @@ class TestValidateMetric:
             make = cloud_metric if rng.integers(2) == 0 else closure_metric
             assert validate_metric(make(rng, n)).ok
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_cloud_returns_with_its_scaled_gap(self, seed):
+        # Past 24 points the gap shrinks as 24/n, so this takes a few draws.
+        d = cloud_metric(np.random.default_rng(seed), 400, scale=2.0)
+        assert d[~np.eye(400, dtype=bool)].min() >= 0.03 * 2.0 * 24 / 400
+
 
 class TestFiniteMetricSpace:
     def test_invalid_metric_carries_report(self):
