@@ -97,8 +97,9 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     pair, whose first maximizing output ``_pair_ratios`` finds.  Without the per-pair
     matrix the audit stops after the first block of rows holding an inf.
 
-    It audits the stored table: ``tabulate`` rounds entries to doubles, so at tiny beta
-    epsilon can pass ``privacy_bound`` by a few units of 2**-52 over the least distance.
+    It audits the stored table.  At tiny beta epsilon can pass ``privacy_bound`` by a few
+    units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
+    to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
     space = mech.input_space
     logs = _logs(mech.probs)

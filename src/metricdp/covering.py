@@ -101,9 +101,11 @@ class CoverHierarchy:
     """Per-level cover centers at radii 2^-1 ... 2^-L, one
     :class:`CoverLevel` per level.
 
-    Level i's closed balls of radius 2^-i around its centers must cover
-    the whole space; this is verified on construction so a hand-built
-    hierarchy certifies as much as one from :func:`covering_measure`.
+    Level i's radius must be exactly 2^-i, and its closed balls of that
+    radius around its centers must cover the whole space; this is verified
+    on construction so a hand-built hierarchy certifies as much as one from
+    :func:`covering_measure`.  Covers are checked with ``METRIC_TOL`` slack,
+    so a certificate at radii near or below 1e-12 carries no information.
     """
 
     __slots__ = ("space", "levels")
@@ -113,8 +115,7 @@ class CoverHierarchy:
         if not levels:
             raise StructuralError("a hierarchy needs at least one level")
         for depth, level in enumerate(levels, start=1):
-            expected = math.ldexp(1.0, -depth)
-            if abs(level.radius - expected) > METRIC_TOL:
+            if level.radius != math.ldexp(1.0, -depth):
                 raise StructuralError(
                     f"level {depth} radius {level.radius} is not 2^-{depth}"
                 )

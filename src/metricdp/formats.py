@@ -6,10 +6,15 @@ command-line tool are wrapped in a report envelope ({"command", "version",
 "params", "result"}); every loader unwraps that transparently, so a report
 written by one command can feed the next.
 
-Malformed documents (wrong JSON shape, missing keys) raise SchemaError.
-Well-formed documents describing invalid objects (a matrix violating the
-triangle inequality, rows that do not sum to 1) raise the domain errors of
-the module that owns the object.
+Malformed documents (wrong JSON shape, missing keys, a number too large
+for a double) raise SchemaError.  Well-formed documents describing invalid
+objects (a matrix violating the triangle inequality, rows that do not sum
+to 1) raise the domain errors of the module that owns the object.
+
+``space_from_doc`` is the one loader of space documents.  It builds a
+generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
+``grid_space`` is, and does not re-check it, so ``validate`` reports it ok
+by construction; the tests check the generators against the validator.
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ def decode_value(v) -> float:
         return -math.inf
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
-            return float(v)
-        except OverflowError:
-            raise SchemaError(f"a {v.bit_length()}-bit integer is too large for a double") from None
+            value = float(v)
+        except OverflowError:  # an integer past the double range
+            value = math.inf
+        # json reads a literal past the double range, such as 1e400, as inf.
+        if math.isinf(value):
+            raise SchemaError(f"a number too large for a double ({INFINITY!r} spells an infinity)")
+        return value
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
 
 
@@ -187,13 +196,16 @@ def _number_matrix(rows, what: str) -> np.ndarray:
     kinds = set(map(type, itertools.chain.from_iterable(rows)))
     if any(issubclass(k, bool) or not issubclass(k, (int, float)) for k in kinds):
         raise SchemaError(f"{what} must hold only numbers")
+    if np.isinf(mat).any():  # json reads a literal such as 1e400 as inf
+        raise SchemaError(f"{what} holds a number too large for a double")
     return mat
 
 
-def space_components(source) -> tuple:
-    """(labels, dist matrix) from a space document, expanding the generator
-    forms {"kind": "grid"|"discrete", "n": k}.  Returns raw parts so callers
-    can run the full axiom validator before construction."""
+def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetricSpace:
+    """The space a document describes, a generator form {"kind": "grid"|
+    "discrete", "n": k} built trusted.  An explicit document is validated
+    unless it describes ``known`` (same labels, equal distances), which is
+    then returned itself, so a command validates each space once."""
     doc = load_doc(source)
     if "kind" in doc:
         kind = doc["kind"]
@@ -201,29 +213,17 @@ def space_components(source) -> tuple:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise SchemaError(f"generator size must be a positive integer, got {n!r}")
         if kind == "grid":
-            s = grid_space(n)
-        elif kind == "discrete":
-            s = discrete_space(n)
-        else:
-            raise SchemaError(f"unknown space generator kind {kind!r}")
-        return list(s.labels), np.array(s.dist)
+            return grid_space(n)
+        if kind == "discrete":
+            return discrete_space(n)
+        raise SchemaError(f"unknown space generator kind {kind!r}")
     labels = _require(doc, "labels", "space")
     dist = _require(doc, "dist", "space")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("space labels must be a list of strings")
     mat = _number_matrix(dist, "space dist")
     if len(labels) != mat.shape[0]:
-        raise StructuralError(
-            f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix"
-        )
-    return labels, mat
-
-
-def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetricSpace:
-    """The space a document describes, validated, or ``known`` itself when
-    the document describes it (same labels, equal distances), so a command
-    validates each space once."""
-    labels, mat = space_components(source)
+        raise StructuralError(f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix")
     if known is not None and labels == known.labels and np.array_equal(mat, known.dist):
         return known
     return FiniteMetricSpace(labels, mat)

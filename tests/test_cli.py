@@ -13,6 +13,7 @@ from metricdp import (
     TradeoffBound,
     UtilityAuditReport,
     formats,
+    grid_space,
 )
 from metricdp.cli import _float, build_parser, main
 
@@ -25,9 +26,14 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+# Written by ``write`` as the raw literal 1e400, which json reads as inf
+# and json.dumps would spell Infinity.
+LITERAL_1E400 = "<1e400>"
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(LITERAL_1E400), "1e400"))
     return str(path)
 
 
@@ -618,11 +624,22 @@ class TestMeasureSpace:
         assert "measure document names no space and none is implied" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_tabulate_validates_one_space(self, capsys, grid5_files, validations):
-        code, _ = run(capsys, "tabulate", "--map", grid5_files["map"],
-                      "--measure", grid5_files["measure"], "--beta", "2")
+    @pytest.mark.parametrize("explicit, expected", [(False, []), (True, [5])],
+                             ids=["generator", "explicit"])
+    def test_tabulate_validates_one_space(self, capsys, grid5_files, validations,
+                                          explicit, expected):
+        # Generator documents are trusted; an explicit space repeated in the
+        # map's codomain and the measure is validated once per command.
+        the_map, measure = grid5_files["map"], grid5_files["measure"]
+        if explicit:
+            space = formats.space_to_doc(grid_space(5))
+            docs = [json.loads(Path(path).read_text()) for path in (the_map, measure)]
+            docs[0]["domain"] = docs[0]["codomain"] = docs[1]["space"] = space
+            the_map = write(grid5_files["dir"], "explicit_map.json", docs[0])
+            measure = write(grid5_files["dir"], "explicit_measure.json", docs[1])
+        code, _ = run(capsys, "tabulate", "--map", the_map, "--measure", measure, "--beta", "2")
         assert code == 0
-        assert validations == [5]
+        assert validations == expected
 
     def test_invalid_codomain_exits_3(self, capsys, tmp_path):
         good = {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
@@ -677,11 +694,13 @@ class TestMalformedNumbers:
     """A malformed number in a document is a schema error: exit 2 and no
     report, never a traceback.  ``write`` spells math.nan and math.inf as
     the NaN and Infinity literals that Python's json reads but JSON lacks;
-    BIG is an integer too large for a double."""
+    BIG is an integer too large for a double, and HUGE the number literal
+    1e400, which json reads as inf."""
 
     BIG = pytest.param(10**400, id="10**400")
+    HUGE = pytest.param(LITERAL_1E400, id="1e400")
 
-    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True, math.nan, math.inf, BIG])
+    @pytest.mark.parametrize("weight", [None, "abc", [0.2], True, math.nan, math.inf, BIG, HUGE])
     def test_measure_weight(self, capsys, grid5_files, weight):
         doc = json.loads(Path(grid5_files["measure"]).read_text())
         doc["weights"]["0"] = weight
@@ -691,7 +710,7 @@ class TestMalformedNumbers:
         assert code == 2
         assert out is None
 
-    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}, math.nan, math.inf, BIG])
+    @pytest.mark.parametrize("declared", [[1], "1", {"c": 1}, math.nan, math.inf, BIG, HUGE])
     def test_map_lipschitz_constant(self, capsys, grid5_files, declared):
         doc = json.loads(Path(grid5_files["map"]).read_text())
         doc["lipschitz_c"] = declared
@@ -713,7 +732,8 @@ class TestMalformedNumbers:
 
     BAD_DIST = [[[0, "1"], ["1", 0]], [[0, 1], [1, False]], [[0, True], [True, 0]],
                 [[0, math.nan], [math.nan, 0]], [[0, math.inf], [math.inf, 0]],
-                pytest.param([[0, 10**400], [10**400, 0]], id="10**400")]
+                pytest.param([[0, 10**400], [10**400, 0]], id="10**400"),
+                pytest.param([[0, LITERAL_1E400], [LITERAL_1E400, 0]], id="1e400")]
 
     @pytest.mark.parametrize("dist", BAD_DIST)
     def test_space_dist(self, capsys, tmp_path, dist):
@@ -737,7 +757,8 @@ class TestMalformedNumbers:
 
     @pytest.mark.parametrize("row", [["0.5", 0.5], [0.5, "0.5"], [True, 0], [1, False],
                                      [math.nan, 0.5], [math.inf, 0],
-                                     pytest.param([10**400, 0], id="10**400")])
+                                     pytest.param([10**400, 0], id="10**400"),
+                                     pytest.param([LITERAL_1E400, 0], id="1e400")])
     def test_table_rows(self, capsys, tmp_path, row):
         # Each row sums to 1 once coerced to floats.
         space = write(tmp_path, "space.json", {"kind": "discrete", "n": 2})

@@ -130,6 +130,15 @@ class TestHierarchy:
         with pytest.raises(StructuralError, match="radius"):
             CoverHierarchy(s, [CoverLevel(0.3, ("0.5",))])
 
+    @pytest.mark.parametrize("radius", [0.0, -5e-13, 2.0**-41 * (1 + 2.0**-52)],
+                             ids=["0", "-5e-13", "one-ulp-above"])
+    def test_radius_past_level_40_must_be_exact(self, radius):
+        # 2^-41 is below METRIC_TOL, so a slack comparison would take any of these.
+        s = FiniteMetricSpace(["a", "b"], [[0, 5e-13], [5e-13, 0]])
+        levels = [CoverLevel(math.ldexp(1.0, -i), ("a",)) for i in range(1, 41)]
+        with pytest.raises(StructuralError, match="level 41 radius"):
+            CoverHierarchy(s, levels + [CoverLevel(radius, ("a",))])
+
     def test_levels_must_cover(self):
         s = grid_space(5)
         with pytest.raises(StructuralError, match="cover"):

@@ -106,9 +106,17 @@ class TestLoadDoc:
 
 
 class TestSpaceDocs:
-    def test_generator_forms(self):
+    def test_generator_forms(self, validations):
         assert formats.space_from_doc({"kind": "grid", "n": 3}) == grid_space(3)
         assert formats.space_from_doc({"kind": "discrete", "n": 4}) == discrete_space(4)
+        assert validations == []
+
+    def test_generator_form_ignores_known(self):
+        # known is reused only for explicit documents; a generator's fresh
+        # space equals it by value.
+        known = grid_space(3)
+        space = formats.space_from_doc({"kind": "grid", "n": 3}, known)
+        assert space == known and space is not known
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -142,8 +150,6 @@ class TestSpaceDocs:
         # The matrix also breaks the triangle inequality; the shape is
         # reported first.
         doc = {"labels": ["a", "b"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
-        with pytest.raises(StructuralError, match="2 labels but a 3x3 matrix"):
-            formats.space_components(doc)
         with pytest.raises(StructuralError, match="2 labels but a 3x3 matrix"):
             formats.space_from_doc(doc)
 

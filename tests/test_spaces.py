@@ -248,6 +248,19 @@ class TestGenerators:
         assert s.dist[0, 3] == 1.0
         assert s.dist[2, 2] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
+    def test_trusted_generators_are_metrics(self, n):
+        # Generator documents skip the validator, so the check lives here.
+        coords = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+        raws = {grid_space: np.abs(coords[:, None] - coords[None, :]),
+                discrete_space: np.ones((n, n)) - np.eye(n)}
+        for generator, raw in raws.items():
+            space = generator(n)
+            assert validate_metric(space.dist).ok
+            snapped = np.maximum(raw, raw.T)
+            snapped[~(snapped > 0.0) | np.eye(n, dtype=bool)] = 0.0
+            assert space.dist.tobytes() == snapped.tobytes()
+
 
 class TestLipschitz:
     def test_identity_constant_is_one(self):
