@@ -23,11 +23,10 @@ import numpy as np
 from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
 from .mechanisms import MechanismTable
-from .spaces import LipschitzMap
+from .spaces import _BLOCK_CELLS, LipschitzMap
 
-# Log differences reduced at a time (1 MB, or one row of pairs if larger); a nonzero
-# one is at least 2**-106, so over at most _BULK_MAX_DIST it does not round to zero.
-_BLOCK_CELLS = 1 << 17
+# A nonzero log difference is at least 2**-106, so over at most _BULK_MAX_DIST
+# it does not round to zero.
 _BULK_MAX_DIST = 2.0**900
 
 
@@ -209,16 +208,17 @@ def impossibility_lower_bound(
     space = mech.input_space
     idx = [space.index_of(c) for c in centers]
     balls = mech.output_space.dist[query.images[idx]] <= radius
-    # shared[a, b] counts the points balls a and b have in common; the
-    # first overlapping pair with a < b in row-major order is reported.
-    shared = balls.astype(float) @ balls.T.astype(float)
-    overlaps = np.argwhere(np.triu(shared, 1) > 0)
-    if overlaps.size:
-        a, b = overlaps[0]
-        raise DomainError(
-            f"target balls around {centers[a]!r} and {centers[b]!r} overlap; "
-            "the disjointness hypothesis fails"
-        )
+    # A point in two balls means some pair overlaps; the first such pair
+    # with a < b in row-major order is reported.
+    if (balls.sum(axis=0) > 1).any():
+        for a in range(len(centers) - 1):
+            hits = np.flatnonzero((balls[a + 1:] & balls[a]).any(axis=1))
+            if hits.size:
+                b = a + 1 + int(hits[0])
+                raise DomainError(
+                    f"target balls around {centers[a]!r} and {centers[b]!r} overlap; "
+                    "the disjointness hypothesis fails"
+                )
 
     rows = mech.probs[idx]
     mass_self = tuple(float(rows[i][balls[i]].sum()) for i in range(len(centers)))

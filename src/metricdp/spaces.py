@@ -5,6 +5,14 @@ The metric axioms are checked with an absolute slack of ``METRIC_TOL`` (a
 floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
+
+The triangle check is a tiled min-plus pass: each pair (i, k) compares its
+distance with the least sum dist[i][j] + dist[j][k] over the middle points,
+a tile at a time.  On an exactly symmetric matrix it reduces about half
+of the n^3 sums; any other matrix takes a second reduction, over a
+transposed copy, for the reverse direction.  Besides those copies it holds
+one tile buffer of at most 1 MB, and only the points it flags are
+enumerated triple by triple for the report.
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ from .errors import (
 
 # Absolute slack for all metric-axiom checks.
 METRIC_TOL = 1e-12
+
+# Cells of scratch a blocked reduction fills at a time (1 MB), or one row of
+# it if that is larger.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -52,6 +64,14 @@ def validate_metric(dist) -> MetricValidationReport:
     symmetry, triangle inequality) with witnessing index tuples.  Distinct
     points at distance zero are allowed: definiteness is not an axiom here.
 
+    The triangle inequality is checked in O(n^3) time by a tiled min-plus
+    pass over pairs (i, k), which takes half the work when the matrix is
+    exactly symmetric (as every space the library builds or writes is).
+    Memory is one float copy of the matrix (two when it is not exactly
+    symmetric) plus a tile buffer of at most 1 MB.  Only the points that
+    pass flags are enumerated triple by triple, so the report, its order
+    and its detail strings are those of a scalar loop over every (i, k, j).
+
     Raises
     ------
     StructuralError
@@ -67,32 +87,37 @@ def validate_metric(dist) -> MetricValidationReport:
     if mat.size and not np.isfinite(mat).all():
         raise StructuralError("matrix entries must be finite")
 
-    n = mat.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
     violations = [
         AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
         for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
     ]
+    negative = mat < -METRIC_TOL
+    np.fill_diagonal(negative, False)
     violations += [
         AxiomViolation("nonnegativity", (i, j), f"dist[{i}][{j}] = {mat[i, j]}")
-        for i, j in np.argwhere((mat < -METRIC_TOL) & off_diag).tolist()
+        for i, j in np.argwhere(negative).tolist()
     ]
+    del negative
+    gap = mat - mat.T
+    np.abs(gap, out=gap)
     violations += [
         AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
-        for i, j in np.argwhere(np.triu(np.abs(mat - mat.T) > METRIC_TOL, 1)).tolist()
+        for i, j in np.argwhere(np.triu(gap > METRIC_TOL, 1)).tolist()
     ]
-    # One (k, j) slab per point i: bad[k, j] means dist[i][k] exceeds the
-    # path through j, summed in the same order as the scalar expression.
-    mat_t = np.ascontiguousarray(mat.T)
-    # An overflowed sum is +inf, which no finite distance exceeds: exact.
+    symmetric = not gap.any()  # a finite difference is 0 only between equal entries
+    del gap
+    # Only the points the tiled pass flags go through a (k, j) slab: bad[k, j]
+    # means dist[i][k] exceeds the path through j, summed in the same order
+    # as the scalar expression.  An overflowed sum is +inf, which no finite
+    # distance exceeds: exact.
+    rows = _triangle_rows(mat, symmetric)
+    mat_t = np.ascontiguousarray(mat.T) if rows else None
     with np.errstate(over="ignore"):
-        for i in range(n):
+        for i in rows:
             bad = mat[i][:, None] > (mat[i][None, :] + mat_t) + METRIC_TOL
-            bad &= off_diag
+            np.fill_diagonal(bad, False)
             bad[i, :] = False
             bad[:, i] = False
-            if not bad.any():
-                continue
             violations += [
                 AxiomViolation(
                     "triangle",
@@ -102,6 +127,57 @@ def validate_metric(dist) -> MetricValidationReport:
                 for k, j in np.argwhere(bad).tolist()
             ]
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _triangle_rows(mat, symmetric) -> list:
+    """Sorted indices of every point i with some k != i and j not in
+    {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
+
+    A tiled min-plus pass: with +inf on the diagonal, which drops j = i and
+    j = k, each tile holds the sums for a block of pairs (i, k) with k at or
+    past the block's first row, reduced to their minimum over j.  Rounding
+    is monotone, so the minimum plus METRIC_TOL exceeds dist[i][k] exactly
+    when some sum plus METRIC_TOL does.  On exactly symmetric input the
+    sums for (k, i) are the same sums, so half the cube decides every pair
+    and a violating pair flags both its points.  Other input runs a second
+    reduction over the transposed operands for the (k, i) direction; a pair
+    flags both its points there too, so a point with no violation of its
+    own may come back.  Tiles reuse one buffer of at most ``_BLOCK_CELLS``
+    cells, or of one row of n sums if that is larger.
+    """
+    n = mat.shape[0]
+    if n < 3:
+        return []
+    a = mat.copy()
+    np.fill_diagonal(a, np.inf)
+    if symmetric:
+        # a[k, j] equals a[j, k], up to the sign of a zero, which no sum or
+        # comparison below can tell apart.
+        passes = ((a, a, mat),)
+    else:
+        a_t = np.ascontiguousarray(a.T)
+        passes = ((a, a_t, mat), (a_t, a, mat.T))
+    step = max(1, _BLOCK_CELLS // (n * n))
+    width = min(n, max(1, _BLOCK_CELLS // (step * n)))
+    buf = np.empty(step * width * n)
+    flagged = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore"):
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            for c0 in range(r0, n, width):
+                c1 = min(c0 + width, n)
+                tile = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
+                for left, right, target in passes:
+                    # tile[i, k, j] = left[i, j] + right[k, j]
+                    np.add(left[r0:r1, None, :], right[None, c0:c1, :], out=tile)
+                    low = tile.min(axis=2)
+                    low += METRIC_TOL
+                    bad = target[r0:r1, c0:c1] > low
+                    if c0 == r0:  # the only tile in the row block holding k = i
+                        np.fill_diagonal(bad, False)
+                    flagged[r0:r1] |= bad.any(axis=1)
+                    flagged[c0:c1] |= bad.any(axis=0)
+    return np.flatnonzero(flagged).tolist()
 
 
 class FiniteMetricSpace:

@@ -12,6 +12,8 @@ mechanism rows, tabulation, the greedy disjoint-ball scan, the covering
 measure and the impossibility lower bound.  The
 library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
+``validate_metric_slabs`` is the validator's earlier per-point slab
+implementation, the oracle for its tiled pass beyond the loop's reach.
 ``level_for_radius_loop`` is a brute-force search for the same level
 that ``level_for_radius`` computes from the binary exponent.
 ``dump_doc_reference`` is the original report writer, json's ``indent=2``
@@ -301,6 +303,56 @@ def validate_metric_loop(dist) -> MetricValidationReport:
                             f"{mat[i, j]} + {mat[j, k]} via {j}",
                         )
                     )
+    return MetricValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def validate_metric_slabs(dist) -> MetricValidationReport:
+    """Oracle for ``validate_metric`` at sizes the loop cannot reach: the
+    library's earlier implementation, one (k, j) slab of the triangle check
+    per point i, O(n^2) memory per slab."""
+    try:
+        mat = np.asarray(dist, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"not a numeric matrix: {exc}") from exc
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise StructuralError(f"matrix must be square, got shape {mat.shape}")
+    if mat.size and not np.isfinite(mat).all():
+        raise StructuralError("matrix entries must be finite")
+
+    n = mat.shape[0]
+    off_diag = ~np.eye(n, dtype=bool)
+    violations = [
+        AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
+        for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
+    ]
+    violations += [
+        AxiomViolation("nonnegativity", (i, j), f"dist[{i}][{j}] = {mat[i, j]}")
+        for i, j in np.argwhere((mat < -METRIC_TOL) & off_diag).tolist()
+    ]
+    violations += [
+        AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
+        for i, j in np.argwhere(np.triu(np.abs(mat - mat.T) > METRIC_TOL, 1)).tolist()
+    ]
+    # One (k, j) slab per point i: bad[k, j] means dist[i][k] exceeds the
+    # path through j, summed in the same order as the scalar expression.
+    mat_t = np.ascontiguousarray(mat.T)
+    # An overflowed sum is +inf, which no finite distance exceeds: exact.
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            bad = mat[i][:, None] > (mat[i][None, :] + mat_t) + METRIC_TOL
+            bad &= off_diag
+            bad[i, :] = False
+            bad[:, i] = False
+            if not bad.any():
+                continue
+            violations += [
+                AxiomViolation(
+                    "triangle",
+                    (i, k, j),
+                    f"dist[{i}][{k}] = {mat[i, k]} > {mat[i, j]} + {mat[j, k]} via {j}",
+                )
+                for k, j in np.argwhere(bad).tolist()
+            ]
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 

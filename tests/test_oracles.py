@@ -37,10 +37,12 @@ from conftest import (
     random_space,
     tabulate_loop,
     validate_metric_loop,
+    validate_metric_slabs,
 )
 from metricdp import (
     METRIC_TOL,
     DiscreteMeasure,
+    DomainError,
     ExpMechParams,
     FiniteMetricSpace,
     LipschitzMap,
@@ -51,6 +53,7 @@ from metricdp import (
     default_depth,
     discrete_space,
     distribution,
+    grid_space,
     identity_map,
     impossibility_lower_bound,
     level_for_radius,
@@ -62,6 +65,7 @@ from metricdp import (
 )
 from metricdp import audit
 from metricdp.formats import dump_doc
+from metricdp.spaces import _BLOCK_CELLS
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -207,6 +211,84 @@ class TestValidateMetricOracle:
                 order_matters += (c > (a + b) + METRIC_TOL) != (c > a + (b + METRIC_TOL))
                 assert_same_validation(np.array([[0.0, a, c], [a, 0.0, b], [c, b, 0.0]]))
         assert order_matters  # the inputs do reach the rounding boundary
+
+
+def twin_cloud(rng, n: int) -> np.ndarray:
+    """Planar distances where every fifth point is a twin of the one before
+    it, so the matrix holds exact zeros off the diagonal."""
+    pts = rng.uniform(size=(n, 2))
+    pts[5::5] = pts[4:-1:5][: len(pts[5::5])]
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def tile_inputs(n: int):
+    """(name, matrix) pairs for one size.  The planted pair (13, 14)
+    straddles the first row-tile boundary at n=96, and (1, n - 1) lies in
+    the last k-tile of row 1 at n=363, which nothing else covers."""
+    rng = np.random.default_rng(n)
+    symmetric = twin_cloud(rng, n)
+    for i, k in ((13, 14), (1, n - 1)):
+        symmetric[i, k] = symmetric[k, i] = 3.0
+    yield "symmetric", symmetric
+
+    band = twin_cloud(rng, n) + rng.uniform(-4.5e-13, 4.5e-13, size=(n, n))
+    twin, first = np.arange(5, n, 5), np.arange(4, n - 1, 5)
+    band[twin, first], band[first, twin] = -0.0, 0.0
+    band[::7, ::7][np.eye(len(band[::7]), dtype=bool)] = -0.0
+    yield "band", band
+
+    # Integer points on a line sum exactly; dist[k][i] sits 1.2e-12 above
+    # the path through any point between, dist[i][k] only 0.5e-12.
+    x = np.arange(n, dtype=float)
+    x[[14, n - 1]] = x[[n - 1, 14]]
+    reverse = np.abs(x[:, None] - x[None, :])
+    for i, k in ((13, 14), (1, n - 1)):
+        reverse[i, k] += 5e-13
+        reverse[k, i] += 1.2e-12
+    yield "reverse", reverse
+
+    at = [1, 13, 14, n - 1]
+    for h in (2.0**1023, 1.7e308):
+        for violating in (False, True):
+            far = twin_cloud(rng, n)
+            idx = at if violating else at[1:]
+            far[idx, :] = far[:, idx] = h
+            far[np.ix_(idx, idx)] = far_apart(h, violating)
+            yield f"far-{h:g}-{violating}", far
+
+
+class TestValidateMetricTiles:
+    """Whole reports of the tiled triangle pass, equal to an oracle's for
+    each tile shape: one tile (n=40, against the loop), 14-row tiles with a
+    last one of 12 (n=96), single-row tiles (n=300) and rows split over k
+    (n=363), each on exactly symmetric input, input asymmetric within
+    METRIC_TOL with signed zeros, a violation only in the (k, i) direction
+    and the far_apart overflow examples spread across tiles."""
+
+    @pytest.mark.parametrize("n", [40, 96, 300, 363])
+    def test_every_tile_shape(self, n):
+        rows = max(1, _BLOCK_CELLS // (n * n))
+        shape = {40: rows >= n, 96: (rows, n % rows) == (14, 12),
+                 300: rows == 1 and _BLOCK_CELLS // n >= n,
+                 363: _BLOCK_CELLS // n < n}
+        assert shape[n]
+        oracle = validate_metric_loop if n <= 40 else validate_metric_slabs
+        for name, mat in tile_inputs(n):
+            got = validate_metric(mat)
+            with np.errstate(over="ignore"):
+                want = oracle(mat)
+            assert got == want, name
+            triangles = {v.witness for v in want.violations if v.axiom == "triangle"}
+            if name == "symmetric":
+                assert {w[0] for w in triangles} == {1, 13, 14, n - 1}
+            elif name == "band":
+                assert not np.array_equal(mat, mat.T)
+                assert not any(v.axiom == "symmetry" for v in want.violations)
+            elif name == "reverse":
+                assert want.violations and {w[:2] for w in triangles} == {(14, 13), (n - 1, 1)}
+            elif name.endswith("True"):
+                assert (1, n - 1, 13) in triangles
 
 
 class TestAuditPrivacyOracle:
@@ -473,6 +555,18 @@ class TestLowerBoundOracle:
                 values = np.log(np.divide(got.ball_mass_self[1:], got.ball_mass_ref[1:])) / rho
             seen["tie"] += int(np.count_nonzero(values == values.max()) > 1)
         assert min(seen.values()) >= 3, seen
+
+    def test_first_overlap_in_row_major_order(self):
+        # Radius 0.125 on grid9: "0.75" meets "0.5" at 0.625, "0.25" meets
+        # "0.5" at 0.375 and "0" at 0.125.  Point 0.125 is the first shared
+        # one, but row-major order reaches the pair (0, 2) first.
+        s = grid_space(9)
+        mech = tabulate(ExpMechParams(base=DiscreteMeasure(s, np.ones(9)), beta=9.0,
+                                      query=identity_map(s)))
+        args = (mech, identity_map(s), ["0.75", "0.25", "0.5", "0"], 0.125)
+        assert same_outcome(impossibility_lower_bound, impossibility_lower_bound_loop, *args) is None
+        with pytest.raises(DomainError, match="around '0.75' and '0.5' overlap"):
+            impossibility_lower_bound(*args)
 
     def test_every_ratio_overflows_to_minus_infinity(self):
         # The challenger's own ball gets less than the reference row gives

