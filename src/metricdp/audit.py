@@ -9,14 +9,17 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; the pairs it
-cannot take go output by output through ``_pair_ratios``.
+cannot take go output by output through ``_pair_ratios``.  np.log picks the
+pairs that can hold the maximum and math.log sets every reported bit: the
+reduction runs first on np.log, assumed within ``_SCREEN_ERR`` (2**-40,
+relative) of math.log, then on math.log over the rows that bound cannot
+rule out; a kept entry past it sends the audit to math.log of the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -28,6 +31,12 @@ from .spaces import _BLOCK_CELLS, LipschitzMap
 # A nonzero log difference is at least 2**-106, so over at most _BULK_MAX_DIST
 # it does not round to zero.
 _BULK_MAX_DIST = 2.0**900
+
+# The privacy screen assumes np.log within _SCREEN_ERR relative of math.log (hosts
+# measured differ by one ulp at most); a pair's screened value is then within
+# _SCREEN_SLACK times its rows' largest |log|s (at least 1 each) over its distance.
+_SCREEN_ERR = 2.0**-40
+_SCREEN_SLACK = 2.0**-38
 
 
 @dataclass(frozen=True)
@@ -65,14 +74,26 @@ class UtilityAuditReport:
 
 def _logs(probs) -> np.ndarray:
     """Entrywise math.log (np.log can differ by an ulp, and the audits must
-    be reproducible to the bit), by rows: -inf exactly at 0.0, and a
-    subnormal entry keeps its finite log."""
+    be reproducible to the bit), once per distinct value in chunks whose sort
+    fits in a block: -inf exactly at 0.0, a subnormal entry keeps its finite log."""
     probs = np.asarray(probs, dtype=float)
-    zero = probs == 0.0
-    safe = np.atleast_2d(np.where(zero, 1.0, probs))
-    logs = np.fromiter(chain.from_iterable(map(math.log, row.tolist()) for row in safe), float, safe.size)
-    logs[zero.ravel()] = -math.inf
+    flat, logs, chunk = probs.ravel(), np.empty(probs.size), _BLOCK_CELLS // 8
+    for c0 in range(0, flat.size, chunk):
+        values, where = np.unique(flat[c0:c0 + chunk], return_inverse=True)
+        exact, live = np.full(values.size, -math.inf), values != 0.0
+        exact[live] = list(map(math.log, values[live].tolist()))
+        logs[c0:c0 + chunk] = exact[where]
     return logs.reshape(probs.shape)
+
+
+def _screen_logs(probs) -> np.ndarray:
+    """np.log of the table; math.log at subnormal entries, which a vector log may
+    flush to -inf, so that exactly the 0.0 entries are -inf."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(probs)
+    tiny = (probs > 0.0) & (probs < np.finfo(float).tiny)
+    logs[tiny] = _logs(probs[tiny])
+    return logs
 
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:
@@ -86,38 +107,85 @@ def _pair_ratios(mech, logs, i, j) -> np.ndarray:
     return np.where(rho == 0.0, np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf), ratio)
 
 
+def _sweep(mech, logs, rows, stop) -> np.ndarray:
+    """Per-pair maxima among ``rows`` (ascending indices, or a slice), -inf for x = z;
+    with ``stop``, rows after the first block holding an inf stay at -inf."""
+    index, dist, lx = np.arange(len(logs))[rows], mech.input_space.dist[rows][:, rows], logs[rows]
+    lt, pair_max = np.ascontiguousarray(lx.T), np.full(dist.shape, -math.inf)
+    step = max(1, _BLOCK_CELLS // lx.size)
+    for r0 in range(0, len(lx), step):
+        block = slice(r0, r0 + step)
+        # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
+        # skips it); a near-zero distance overflows the quotient to inf, the exact value.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            top = np.fmax.reduce(lx[block, :, None] - lt, axis=1, initial=-math.inf)
+            pair_max[block] = top / dist[block]
+        a, b = np.nonzero((dist[block] == 0.0) | (dist[block] > _BULK_MAX_DIST))
+        a, b = a[a + r0 != b] + r0, b[a + r0 != b]
+        if a.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
+            ratio = _pair_ratios(mech, logs, index[a], index[b])
+            pair_max[a, b] = ratio[np.arange(a.size), ratio.argmax(axis=1)]
+        if stop and (pair_max[block] == math.inf).any():
+            break
+    np.fill_diagonal(pair_max, -math.inf)
+    return pair_max
+
+
+def _screen(mech):
+    """(logs, pair maxima) whose argmax is the witness pair: a pair is kept when its np.log
+    value plus its slack reaches the best value minus the best pair's slack, and the kept
+    pairs' rows get math.log.  None where the screen cannot decide."""
+    logs = _screen_logs(mech.probs)
+    pair_max = _sweep(mech, logs, slice(None), stop=True)
+    at = np.argmax(pair_max)
+    best, (x, z) = pair_max.flat[at], divmod(at, len(logs))
+    if best == -math.inf:  # no pair constrains anything
+        return None
+    size = np.max(np.abs(logs), axis=1, initial=1.0, where=logs > -math.inf) * _SCREEN_SLACK
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        floor = best - (size[x] + size[z]) / mech.input_space.dist[x, z] if best < math.inf else best
+        keep = np.add.outer(size, size) / mech.input_space.dist + pair_max >= floor
+        keep.flat[at + 1:] &= best < math.inf  # the first exact inf is at or before the screen's
+        rows = np.flatnonzero(keep.any(axis=0) | keep.any(axis=1))
+        exact = _logs(mech.probs[rows])
+        if (np.abs(exact - logs[rows]) > _SCREEN_ERR * np.abs(exact)).any():
+            return None
+    if not np.array_equal(exact, logs[rows]):
+        logs[rows] = exact
+        pair_max.fill(-math.inf)
+        pair_max[np.ix_(rows, rows)] = _sweep(mech, logs, rows, stop=True)
+    i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
+    if best == math.inf and not (pair_max[i, j] == math.inf and keep[i, j]):
+        return None  # the screen's inf does not hold up
+    return logs, pair_max
+
+
 def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Smallest epsilon the table satisfies, by exhaustive enumeration.
 
     Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y]) / dist(x, z)
     over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
-    per pair over blocks of rows, divided once, and ``_pair_ratios`` for twins and
-    distances beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max`` and the witness
-    pair, whose first maximizing output ``_pair_ratios`` finds.  Without the per-pair
-    matrix the audit stops after the first block of rows holding an inf.
+    per pair over blocks of rows, divided once, -inf for x = z, and ``_pair_ratios`` for
+    twins and distances beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max`` and
+    the witness pair, whose first maximizing output ``_pair_ratios`` finds.
+
+    np.log picks the pairs and math.log sets every reported bit.  Without the per-pair
+    matrix a screen runs the reduction on np.log, stopping after the first block of rows
+    holding an inf; then math.log, once per distinct value, redoes only the rows of pairs
+    that np.log within ``_SCREEN_ERR`` = 2**-40 relative of math.log lets reach the top.
+    A kept entry past that bound, or a screen inf that does not hold, falls back to
+    math.log of the whole table, as the per-pair matrix always takes.
 
     It audits the stored table.  At tiny beta epsilon can pass ``privacy_bound`` by a few
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
+    found = None if include_per_pair else _screen(mech)
+    if found is None:
+        logs = _logs(mech.probs)
+        found = logs, _sweep(mech, logs, slice(None), stop=not include_per_pair)
+    logs, pair_max = found
     space = mech.input_space
-    logs = _logs(mech.probs)
-    logs_t = np.ascontiguousarray(logs.T)
-    pair_max = np.full(space.dist.shape, -math.inf)
-    step = max(1, _BLOCK_CELLS // logs.size)
-    for r0 in range(0, len(space), step):
-        rows = slice(r0, r0 + step)
-        # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
-        # skips it); a near-zero distance overflows the quotient to inf, the exact value.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            top = np.fmax.reduce(logs[rows, :, None] - logs_t, axis=1, initial=-math.inf)
-            pair_max[rows] = top / space.dist[rows]
-        i, j = np.nonzero((space.dist[rows] == 0.0) | (space.dist[rows] > _BULK_MAX_DIST))
-        if i.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
-            ratio = _pair_ratios(mech, logs, i + r0, j)
-            pair_max[i + r0, j] = ratio[np.arange(i.size), ratio.argmax(axis=1)]
-        if pair_max[rows].max() == math.inf and not include_per_pair:
-            break
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
     k = np.argmax(_pair_ratios(mech, logs, [i], [j])[0])
     live = pair_max[i, j] > -math.inf

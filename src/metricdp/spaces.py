@@ -98,14 +98,14 @@ def validate_metric(dist) -> MetricValidationReport:
         for i, j in np.argwhere(negative).tolist()
     ]
     del negative
-    gap = mat - mat.T
-    np.abs(gap, out=gap)
-    violations += [
-        AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
-        for i, j in np.argwhere(np.triu(gap > METRIC_TOL, 1)).tolist()
-    ]
-    symmetric = not gap.any()  # a finite difference is 0 only between equal entries
-    del gap
+    symmetric, step = True, max(1, _BLOCK_CELLS // max(1, len(mat)))
+    for r0 in range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
+        upper, lower = mat[r0:r0 + step], mat[:, r0:r0 + step].T
+        symmetric &= np.array_equal(upper, lower)
+        violations += [
+            AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
+            for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
+        ]
     # Only the points the tiled pass flags go through a (k, j) slab: bad[k, j]
     # means dist[i][k] exceeds the path through j, summed in the same order
     # as the scalar expression.  An overflowed sum is +inf, which no finite

@@ -177,6 +177,20 @@ class TestAuditPrivacy:
                 tracemalloc.stop()
             assert peak <= (5 * n * m + audit._BLOCK_CELLS) * 8, include
 
+    def test_np_log_stays_within_the_screen_bound(self):
+        # The one assumption of the screened audit, checked wherever the tests run:
+        # over 1.2 million seeded positive doubles (random bit patterns
+        # across the normal range, values within 1e-3 of 1 and the smallest
+        # normals) np.log is within _SCREEN_ERR relative of math.log.
+        rng = np.random.default_rng(19)
+        bits = np.concatenate([
+            rng.integers(0x0010000000000000, 0x7FF0000000000000, size=1_000_000, dtype=np.uint64),
+            rng.integers(0x0010000000000000, 0x0020000000000000, size=100_000, dtype=np.uint64),
+        ])
+        x = np.concatenate([bits.view(float), 1.0 + rng.uniform(-1e-3, 1e-3, size=100_000)])
+        exact = np.array(list(map(math.log, x.tolist())))
+        assert (np.abs(np.log(x) - exact) <= audit._SCREEN_ERR * np.abs(exact)).all()
+
     def test_relabeling_invariance(self):
         mech, _ = x3_mech(beta=2.1)
         eps = audit_privacy(mech).epsilon_max

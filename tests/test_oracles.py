@@ -61,6 +61,7 @@ from metricdp import (
     max_packing,
     propose_centers,
     tabulate,
+    uniform_measure,
     validate_metric,
 )
 from metricdp import audit
@@ -290,6 +291,20 @@ class TestValidateMetricTiles:
             elif name.endswith("True"):
                 assert (1, n - 1, 13) in triangles
 
+    def test_symmetry_over_row_blocks(self):
+        """Asymmetric pairs beyond METRIC_TOL in both row blocks of the
+        symmetry check (327 rows, then 73, at n=400) and on either side of
+        the diagonal: the report is the whole-matrix oracle's."""
+        n = 400
+        step = _BLOCK_CELLS // n
+        mat = twin_cloud(np.random.default_rng(n), n)
+        for i, k in ((0, n - 1), (step - 1, step), (step, step + 1), (n - 1, step + 2), (step + 5, 3)):
+            mat[i, k] += 1e-6
+        report = validate_metric(mat)
+        assert report == validate_metric_slabs(mat)
+        assert [v.witness for v in report.violations if v.axiom == "symmetry"] == [
+            (0, n - 1), (3, step + 5), (step - 1, step), (step, step + 1), (step + 2, n - 1)]
+
 
 class TestAuditPrivacyOracle:
     @PROPERTY
@@ -458,6 +473,148 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(space, line_space([0.0, 1.0]), [[0.5, 0.5]] * 3)
         assert_same_audit(mech)
         assert audit_privacy(mech).witness == ("a", "b", "x0")
+
+
+def perturbed_screen(seed, scale=audit._SCREEN_ERR * (1.0 - 2.0**-10)):
+    """A stand-in for the audit's screen logs: math.log of every entry, each
+    finite one moved by up to ``scale`` of its size, up or down by a seeded
+    draw.  The default stays inside the bound the screen assumes."""
+    rng, exact_logs = np.random.default_rng(seed), audit._logs
+
+    def screen_logs(probs):
+        exact = exact_logs(probs)
+        shift = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=exact.shape) * scale
+        with np.errstate(invalid="ignore"):
+            return np.where(exact > -math.inf, exact + exact * shift, exact)
+
+    return screen_logs
+
+
+def scaled_screen(factors):
+    """A stand-in for the audit's screen logs: math.log of the table times
+    ``factors``, entry by entry."""
+    exact_logs = audit._logs
+    return lambda probs: exact_logs(probs) * factors
+
+
+# Row entries for the screen's cases: exact zeros, subnormals, the smallest
+# normal, tiny normals and values that tie across rows.
+SCREEN_ENTRIES = st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 0.125, 0.25, 0.5, 0.5, 1.0])
+
+
+@st.composite
+def screen_cases(draw):
+    """Tables of 1 to 6 inputs over the discrete metric (pairs tie), a line
+    pseudometric with twins, a line with distances above 2**900, or one with
+    subnormal distances, over which ratios overflow; rows from
+    SCREEN_ENTRIES, not normalized, and twins' rows often shared."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["discrete", "twins", "far", "near"]))
+    points = {"far": [0.0, 1.0, 2.0, 2.0**950, 3.0 * 2.0**950],
+              "near": [0.0, 5e-324, 1e-310, 1.0]}.get(kind, [0.0, 0.5, 1.0])
+    coords = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    space = discrete_space(n) if kind == "discrete" else line_space(coords)
+    rows = []
+    for i in range(n):
+        twin = next((j for j in range(i) if space.dist[i, j] == 0.0), None)
+        shared = twin is not None and draw(st.booleans())
+        rows.append(rows[twin] if shared else draw(st.lists(SCREEN_ENTRIES, min_size=m, max_size=m)))
+    return raw_table(space, line_space(np.arange(m)), np.array(rows))
+
+
+class TestScreenedAudit:
+    """The privacy audit's np.log screen only picks pairs: with screen logs
+    moved anywhere within the bound it assumes, epsilon, witness and
+    per-pair maxima equal the loop oracle's bit for bit."""
+
+    @PROPERTY
+    @given(screen_cases(), st.integers(0, 2**32 - 1))
+    @example(raw_table(line_space([0.0, 5e-324, 5e-324]), line_space([0.0]),
+                       [[1e-300], [1e-300], [2.0**-1022]]), 2099592816)
+    def test_adversarial_screen(self, mech, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", perturbed_screen(seed))
+            assert_same_audit(mech)
+
+    def test_an_overflowed_screen_inf_does_not_decide(self):
+        # Over the smallest subnormal distance the screen's x0 entry, off by
+        # 2**-41 of its log, makes (x0, x1) overflow to inf where the exact
+        # pair is 0.  The kept rows x0, x1 hold the infinite pair (x1, x0),
+        # but (x0, x2) comes first in label order.
+        space = line_space([0.0, 5e-324, 5e-324])
+        mech = raw_table(space, line_space([0.0, 1.0]), [[0.5, 0.25], [0.5, 0.5], [0.25, 0.25]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", scaled_screen([[1.0 - 2.0**-41, 1.0], [1.0, 1.0], [1.0, 1.0]]))
+            assert_same_audit(mech)
+            assert audit_privacy(mech).witness == ("x0", "x2", "x0")
+
+    def test_a_tie_split_by_the_whole_bound_keeps_its_first_pair(self):
+        # (x0, x1) and (x2, x3) tie at ln 2; the pairs between {x0, x1} and
+        # {x2, x3}, 99 apart or more, stay far below.  Each log the two pairs
+        # read moves by the full bound, against (x0, x1) and for (x2, x3),
+        # which the screen then puts ahead by the sum of both pairs' bounds;
+        # the witness stays (x0, x1).
+        mech = raw_table(line_space([0.0, 1.0, 100.0, 101.0]), line_space([0.0, 1.0]),
+                         [[0.2, 0.2], [0.1, 0.2], [0.2, 0.2], [0.2, 0.1]])
+        err = audit._SCREEN_ERR * (1.0 - 2.0**-10)
+        factors = [[1.0 + err, 1.0], [1.0 - err, 1.0], [1.0, 1.0 - err], [1.0, 1.0 + err]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", scaled_screen(factors))
+            assert_same_audit(mech)
+            assert audit_privacy(mech).witness == ("x0", "x1", "x0")
+
+    def test_the_best_pairs_own_slack_keeps_the_maximum(self):
+        # (x0, x1), 0.01 apart, audits to about 1 and (x2, x1), 1 apart, to
+        # 1e-12 more.  The screen's x0 entry, off by 2**-41 of its log, puts
+        # (x0, x1) 3e-10 higher, past (x2, x1) plus its own slack; only
+        # (x0, x1)'s slack, 100 times larger, keeps (x2, x1).
+        p1 = 1e-3
+        p0 = p1 * math.exp(0.01)
+        p2 = p1 * math.exp((math.log(p0) - math.log(p1)) / 0.01 + 1e-12)
+        mech = raw_table(line_space([0.0, 0.01, 1.01]), line_space([0.0]), [[p0], [p1], [p2]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", scaled_screen([[1.0 - 2.0**-41], [1.0], [1.0]]))
+            assert_same_audit(mech)
+            assert audit_privacy(mech).witness == ("x2", "x1", "x0")
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_adversarial_screen_on_larger_tables(self, seed):
+        """Tables past one block of rows, and exponential mechanisms on 30
+        points (the discrete metric's pairs tie); the per-pair path takes no
+        screen, so only the screened report is compared."""
+        rng = np.random.default_rng(900 + seed)
+        domain = random_space(rng, 30)
+        query = random_map(rng, domain, domain)
+        tables = [multi_block_table(seed, kind) for kind in ("twins", "in_band", "late_inf")]
+        tables += [tabulate(ExpMechParams(base=random_measure(rng, domain), beta=beta, query=query))
+                   for beta in (0.5, 60.0)]
+        tables.append(tabulate(ExpMechParams(base=uniform_measure(discrete_space(30)), beta=2.0,
+                                             query=identity_map(discrete_space(30)))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", perturbed_screen(seed))
+            for mech in tables:
+                got, want = audit_privacy(mech), audit_privacy_loop(mech)
+                assert (bits(got.epsilon_max), got.witness) == (bits(want.epsilon_max), want.witness)
+
+    @pytest.mark.parametrize("scale, falls_back", [(2.0**-41, False), (2.0**-30, True)])
+    def test_math_log_of_the_whole_table_only_past_the_bound(self, scale, falls_back):
+        # Past the bound every finite log is off by 2**-30 of its size, a
+        # kept row shows it, and math.log of the whole table decides.
+        mech = multi_block_table(0, "in_band")
+        shapes, exact_logs = [], audit._logs
+
+        def logged(probs):
+            shapes.append(np.shape(probs))
+            return exact_logs(probs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "_screen_logs", perturbed_screen(0, scale))
+            patch.setattr(audit, "_logs", logged)
+            got = audit_privacy(mech)
+        want = audit_privacy_loop(mech)
+        assert (bits(got.epsilon_max), got.witness) == (bits(want.epsilon_max), want.witness)
+        assert len(shapes[0]) == 2 and shapes[0][0] < len(mech.probs)
+        assert shapes[1:] == ([mech.probs.shape] if falls_back else [])
 
 
 def multi_block_table(seed, kind) -> MechanismTable:

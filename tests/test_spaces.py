@@ -90,18 +90,20 @@ class TestValidateMetric:
 
     def test_peak_memory_is_one_copy_and_a_tile(self):
         """The triangle check holds one float copy of the matrix and one
-        tile buffer; the symmetry and sign checks add at most two boolean
-        masks.  At n=600 the per-point slabs it replaced peaked at 6.9 MB,
-        about 2.4 copies; this pass peaks at 4.0 MB."""
-        n = 600
-        d = cloud_metric(np.random.default_rng(5), n)
-        tracemalloc.start()
-        try:
-            assert validate_metric(d).ok
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (n * n + _BLOCK_CELLS) * 8 + 2 * n * n
+        tile buffer; the sign check adds one boolean mask, and the symmetry
+        check, over row blocks of at most one tile, no more.  At n=600 the
+        per-point slabs the triangle pass replaced peaked at 6.9 MB, about
+        2.4 copies; it peaks at 4.0 MB.  At n=1000 a symmetry check over
+        the whole matrix peaked at 11.0 MB, 1.375 copies; it peaks at 9.1 MB."""
+        for n in (600, 1000):
+            d = cloud_metric(np.random.default_rng(5), n)
+            tracemalloc.start()
+            try:
+                assert validate_metric(d).ok
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n, n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_cloud_returns_with_its_scaled_gap(self, seed):
