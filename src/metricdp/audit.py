@@ -194,6 +194,11 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
 
 
+def _ball_masses(rows, balls) -> np.ndarray:
+    """Each row's mass inside its ball's membership mask, summed in label order."""
+    return np.array([row[ball].sum() for row, ball in zip(rows, balls)])
+
+
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
     """The query must map the table's input space to its output space."""
     if query.codomain != mech.output_space:
@@ -208,7 +213,7 @@ def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAu
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
     inside = mech.output_space.dist[query.images] <= gamma
-    masses = np.array([row[mask].sum() for row, mask in zip(mech.probs, inside)])
+    masses = _ball_masses(mech.probs, inside)
     worst = int(np.argmin(masses))
     return UtilityAuditReport(
         gamma=float(gamma),
@@ -289,8 +294,8 @@ def impossibility_lower_bound(
                 )
 
     rows = mech.probs[idx]
-    mass_self = tuple(float(rows[i][balls[i]].sum()) for i in range(len(centers)))
-    mass_ref = tuple(float(rows[0][balls[i]].sum()) for i in range(len(centers)))
+    mass_self = tuple(_ball_masses(rows, balls).tolist())
+    mass_ref = tuple(_ball_masses([rows[0]] * len(balls), balls).tolist())
     for c, m in zip(centers, mass_self):
         if not m > utility_threshold:
             raise DomainError(
@@ -299,10 +304,11 @@ def impossibility_lower_bound(
             )
 
     rho = space.dist[idx[1:], idx[0]]
-    # Own-ball masses exceed the threshold, so their logs are finite as they
-    # are; a near-zero positive rho overflows to the exact infinity.
+    # Own-ball masses exceed the threshold, so only a reference log can be
+    # -inf; a near-zero positive rho overflows to the exact infinity.
     with np.errstate(over="ignore"):
-        values = (np.array(list(map(math.log, mass_self[1:]))) - _logs(mass_ref[1:])) / rho
+        own, ref = _logs([mass_self[1:], mass_ref[1:]])
+        values = (own - ref) / rho
     best_i = int(np.argmax(values)) + 1
     return ImpossibilityReport(
         eps_lower=float(values[best_i - 1]),

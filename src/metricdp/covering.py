@@ -203,7 +203,7 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     """
     if depth is None:
         depth = default_depth(space)
-    if not (isinstance(depth, int) and depth >= 1):
+    if isinstance(depth, bool) or not (isinstance(depth, int) and depth >= 1):
         raise ValueError(f"depth must be a positive integer, got {depth}")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth must be at most {_MAX_DEPTH} (deeper packing radii underflow to 0), got {depth}")

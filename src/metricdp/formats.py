@@ -28,7 +28,7 @@ import os
 import numpy as np
 
 from .covering import CoverHierarchy
-from .errors import SchemaError, StructuralError, UnknownLabelError
+from .errors import SchemaError, UnknownLabelError
 from .measures import DiscreteMeasure
 from .mechanisms import MechanismTable
 from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
@@ -222,8 +222,6 @@ def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetr
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("space labels must be a list of strings")
     mat = _number_matrix(dist, "space dist")
-    if len(labels) != mat.shape[0]:
-        raise StructuralError(f"{len(labels)} labels but a {mat.shape[0]}x{mat.shape[1]} matrix")
     if known is not None and labels == known.labels and np.array_equal(mat, known.dist):
         return known
     return FiniteMetricSpace(labels, mat)

@@ -137,7 +137,7 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
 def sample_many(params: ExpMechParams, x, seed: int, count: int) -> list:
     """``count`` labels drawn for ``x`` by inverse CDF from a PCG64 generator
     seeded with ``seed``; a smaller count draws a prefix of the same labels."""
-    if not (isinstance(count, int) and count >= 1):
+    if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     probs = distribution(params, x)
     cum = np.cumsum(probs)

@@ -6,13 +6,13 @@ floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
 
-The triangle check is a tiled min-plus pass: each pair (i, k) compares its
-distance with the least sum dist[i][j] + dist[j][k] over the middle points,
-a tile at a time.  On an exactly symmetric matrix it reduces about half
-of the n^3 sums; any other matrix takes a second reduction, over a
-transposed copy, for the reverse direction.  Besides those copies it holds
-one tile buffer of at most 1 MB, and only the points it flags are
-enumerated triple by triple for the report.
+The triangle check is one tiled min-plus reduction: each pair (i, k)
+compares its distance with the least sum dist[i][j] + dist[j][k] over the
+middle points, a tile at a time.  k runs from the row block's first row on
+exactly symmetric input, about half of the n^3 sums, and from 0 otherwise,
+against a transposed copy.  Besides those copies it holds one tile buffer
+of at most 1 MB, and only the points it flags are enumerated triple by
+triple for the report.
 """
 
 from __future__ import annotations
@@ -57,27 +57,8 @@ class MetricValidationReport:
     violations: tuple = field(default_factory=tuple)
 
 
-def validate_metric(dist) -> MetricValidationReport:
-    """Check a square matrix against the four metric axioms.
-
-    Returns a report listing every violation (nonnegativity, zero diagonal,
-    symmetry, triangle inequality) with witnessing index tuples.  Distinct
-    points at distance zero are allowed: definiteness is not an axiom here.
-
-    The triangle inequality is checked in O(n^3) time by a tiled min-plus
-    pass over pairs (i, k), which takes half the work when the matrix is
-    exactly symmetric (as every space the library builds or writes is).
-    Memory is one float copy of the matrix (two when it is not exactly
-    symmetric) plus a tile buffer of at most 1 MB.  Only the points that
-    pass flags are enumerated triple by triple, so the report, its order
-    and its detail strings are those of a scalar loop over every (i, k, j).
-
-    Raises
-    ------
-    StructuralError
-        If the input is not a square matrix of finite reals.  This is a
-        different failure mode from an axiom violation.
-    """
+def _square_matrix(dist) -> np.ndarray:
+    """``dist`` as floats; StructuralError unless it is a square matrix of finite reals."""
     try:
         mat = np.asarray(dist, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -86,7 +67,31 @@ def validate_metric(dist) -> MetricValidationReport:
         raise StructuralError(f"matrix must be square, got shape {mat.shape}")
     if mat.size and not np.isfinite(mat).all():
         raise StructuralError("matrix entries must be finite")
+    return mat
 
+
+def validate_metric(dist) -> MetricValidationReport:
+    """Check a square matrix against the four metric axioms.
+
+    Returns a report listing every violation (nonnegativity, zero diagonal,
+    symmetry, triangle inequality) with witnessing index tuples.  Distinct
+    points at distance zero are allowed: definiteness is not an axiom here.
+
+    The triangle inequality is checked in O(n^3) time by one tiled min-plus
+    reduction over pairs (i, k), k from the row block's first row on exactly
+    symmetric input (as every space the library builds or writes is) and
+    from 0 otherwise.  Memory is one float copy of the matrix (two when it
+    is not exactly symmetric) plus a tile buffer of at most 1 MB.  Only the
+    points that pass flags are enumerated triple by triple, so the report,
+    its order and details are those of a scalar loop over every (i, k, j).
+
+    Raises
+    ------
+    StructuralError
+        If the input is not a square matrix of finite reals.  This is a
+        different failure mode from an axiom violation.
+    """
+    mat = _square_matrix(dist)
     violations = [
         AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
         for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
@@ -106,18 +111,22 @@ def validate_metric(dist) -> MetricValidationReport:
             AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
             for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
         ]
-    # Only the points the tiled pass flags go through a (k, j) slab: bad[k, j]
-    # means dist[i][k] exceeds the path through j, summed in the same order
-    # as the scalar expression.  An overflowed sum is +inf, which no finite
-    # distance exceeds: exact.
-    rows = _triangle_rows(mat, symmetric)
-    mat_t = np.ascontiguousarray(mat.T) if rows else None
+    # The pass's operands: a, +inf on its diagonal, and right[k, j] = a[j, k],
+    # which on exactly symmetric input is a itself (up to the sign of a zero,
+    # which no sum or comparison tells apart); a goes once the pass is done.
+    a = mat.copy()
+    np.fill_diagonal(a, np.inf)
+    right = a if symmetric else np.ascontiguousarray(a.T)
+    rows = _triangle_rows(mat, a, right)
+    del a
+    # Only the points the pass flags go through a (k, j) slab: bad[k, j] means
+    # dist[i][k] exceeds the path through j, summed as the scalar expression
+    # is; right's +inf diagonal drops j = k.  An overflowed sum is +inf, which
+    # no finite distance exceeds: exact.
     with np.errstate(over="ignore"):
         for i in rows:
-            bad = mat[i][:, None] > (mat[i][None, :] + mat_t) + METRIC_TOL
-            np.fill_diagonal(bad, False)
-            bad[i, :] = False
-            bad[:, i] = False
+            bad = mat[i][:, None] > (mat[i][None, :] + right) + METRIC_TOL
+            bad[i, :] = bad[:, i] = False  # k = i and j = i
             violations += [
                 AxiomViolation(
                     "triangle",
@@ -129,34 +138,22 @@ def validate_metric(dist) -> MetricValidationReport:
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _triangle_rows(mat, symmetric) -> list:
+def _triangle_rows(mat, a, right) -> list:
     """Sorted indices of every point i with some k != i and j not in
     {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
 
-    A tiled min-plus pass: with +inf on the diagonal, which drops j = i and
-    j = k, each tile holds the sums for a block of pairs (i, k) with k at or
-    past the block's first row, reduced to their minimum over j.  Rounding
-    is monotone, so the minimum plus METRIC_TOL exceeds dist[i][k] exactly
-    when some sum plus METRIC_TOL does.  On exactly symmetric input the
-    sums for (k, i) are the same sums, so half the cube decides every pair
-    and a violating pair flags both its points.  Other input runs a second
-    reduction over the transposed operands for the (k, i) direction; a pair
-    flags both its points there too, so a point with no violation of its
-    own may come back.  Tiles reuse one buffer of at most ``_BLOCK_CELLS``
-    cells, or of one row of n sums if that is larger.
+    One tiled min-plus reduction of a[i, j] + right[k, j] over j, where the
+    +inf diagonal drops j = i and j = k.  Rounding is monotone, so the
+    minimum plus METRIC_TOL exceeds dist[i][k] exactly when some sum plus
+    METRIC_TOL does.  k runs from the row block's first row when ``right``
+    is ``a`` (exactly symmetric input, where the sums for (k, i) are the
+    same) and from 0 otherwise.  A pair flags both its points, so on other
+    input a point with no violation of its own may come back.  Tiles reuse
+    one buffer of at most ``_BLOCK_CELLS`` cells, or one row of n sums.
     """
     n = mat.shape[0]
     if n < 3:
         return []
-    a = mat.copy()
-    np.fill_diagonal(a, np.inf)
-    if symmetric:
-        # a[k, j] equals a[j, k], up to the sign of a zero, which no sum or
-        # comparison below can tell apart.
-        passes = ((a, a, mat),)
-    else:
-        a_t = np.ascontiguousarray(a.T)
-        passes = ((a, a_t, mat), (a_t, a, mat.T))
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
     buf = np.empty(step * width * n)
@@ -164,19 +161,16 @@ def _triangle_rows(mat, symmetric) -> list:
     with np.errstate(over="ignore"):
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
-            for c0 in range(r0, n, width):
+            for c0 in range(r0 if right is a else 0, n, width):
                 c1 = min(c0 + width, n)
                 tile = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
-                for left, right, target in passes:
-                    # tile[i, k, j] = left[i, j] + right[k, j]
-                    np.add(left[r0:r1, None, :], right[None, c0:c1, :], out=tile)
-                    low = tile.min(axis=2)
-                    low += METRIC_TOL
-                    bad = target[r0:r1, c0:c1] > low
-                    if c0 == r0:  # the only tile in the row block holding k = i
-                        np.fill_diagonal(bad, False)
-                    flagged[r0:r1] |= bad.any(axis=1)
-                    flagged[c0:c1] |= bad.any(axis=0)
+                np.add(a[r0:r1, None, :], right[None, c0:c1, :], out=tile)
+                low = tile.min(axis=2)
+                low += METRIC_TOL
+                bad = mat[r0:r1, c0:c1] > low
+                np.fill_diagonal(bad[max(c0 - r0, 0):, max(r0 - c0, 0):], False)  # k = i
+                flagged[r0:r1] |= bad.any(axis=1)
+                flagged[c0:c1] |= bad.any(axis=0)
     return np.flatnonzero(flagged).tolist()
 
 
@@ -197,8 +191,11 @@ class FiniteMetricSpace:
             raise StructuralError("a metric space needs at least one point")
         if len(set(labels)) != len(labels):
             raise StructuralError("labels must be distinct")
+        mat = _square_matrix(dist)
+        if len(mat) != len(labels):
+            raise StructuralError(f"{len(labels)} labels but a {len(mat)}x{len(mat)} matrix")
         if not _trusted:
-            report = validate_metric(dist)
+            report = validate_metric(mat)
             if not report.ok:
                 first = report.violations[0]
                 raise InvalidMetricError(
@@ -206,11 +203,6 @@ class FiniteMetricSpace:
                     f"{len(report.violations)} violation(s) total)",
                     report=report,
                 )
-        mat = np.asarray(dist, dtype=float)
-        if mat.shape != (len(labels), len(labels)):
-            raise StructuralError(
-                f"distance matrix shape {mat.shape} does not match {len(labels)} labels"
-            )
         mat = np.maximum(mat, mat.T)  # the validator's band, read once
         mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
         mat.flags.writeable = False

@@ -283,6 +283,8 @@ class TestCoveringMeasure:
             covering_measure(grid_space(3), depth=0)
         with pytest.raises(ValueError):
             covering_measure(grid_space(3), depth=2.5)
+        with pytest.raises(ValueError):
+            covering_measure(grid_space(3), depth=True)
 
     def test_depth_past_the_float_range_fails_before_building(self, monkeypatch):
         # Level 1074 would pack at 2**-1075, which is 0.0: no level is built.

@@ -202,6 +202,8 @@ class TestSampling:
         p = x3_params()
         with pytest.raises(ValueError):
             sample_many(p, "0", seed=1, count=0)
+        with pytest.raises(ValueError):
+            sample_many(p, "0", seed=1, count=True)
 
     def test_point_mass_always_returns_it(self):
         s = grid_space(3)

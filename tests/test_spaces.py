@@ -21,6 +21,7 @@ from metricdp import (
     lipschitz_constant,
     validate_metric,
 )
+from metricdp import spaces
 from metricdp.spaces import _BLOCK_CELLS
 
 
@@ -80,6 +81,9 @@ class TestValidateMetric:
     def test_non_numeric_is_structural(self):
         with pytest.raises(StructuralError):
             validate_metric([["a", "b"], ["c", "d"]])
+        # A space converts its matrix before it compares the label count.
+        with pytest.raises(StructuralError, match="not a numeric matrix"):
+            FiniteMetricSpace(["a", "b", "c"], [["a", "b"], ["c", "d"]])
 
     def test_fuzz_random_metrics_validate(self):
         rng = np.random.default_rng(11)
@@ -104,6 +108,29 @@ class TestValidateMetric:
             finally:
                 tracemalloc.stop()
             assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n, n
+
+    @pytest.mark.parametrize("case", ["violation", "in-band twin", "twin with a violation"])
+    def test_peak_memory_on_the_error_paths(self, case):
+        """Input that is not exactly symmetric, or that takes the report
+        slab, holds at most two float copies, one tile buffer and one n x n
+        boolean mask: 7.17 MB at n=600.  Keeping the diagonal-masked copy
+        alive beside a transposed one through the slab peaks at 9.5 MB."""
+        n = 600
+        d = cloud_metric(np.random.default_rng(5), n)
+        if case != "violation":
+            upper = np.triu_indices(n, 1)
+            d[upper] = np.nextafter(d[upper], math.inf)
+        if case != "in-band twin":
+            d[3, 7] *= 3.0
+            d[7, 3] *= 3.0
+        tracemalloc.start()
+        try:
+            report = validate_metric(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok == (case == "in-band twin")
+        assert peak <= (2 * n * n + _BLOCK_CELLS) * 8 + n * n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_cloud_returns_with_its_scaled_gap(self, seed):
@@ -135,6 +162,15 @@ class TestFiniteMetricSpace:
     def test_label_matrix_size_mismatch(self):
         with pytest.raises(StructuralError):
             FiniteMetricSpace(["a", "b", "c"], [[0, 1], [1, 0]])
+
+    def test_label_count_is_checked_before_validation(self, monkeypatch):
+        # The matrix also breaks the triangle inequality; the count is
+        # reported first, and the O(n^3) check never runs.
+        calls, validate = [], spaces.validate_metric
+        monkeypatch.setattr(spaces, "validate_metric", lambda *args: calls.append(args) or validate(*args))
+        with pytest.raises(StructuralError, match="^2 labels but a 3x3 matrix$"):
+            FiniteMetricSpace(["a", "b"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        assert calls == []
 
     def test_matrix_is_frozen(self):
         s = grid_space(3)
