@@ -9,11 +9,9 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; the pairs it
-cannot take go output by output through ``_pair_ratios``.  np.log picks the
-pairs that can hold the maximum and math.log sets every reported bit: the
-reduction runs first on np.log, assumed within ``_SCREEN_ERR`` (2**-40,
-relative) of math.log, then on math.log over the rows that bound cannot
-rule out; a kept entry past it sends the audit to math.log of the table.
+cannot take go output by output through ``_pair_ratios``.  Every log is
+fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
+the reported bits are the same on every IEEE host, whatever its libm or SIMD.
 """
 
 from __future__ import annotations
@@ -28,15 +26,16 @@ from .errors import DomainError, StructuralError
 from .mechanisms import MechanismTable
 from .spaces import _BLOCK_CELLS, LipschitzMap
 
-# A nonzero log difference is at least 2**-106, so over at most _BULK_MAX_DIST
-# it does not round to zero.
+# _logs is 0.0 only at 1.0, so a nonzero log difference is at least 2**-106, and
+# over at most _BULK_MAX_DIST it does not round to zero.
 _BULK_MAX_DIST = 2.0**900
 
-# The privacy screen assumes np.log within _SCREEN_ERR relative of math.log (hosts
-# measured differ by one ulp at most); a pair's screened value is then within
-# _SCREEN_SLACK times its rows' largest |log|s (at least 1 each) over its distance.
-_SCREEN_ERR = 2.0**-40
-_SCREEN_SLACK = 2.0**-38
+# fdlibm's e_log.c constants: ln 2 split so that k * _LN2_HI is exact, and the
+# coefficients Lg1..Lg7 of its polynomial in s**2.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG1, _LG2, _LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
+_LG4, _LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
+_LG6, _LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
 
 
 @dataclass(frozen=True)
@@ -73,27 +72,27 @@ class UtilityAuditReport:
 
 
 def _logs(probs) -> np.ndarray:
-    """Entrywise math.log (np.log can differ by an ulp, and the audits must
-    be reproducible to the bit), once per distinct value in chunks whose sort
-    fits in a block: -inf exactly at 0.0, a subnormal entry keeps its finite log."""
+    """Entrywise natural log by fdlibm's e_log.c, within 1 ulp: frexp, then add,
+    subtract, multiply and divide, each one correctly rounded ufunc call that cannot
+    fuse, so the bits do not depend on the host.  -inf exactly at 0.0, 0.0 exactly at
+    1.0, and a subnormal entry keeps its finite log.  Runs over chunks of the flat
+    table, so one chunk's temporaries stay well under a block."""
     probs = np.asarray(probs, dtype=float)
-    flat, logs, chunk = probs.ravel(), np.empty(probs.size), _BLOCK_CELLS // 8
+    flat, logs, chunk = probs.ravel(), np.empty(probs.size), _BLOCK_CELLS // 16
     for c0 in range(0, flat.size, chunk):
-        values, where = np.unique(flat[c0:c0 + chunk], return_inverse=True)
-        exact, live = np.full(values.size, -math.inf), values != 0.0
-        exact[live] = list(map(math.log, values[live].tolist()))
-        logs[c0:c0 + chunk] = exact[where]
+        x = flat[c0:c0 + chunk]
+        m, k = np.frexp(x)  # x = m * 2**k, m in [1/2, 1); move m into [sqrt(1/2), sqrt(2))
+        low = m < math.sqrt(0.5)
+        f = np.where(low, m + m, m) - 1.0  # exact
+        k = (k - low).astype(float)
+        s = f / (2.0 + f)
+        z = s * s
+        w = z * z
+        r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+        hfsq = 0.5 * f * f
+        value = k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+        logs[c0:c0 + chunk] = np.where(x == 0.0, -math.inf, value)
     return logs.reshape(probs.shape)
-
-
-def _screen_logs(probs) -> np.ndarray:
-    """np.log of the table; math.log at subnormal entries, which a vector log may
-    flush to -inf, so that exactly the 0.0 entries are -inf."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs)
-    tiny = (probs > 0.0) & (probs < np.finfo(float).tiny)
-    logs[tiny] = _logs(probs[tiny])
-    return logs
 
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:
@@ -107,57 +106,27 @@ def _pair_ratios(mech, logs, i, j) -> np.ndarray:
     return np.where(rho == 0.0, np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf), ratio)
 
 
-def _sweep(mech, logs, rows, stop) -> np.ndarray:
-    """Per-pair maxima among ``rows`` (ascending indices, or a slice), -inf for x = z;
-    with ``stop``, rows after the first block holding an inf stay at -inf."""
-    index, dist, lx = np.arange(len(logs))[rows], mech.input_space.dist[rows][:, rows], logs[rows]
-    lt, pair_max = np.ascontiguousarray(lx.T), np.full(dist.shape, -math.inf)
-    step = max(1, _BLOCK_CELLS // lx.size)
-    for r0 in range(0, len(lx), step):
+def _sweep(mech, logs, stop) -> np.ndarray:
+    """Per-pair maxima, -inf for x = z; with ``stop``, rows after the first block
+    holding an inf stay at -inf."""
+    dist, lt = mech.input_space.dist, np.ascontiguousarray(logs.T)
+    pair_max, step = np.full(dist.shape, -math.inf), max(1, _BLOCK_CELLS // logs.size)
+    for r0 in range(0, len(logs), step):
         block = slice(r0, r0 + step)
         # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
         # skips it); a near-zero distance overflows the quotient to inf, the exact value.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            top = np.fmax.reduce(lx[block, :, None] - lt, axis=1, initial=-math.inf)
+            top = np.fmax.reduce(logs[block, :, None] - lt, axis=1, initial=-math.inf)
             pair_max[block] = top / dist[block]
         a, b = np.nonzero((dist[block] == 0.0) | (dist[block] > _BULK_MAX_DIST))
         a, b = a[a + r0 != b] + r0, b[a + r0 != b]
         if a.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
-            ratio = _pair_ratios(mech, logs, index[a], index[b])
+            ratio = _pair_ratios(mech, logs, a, b)
             pair_max[a, b] = ratio[np.arange(a.size), ratio.argmax(axis=1)]
         if stop and (pair_max[block] == math.inf).any():
             break
     np.fill_diagonal(pair_max, -math.inf)
     return pair_max
-
-
-def _screen(mech):
-    """(logs, pair maxima) whose argmax is the witness pair: a pair is kept when its np.log
-    value plus its slack reaches the best value minus the best pair's slack, and the kept
-    pairs' rows get math.log.  None where the screen cannot decide."""
-    logs = _screen_logs(mech.probs)
-    pair_max = _sweep(mech, logs, slice(None), stop=True)
-    at = np.argmax(pair_max)
-    best, (x, z) = pair_max.flat[at], divmod(at, len(logs))
-    if best == -math.inf:  # no pair constrains anything
-        return None
-    size = np.max(np.abs(logs), axis=1, initial=1.0, where=logs > -math.inf) * _SCREEN_SLACK
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        floor = best - (size[x] + size[z]) / mech.input_space.dist[x, z] if best < math.inf else best
-        keep = np.add.outer(size, size) / mech.input_space.dist + pair_max >= floor
-        keep.flat[at + 1:] &= best < math.inf  # the first exact inf is at or before the screen's
-        rows = np.flatnonzero(keep.any(axis=0) | keep.any(axis=1))
-        exact = _logs(mech.probs[rows])
-        if (np.abs(exact - logs[rows]) > _SCREEN_ERR * np.abs(exact)).any():
-            return None
-    if not np.array_equal(exact, logs[rows]):
-        logs[rows] = exact
-        pair_max.fill(-math.inf)
-        pair_max[np.ix_(rows, rows)] = _sweep(mech, logs, rows, stop=True)
-    i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
-    if best == math.inf and not (pair_max[i, j] == math.inf and keep[i, j]):
-        return None  # the screen's inf does not hold up
-    return logs, pair_max
 
 
 def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> PrivacyAuditReport:
@@ -169,22 +138,16 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     twins and distances beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max`` and
     the witness pair, whose first maximizing output ``_pair_ratios`` finds.
 
-    np.log picks the pairs and math.log sets every reported bit.  Without the per-pair
-    matrix a screen runs the reduction on np.log, stopping after the first block of rows
-    holding an inf; then math.log, once per distinct value, redoes only the rows of pairs
-    that np.log within ``_SCREEN_ERR`` = 2**-40 relative of math.log lets reach the top.
-    A kept entry past that bound, or a screen inf that does not hold, falls back to
-    math.log of the whole table, as the per-pair matrix always takes.
+    Every log is ``_logs``, the same bits on every host, and the default report and
+    the per-pair matrix run the same reduction; without the matrix it stops after the
+    first block of rows holding an inf.
 
     It audits the stored table.  At tiny beta epsilon can pass ``privacy_bound`` by a few
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
-    found = None if include_per_pair else _screen(mech)
-    if found is None:
-        logs = _logs(mech.probs)
-        found = logs, _sweep(mech, logs, slice(None), stop=not include_per_pair)
-    logs, pair_max = found
+    logs = _logs(mech.probs)
+    pair_max = _sweep(mech, logs, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
     k = np.argmax(_pair_ratios(mech, logs, [i], [j])[0])

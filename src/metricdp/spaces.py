@@ -302,22 +302,22 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
         if lab not in table:
             raise StructuralError(f"function table missing domain label {lab!r}")
         images.append(codomain.index_of(table[lab]))
-    first, second = np.triu_indices(len(domain), 1)
-    images = np.asarray(images, dtype=np.intp)
-    rho = domain.dist[first, second]
-    sigma = codomain.dist[images[first], images[second]]
-    zero = rho == 0.0
-    broken = np.flatnonzero(zero & (sigma > 0.0))
-    if broken.size:
-        p = broken[0]
-        raise NotLipschitzError(
-            f"points {domain.labels[first[p]]!r} and {domain.labels[second[p]]!r} are at "
-            f"distance 0 but their images are {sigma[p]:g} apart"
-        )
-    # A near-zero distance overflows the quotient to inf, the exact value.
-    with np.errstate(over="ignore"):
-        ratios = sigma[~zero] / rho[~zero]
-    return float(ratios.max()) if ratios.size else 0.0
+    images, n, best = np.asarray(images, dtype=np.intp), len(images), 0.0
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):  # row blocks of at most _BLOCK_CELLS cells, pairs i < j
+        rows = np.arange(r0, min(n, r0 + step))
+        rho, upper = domain.dist[r0:r0 + step], rows[:, None] < np.arange(n)
+        sigma = codomain.dist[np.ix_(images[rows], images)]
+        i, j = np.nonzero(upper & (rho == 0.0) & (sigma > 0.0))
+        if i.size:
+            raise NotLipschitzError(
+                f"points {domain.labels[r0 + i[0]]!r} and {domain.labels[j[0]]!r} are at "
+                f"distance 0 but their images are {sigma[i[0], j[0]]:g} apart"
+            )
+        # A near-zero distance overflows the quotient to inf, the exact value.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            best = max(best, float(np.max(sigma / rho, initial=0.0, where=upper & (rho > 0.0))))
+    return best
 
 
 class LipschitzMap:

@@ -16,6 +16,8 @@ library computes the same results with numpy slabs or shared helpers;
 implementation, the oracle for its tiled pass beyond the loop's reach.
 ``level_for_radius_loop`` is a brute-force search for the same level
 that ``level_for_radius`` computes from the binary exponent.
+``log_scalar`` is the audits' log kernel, fdlibm's ``e_log.c``, on one
+Python float; the audit and lower-bound oracles take their logs from it.
 ``dump_doc_reference`` is the original report writer, json's ``indent=2``
 encoder over the ``jsonable`` walk, whose bytes ``dump_doc`` must
 reproduce.
@@ -454,6 +456,31 @@ def covering_measure_loop(space):
     return DiscreteMeasure(space, weights), levels
 
 
+# fdlibm's e_log.c constants (Sun, 1993), written out again rather than
+# imported, so that a wrong digit in the library shows.
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+      2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+      1.479819860511658591e-01)
+
+
+def log_scalar(x: float) -> float:
+    """Oracle for ``audit._logs``: fdlibm's e_log.c on one Python float, the
+    same sequence of correctly rounded operations, from ``math.frexp``."""
+    if x == 0.0:
+        return -math.inf
+    m, k = math.frexp(x)
+    if m < math.sqrt(0.5):
+        m, k = m + m, k - 1
+    f, k = m - 1.0, float(k)
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6]))) + w * (LG[1] + w * (LG[3] + w * LG[5]))
+    hfsq = 0.5 * f * f
+    return k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+
+
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Oracle for ``audit_privacy``: every ordered input pair and every
     output label, in (i, j, k) order.  A zero-distance pair's ratio is inf
@@ -486,7 +513,7 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
                 else:
                     # A near-zero distance overflows the quotient to inf, the exact value.
                     with np.errstate(over="ignore"):
-                        ratio = (math.log(a) - math.log(b)) / rho
+                        ratio = (log_scalar(a) - log_scalar(b)) / rho
                 if ratio > pair_max:
                     pair_max = ratio
                     pair_witness_y = out_labels[k]
@@ -551,7 +578,7 @@ def impossibility_lower_bound_loop(mech, query, centers, radius,
         if mass_ref[i] == 0.0:
             value = math.inf
         else:
-            value = (math.log(mass_self[i]) - math.log(mass_ref[i])) / rho
+            value = (log_scalar(mass_self[i]) - log_scalar(mass_ref[i])) / rho
         if best_i is None or value > best:
             best = value
             best_i = i

@@ -1,3 +1,5 @@
+import decimal
+import hashlib
 import math
 import tracemalloc
 
@@ -10,6 +12,7 @@ from conftest import (
     check_em_inequalities,
     hamming_cube,
     line_space,
+    log_scalar,
     path_space,
     propose_centers_loop,
     random_map,
@@ -177,20 +180,6 @@ class TestAuditPrivacy:
                 tracemalloc.stop()
             assert peak <= (5 * n * m + audit._BLOCK_CELLS) * 8, include
 
-    def test_np_log_stays_within_the_screen_bound(self):
-        # The one assumption of the screened audit, checked wherever the tests run:
-        # over 1.2 million seeded positive doubles (random bit patterns
-        # across the normal range, values within 1e-3 of 1 and the smallest
-        # normals) np.log is within _SCREEN_ERR relative of math.log.
-        rng = np.random.default_rng(19)
-        bits = np.concatenate([
-            rng.integers(0x0010000000000000, 0x7FF0000000000000, size=1_000_000, dtype=np.uint64),
-            rng.integers(0x0010000000000000, 0x0020000000000000, size=100_000, dtype=np.uint64),
-        ])
-        x = np.concatenate([bits.view(float), 1.0 + rng.uniform(-1e-3, 1e-3, size=100_000)])
-        exact = np.array(list(map(math.log, x.tolist())))
-        assert (np.abs(np.log(x) - exact) <= audit._SCREEN_ERR * np.abs(exact)).all()
-
     def test_relabeling_invariance(self):
         mech, _ = x3_mech(beta=2.1)
         eps = audit_privacy(mech).epsilon_max
@@ -213,6 +202,84 @@ class TestAuditPrivacy:
             params = ExpMechParams(base=random_measure(rng, cod), beta=beta, query=query)
             rep = audit_privacy(tabulate(params))
             assert rep.epsilon_max <= privacy_bound(beta, query.constant) + 1e-9
+
+
+# Doubles for the log kernel: any positive finite double, subnormals and the
+# smallest one included, doubles in [1/2, 2] and doubles within 1e-3 of 1.
+LOG_INPUTS = st.one_of(st.just(5e-324),
+                       st.floats(5e-324, 1.7976931348623157e308, allow_subnormal=True),
+                       st.floats(0.5, 2.0), st.floats(1.0 - 1e-3, 1.0 + 1e-3))
+ONE_BITS = int(np.array(1.0).view(np.uint64))
+# sha256 of the kernel's little-endian output on seeded_log_inputs().
+LOG_DIGEST = "0cf2c019057d7cf8cf66dcb0a846c2b0e8f6cf5c7a06b5545337fd2e46426fb1"
+
+
+def seeded_log_inputs() -> np.ndarray:
+    """0.0, 5e-324 and 1.0, then seeded bit patterns: positive finite doubles,
+    subnormals, doubles in [1/2, 2), where the polynomial sets the last bits,
+    and doubles within 1e-3 of 1 and within 2**-40 of it."""
+    rng = np.random.default_rng(21)
+    bits = np.concatenate([
+        rng.integers(1, 0x7FF0000000000000, size=100_000, dtype=np.uint64),
+        rng.integers(1, 0x0010000000000000, size=10_000, dtype=np.uint64),
+        rng.integers(0x3FE0000000000000, 0x4000000000000000, size=20_000, dtype=np.uint64),
+        rng.integers(0x3FEFF7CED916872B, 0x3FF004189374BC6A, size=20_000, dtype=np.uint64),
+        (ONE_BITS + rng.integers(-2**12, 2**12, size=4_000)).astype(np.uint64),
+    ])
+    return np.concatenate([[0.0, 5e-324, 1.0], bits.view(float)])
+
+
+def ulps_off(got: float, x: float) -> float:
+    """Distance of ``got`` from ln x, in ulps of ln x, by 40-digit decimal."""
+    exact = decimal.Context(prec=40).ln(decimal.Decimal(x))
+    if exact == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(decimal.Decimal(got) - exact) / decimal.Decimal(math.ulp(float(exact))))
+
+
+class TestLogKernel:
+    """``audit._logs`` is fdlibm's e_log.c as a fixed sequence of numpy ufunc
+    calls.  It must give the scalar port's bits wherever the tests run, stay
+    within 0.9 ulp, and give 0.0 only at 1.0: ``_BULK_MAX_DIST`` relies on
+    every nonzero log difference being at least 2**-106."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(LOG_INPUTS, min_size=1, max_size=40))
+    def test_equals_the_scalar_port_bit_for_bit(self, xs):
+        want = np.array([log_scalar(x) for x in xs])
+        assert audit._logs(xs).tobytes() == want.tobytes()
+
+    def test_equals_the_scalar_port_over_many_chunks(self):
+        x = seeded_log_inputs()
+        want = np.array([log_scalar(v) for v in x.tolist()])
+        assert x.size > 10 * (audit._BLOCK_CELLS // 16)
+        assert audit._logs(x).tobytes() == want.tobytes()
+        assert audit._logs(x[1:].reshape(2, -1)).tobytes() == want[1:].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(LOG_INPUTS)
+    def test_within_0_9_ulp_of_decimal(self, x):
+        assert ulps_off(float(audit._logs([x])[0]), x) <= 0.9
+
+    def test_within_0_9_ulp_of_decimal_on_seeded_doubles(self):
+        x = seeded_log_inputs()[1::25]
+        assert max(map(ulps_off, audit._logs(x).tolist(), x.tolist())) <= 0.9
+
+    def test_zero_maps_to_minus_infinity(self):
+        assert audit._logs(np.zeros((2, 3))).tolist() == [[-math.inf] * 3] * 2
+
+    def test_zero_exactly_at_one_and_nowhere_else(self):
+        near = (ONE_BITS + np.arange(-5000, 5001)).astype(np.uint64).view(float)
+        x = np.concatenate([near, seeded_log_inputs()])
+        logs = audit._logs(x)
+        assert ((logs == 0.0) == (x == 1.0)).all()
+        assert not np.signbit(logs[x == 1.0]).any()
+
+    def test_golden_digest(self):
+        # The kernel's bits on seeded_log_inputs, pinned: a host whose
+        # arithmetic differs anywhere changes this digest.
+        logs = audit._logs(seeded_log_inputs()).astype("<f8")
+        assert hashlib.sha256(logs.tobytes()).hexdigest() == LOG_DIGEST
 
 
 UNDERFLOW = pytest.mark.xfail(

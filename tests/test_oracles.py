@@ -31,6 +31,7 @@ from conftest import (
     level_for_radius_loop,
     line_space,
     lipschitz_constant_loop,
+    log_scalar,
     propose_centers_loop,
     random_map,
     random_measure,
@@ -338,9 +339,9 @@ class TestAuditPrivacyOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_many_distinct_probabilities(self, seed):
         """600 probabilities spread over (0, 1), each the maximizer of
-        many pairs: np.log differs from math.log by an ulp on a few tenths
-        of a percent of such inputs, and the per-pair maxima would show
-        it."""
+        many pairs: a host's np.log or math.log differs from the audit's
+        kernel by an ulp on some such inputs, and the per-pair maxima would
+        show it."""
         rng = np.random.default_rng(500 + seed)
         p = rng.uniform(0.01, 0.99, size=300)
         mech = MechanismTable(discrete_space(300), discrete_space(2), np.stack([p, 1 - p], axis=1))
@@ -361,7 +362,7 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(space, space, probs)
         assert_same_audit(mech)
         report = audit_privacy(mech)
-        assert report.epsilon_max == math.log(0.5) - math.log(0.25)
+        assert report.epsilon_max == log_scalar(0.5) - log_scalar(0.25)
         assert report.witness == ("x0", "x1", "x0")
 
     def test_zero_distance_exit_after_infinite_pair(self):
@@ -399,7 +400,7 @@ class TestAuditPrivacyOracle:
         assert full.witness == audit_privacy(mech).witness == ("a", "c", "y1")
         assert full.epsilon_max == math.inf
         expected = [[0.0, math.inf, math.inf],
-                    [math.log(1.0) - math.log(0.5), 0.0, math.log(1.0) - math.log(0.4)],
+                    [log_scalar(1.0) - log_scalar(0.5), 0.0, log_scalar(1.0) - log_scalar(0.4)],
                     [math.inf, math.inf, 0.0]]
         assert full.per_pair_max.tolist() == expected
 
@@ -473,148 +474,6 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(space, line_space([0.0, 1.0]), [[0.5, 0.5]] * 3)
         assert_same_audit(mech)
         assert audit_privacy(mech).witness == ("a", "b", "x0")
-
-
-def perturbed_screen(seed, scale=audit._SCREEN_ERR * (1.0 - 2.0**-10)):
-    """A stand-in for the audit's screen logs: math.log of every entry, each
-    finite one moved by up to ``scale`` of its size, up or down by a seeded
-    draw.  The default stays inside the bound the screen assumes."""
-    rng, exact_logs = np.random.default_rng(seed), audit._logs
-
-    def screen_logs(probs):
-        exact = exact_logs(probs)
-        shift = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=exact.shape) * scale
-        with np.errstate(invalid="ignore"):
-            return np.where(exact > -math.inf, exact + exact * shift, exact)
-
-    return screen_logs
-
-
-def scaled_screen(factors):
-    """A stand-in for the audit's screen logs: math.log of the table times
-    ``factors``, entry by entry."""
-    exact_logs = audit._logs
-    return lambda probs: exact_logs(probs) * factors
-
-
-# Row entries for the screen's cases: exact zeros, subnormals, the smallest
-# normal, tiny normals and values that tie across rows.
-SCREEN_ENTRIES = st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 0.125, 0.25, 0.5, 0.5, 1.0])
-
-
-@st.composite
-def screen_cases(draw):
-    """Tables of 1 to 6 inputs over the discrete metric (pairs tie), a line
-    pseudometric with twins, a line with distances above 2**900, or one with
-    subnormal distances, over which ratios overflow; rows from
-    SCREEN_ENTRIES, not normalized, and twins' rows often shared."""
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["discrete", "twins", "far", "near"]))
-    points = {"far": [0.0, 1.0, 2.0, 2.0**950, 3.0 * 2.0**950],
-              "near": [0.0, 5e-324, 1e-310, 1.0]}.get(kind, [0.0, 0.5, 1.0])
-    coords = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
-    space = discrete_space(n) if kind == "discrete" else line_space(coords)
-    rows = []
-    for i in range(n):
-        twin = next((j for j in range(i) if space.dist[i, j] == 0.0), None)
-        shared = twin is not None and draw(st.booleans())
-        rows.append(rows[twin] if shared else draw(st.lists(SCREEN_ENTRIES, min_size=m, max_size=m)))
-    return raw_table(space, line_space(np.arange(m)), np.array(rows))
-
-
-class TestScreenedAudit:
-    """The privacy audit's np.log screen only picks pairs: with screen logs
-    moved anywhere within the bound it assumes, epsilon, witness and
-    per-pair maxima equal the loop oracle's bit for bit."""
-
-    @PROPERTY
-    @given(screen_cases(), st.integers(0, 2**32 - 1))
-    @example(raw_table(line_space([0.0, 5e-324, 5e-324]), line_space([0.0]),
-                       [[1e-300], [1e-300], [2.0**-1022]]), 2099592816)
-    def test_adversarial_screen(self, mech, seed):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", perturbed_screen(seed))
-            assert_same_audit(mech)
-
-    def test_an_overflowed_screen_inf_does_not_decide(self):
-        # Over the smallest subnormal distance the screen's x0 entry, off by
-        # 2**-41 of its log, makes (x0, x1) overflow to inf where the exact
-        # pair is 0.  The kept rows x0, x1 hold the infinite pair (x1, x0),
-        # but (x0, x2) comes first in label order.
-        space = line_space([0.0, 5e-324, 5e-324])
-        mech = raw_table(space, line_space([0.0, 1.0]), [[0.5, 0.25], [0.5, 0.5], [0.25, 0.25]])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", scaled_screen([[1.0 - 2.0**-41, 1.0], [1.0, 1.0], [1.0, 1.0]]))
-            assert_same_audit(mech)
-            assert audit_privacy(mech).witness == ("x0", "x2", "x0")
-
-    def test_a_tie_split_by_the_whole_bound_keeps_its_first_pair(self):
-        # (x0, x1) and (x2, x3) tie at ln 2; the pairs between {x0, x1} and
-        # {x2, x3}, 99 apart or more, stay far below.  Each log the two pairs
-        # read moves by the full bound, against (x0, x1) and for (x2, x3),
-        # which the screen then puts ahead by the sum of both pairs' bounds;
-        # the witness stays (x0, x1).
-        mech = raw_table(line_space([0.0, 1.0, 100.0, 101.0]), line_space([0.0, 1.0]),
-                         [[0.2, 0.2], [0.1, 0.2], [0.2, 0.2], [0.2, 0.1]])
-        err = audit._SCREEN_ERR * (1.0 - 2.0**-10)
-        factors = [[1.0 + err, 1.0], [1.0 - err, 1.0], [1.0, 1.0 - err], [1.0, 1.0 + err]]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", scaled_screen(factors))
-            assert_same_audit(mech)
-            assert audit_privacy(mech).witness == ("x0", "x1", "x0")
-
-    def test_the_best_pairs_own_slack_keeps_the_maximum(self):
-        # (x0, x1), 0.01 apart, audits to about 1 and (x2, x1), 1 apart, to
-        # 1e-12 more.  The screen's x0 entry, off by 2**-41 of its log, puts
-        # (x0, x1) 3e-10 higher, past (x2, x1) plus its own slack; only
-        # (x0, x1)'s slack, 100 times larger, keeps (x2, x1).
-        p1 = 1e-3
-        p0 = p1 * math.exp(0.01)
-        p2 = p1 * math.exp((math.log(p0) - math.log(p1)) / 0.01 + 1e-12)
-        mech = raw_table(line_space([0.0, 0.01, 1.01]), line_space([0.0]), [[p0], [p1], [p2]])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", scaled_screen([[1.0 - 2.0**-41], [1.0], [1.0]]))
-            assert_same_audit(mech)
-            assert audit_privacy(mech).witness == ("x2", "x1", "x0")
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_adversarial_screen_on_larger_tables(self, seed):
-        """Tables past one block of rows, and exponential mechanisms on 30
-        points (the discrete metric's pairs tie); the per-pair path takes no
-        screen, so only the screened report is compared."""
-        rng = np.random.default_rng(900 + seed)
-        domain = random_space(rng, 30)
-        query = random_map(rng, domain, domain)
-        tables = [multi_block_table(seed, kind) for kind in ("twins", "in_band", "late_inf")]
-        tables += [tabulate(ExpMechParams(base=random_measure(rng, domain), beta=beta, query=query))
-                   for beta in (0.5, 60.0)]
-        tables.append(tabulate(ExpMechParams(base=uniform_measure(discrete_space(30)), beta=2.0,
-                                             query=identity_map(discrete_space(30)))))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", perturbed_screen(seed))
-            for mech in tables:
-                got, want = audit_privacy(mech), audit_privacy_loop(mech)
-                assert (bits(got.epsilon_max), got.witness) == (bits(want.epsilon_max), want.witness)
-
-    @pytest.mark.parametrize("scale, falls_back", [(2.0**-41, False), (2.0**-30, True)])
-    def test_math_log_of_the_whole_table_only_past_the_bound(self, scale, falls_back):
-        # Past the bound every finite log is off by 2**-30 of its size, a
-        # kept row shows it, and math.log of the whole table decides.
-        mech = multi_block_table(0, "in_band")
-        shapes, exact_logs = [], audit._logs
-
-        def logged(probs):
-            shapes.append(np.shape(probs))
-            return exact_logs(probs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(audit, "_screen_logs", perturbed_screen(0, scale))
-            patch.setattr(audit, "_logs", logged)
-            got = audit_privacy(mech)
-        want = audit_privacy_loop(mech)
-        assert (bits(got.epsilon_max), got.witness) == (bits(want.epsilon_max), want.witness)
-        assert len(shapes[0]) == 2 and shapes[0][0] < len(mech.probs)
-        assert shapes[1:] == ([mech.probs.shape] if falls_back else [])
 
 
 def multi_block_table(seed, kind) -> MechanismTable:
@@ -763,6 +622,27 @@ class TestLipschitzOracle:
         want = lipschitz_constant_loop(domain, codomain, query.table)
         assert bits(query.constant) == bits(want)
         assert bits(lipschitz_constant(domain, codomain, query.table)) == bits(want)
+
+    @pytest.mark.parametrize("twins", [[], [(350, 399)], [(350, 399), (5, 390)]])
+    def test_past_one_row_block(self, twins):
+        """400 points take two row blocks.  Each twin pair maps apart: one in
+        the second block, then another whose row is in the first and whose
+        column is in the second, which comes first in row-major order."""
+        coords = np.arange(400.0)
+        rng = np.random.default_rng(400)
+        images = rng.integers(0, 3, size=400)
+        for a, b in twins:
+            coords[b], images[b] = coords[a], (images[a] + 1) % 3
+        domain, codomain = line_space(coords), line_space([0.0, 1.0, 3.0])
+        assert 400 * 400 > _BLOCK_CELLS
+        table = {x: codomain.labels[images[i]] for i, x in enumerate(domain.labels)}
+        outcome = same_outcome(lipschitz_constant, lipschitz_constant_loop, domain, codomain, table)
+        if twins:
+            assert outcome is None
+            with pytest.raises(NotLipschitzError, match=f"'x{twins[-1][0]}' and 'x{twins[-1][1]}'"):
+                lipschitz_constant(domain, codomain, table)
+        else:
+            assert bits(outcome[0]) == bits(outcome[1]) == bits(3.0)
 
     def test_distances_within_tolerance_of_zero(self):
         space = FiniteMetricSpace(["a", "b", "c", "d"], NEAR_ZERO_DIST)

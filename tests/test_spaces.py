@@ -350,6 +350,19 @@ class TestLipschitz:
         pseudo = FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
         assert lipschitz_constant(pseudo, grid_space(3), {"a": "0", "b": "0"}) == 0.0
 
+    def test_peak_memory_is_a_few_blocks(self):
+        # Row blocks of at most _BLOCK_CELLS pairs, never index arrays of every
+        # pair, which took the n=1000 identity map to a 25 MB peak.
+        space = grid_space(1000)
+        tracemalloc.start()
+        try:
+            constant = identity_map(space).constant
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert constant == 1.0
+        assert peak <= 4 * _BLOCK_CELLS * 8
+
     def test_constant_bounds_all_pairs(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
