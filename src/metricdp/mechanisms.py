@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -136,14 +137,19 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
 
 def sample_many(params: ExpMechParams, x, seed: int, count: int) -> list:
     """``count`` labels drawn for ``x`` by inverse CDF from a PCG64 generator
-    seeded with ``seed``; a smaller count draws a prefix of the same labels."""
+    seeded with ``seed``; a smaller count draws a prefix of the same labels.
+
+    Only labels of positive probability are drawn: the CDF runs over the
+    support, whose sums are those of the full CDF, and a draw past its last
+    sum takes the last supported label."""
     if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count}")
     probs = distribution(params, x)
-    cum = np.cumsum(probs)
+    support = np.flatnonzero(probs)
+    cum = np.cumsum(probs[support])
     rng = np.random.default_rng(seed)
     u = rng.random(count)
-    idx = np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)
+    idx = support[np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)]
     labels = params.output_space.labels
     return [labels[i] for i in idx]
 
@@ -218,9 +224,11 @@ def min_database_size(eps_target, gamma, delta, modulus) -> int:
     Under the model where query sensitivity scales as 1/N, a database of
     N records turns a per-record budget eps into an effective budget
     N * eps, so N must be at least (tradeoff epsilon) / eps_target.
-    Returns that ratio rounded up, never below 1.
+    Returns the exact ratio of the two floats rounded up, never below 1.
     """
     if not eps_target > 0:
         raise ValueError(f"eps_target must be positive, got {eps_target}")
     eps_star = privacy_bound(calibrate_beta(gamma, delta, modulus), 1.0)
-    return max(1, math.ceil(eps_star / eps_target))
+    if eps_target == math.inf:
+        return 1
+    return max(1, math.ceil(Fraction(eps_star) / Fraction(eps_target)))

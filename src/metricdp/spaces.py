@@ -6,13 +6,12 @@ floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
 
-The triangle check is one tiled min-plus reduction: each pair (i, k)
-compares its distance with the least sum dist[i][j] + dist[j][k] over the
-middle points, a tile at a time.  k runs from the row block's first row on
-exactly symmetric input, about half of the n^3 sums, and from 0 otherwise,
-against a transposed copy.  Besides those copies it holds one tile buffer
-of at most 1 MB, and only the points it flags are enumerated triple by
-triple for the report.
+The triangle check is one tiled min-plus reduction over the pairs i <= k,
+about half of the n^3 sums: each pair's larger entry is compared with the
+least two-step path through the matrix's lower envelope min(dist, dist.T),
+a tile at a time.  Besides that one copy it holds one tile buffer of at
+most 1 MB, and only the points it flags are enumerated triple by triple for
+the report.
 """
 
 from __future__ import annotations
@@ -78,12 +77,10 @@ def validate_metric(dist) -> MetricValidationReport:
     points at distance zero are allowed: definiteness is not an axiom here.
 
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
-    reduction over pairs (i, k), k from the row block's first row on exactly
-    symmetric input (as every space the library builds or writes is) and
-    from 0 otherwise.  Memory is one float copy of the matrix (two when it
-    is not exactly symmetric) plus a tile buffer of at most 1 MB.  Only the
-    points that pass flags are enumerated triple by triple, so the report,
-    its order and details are those of a scalar loop over every (i, k, j).
+    reduction over the pairs i <= k.  Memory is one float copy of the
+    matrix plus a tile buffer of at most 1 MB.  Only the points that pass
+    flags are enumerated triple by triple, so the report, its order and
+    details are those of a scalar loop over every (i, k, j).
 
     Raises
     ------
@@ -103,29 +100,21 @@ def validate_metric(dist) -> MetricValidationReport:
         for i, j in np.argwhere(negative).tolist()
     ]
     del negative
-    symmetric, step = True, max(1, _BLOCK_CELLS // max(1, len(mat)))
+    step = max(1, _BLOCK_CELLS // max(1, len(mat)))
     for r0 in range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
         upper, lower = mat[r0:r0 + step], mat[:, r0:r0 + step].T
-        symmetric &= np.array_equal(upper, lower)
         violations += [
             AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
             for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
         ]
-    # The pass's operands: a, +inf on its diagonal, and right[k, j] = a[j, k],
-    # which on exactly symmetric input is a itself (up to the sign of a zero,
-    # which no sum or comparison tells apart); a goes once the pass is done.
-    a = mat.copy()
-    np.fill_diagonal(a, np.inf)
-    right = a if symmetric else np.ascontiguousarray(a.T)
-    rows = _triangle_rows(mat, a, right)
-    del a
+    rows = _triangle_rows(mat, np.minimum(mat, mat.T))
     # Only the points the pass flags go through a (k, j) slab: bad[k, j] means
     # dist[i][k] exceeds the path through j, summed as the scalar expression
-    # is; right's +inf diagonal drops j = k.  An overflowed sum is +inf, which
-    # no finite distance exceeds: exact.
+    # is.  An overflowed sum is +inf, which no finite distance exceeds: exact.
     with np.errstate(over="ignore"):
         for i in rows:
-            bad = mat[i][:, None] > (mat[i][None, :] + right) + METRIC_TOL
+            bad = mat[i][:, None] > (mat[i][None, :] + mat.T) + METRIC_TOL
+            np.fill_diagonal(bad, False)  # j = k
             bad[i, :] = bad[:, i] = False  # k = i and j = i
             violations += [
                 AxiomViolation(
@@ -138,22 +127,24 @@ def validate_metric(dist) -> MetricValidationReport:
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _triangle_rows(mat, a, right) -> list:
-    """Sorted indices of every point i with some k != i and j not in
-    {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
+def _triangle_rows(mat, low) -> list:
+    """Sorted indices of a superset of the points i with some k != i and j
+    not in {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
 
-    One tiled min-plus reduction of a[i, j] + right[k, j] over j, where the
-    +inf diagonal drops j = i and j = k.  Rounding is monotone, so the
-    minimum plus METRIC_TOL exceeds dist[i][k] exactly when some sum plus
-    METRIC_TOL does.  k runs from the row block's first row when ``right``
-    is ``a`` (exactly symmetric input, where the sums for (k, i) are the
-    same) and from 0 otherwise.  A pair flags both its points, so on other
-    input a point with no violation of its own may come back.  Tiles reuse
-    one buffer of at most ``_BLOCK_CELLS`` cells, or one row of n sums.
+    ``low`` is the lower envelope min(mat, mat.T), which this overwrites with
+    +inf on its diagonal to drop j = i and j = k.  One tiled min-plus
+    reduction of low[i, j] + low[k, j] over j serves the pair (i, k) in both
+    directions, so k runs from the row block's first row: the pair flags
+    both its points when its larger entry exceeds that least sum plus
+    METRIC_TOL.  Rounding is monotone and ``low`` is below both raw entries,
+    so every raw violation is flagged; a point with none of its own may be
+    flagged too.  Tiles reuse one buffer of at most ``_BLOCK_CELLS`` cells,
+    or one row of n sums.
     """
     n = mat.shape[0]
     if n < 3:
         return []
+    np.fill_diagonal(low, np.inf)
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
     buf = np.empty(step * width * n)
@@ -161,14 +152,14 @@ def _triangle_rows(mat, a, right) -> list:
     with np.errstate(over="ignore"):
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
-            for c0 in range(r0 if right is a else 0, n, width):
+            for c0 in range(r0, n, width):
                 c1 = min(c0 + width, n)
                 tile = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
-                np.add(a[r0:r1, None, :], right[None, c0:c1, :], out=tile)
-                low = tile.min(axis=2)
-                low += METRIC_TOL
-                bad = mat[r0:r1, c0:c1] > low
-                np.fill_diagonal(bad[max(c0 - r0, 0):, max(r0 - c0, 0):], False)  # k = i
+                np.add(low[r0:r1, None, :], low[None, c0:c1, :], out=tile)
+                least = tile.min(axis=2)
+                least += METRIC_TOL
+                bad = np.maximum(mat[r0:r1, c0:c1], mat[c0:c1, r0:r1].T) > least
+                np.fill_diagonal(bad[c0 - r0:], False)  # k = i
                 flagged[r0:r1] |= bad.any(axis=1)
                 flagged[c0:c1] |= bad.any(axis=0)
     return np.flatnonzero(flagged).tolist()

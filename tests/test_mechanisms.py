@@ -2,11 +2,13 @@ import math
 import warnings
 from bisect import bisect_left
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_map, random_measure, random_space
+from metricdp import mechanisms
 from metricdp import (
     DegenerateMeasureError,
     DiscreteMeasure,
@@ -211,6 +213,21 @@ class TestSampling:
         p = ExpMechParams(base=base, beta=2.0, query=identity_map(s))
         assert set(sample_many(p, "1", seed=5, count=30)) == {"0.5"}
 
+    def test_draws_at_either_end_stay_on_the_support(self, monkeypatch):
+        """A draw of 0.0 would take the leading zero-probability label, and
+        one just below 1.0 runs past this row's sum, 0.9999999999999998, to
+        the trailing one; both must land on a label of positive mass."""
+        s = grid_space(5)
+        p = ExpMechParams(base=DiscreteMeasure(s, [0, 1, 1, 1, 0]), beta=3.0, query=identity_map(s))
+        assert distribution(p, "0.5").sum() < np.nextafter(1.0, 0.0)
+
+        class Stub:
+            def random(self, count):
+                return np.array([0.0, np.nextafter(1.0, 0.0)])[:count]
+
+        monkeypatch.setattr(mechanisms.np.random, "default_rng", lambda seed: Stub())
+        assert sample_many(p, "0.5", seed=0, count=2) == ["0.25", "0.75"]
+
 
 class TestCalibration:
     def test_two_ln_two(self):
@@ -348,3 +365,15 @@ class TestMinDatabaseSize:
     def test_eps_target_validation(self):
         with pytest.raises(ValueError):
             min_database_size(0.0, 1.0, 0.5, 1.0)
+
+    def test_rounds_up_the_exact_ratio(self):
+        """eps_star / 15 rounds so that 15 records fall just short of the
+        budget (the float quotient reads exactly 15.0), and a subnormal
+        budget overflows the float quotient: the exact ratio settles both."""
+        eps_star = privacy_bound(calibrate_beta(0.1, 0.1, 0.5), 1.0)
+        t = eps_star / 15
+        assert 15 * Fraction(t) < Fraction(eps_star)
+        assert min_database_size(t, 0.1, 0.1, 0.5) == 16
+        exact = math.ceil(Fraction(eps_star) / Fraction(5e-324))
+        assert min_database_size(5e-324, 0.1, 0.1, 0.5) == exact
+        assert min_database_size(math.inf, 0.1, 0.1, 0.5) == 1

@@ -67,7 +67,7 @@ from metricdp import (
 )
 from metricdp import audit
 from metricdp.formats import dump_doc
-from metricdp.spaces import _BLOCK_CELLS
+from metricdp.spaces import _BLOCK_CELLS, _triangle_rows
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -259,14 +259,22 @@ def tile_inputs(n: int):
             far[np.ix_(idx, idx)] = far_apart(h, violating)
             yield f"far-{h:g}-{violating}", far
 
+    # Row 5 alone halved: the envelope min(dist, dist.T) then shortens paths
+    # through point 5 in both directions, so the pass flags points that have
+    # no violation of their own.
+    one_sided = twin_cloud(rng, n)
+    one_sided[5] *= 0.5
+    yield "one-sided", one_sided
+
 
 class TestValidateMetricTiles:
     """Whole reports of the tiled triangle pass, equal to an oracle's for
     each tile shape: one tile (n=40, against the loop), 14-row tiles with a
     last one of 12 (n=96), single-row tiles (n=300) and rows split over k
     (n=363), each on exactly symmetric input, input asymmetric within
-    METRIC_TOL with signed zeros, a violation only in the (k, i) direction
-    and the far_apart overflow examples spread across tiles."""
+    METRIC_TOL with signed zeros, a violation only in the (k, i) direction,
+    the far_apart overflow examples spread across tiles and one row scaled
+    out of the band."""
 
     @pytest.mark.parametrize("n", [40, 96, 300, 363])
     def test_every_tile_shape(self, n):
@@ -291,6 +299,9 @@ class TestValidateMetricTiles:
                 assert want.violations and {w[:2] for w in triangles} == {(14, 13), (n - 1, 1)}
             elif name.endswith("True"):
                 assert (1, n - 1, 13) in triangles
+            elif name == "one-sided":
+                flagged = set(_triangle_rows(mat, np.minimum(mat, mat.T)))
+                assert flagged > {w[0] for w in triangles}
 
     def test_symmetry_over_row_blocks(self):
         """Asymmetric pairs beyond METRIC_TOL in both row blocks of the
