@@ -15,6 +15,13 @@ to 1) raise the domain errors of the module that owns the object.
 generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
 ``grid_space`` is, and does not re-check it, so ``validate`` reports it ok
 by construction; the tests check the generators against the validator.
+
+A process parses each document text once and validates each distinct space
+once, so a chain of commands run through ``cli.main`` in one process reads
+its reports at the cost of a copy.  Both memos are exact: a parsed document
+is reused only for an identical text, and a validated space only for
+identical labels and an equal raw matrix, so a hit gets the verdict a fresh
+load would.  Nothing keys on a path or a file's time stamps.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import marshal
 import math
 import os
 
@@ -35,6 +43,11 @@ from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
 
 # JSON has no infinity literal; reports spell it as this string.
 INFINITY = "infinity"
+
+# Longest document text (in characters) whose parse is kept for the process,
+# and how many such texts are kept; a CLI chain reads four.
+_MEMO_CHARS = 1 << 20
+_MEMO_DOCS = 4
 
 
 def encode_value(v: float):
@@ -63,14 +76,28 @@ def decode_value(v) -> float:
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
 
 
+def _parse(text: str):
+    # decode_value refuses the NaN and Infinity json would accept.
+    return json.loads(text, parse_constant=decode_value)
+
+
+@functools.lru_cache(maxsize=_MEMO_DOCS)
+def _parsed(text: str) -> bytes:
+    """The parse of ``text``, marshalled so that every load gets its own
+    copy; a text that fails to parse raises and is not kept."""
+    return marshal.dumps(_parse(text))
+
+
 def load_doc(source) -> dict:
     """Resolve a path-or-dict into a bare document, unwrapping any report
-    envelope so reports are directly reusable as inputs."""
+    envelope so reports are directly reusable as inputs.  A file is read
+    on every call; a text no longer than ``_MEMO_CHARS`` that was parsed
+    before is copied from the memo instead of parsed again."""
     if isinstance(source, str):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                # decode_value refuses the NaN and Infinity json would accept.
-                doc = json.load(fh, parse_constant=decode_value)
+                text = fh.read()
+            doc = marshal.loads(_parsed(text)) if len(text) <= _MEMO_CHARS else _parse(text)
         except OSError as exc:
             raise SchemaError(f"cannot read {source}: {exc}") from exc
         except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
@@ -201,11 +228,19 @@ def _number_matrix(rows, what: str) -> np.ndarray:
     return mat
 
 
-def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetricSpace:
+# The explicit space built last: (space, the raw matrix it was built from,
+# or None where that equals space.dist).
+_last_space: tuple | None = None
+
+
+def space_from_doc(source) -> FiniteMetricSpace:
     """The space a document describes, a generator form {"kind": "grid"|
-    "discrete", "n": k} built trusted.  An explicit document is validated
-    unless it describes ``known`` (same labels, equal distances), which is
-    then returned itself, so a command validates each space once."""
+    "discrete", "n": k} built trusted.  An explicit document with the labels
+    and raw matrix of the last explicit space built returns that space
+    itself, and any other is validated: a process parses each document text
+    once and validates each distinct space once while it is the one being
+    loaded."""
+    global _last_space
     doc = load_doc(source)
     if "kind" in doc:
         kind = doc["kind"]
@@ -222,9 +257,13 @@ def space_from_doc(source, known: FiniteMetricSpace | None = None) -> FiniteMetr
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("space labels must be a list of strings")
     mat = _number_matrix(dist, "space dist")
-    if known is not None and labels == known.labels and np.array_equal(mat, known.dist):
-        return known
-    return FiniteMetricSpace(labels, mat)
+    if _last_space is not None:
+        space, raw = _last_space
+        if labels == space.labels and np.array_equal(mat, space.dist if raw is None else raw):
+            return space
+    space = FiniteMetricSpace(labels, mat)
+    _last_space = space, None if np.array_equal(mat, space.dist) else mat
+    return space
 
 
 def space_to_doc(space: FiniteMetricSpace) -> dict:
@@ -242,7 +281,7 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
     if not isinstance(weights, dict):
         raise SchemaError("measure weights must be an object mapping label to number")
     if "space" in doc:
-        space = space_from_doc(doc["space"], space)
+        space = space_from_doc(doc["space"])
     weights = {k: decode_value(v) for k, v in weights.items()}
     unknown = set(weights) - set(space.labels)
     if unknown:
@@ -257,7 +296,7 @@ def measure_to_doc(measure: DiscreteMeasure) -> dict:
 def map_from_doc(source) -> LipschitzMap:
     doc = load_doc(source)
     domain = space_from_doc(_require(doc, "domain", "map"))
-    codomain = space_from_doc(_require(doc, "codomain", "map"), domain)
+    codomain = space_from_doc(_require(doc, "codomain", "map"))
     table = _require(doc, "table", "map")
     if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
         raise SchemaError("map table must be an object mapping input label to output label")

@@ -175,9 +175,12 @@ def calibrate_beta(gamma, delta, modulus) -> float:
     if product >= 1.0:
         return 0.0
     if product > 0.0 and 1.0 / product < math.inf:
-        return (2.0 / gamma) * math.log(1.0 / product)
-    # Past the float range, ln(1/delta) + ln(1/modulus) stays finite.
-    return (2.0 / gamma) * -(math.log(delta) + math.log(modulus))
+        beta = (2.0 / gamma) * math.log(1.0 / product)
+    else:  # past the float range, ln(1/delta) + ln(1/modulus) stays finite
+        beta = (2.0 / gamma) * -(math.log(delta) + math.log(modulus))
+    if not math.isfinite(beta):
+        raise ValueError(f"gamma {gamma!r} is too small: the calibrated beta is not a finite double")
+    return beta
 
 
 def privacy_bound(beta, lipschitz_c) -> float:

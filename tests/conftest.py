@@ -53,7 +53,7 @@ from metricdp import (
     StructuralError,
     identity_map,
 )
-from metricdp import spaces
+from metricdp import formats, spaces
 from metricdp.formats import encode_value
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 
@@ -62,6 +62,20 @@ from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 MATRIX_ENTRIES = st.sampled_from(
     [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, -1.0, 1e-13, -1e-13, 2e-12, -2e-12, 1.0 + 1e-13, 1.5]
 ) | st.floats(-2.0, 4.0, allow_nan=False)
+
+
+def empty_memos() -> None:
+    """Forget every parsed document and the last validated space."""
+    formats._parsed.cache_clear()
+    formats._last_space = None
+
+
+@pytest.fixture(autouse=True)
+def empty_loader_memos():
+    """Start every test with nothing parsed and no space validated, so a
+    test's loads and validation counts do not depend on the tests before
+    it."""
+    empty_memos()
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import cloud_metric, empty_memos
 from metricdp import (
     ImpossibilityReport,
     PrivacyAuditReport,
@@ -253,6 +255,50 @@ class TestParserReuse:
         assert texts[0].startswith(f"usage: metricdp {command}")
 
 
+class TestLoaderMemos:
+    """A chain run through ``main`` in one process parses each report text
+    once and validates its one explicit space once, and writes the bytes it
+    writes with the memos emptied before every command."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        labels = [f"p{i}" for i in range(12)]
+        space = {"labels": labels, "dist": cloud_metric(np.random.default_rng(24), 12).tolist()}
+        far = labels[int(np.argmax(space["dist"][0]))]
+        return {"dir": tmp_path, "far": far,
+                "space": write(tmp_path, "space.json", space),
+                "map": write(tmp_path, "map.json", {"domain": space, "codomain": space,
+                                                    "table": {x: x for x in labels}})}
+
+    def chain(self, files, cold):
+        d, space, the_map = files["dir"], files["space"], files["map"]
+        argvs = {
+            "build-measure": ["--space", space],
+            "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--measure", d / "build-measure"],
+            "tabulate": ["--map", the_map, "--measure", d / "build-measure", "--beta", "40"],
+            "audit-privacy": ["--mech", d / "tabulate", "--space", space, "--per-pair"],
+            "audit-utility": ["--mech", d / "tabulate", "--map", the_map, "--gamma", "0.5"],
+            "lower-bound": ["--mech", d / "tabulate", "--map", the_map,
+                            "--centers", "p0," + files["far"], "--r", "0.01"],
+        }
+        for command, argv in argvs.items():
+            if cold:
+                empty_memos()
+            assert main([command, *map(str, argv), "--out", str(d / command)]) == 0
+        return {command: (d / command).read_bytes() for command in argvs}
+
+    def test_one_validation_and_the_same_bytes(self, files, validations):
+        cold = self.chain(files, cold=True)
+        assert validations == [12] * 6
+        empty_memos()
+        validations.clear()
+        warm = self.chain(files, cold=False)
+        assert validations == [12]
+        assert warm == cold
+        # Four texts are read: the space, the map, the measure and the table.
+        assert formats._parsed.cache_info().misses == 4
+
+
 # Every flag the parser reads as a float, by command.
 FLOAT_FLAGS = [
     ("net", "--r"),
@@ -362,6 +408,13 @@ class TestPipeline:
         # modulus 7/15 under the normalized hierarchy measure
         assert doc["result"]["modulus"] == pytest.approx(7.0 / 15.0)
         assert doc["result"]["beta"] == pytest.approx(4 * math.log(15 / 0.7))
+
+    def test_calibrate_with_an_overflowing_beta_exits_3(self, capsys):
+        code, doc = run(capsys, "calibrate", "--gamma", "1e-320", "--delta", "0.1", "--m", "0.5")
+        assert code == 3
+        assert doc["result"] == {
+            "error": "gamma 1e-320 is too small: the calibrated beta is not a finite double",
+            "error_kind": "ValueError"}
 
     def test_tabulate_then_audit_privacy(self, capsys, grid5_files):
         mech = str(grid5_files["dir"] / "mech.json")

@@ -105,18 +105,90 @@ class TestLoadDoc:
         assert json.loads(path.read_text()) == {"x": [1, 2]}
 
 
+class TestParsedDocumentMemo:
+    """A file's text is parsed once per process; every load gets its own
+    copy of the parse, and only an identical text hits."""
+
+    def test_a_path_loaded_twice_is_parsed_once(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"k": [1, {"j": 2.5}], "s": "t"}')
+        first = formats.load_doc(str(path))
+        second = formats.load_doc(str(path))
+        info = formats._parsed.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first == second == {"k": [1, {"j": 2.5}], "s": "t"}
+        assert first is not second and first["k"] is not second["k"]
+        first["k"][1]["j"] = 0
+        first["k"].append(3)
+        del first["s"]
+        assert formats.load_doc(str(path)) == second == {"k": [1, {"j": 2.5}], "s": "t"}
+
+    def test_a_rewrite_of_the_same_length_is_parsed_again(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"k": 1}')
+        assert formats.load_doc(str(path)) == {"k": 1}
+        path.write_text('{"k": 2}')
+        assert formats.load_doc(str(path)) == {"k": 2}
+        assert formats._parsed.cache_info().misses == 2
+
+    def test_key_order_and_float_bits_survive_the_copy(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"b": [-0.0, 5e-324, 0.1], "a": 12345678901234567890}')
+        for _ in range(2):
+            doc = formats.load_doc(str(path))
+            assert list(doc) == ["b", "a"]
+            assert np.array(doc["b"]).tobytes() == np.array([-0.0, 5e-324, 0.1]).tobytes()
+            assert doc["a"] == 12345678901234567890
+
+    @pytest.mark.parametrize("text,match", [("{nope", "not valid JSON"),
+                                            ('{"k": NaN}', "NaN"),
+                                            ("[1, 2]", "got list")])
+    def test_a_malformed_file_raises_the_same_error_every_time(self, tmp_path, text, match):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(SchemaError, match=match) as exc:
+                formats.load_doc(str(path))
+            errors.append(str(exc.value))
+        assert errors == [errors[0]] * 3
+
+    @pytest.mark.parametrize("extra,kept", [(0, 1), (1, 0)])
+    def test_only_texts_up_to_the_cap_are_kept(self, tmp_path, extra, kept):
+        path = tmp_path / "x.json"
+        frame = '{"k": ""}'
+        pad = "x" * (formats._MEMO_CHARS - len(frame) + extra)
+        path.write_text('{"k": "%s"}' % pad)
+        for _ in range(2):
+            assert formats.load_doc(str(path)) == {"k": pad}
+        info = formats._parsed.cache_info()
+        assert info.currsize == kept
+        assert (info.misses, info.hits) == ((1, 1) if kept else (0, 0))
+
+    def test_the_memo_holds_a_fixed_number_of_texts(self, tmp_path):
+        for i in range(formats._MEMO_DOCS + 3):
+            path = tmp_path / f"x{i}.json"
+            path.write_text('{"k": %d}' % i)
+            assert formats.load_doc(str(path)) == {"k": i}
+        assert formats._parsed.cache_info().currsize == formats._MEMO_DOCS
+
+
 class TestSpaceDocs:
     def test_generator_forms(self, validations):
         assert formats.space_from_doc({"kind": "grid", "n": 3}) == grid_space(3)
         assert formats.space_from_doc({"kind": "discrete", "n": 4}) == discrete_space(4)
         assert validations == []
 
-    def test_generator_form_ignores_known(self):
-        # known is reused only for explicit documents; a generator's fresh
-        # space equals it by value.
-        known = grid_space(3)
-        space = formats.space_from_doc({"kind": "grid", "n": 3}, known)
+    def test_generator_form_ignores_known(self, validations):
+        # Only explicit documents meet the validated-space memo: a
+        # generator's fresh space equals the memo's by value, and leaves it
+        # in place.
+        explicit = formats.space_to_doc(grid_space(3))
+        known = formats.space_from_doc(explicit)
+        space = formats.space_from_doc({"kind": "grid", "n": 3})
         assert space == known and space is not known
+        assert formats.space_from_doc(explicit) is known
+        assert validations == [3]
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -250,8 +322,8 @@ WIDER_DOC = {"labels": ["a", "b", "c"], "dist": [[0, 2, 4], [2, 0, 2], [4, 2, 0]
 
 
 class TestOneValidationPerSpace:
-    """A document describing a space the loader already holds reuses that
-    object; any other space document is validated."""
+    """A document with the labels and raw matrix of the last explicit space
+    built reuses that object; any other space document is validated."""
 
     def map_doc(self, codomain):
         return {"domain": SPACE_DOC, "codomain": codomain,
@@ -274,9 +346,44 @@ class TestOneValidationPerSpace:
 
     def test_differing_codomain_is_validated(self, validations):
         lmap = formats.map_from_doc(self.map_doc(WIDER_DOC))
-        assert lmap.codomain == formats.space_from_doc(WIDER_DOC)
+        assert lmap.codomain is formats.space_from_doc(WIDER_DOC)
+        assert lmap.codomain != lmap.domain
         assert lmap.constant == 2.0
-        assert len(validations) == 3
+        assert validations == [3, 3]
+
+    def test_a_codomain_that_the_store_rewrites_is_validated_once(self, validations):
+        # The stored matrix has a zero diagonal; raw input is compared with
+        # raw input, so the codomain still matches the domain.
+        doc = {"labels": ["a", "b"], "dist": [[1e-13, 1], [1, 0]]}
+        lmap = formats.map_from_doc({"domain": doc, "codomain": json.loads(json.dumps(doc)),
+                                     "table": {"a": "a", "b": "b"}})
+        assert lmap.codomain is lmap.domain
+        assert lmap.domain.dist[0, 0] == 0.0
+        assert formats.space_from_doc(doc) is lmap.domain
+        assert validations == [2]
+
+    def test_the_stored_matrix_does_not_stand_in_for_a_rewritten_raw_one(self, validations):
+        # A space built from a clean document is not the answer for a
+        # document whose raw entries would store the same.
+        clean = formats.space_from_doc(SPACE_DOC)
+        banded = {"labels": SPACE_DOC["labels"],
+                  "dist": [[1e-13, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        assert formats.space_from_doc(banded) is not clean
+        assert validations == [3, 3]
+
+    def test_only_the_last_space_is_kept(self, validations):
+        first = formats.space_from_doc(SPACE_DOC)
+        formats.space_from_doc(WIDER_DOC)
+        again = formats.space_from_doc(SPACE_DOC)
+        assert again == first and again is not first
+        assert validations == [3, 3, 3]
+
+    def test_an_invalid_space_is_never_kept(self, validations):
+        bad = {"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+        for _ in range(2):
+            with pytest.raises(InvalidMetricError):
+                formats.space_from_doc(bad)
+        assert validations == [3, 3]
 
     def test_invalid_codomain_is_rejected(self):
         bad = {"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
@@ -292,8 +399,9 @@ class TestOneValidationPerSpace:
     def test_measure_on_another_space_is_validated(self, validations):
         space = formats.space_from_doc(SPACE_DOC)
         m = formats.measure_from_doc({"space": WIDER_DOC, "weights": {"a": 1.0}}, space=space)
-        assert m.space == formats.space_from_doc(WIDER_DOC) != space
-        assert len(validations) == 3
+        assert m.space is formats.space_from_doc(WIDER_DOC)
+        assert m.space != space
+        assert validations == [3, 3]
 
 
 class TestTableDocs:

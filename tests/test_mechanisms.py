@@ -279,6 +279,15 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_beta(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma,delta,modulus", [
+        (1e-320, 0.1, 0.5),  # 2 / gamma overflows
+        (1e-306, 1e-10, 1e-300),  # finite factors whose product overflows
+        (5e-324, 0.1, 1.0 - 2.0 ** -53),  # 2 / gamma is inf and the log is 0.0: nan
+    ])
+    def test_beta_past_the_double_range_names_gamma(self, gamma, delta, modulus):
+        with pytest.raises(ValueError, match=f"gamma {gamma!r} is too small"):
+            calibrate_beta(gamma, delta, modulus)
+
     def test_zero_modulus_is_not_uniformly_positive(self):
         with pytest.raises(NotUniformlyPositiveError):
             calibrate_beta(1.0, 0.5, 0.0)
@@ -337,6 +346,10 @@ class TestTradeoff:
         assert bound.beta == pytest.approx(4.0 * 310 * math.log(10.0), rel=1e-12)
         assert bound.epsilon == 2.0 * bound.beta
 
+    def test_overflowing_beta_is_an_error(self):
+        with pytest.raises(ValueError, match="gamma 1e-320 is too small"):
+            tradeoff_upper_bound(uniform_measure(grid_space(3)), 1e-320, 0.1)
+
     def test_gap_in_support_has_no_finite_bound(self):
         s = grid_space(3)
         base = DiscreteMeasure(s, [1.0, 0.0, 1.0])
@@ -365,6 +378,10 @@ class TestMinDatabaseSize:
     def test_eps_target_validation(self):
         with pytest.raises(ValueError):
             min_database_size(0.0, 1.0, 0.5, 1.0)
+
+    def test_overflowing_beta_is_an_error(self):
+        with pytest.raises(ValueError, match="gamma 1e-320 is too small"):
+            min_database_size(0.1, 1e-320, 0.1, 0.5)
 
     def test_rounds_up_the_exact_ratio(self):
         """eps_star / 15 rounds so that 15 records fall just short of the
