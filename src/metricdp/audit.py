@@ -11,7 +11,8 @@ pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; the pairs it
 cannot take go output by output through ``_pair_ratios``.  Every log is
 fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
-the reported bits are the same on every IEEE host, whatever its libm or SIMD.
+the reported bits are the same on every IEEE host, whatever its libm or SIMD;
+every ball mass is one fixed-order sum per row, ``measures._mass_inside``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
+from .measures import _mass_inside
 from .mechanisms import MechanismTable
 from .spaces import _BLOCK_CELLS, LipschitzMap
 
@@ -157,11 +159,6 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
 
 
-def _ball_masses(rows, balls) -> np.ndarray:
-    """Each row's mass inside its ball's membership mask, summed in label order."""
-    return np.array([row[ball].sum() for row, ball in zip(rows, balls)])
-
-
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
     """The query must map the table's input space to its output space."""
     if query.codomain != mech.output_space:
@@ -175,15 +172,10 @@ def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAu
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
-    inside = mech.output_space.dist[query.images] <= gamma
-    masses = _ball_masses(mech.probs, inside)
+    masses = _mass_inside(mech.output_space.dist[query.images] <= gamma, mech.probs)
     worst = int(np.argmin(masses))
-    return UtilityAuditReport(
-        gamma=float(gamma),
-        min_mass=float(masses[worst]),
-        worst_input=mech.input_space.labels[worst],
-        per_input_mass=masses,
-    )
+    return UtilityAuditReport(gamma=float(gamma), min_mass=float(masses[worst]),
+                              worst_input=mech.input_space.labels[worst], per_input_mass=masses)
 
 
 @dataclass(frozen=True)
@@ -256,9 +248,8 @@ def impossibility_lower_bound(
                     "the disjointness hypothesis fails"
                 )
 
-    rows = mech.probs[idx]
-    mass_self = tuple(_ball_masses(rows, balls).tolist())
-    mass_ref = tuple(_ball_masses([rows[0]] * len(balls), balls).tolist())
+    mass_self = tuple(_mass_inside(balls, mech.probs[idx]).tolist())
+    mass_ref = tuple(_mass_inside(balls, mech.probs[idx[0]]).tolist())
     for c, m in zip(centers, mass_self):
         if not m > utility_threshold:
             raise DomainError(

@@ -7,6 +7,8 @@ in label order; label-keyed weights belong to the file format
 (``formats.measure_from_doc``).  Zero-weight points are legal; they simply
 make the positivity modulus 0 at small radii, which downstream calibration
 reports as an error instead of silently producing an infinite temperature.
+Every ball mass, here and in the audits, is ``_mass_inside``: a sum along each
+row in numpy's pairwise order, that of ``total_mass``, with no BLAS call.
 """
 
 from __future__ import annotations
@@ -57,11 +59,16 @@ class DiscreteMeasure:
 
     def ball_masses(self, radius) -> np.ndarray:
         """Mass of the closed ``radius``-ball around every point, in label
-        order."""
+        order; a ball holding every point weighs exactly ``total_mass``."""
         if not radius >= 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        inside = self.space.dist <= radius
-        return inside @ self.values
+        return _mass_inside(self.space.dist <= radius, self.values)
+
+
+def _mass_inside(inside, weights) -> np.ndarray:
+    """Each row's mass inside its mask, zeros outside it summed in too;
+    ``weights`` is one row per mask row, or one row for all of them."""
+    return np.where(inside, weights, 0.0).sum(axis=1)
 
 
 def uniform_measure(space: FiniteMetricSpace) -> DiscreteMeasure:

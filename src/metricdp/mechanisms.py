@@ -178,8 +178,8 @@ def calibrate_beta(gamma, delta, modulus) -> float:
         beta = (2.0 / gamma) * math.log(1.0 / product)
     else:  # past the float range, ln(1/delta) + ln(1/modulus) stays finite
         beta = (2.0 / gamma) * -(math.log(delta) + math.log(modulus))
-    if not math.isfinite(beta):
-        raise ValueError(f"gamma {gamma!r} is too small: the calibrated beta is not a finite double")
+    if not math.isfinite(2.0 * beta):  # the privacy level 2 * beta, not just beta
+        raise ValueError(f"gamma {gamma!r} is too small: 2 * beta is not a finite double")
     return beta
 
 
@@ -187,11 +187,12 @@ def privacy_bound(beta, lipschitz_c) -> float:
     """Closed-form privacy level of the mechanism: 2 * C * beta.
 
     Holds for every base measure; a constant query (C = 0) leaks nothing
-    at any temperature.
+    at any temperature, and at beta = 0 the mechanism ignores its input, so
+    either zero gives 0.0, even against an infinite C.
     """
     if not (beta >= 0 and lipschitz_c >= 0):
         raise ValueError("beta and the Lipschitz constant must be nonnegative")
-    return 2.0 * lipschitz_c * beta
+    return 0.0 if beta == 0 or lipschitz_c == 0 else 2.0 * lipschitz_c * beta
 
 
 @dataclass(frozen=True)

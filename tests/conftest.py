@@ -18,6 +18,9 @@ implementation, the oracle for its tiled pass beyond the loop's reach.
 that ``level_for_radius`` computes from the binary exponent.
 ``log_scalar`` is the audits' log kernel, fdlibm's ``e_log.c``, on one
 Python float; the audit and lower-bound oracles take their logs from it.
+``mass_inside_loop`` sums one masked row at a time in 1-D, the order every
+ball mass must have; ``assert_near_fsum`` bounds those sums against
+``math.fsum``.
 ``dump_doc_reference`` is the original report writer, json's ``indent=2``
 encoder over the ``jsonable`` walk, whose bytes ``dump_doc`` must
 reproduce.
@@ -495,6 +498,22 @@ def log_scalar(x: float) -> float:
     return k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
 
 
+def mass_inside_loop(rows, masks) -> np.ndarray:
+    """Oracle for every ball mass: one row at a time, the row with zeros
+    outside its mask, summed as a 1-D array."""
+    return np.array([np.where(mask, row, 0.0).sum() for row, mask in zip(rows, masks)])
+
+
+def assert_near_fsum(masses, rows, masks) -> None:
+    """Each mass lies within (k - 1) * 2**-53 * fsum of the correctly
+    rounded ``math.fsum`` of its ball's k terms: the error bound of any
+    order of k - 1 additions of nonnegative terms."""
+    for mass, row, mask in zip(masses, rows, masks):
+        terms = row[mask].tolist()
+        exact = math.fsum(terms)
+        assert abs(mass - exact) <= max(len(terms) - 1, 0) * 2.0**-53 * exact, (mass, exact)
+
+
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Oracle for ``audit_privacy``: every ordered input pair and every
     output label, in (i, j, k) order.  A zero-distance pair's ratio is inf
@@ -572,8 +591,8 @@ def impossibility_lower_bound_loop(mech, query, centers, radius,
                     "the disjointness hypothesis fails"
                 )
     idx = [space.index_of(c) for c in centers]
-    mass_self = tuple(float(mech.probs[idx[i]][balls[i]].sum()) for i in range(len(centers)))
-    mass_ref = tuple(float(mech.probs[idx[0]][balls[i]].sum()) for i in range(len(centers)))
+    mass_self = tuple(mass_inside_loop(mech.probs[idx], balls).tolist())
+    mass_ref = tuple(mass_inside_loop([mech.probs[idx[0]]] * len(centers), balls).tolist())
     for c, m in zip(centers, mass_self):
         if not m > utility_threshold:
             raise DomainError(

@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_near_fsum,
     check_em_inequalities,
     hamming_cube,
     line_space,
     log_scalar,
+    mass_inside_loop,
     path_space,
     propose_centers_loop,
     random_map,
@@ -395,6 +397,21 @@ class TestAuditUtility:
         with pytest.raises(StructuralError):
             audit_utility(mech, identity_map(grid_space(4)), 0.5)
 
+    def test_masses_are_the_one_row_sum(self):
+        """Each input's mass is its masked row summed in 1-D, to the bit, and
+        within the summation bound of math.fsum; balls hold up to 60 outputs."""
+        rng = np.random.default_rng(89)
+        for _ in range(30):
+            s = random_space(rng, int(rng.integers(8, 61)))
+            query = random_map(rng, s, s)
+            mech = tabulate(ExpMechParams(base=random_measure(rng, s), beta=float(rng.uniform(0, 30)),
+                                          query=query))
+            gamma = float(rng.uniform(0.0, s.diameter()))
+            inside = s.dist[query.images] <= gamma
+            masses = audit_utility(mech, query, gamma).per_input_mass
+            assert masses.tobytes() == mass_inside_loop(mech.probs, inside).tobytes()
+            assert_near_fsum(masses, mech.probs, inside)
+
 
 class TestImpossibility:
     def test_discrete8_anchor(self):
@@ -499,6 +516,22 @@ class TestImpossibility:
         with pytest.raises(ValueError):
             impossibility_lower_bound(mech, identity_map(s), ["0", "1"], 0.5,
                                       utility_threshold=1.0)
+
+    def test_ball_masses_are_the_one_row_sum(self):
+        # Three disjoint balls of 17 outputs each on a 41-point grid.
+        s, rng = grid_space(41), np.random.default_rng(97)
+        centers = ["0", "0.5", "1"]
+        balls = s.dist[[s.index_of(c) for c in centers]] <= 0.2
+        for _ in range(10):
+            mech = tabulate(ExpMechParams(base=random_measure(rng, s), beta=float(rng.uniform(8, 20)),
+                                          query=identity_map(s)))
+            rep = impossibility_lower_bound(mech, identity_map(s), centers, 0.2)
+            rows = mech.probs[[s.index_of(c) for c in centers]]
+            refs = rows[[0, 0, 0]]
+            assert np.array(rep.ball_mass_self).tobytes() == mass_inside_loop(rows, balls).tobytes()
+            assert np.array(rep.ball_mass_ref).tobytes() == mass_inside_loop(refs, balls).tobytes()
+            assert_near_fsum(rep.ball_mass_self, rows, balls)
+            assert_near_fsum(rep.ball_mass_ref, refs, balls)
 
     def test_lower_bound_never_exceeds_the_audited_level(self):
         rng = np.random.default_rng(83)

@@ -413,8 +413,36 @@ class TestPipeline:
         code, doc = run(capsys, "calibrate", "--gamma", "1e-320", "--delta", "0.1", "--m", "0.5")
         assert code == 3
         assert doc["result"] == {
-            "error": "gamma 1e-320 is too small: the calibrated beta is not a finite double",
+            "error": "gamma 1e-320 is too small: 2 * beta is not a finite double",
             "error_kind": "ValueError"}
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--m", "0.5"],
+        ["tradeoff", "--measure", {"space": {"kind": "grid", "n": 3},
+                                   "weights": {"0": 1, "0.5": 1, "1": 1}}],
+    ])
+    def test_overflowing_epsilon_exits_3(self, capsys, tmp_path, argv):
+        # beta = 1.2e308 or 1.36e308 is finite, but the privacy level 2 * beta is not.
+        if isinstance(argv[-1], dict):
+            argv = argv[:-1] + [write(tmp_path, "base.json", argv[-1])]
+        code, doc = run(capsys, *argv, "--gamma", "5e-308", "--delta", "0.1")
+        assert code == 3
+        assert doc["result"] == {
+            "error": "gamma 5e-308 is too small: 2 * beta is not a finite double",
+            "error_kind": "ValueError"}
+
+    def test_tabulate_at_beta_zero_with_an_infinite_constant(self, capsys, tmp_path):
+        # Points 5e-324 apart with images 0.5 apart: the constant is inf,
+        # and at beta 0 the mechanism ignores its input.
+        the_map = write(tmp_path, "map.json", {
+            "domain": {"labels": ["a", "b"], "dist": [[0, 5e-324], [5e-324, 0]]},
+            "codomain": {"kind": "grid", "n": 3}, "table": {"a": "0", "b": "0.5"}})
+        measure = write(tmp_path, "base.json", {"space": {"kind": "grid", "n": 3},
+                                                "weights": {"0": 1, "0.5": 1, "1": 1}})
+        code, doc = run(capsys, "tabulate", "--map", the_map, "--measure", measure, "--beta", "0")
+        assert code == 0
+        assert doc["result"]["lipschitz_c"] == "infinity"
+        assert doc["result"]["privacy_bound"] == 0.0
 
     def test_tabulate_then_audit_privacy(self, capsys, grid5_files):
         mech = str(grid5_files["dir"] / "mech.json")

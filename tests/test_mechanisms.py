@@ -283,6 +283,7 @@ class TestCalibration:
         (1e-320, 0.1, 0.5),  # 2 / gamma overflows
         (1e-306, 1e-10, 1e-300),  # finite factors whose product overflows
         (5e-324, 0.1, 1.0 - 2.0 ** -53),  # 2 / gamma is inf and the log is 0.0: nan
+        (5e-308, 0.1, 0.5),  # beta is 1.2e308, and 2 * beta overflows
     ])
     def test_beta_past_the_double_range_names_gamma(self, gamma, delta, modulus):
         with pytest.raises(ValueError, match=f"gamma {gamma!r} is too small"):
@@ -318,6 +319,12 @@ class TestPrivacyBound:
         with pytest.raises(ValueError):
             privacy_bound(1.0, -1.0)
 
+    def test_zero_against_an_infinite_factor(self):
+        # At beta 0 the mechanism ignores its input, whatever the constant;
+        # 2 * C * beta would be nan.
+        assert privacy_bound(0.0, math.inf) == 0.0
+        assert privacy_bound(math.inf, 0.0) == 0.0
+
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_arguments(self, args):
         with pytest.raises(ValueError, match="must be nonnegative"):
@@ -349,6 +356,11 @@ class TestTradeoff:
     def test_overflowing_beta_is_an_error(self):
         with pytest.raises(ValueError, match="gamma 1e-320 is too small"):
             tradeoff_upper_bound(uniform_measure(grid_space(3)), 1e-320, 0.1)
+
+    def test_overflowing_epsilon_is_an_error(self):
+        # beta = 1.36e308 is finite, but epsilon = 2 * beta is not.
+        with pytest.raises(ValueError, match="gamma 5e-308 is too small"):
+            tradeoff_upper_bound(uniform_measure(grid_space(3)), 5e-308, 0.1)
 
     def test_gap_in_support_has_no_finite_bound(self):
         s = grid_space(3)
@@ -382,6 +394,10 @@ class TestMinDatabaseSize:
     def test_overflowing_beta_is_an_error(self):
         with pytest.raises(ValueError, match="gamma 1e-320 is too small"):
             min_database_size(0.1, 1e-320, 0.1, 0.5)
+
+    def test_overflowing_epsilon_is_an_error(self):
+        with pytest.raises(ValueError, match="gamma 5e-308 is too small"):
+            min_database_size(0.1, 5e-308, 0.1, 0.5)
 
     def test_rounds_up_the_exact_ratio(self):
         """eps_star / 15 rounds so that 15 records fall just short of the

@@ -524,16 +524,22 @@ def lower_bound_case(rng):
     input space whose twins sit at distance 0 (sharing their image) or
     5e-13 apart (mapped anywhere), and sometimes only subnormal
     distances apart; rows that mostly favour their own image, with
-    tiny positive entries near 1e-305 and repeated weights; random centers."""
-    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-    coords = rng.integers(0, 4, size=n)
+    tiny positive entries near 1e-305 and repeated weights; random centers.
+    In a third of the cases up to four inputs have distinct images among
+    36 to 48 outputs 1/8 apart, so that a ball holds up to 17 outputs and
+    the order of its sum shows in the bits."""
+    wide = rng.random() < 1 / 3
+    n = int(rng.integers(2, 5 if wide else 7))
+    m = int(4 * rng.integers(9, 13) if wide else rng.integers(2, 7))
+    coords = rng.permutation(4)[:n] if wide else rng.integers(0, 4, size=n)
     dist = np.abs(coords[:, None] - coords[None, :]) * (1e-320 if rng.random() < 0.2 else 1.0)
-    images = coords % m
-    if rng.random() < 0.3:
+    images = coords * (m // 4) if wide else coords % m
+    if not wide and rng.random() < 0.3:
         dist[(dist == 0.0) & ~np.eye(n, dtype=bool)] = 5e-13
         images = rng.integers(m, size=n)
     domain = FiniteMetricSpace([f"x{i}" for i in range(n)], dist)
-    codomain = line_space(2.0 * np.arange(m))  # balls of radius <= 1 hold one point
+    # Balls of radius <= 1 hold one point of the narrow line.
+    codomain = line_space(np.arange(m) / 8.0 if wide else 2.0 * np.arange(m))
     query = LipschitzMap(domain, codomain,
                          {x: codomain.labels[i] for x, i in zip(domain.labels, images)})
     if rng.random() < 0.3:
