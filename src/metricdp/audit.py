@@ -8,8 +8,9 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 (mediant inequality), so the singleton maximum already dominates every
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
-over blocks of rows that stop at the first infinite maximum; the pairs it
-cannot take go output by output through ``_pair_ratios``.  Every log is
+over blocks of rows that stop at the first infinite maximum; twins (inputs
+at distance 0.0) are decided from their rows, and ``_pair_ratios`` only finds
+the witness output.  Every log is
 fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
 the reported bits are the same on every IEEE host, whatever its libm or SIMD;
 every ball mass is one fixed-order sum per row, ``measures._mass_inside``.
@@ -27,10 +28,6 @@ from .errors import DomainError, StructuralError
 from .measures import _mass_inside
 from .mechanisms import MechanismTable
 from .spaces import _BLOCK_CELLS, LipschitzMap
-
-# _logs is 0.0 only at 1.0, so a nonzero log difference is at least 2**-106, and
-# over at most _BULK_MAX_DIST it does not round to zero.
-_BULK_MAX_DIST = 2.0**900
 
 # fdlibm's e_log.c constants: ln 2 split so that k * _LN2_HI is exact, and the
 # coefficients Lg1..Lg7 of its polynomial in s**2.
@@ -98,14 +95,16 @@ def _logs(probs) -> np.ndarray:
 
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:
-    """Ratios of the pairs (i[p], j[p]), output by output: -inf where the numerator's entry
-    is 0.0, else inf where the denominator's is; for twins or i = j, inf where rows differ."""
-    rho = mech.input_space.dist[i, j][:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    """Ratios of the pair (i, j), output by output: -inf where the numerator's entry
+    is 0.0, else inf where the denominator's is; for twins, inf where rows differ."""
+    rho = mech.input_space.dist[i, j]
+    if rho == 0.0:
+        return np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
         ratio = (logs[i] - logs[j]) / rho
     ratio[logs[j] == -math.inf] = math.inf
     ratio[logs[i] == -math.inf] = -math.inf
-    return np.where(rho == 0.0, np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf), ratio)
+    return ratio
 
 
 def _sweep(mech, logs, stop) -> np.ndarray:
@@ -120,14 +119,11 @@ def _sweep(mech, logs, stop) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             top = np.fmax.reduce(logs[block, :, None] - lt, axis=1, initial=-math.inf)
             pair_max[block] = top / dist[block]
-        a, b = np.nonzero((dist[block] == 0.0) | (dist[block] > _BULK_MAX_DIST))
-        a, b = a[a + r0 != b] + r0, b[a + r0 != b]
-        if a.size:  # the first maximum, as np.max may prefer 0.0 to an earlier -0.0
-            ratio = _pair_ratios(mech, logs, a, b)
-            pair_max[a, b] = ratio[np.arange(a.size), ratio.argmax(axis=1)]
+        # Twins, x = z among them (the diagonal is 0.0): inf where their rows differ.
+        a, b = np.nonzero(dist[block] == 0.0)
+        pair_max[a + r0, b] = np.where((mech.probs[a + r0] != mech.probs[b]).any(axis=1), math.inf, -math.inf)
         if stop and (pair_max[block] == math.inf).any():
             break
-    np.fill_diagonal(pair_max, -math.inf)
     return pair_max
 
 
@@ -136,8 +132,8 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
 
     Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y]) / dist(x, z)
     over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
-    per pair over blocks of rows, divided once, -inf for x = z, and ``_pair_ratios`` for
-    twins and distances beyond ``_BULK_MAX_DIST``.  One argmax gives ``epsilon_max`` and
+    per pair over blocks of rows, divided once; twins, x = z among them, are inf where
+    their rows differ and -inf where they agree.  One argmax gives ``epsilon_max`` and
     the witness pair, whose first maximizing output ``_pair_ratios`` finds.
 
     Every log is ``_logs``, the same bits on every host, and the default report and
@@ -152,7 +148,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     pair_max = _sweep(mech, logs, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
-    k = np.argmax(_pair_ratios(mech, logs, [i], [j])[0])
+    k = np.argmax(_pair_ratios(mech, logs, i, j))
     live = pair_max[i, j] > -math.inf
     witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
     per_pair = np.where(pair_max > -math.inf, pair_max, 0.0) if include_per_pair else None

@@ -177,6 +177,8 @@ def cmd_build_measure(args):
 
 def cmd_calibrate(args):
     modulus = args.m
+    if modulus is not None and modulus > 1:  # a floor of a normalized measure's mass
+        raise ValueError(f"--m must be at most 1, got {modulus}")
     if modulus is None:
         base = formats.measure_from_doc(args.measure)
         modulus = tradeoff_upper_bound(base, args.gamma, args.delta).modulus

@@ -12,7 +12,7 @@ once: :class:`CoverHierarchy` certifies every level that
 
 Greedy scans walk points in label order, so every construction here is
 deterministic and reproducible from the space file alone.  Scans run over
-Python-int bitsets, one bit row per distinct scanned center.
+Python-int bitsets, one bit row per scanned center.
 """
 
 from __future__ import annotations
@@ -48,14 +48,16 @@ def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     """Positions in ``centers`` (point indices of ``space``, repeats
     allowed) kept by one greedy pass: a center is kept iff its closed
     ``radius``-ball shares no point with the balls kept before it.  Each
-    distinct center's ball is one Python int, bit j set iff point j is in
-    it, so a step is one ``&`` and one ``|`` of ints, not numpy calls."""
-    distinct, inverse = np.unique(np.asarray(centers, dtype=np.intp), return_inverse=True)
-    data = np.packbits(space.dist[distinct] <= radius, axis=1, bitorder="little").tobytes()
+    center's ball becomes one Python int, bit j set iff point j is in it,
+    as the scan reaches it, so a step is one ``&`` and one ``|`` of ints,
+    not numpy calls.  A repeated center's ball meets the union once its
+    first copy is scanned, kept or not, so no repeat is kept."""
+    balls = space.dist[np.asarray(centers, dtype=np.intp)] <= radius
+    data = np.packbits(balls, axis=1, bitorder="little").tobytes()
     width = (len(space) + 7) // 8  # bytes per packed row
-    balls = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
     covered, kept = 0, []  # covered: the union of kept balls
-    for pos, ball in enumerate([balls[b] for b in inverse.tolist()]):
+    for pos, start in enumerate(range(0, len(data), width)):
+        ball = int.from_bytes(data[start : start + width], "little")
         if not ball & covered:
             kept.append(pos)
             covered |= ball

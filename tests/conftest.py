@@ -31,7 +31,9 @@ lets ``audit_privacy`` look at single outputs only.
 
 ``randomized_response`` and ``truncated_geometric`` are classical
 mechanisms whose exact epsilon is known in closed form, so the audits can
-be checked against numbers the library never computes.
+be checked against numbers the library never computes.  ``cycle_space``
+and ``hamming_space`` look the same from every point, so an exponential
+mechanism on them has known answers too.
 """
 
 import functools
@@ -152,6 +154,20 @@ def hamming_cube(k: int) -> FiniteMetricSpace:
     bits = np.array(list(itertools.product((0, 1), repeat=k)))
     dist = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
     return FiniteMetricSpace(["".join(map(str, b)) for b in bits], dist)
+
+
+def hamming_space(k: int) -> FiniteMetricSpace:
+    """The Hamming cube {0,1}^k with distances divided by k: C(k, j) points
+    at distance j / k from every point, so its diameter is 1."""
+    cube = hamming_cube(k)
+    return FiniteMetricSpace(cube.labels, cube.dist / k)
+
+
+def cycle_space(n: int) -> FiniteMetricSpace:
+    """n points around a circle of length 1: distance min(|i - j|, n - |i - j|) / n."""
+    points = np.arange(n)
+    gap = np.abs(points[:, None] - points[None, :])
+    return FiniteMetricSpace([str(i) for i in points], np.minimum(gap, n - gap) / n)
 
 
 def path_space(n: int) -> FiniteMetricSpace:
@@ -516,9 +532,11 @@ def assert_near_fsum(masses, rows, masks) -> None:
 
 def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditReport:
     """Oracle for ``audit_privacy``: every ordered input pair and every
-    output label, in (i, j, k) order.  A zero-distance pair's ratio is inf
-    where its rows differ and -inf where they agree.  Without per-pair
-    maxima the audit ends after the first row whose maximum is inf."""
+    output label, in (i, j, k) order.  A pair's value is its largest log
+    difference divided once by its distance; its witness output is the
+    first with the largest per-output ratio.  A zero-distance pair's ratio
+    is inf where its rows differ and -inf where they agree.  Without
+    per-pair maxima the audit ends after the first row whose maximum is inf."""
     space = mech.input_space
     labels = space.labels
     out_labels = mech.output_space.labels
@@ -533,25 +551,29 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
             if i == j:
                 continue
             rho = space.dist[i, j]
-            pair_max = -math.inf
+            top, ratio_max = -math.inf, -math.inf
             pair_witness_y = None
             for k in range(probs.shape[1]):
                 a, b = probs[i, k], probs[j, k]
                 if rho == 0.0:
-                    ratio = math.inf if a != b else -math.inf
+                    diff = math.inf if a != b else -math.inf
                 elif a == 0.0:
-                    ratio = -math.inf  # zero numerator never binds
+                    diff = -math.inf  # zero numerator never binds
                 elif b == 0.0:
-                    ratio = math.inf
+                    diff = math.inf
                 else:
-                    # A near-zero distance overflows the quotient to inf, the exact value.
-                    with np.errstate(over="ignore"):
-                        ratio = (log_scalar(a) - log_scalar(b)) / rho
-                if ratio > pair_max:
-                    pair_max = ratio
+                    diff = log_scalar(a) - log_scalar(b)
+                # A near-zero distance overflows the quotient to inf, the exact value.
+                with np.errstate(over="ignore"):
+                    ratio = diff if rho == 0.0 else diff / rho
+                top = max(top, diff)
+                if ratio > ratio_max:
+                    ratio_max = ratio
                     pair_witness_y = out_labels[k]
             if pair_witness_y is None:
                 continue  # every ratio is -inf: the pair constrains nothing
+            with np.errstate(over="ignore"):
+                pair_max = top if rho == 0.0 else top / rho
             if per_pair is not None:
                 per_pair[i, j] = pair_max
             if witness is None or pair_max > eps_max:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from conftest import (
     assert_near_fsum,
     check_em_inequalities,
+    cycle_space,
     hamming_cube,
+    hamming_space,
     line_space,
     log_scalar,
     mass_inside_loop,
@@ -86,6 +88,41 @@ class TestKnownAnswers:
         tail = sum(math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(min(r, k) + 1))
         report = audit_utility(randomized_response(k, p), identity_map(hamming_cube(k)), r)
         assert report.per_input_mass == pytest.approx(np.full(2**k, tail), rel=1e-12)
+
+
+# Each point's distance profile: how many points lie at each distance from it.
+SYMMETRIC = {
+    "cycle300": (lambda: cycle_space(300), {k / 300: 1 if k in (0, 150) else 2 for k in range(151)}),
+    "hamming8": (lambda: hamming_space(8), {j / 8: math.comb(8, j) for j in range(9)}),
+}
+
+
+def ball_mass_closed_form(profile, beta, gamma) -> float:
+    """In-ball mass of the exponential mechanism with a uniform base, by
+    50-digit decimal over the profile of the stored distances."""
+    with decimal.localcontext(decimal.Context(prec=50)) as ctx:
+        terms = {d: count * ctx.exp(-decimal.Decimal(beta) * decimal.Decimal(d))
+                 for d, count in profile.items()}
+        return float(sum(t for d, t in terms.items() if d <= gamma) / sum(terms.values()))
+
+
+class TestKnownAnswersFromSymmetry:
+    """On a space that looks the same from every point, with the uniform
+    base and the identity query, every row has the same normalizer.  So
+    ln P[x->y] - ln P[z->y] = beta * (d(z, y) - d(x, y)) <= beta * d(x, z),
+    with equality at y = z: the exact epsilon is beta, and every input's
+    gamma-ball mass is one closed form in the distance profile."""
+
+    @pytest.mark.parametrize("beta", [5.0, 60.0, 700.0])
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_epsilon_is_beta_and_masses_are_the_closed_form(self, name, beta):
+        build, profile = SYMMETRIC[name]
+        space = build()
+        query = identity_map(space)
+        mech = tabulate(ExpMechParams(base=uniform_measure(space), beta=beta, query=query))
+        assert abs(audit_privacy(mech).epsilon_max - beta) <= 1e-12 * beta
+        masses = audit_utility(mech, query, 0.25).per_input_mass
+        assert np.abs(masses - ball_mass_closed_form(profile, beta, 0.25)).max() <= 1e-15
 
 
 def x3_mech(beta=1.0):
@@ -242,8 +279,7 @@ def ulps_off(got: float, x: float) -> float:
 class TestLogKernel:
     """``audit._logs`` is fdlibm's e_log.c as a fixed sequence of numpy ufunc
     calls.  It must give the scalar port's bits wherever the tests run, stay
-    within 0.9 ulp, and give 0.0 only at 1.0: ``_BULK_MAX_DIST`` relies on
-    every nonzero log difference being at least 2**-106."""
+    within 0.9 ulp, and give 0.0 only at 1.0, as ln does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(LOG_INPUTS, min_size=1, max_size=40))

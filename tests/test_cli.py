@@ -3,10 +3,13 @@ import json
 import math
 import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cloud_metric, empty_memos
 from metricdp import (
@@ -599,7 +602,7 @@ class TestPipeline:
     @pytest.mark.parametrize("argv,beta", [
         # 1e-320 is subnormal, so its log is taken from the float itself.
         (["calibrate", "--m", "1e-320"], 4.0 * (10 * math.log(10.0) - math.log(1e-320))),
-        (["calibrate", "--m", "inf"], 0.0),
+        (["calibrate", "--m", "5e-324"], 4.0 * (10 * math.log(10.0) - math.log(5e-324))),
         (["tradeoff", "--measure", {"space": {"kind": "discrete", "n": 2},
                                     "weights": {"0": 1, "1": 1e-300}}], 4.0 * 310 * math.log(10.0)),
     ])
@@ -609,6 +612,18 @@ class TestPipeline:
         code, doc = run(capsys, *argv, "--gamma", "0.5", "--delta", "1e-10")
         assert code == 0
         assert doc["result"]["beta"] == pytest.approx(beta, rel=1e-12)
+
+    @pytest.mark.parametrize("flag, code", [("--m=2", 3), ("--m=inf", 3), ("--m=1", 0)],
+                             ids=["2", "inf", "1"])
+    def test_calibrate_refuses_a_modulus_above_one(self, capsys, flag, code):
+        # --m is a ball-mass floor of the normalized base, so it lies in (0, 1].
+        got, doc = run(capsys, "calibrate", "--gamma", "0.5", "--delta", "0.1", flag)
+        assert got == code
+        if code == 3:
+            assert doc["result"] == {"error": f"--m must be at most 1, got {float(flag[4:])}",
+                                     "error_kind": "ValueError"}
+        else:
+            assert doc["result"]["beta"] == 4.0 * math.log(10.0)
 
     def test_build_measure_on_subnormal_distances(self, capsys, tmp_path):
         space = write(tmp_path, "s.json",
@@ -901,3 +916,97 @@ def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
     assert doc["result"]["epsilon_max"] == 18.496190890947364
     assert doc["result"]["witness"] == ["1", "0.75", "1"]
     assert doc == envelope
+
+
+# Four valid documents on one 4-point line; every command below exits 0 on them.
+LINE = {"labels": ["a", "b", "c", "d"],
+        "dist": [[0.0, 0.25, 0.5, 1.0], [0.25, 0.0, 0.25, 0.75],
+                 [0.5, 0.25, 0.0, 0.5], [1.0, 0.75, 0.5, 0.0]]}
+DOCUMENTS = {
+    "space": LINE,
+    "measure": {"space": LINE, "weights": {"a": 1.0, "b": 2.0, "c": 1.0, "d": 0.5}},
+    "map": {"domain": LINE, "codomain": LINE, "table": {x: x for x in LINE["labels"]}},
+    "table": {"inputs": LINE["labels"], "outputs": LINE["labels"],
+              "rows": {x: [0.7 if x == y else 0.1 for y in LINE["labels"]] for x in LINE["labels"]}},
+}
+CONTRACT_ARGV = [
+    ["validate", "--space", "space"],
+    ["net", "--space", "space", "--r", "0.5"],
+    ["build-measure", "--space", "space"],
+    ["calibrate", "--gamma", "0.5", "--delta", "0.1", "--measure", "measure"],
+    ["tradeoff", "--measure", "measure", "--gamma", "0.5", "--delta", "0.1"],
+    ["tabulate", "--map", "map", "--measure", "measure", "--beta", "4"],
+    ["sample", "--map", "map", "--measure", "measure", "--beta", "4", "--input", "b",
+     "--seed", "1", "--count", "3"],
+    ["audit-privacy", "--mech", "table", "--space", "space", "--per-pair", "--threshold", "9"],
+    ["audit-utility", "--mech", "table", "--map", "map", "--gamma", "0.5"],
+    ["lower-bound", "--mech", "table", "--map", "map", "--centers", "a,d", "--r", "0.25"],
+]
+REPLACEMENTS = ["x", True, None, [[1.0]], 0.0, -0.0, 5e-324, 1e308, "infinity"]
+# (command, position) of every float flag above, and values to give one of them.
+FLAG_SLOTS = [(k, i) for k, argv in enumerate(CONTRACT_ARGV) for i, arg in enumerate(argv)
+              if (argv[0], arg) in FLOAT_FLAGS]
+FLAG_VALUES = ["0", "-0", "5e-324", "1e-320", "0.5", "1", "2", "1e308", "inf", "-inf", "-1"]
+
+
+def nodes(doc, path=()):
+    """The path of every node below ``doc``: object keys and list positions."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from nodes(value, path + (key,))
+
+
+def run_contract(documents, flag=None):
+    """Run every command of ``CONTRACT_ARGV`` in-process on ``documents``,
+    each writing its report with ``--out``, with ``flag`` = (slot, value)
+    setting one float flag; return (exit code, result or None) per command."""
+    empty_memos()
+    outcomes = []
+    with tempfile.TemporaryDirectory() as d:
+        files = {name: os.path.join(d, name + ".json") for name in documents}
+        for name, doc in documents.items():
+            Path(files[name]).write_text(json.dumps(doc))
+        for k, argv in enumerate(CONTRACT_ARGV):
+            if flag is not None and flag[0][0] == k:
+                i = flag[0][1]
+                argv = argv[:i] + [f"{argv[i]}={flag[1]}"] + argv[i + 2:]
+            out = os.path.join(d, f"report{k}.json")
+            try:
+                code = main([files.get(arg, arg) for arg in argv] + ["--out", out])
+            except SystemExit as exc:  # argparse's own exit
+                code = exc.code
+            report = json.loads(Path(out).read_text())["result"] if os.path.exists(out) else None
+            outcomes.append((code, report))
+    return outcomes
+
+
+class TestExitContract:
+    """Whatever one node of a valid document holds, and whatever number one
+    float flag is given, every command exits 0, 1, 2 or 3, raises nothing,
+    and writes an error report exactly when it exits 3: a report holding
+    "error", or validate's violations report."""
+
+    def test_the_valid_documents_pass(self):
+        assert [code for code, _ in run_contract(DOCUMENTS)] == [0] * len(CONTRACT_ARGV)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_mutated_node(self, data):
+        name = data.draw(st.sampled_from(sorted(DOCUMENTS)))
+        documents = json.loads(json.dumps(DOCUMENTS))
+        *parents, key = data.draw(st.sampled_from(list(nodes(documents[name]))))
+        parent = documents[name]
+        for step in parents:
+            parent = parent[step]
+        replacement = data.draw(st.sampled_from(["delete", *REPLACEMENTS]))
+        if replacement == "delete":
+            del parent[key]
+        else:
+            parent[key] = replacement
+        flag = data.draw(st.none() | st.tuples(st.sampled_from(FLAG_SLOTS), st.sampled_from(FLAG_VALUES)))
+        for argv, (code, report) in zip(CONTRACT_ARGV, run_contract(documents, flag)):
+            assert code in (0, 1, 2, 3), argv
+            failed = report is not None and ("error" in report or report.get("ok") is False)
+            assert failed == (code == 3), (argv, code, report)
+            assert (report is None) == (code == 2), (argv, code)

@@ -459,7 +459,8 @@ class TestAuditPrivacyOracle:
     def test_huge_distance_keeps_the_first_zero(self):
         # Over a distance of about 8.5e307 the log difference at the first
         # output (about -1.1e-16) gives -0.0 and the equal entries give 0.0: the
-        # pair's maximum is the first of them, -0.0, not 0.0 / 8.5e307.  The
+        # pair's maximum is its largest log difference divided once, 0.0 / 8.5e307
+        # = +0.0, while the witness output is still the first zero ratio, x0.  The
         # distance stays below half the float range, so validation's sums of
         # two distances do not overflow.
         far = 1.9 * 2.0**1022
@@ -468,7 +469,7 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(space, line_space([0.0, 1.0, 2.0]), rows)
         assert_same_audit(mech)
         report = audit_privacy(mech, include_per_pair=True)
-        assert bits(report.per_pair_max[0, 1]) == bits(-0.0)
+        assert bits(report.per_pair_max[0, 1]) == bits(0.0)
         assert bits(report.epsilon_max) == bits(0.0)
         assert report.witness == ("a", "b", "x0")
 
