@@ -16,12 +16,13 @@ generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
 ``grid_space`` is, and does not re-check it, so ``validate`` reports it ok
 by construction; the tests check the generators against the validator.
 
-A process parses each document text once and validates each distinct space
-once, so a chain of commands run through ``cli.main`` in one process reads
-its reports at the cost of a copy.  Both memos are exact: a parsed document
-is reused only for an identical text, and a validated space only for
-identical labels and an equal raw matrix, so a hit gets the verdict a fresh
-load would.  Nothing keys on a path or a file's time stamps.
+A process builds each object from a file text once and validates each
+distinct space once.  Both memos are exact: an object is reused only for
+an identical text, the same supplied spaces and the same texts of the
+other files its build read, and a validated space only for identical
+labels and an equal raw matrix.  Nothing keys on a path or a file's time
+stamps.  A hit returns the object built before: loaded objects may be
+shared, and must not be mutated.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import marshal
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -44,8 +45,8 @@ from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
 # JSON has no infinity literal; reports spell it as this string.
 INFINITY = "infinity"
 
-# Longest document text (in characters) whose parse is kept for the process,
-# and how many such texts are kept; a CLI chain reads four.
+# Longest file text (in characters) whose object is kept for the process,
+# and how many objects are kept; a CLI chain needs the four newest.
 _MEMO_CHARS = 1 << 20
 _MEMO_DOCS = 4
 
@@ -76,34 +77,54 @@ def decode_value(v) -> float:
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
 
 
-def _parse(text: str):
-    # decode_value refuses the NaN and Infinity json would accept.
-    return json.loads(text, parse_constant=decode_value)
+# Objects built from file texts, oldest first: (loader, text, ids of the
+# spaces supplied) -> (those spaces, held so that no id is reused; the other
+# files the build read, path -> text; the object).
+_built: dict = {}
+_built_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=_MEMO_DOCS)
-def _parsed(text: str) -> bytes:
-    """The parse of ``text``, marshalled so that every load gets its own
-    copy; a text that fails to parse raises and is not kept."""
-    return marshal.dumps(_parse(text))
+class _Reads(threading.local):
+    """A thread's builds under way, innermost last, each with the files it
+    read, path -> text.  A build reads a file once, and sees the text an
+    outer build read."""
+
+    def __init__(self):
+        self.frames = []
+
+
+_reads = _Reads()
+
+
+def _read(path: str) -> str:
+    frames = _reads.frames
+    text = next((files[path] for files in frames if path in files), None)
+    if text is None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SchemaError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # not UTF-8
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if frames:
+        frames[-1][path] = text
+    return text
+
+
+def _parse(path: str, text: str):
+    try:
+        # decode_value refuses the NaN and Infinity json would accept.
+        return json.loads(text, parse_constant=decode_value)
+    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_doc(source) -> dict:
     """Resolve a path-or-dict into a bare document, unwrapping any report
     envelope so reports are directly reusable as inputs.  A file is read
-    on every call; a text no longer than ``_MEMO_CHARS`` that was parsed
-    before is copied from the memo instead of parsed again."""
-    if isinstance(source, str):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            doc = marshal.loads(_parsed(text)) if len(text) <= _MEMO_CHARS else _parse(text)
-        except OSError as exc:
-            raise SchemaError(f"cannot read {source}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
-            raise SchemaError(f"{source} is not valid JSON: {exc}") from exc
-    else:
-        doc = source
+    and parsed on every call."""
+    doc = _parse(source, _read(source)) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
     while "result" in doc and "command" in doc:
@@ -111,6 +132,41 @@ def load_doc(source) -> dict:
         if not isinstance(doc, dict):
             raise SchemaError("report envelope holds a non-object result")
     return doc
+
+
+def _kept(load):
+    """``load``, which given a path returns the object an earlier call built
+    from the same text with the same spaces passed the same way, or with
+    none (a measure naming its own space ignores the one supplied), if each
+    other file that build read still holds the text it read.  It keeps what
+    it builds from texts of at most ``_MEMO_CHARS`` characters."""
+
+    @functools.wraps(load)
+    def loader(source, *args, **kwargs):
+        if not isinstance(source, str):
+            return load(source, *args, **kwargs)
+        text = _read(source)
+        key = load, text, tuple(map(id, args)), tuple((k, id(v)) for k, v in sorted(kwargs.items()))
+        with _built_lock:
+            hit = _built.get(key) or _built.get((load, text, (), ()))
+        if hit and all(_read(path) == other for path, other in hit[1].items()):
+            return hit[2]
+        _reads.frames.append({source: text})
+        try:
+            obj = load(source, *args, **kwargs)
+        finally:
+            files = _reads.frames.pop()
+            if _reads.frames:
+                _reads.frames[-1].update(files)
+        del files[source]
+        if all(len(t) <= _MEMO_CHARS for t in (text, *files.values())):
+            with _built_lock:
+                _built[key] = (args, kwargs), files, obj
+                if len(_built) > _MEMO_DOCS:
+                    del _built[next(iter(_built))]
+        return obj
+
+    return loader
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -233,13 +289,13 @@ def _number_matrix(rows, what: str) -> np.ndarray:
 _last_space: tuple | None = None
 
 
+@_kept
 def space_from_doc(source) -> FiniteMetricSpace:
     """The space a document describes, a generator form {"kind": "grid"|
     "discrete", "n": k} built trusted.  An explicit document with the labels
     and raw matrix of the last explicit space built returns that space
-    itself, and any other is validated: a process parses each document text
-    once and validates each distinct space once while it is the one being
-    loaded."""
+    itself, and any other is validated: a process validates each distinct
+    space once while it is the one being loaded."""
     global _last_space
     doc = load_doc(source)
     if "kind" in doc:
@@ -270,6 +326,7 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
     return {"labels": list(space.labels), "dist": space.dist.tolist()}
 
 
+@_kept
 def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:
     """Load a measure.  The document's own ``space`` wins; ``space`` is used
     only for a document that names none (the CLI passes a map's codomain),
@@ -293,6 +350,7 @@ def measure_to_doc(measure: DiscreteMeasure) -> dict:
     return {"space": space_to_doc(measure.space), "weights": measure.as_dict()}
 
 
+@_kept
 def map_from_doc(source) -> LipschitzMap:
     doc = load_doc(source)
     domain = space_from_doc(_require(doc, "domain", "map"))
@@ -306,16 +364,9 @@ def map_from_doc(source) -> LipschitzMap:
     return LipschitzMap(domain, codomain, table, declared_constant=declared)
 
 
-def table_from_doc(
-    source,
-    input_space: FiniteMetricSpace,
-    output_space: FiniteMetricSpace | None = None,
-) -> MechanismTable:
-    """Load a mechanism table.  The file stores only label lists, so the
-    caller supplies the input space (privacy audits read its distances)
-    and, where its distances matter, the output space; each must list the
-    file's labels in order.  An omitted output space is an all-ones
-    placeholder over the file's output labels."""
+@_kept
+def _table_rows(source) -> tuple:
+    """The input labels, output labels and row matrix of a table document."""
     doc = load_doc(source)
     inputs = _require(doc, "inputs", "table")
     outputs = _require(doc, "outputs", "table")
@@ -325,12 +376,6 @@ def table_from_doc(
             raise SchemaError(f"table {name} must be a nonempty list of strings")
     if not isinstance(rows, dict):
         raise SchemaError("table rows must be an object mapping input label to a row")
-    if list(input_space.labels) != inputs:
-        raise SchemaError("table inputs do not match the supplied input space's labels")
-    if output_space is None:
-        output_space = FiniteMetricSpace(outputs, discrete_space(len(outputs)).dist, _trusted=True)
-    elif list(output_space.labels) != outputs:
-        raise SchemaError("table outputs do not match the supplied output space's labels")
     missing = [x for x in inputs if x not in rows]
     if missing:
         raise SchemaError(f"table has no row for input {missing[0]!r}")
@@ -341,6 +386,27 @@ def table_from_doc(
     mat = _number_matrix([rows[x] for x in inputs], "table rows")
     if mat.shape[1] != len(outputs):
         raise SchemaError("table rows must all have one probability per output label")
+    return inputs, outputs, mat
+
+
+@_kept
+def table_from_doc(
+    source,
+    input_space: FiniteMetricSpace,
+    output_space: FiniteMetricSpace | None = None,
+) -> MechanismTable:
+    """Load a mechanism table.  The file stores only label lists, so the
+    caller supplies the input space (privacy audits read its distances)
+    and, where its distances matter, the output space; each must list the
+    file's labels in order.  An omitted output space is an all-ones
+    placeholder over the file's output labels."""
+    inputs, outputs, mat = _table_rows(source)
+    if list(input_space.labels) != inputs:
+        raise SchemaError("table inputs do not match the supplied input space's labels")
+    if output_space is None:
+        output_space = FiniteMetricSpace(outputs, discrete_space(len(outputs)).dist, _trusted=True)
+    elif list(output_space.labels) != outputs:
+        raise SchemaError("table outputs do not match the supplied output space's labels")
     return MechanismTable(input_space, output_space, mat)
 
 

@@ -151,7 +151,7 @@ def sample_many(params: ExpMechParams, x, seed: int, count: int) -> list:
     u = rng.random(count)
     idx = support[np.minimum(np.searchsorted(cum, u, side="left"), len(cum) - 1)]
     labels = params.output_space.labels
-    return [labels[i] for i in idx]
+    return [labels[i] for i in idx.tolist()]
 
 
 def calibrate_beta(gamma, delta, modulus) -> float:

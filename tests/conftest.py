@@ -40,6 +40,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +71,14 @@ MATRIX_ENTRIES = st.sampled_from(
 
 
 def empty_memos() -> None:
-    """Forget every parsed document and the last validated space."""
-    formats._parsed.cache_clear()
+    """Forget every loaded object and the last validated space."""
+    formats._built.clear()
     formats._last_space = None
 
 
 @pytest.fixture(autouse=True)
 def empty_loader_memos():
-    """Start every test with nothing parsed and no space validated, so a
+    """Start every test with no object loaded and no space validated, so a
     test's loads and validation counts do not depend on the tests before
     it."""
     empty_memos()
@@ -95,6 +96,28 @@ def validations(monkeypatch):
         return original(dist)
 
     monkeypatch.setattr(spaces, "validate_metric", counted)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls made while the test runs, by name, of the steps that turn a file
+    into objects: ``_parse``, ``_number_matrix``, ``lipschitz_constant`` and
+    ``MechanismTable``'s ``__init__``."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((formats, "_parse"), (formats, "_number_matrix"),
+                        (spaces, "lipschitz_constant"), (MechanismTable, "__init__")):
+        count(owner, name)
     return calls
 
 

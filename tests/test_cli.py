@@ -259,9 +259,9 @@ class TestParserReuse:
 
 
 class TestLoaderMemos:
-    """A chain run through ``main`` in one process parses each report text
-    once and validates its one explicit space once, and writes the bytes it
-    writes with the memos emptied before every command."""
+    """A chain run through ``main`` in one process builds each object it
+    loads once and validates its one explicit space once, and writes the
+    bytes it writes with the memos emptied before every command."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -290,16 +290,20 @@ class TestLoaderMemos:
             assert main([command, *map(str, argv), "--out", str(d / command)]) == 0
         return {command: (d / command).read_bytes() for command in argvs}
 
-    def test_one_validation_and_the_same_bytes(self, files, validations):
+    def test_one_validation_and_the_same_bytes(self, files, validations, builds):
         cold = self.chain(files, cold=True)
         assert validations == [12] * 6
         empty_memos()
         validations.clear()
+        builds.clear()
         warm = self.chain(files, cold=False)
         assert validations == [12]
         assert warm == cold
-        # Four texts are read: the space, the map, the measure and the table.
-        assert formats._parsed.cache_info().misses == 4
+        # Each of the four texts is parsed once.  The table's rows are bound
+        # twice, to audit-privacy's placeholder output space and to the
+        # map's codomain: with tabulate's own table, three tables are built.
+        assert builds == {"_parse": 4, "_number_matrix": 5, "lipschitz_constant": 1,
+                          "__init__": 3}
 
 
 # Every flag the parser reads as a float, by command.
@@ -374,8 +378,8 @@ class TestNaNFlags:
 
 
 class TestNegativeFlagValues:
-    """argparse reads ``--threshold -inf`` as a missing value; the
-    ``--flag=value`` form passes any number."""
+    """A float flag takes a value that starts with ``-`` either joined to it
+    with ``=`` or as the next token, and both give the same report."""
 
     @pytest.mark.parametrize("text", ["-inf", "-1e-3"])
     def test_equals_form(self, capsys, grid5_files, text):
@@ -384,6 +388,21 @@ class TestNegativeFlagValues:
         assert code == 1
         assert doc["params"]["threshold"] == formats.encode_value(float(text))
         assert doc["result"]["passed"] is False
+
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    @pytest.mark.parametrize("text", ["-inf", "-1e-3", "-0", "-2"])
+    def test_the_next_token_form(self, capsys, grid5_files, command, flag, text):
+        argv = float_flag_argv(grid5_files, command)
+        i = argv.index(flag)
+        outcomes = []
+        for spelling in ([f"{flag}={text}"], [flag, text]):
+            try:
+                code = main(argv[:i] + spelling + argv[i + 2:])
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0][0] in (0, 1, 3)
+        assert outcomes[1] == outcomes[0]
 
 
 class TestPipeline:
@@ -946,7 +965,7 @@ REPLACEMENTS = ["x", True, None, [[1.0]], 0.0, -0.0, 5e-324, 1e308, "infinity"]
 # (command, position) of every float flag above, and values to give one of them.
 FLAG_SLOTS = [(k, i) for k, argv in enumerate(CONTRACT_ARGV) for i, arg in enumerate(argv)
               if (argv[0], arg) in FLOAT_FLAGS]
-FLAG_VALUES = ["0", "-0", "5e-324", "1e-320", "0.5", "1", "2", "1e308", "inf", "-inf", "-1"]
+FLAG_VALUES = ["0", "-0", "5e-324", "1e-320", "0.5", "1", "2", "1e308", "inf", "-inf", "-1", "-1e-3"]
 
 
 def nodes(doc, path=()):
@@ -957,10 +976,12 @@ def nodes(doc, path=()):
         yield from nodes(value, path + (key,))
 
 
-def run_contract(documents, flag=None):
+def run_contract(documents, flag=None, joined=True):
     """Run every command of ``CONTRACT_ARGV`` in-process on ``documents``,
     each writing its report with ``--out``, with ``flag`` = (slot, value)
-    setting one float flag; return (exit code, result or None) per command."""
+    setting one float flag, spelled ``--flag=value`` if ``joined`` and
+    ``--flag value`` if not; return (exit code, report or None) per
+    command."""
     empty_memos()
     outcomes = []
     with tempfile.TemporaryDirectory() as d:
@@ -970,13 +991,17 @@ def run_contract(documents, flag=None):
         for k, argv in enumerate(CONTRACT_ARGV):
             if flag is not None and flag[0][0] == k:
                 i = flag[0][1]
-                argv = argv[:i] + [f"{argv[i]}={flag[1]}"] + argv[i + 2:]
+                value = [f"{argv[i]}={flag[1]}"] if joined else [argv[i], flag[1]]
+                argv = argv[:i] + value + argv[i + 2:]
             out = os.path.join(d, f"report{k}.json")
             try:
                 code = main([files.get(arg, arg) for arg in argv] + ["--out", out])
             except SystemExit as exc:  # argparse's own exit
                 code = exc.code
-            report = json.loads(Path(out).read_text())["result"] if os.path.exists(out) else None
+            report = json.loads(Path(out).read_text()) if os.path.exists(out) else None
+            if report is not None:  # name each file as the run's other spellings do
+                names = {path: name for name, path in files.items()}
+                report["params"] = {k: names.get(v, v) for k, v in report["params"].items()}
             outcomes.append((code, report))
     return outcomes
 
@@ -985,7 +1010,8 @@ class TestExitContract:
     """Whatever one node of a valid document holds, and whatever number one
     float flag is given, every command exits 0, 1, 2 or 3, raises nothing,
     and writes an error report exactly when it exits 3: a report holding
-    "error", or validate's violations report."""
+    "error", or validate's violations report.  ``--flag value`` gives the
+    exit codes and reports of ``--flag=value``."""
 
     def test_the_valid_documents_pass(self):
         assert [code for code, _ in run_contract(DOCUMENTS)] == [0] * len(CONTRACT_ARGV)
@@ -1005,8 +1031,13 @@ class TestExitContract:
         else:
             parent[key] = replacement
         flag = data.draw(st.none() | st.tuples(st.sampled_from(FLAG_SLOTS), st.sampled_from(FLAG_VALUES)))
-        for argv, (code, report) in zip(CONTRACT_ARGV, run_contract(documents, flag)):
+        joined = data.draw(st.booleans())
+        outcomes = run_contract(documents, flag, joined)
+        for argv, (code, report) in zip(CONTRACT_ARGV, outcomes):
             assert code in (0, 1, 2, 3), argv
-            failed = report is not None and ("error" in report or report.get("ok") is False)
+            result = report and report["result"]
+            failed = report is not None and ("error" in result or result.get("ok") is False)
             assert failed == (code == 3), (argv, code, report)
             assert (report is None) == (code == 2), (argv, code)
+        if flag is not None:
+            assert run_contract(documents, flag, not joined) == outcomes

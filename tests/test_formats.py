@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,30 +109,39 @@ class TestLoadDoc:
 
 
 class TestParsedDocumentMemo:
-    """A file's text is parsed once per process; every load gets its own
-    copy of the parse, and only an identical text hits."""
+    """A loader given a path parses and builds once per file text: it
+    returns the very object an earlier call built from the identical text
+    with the same supplied spaces, and ``load_doc`` parses on every call."""
 
-    def test_a_path_loaded_twice_is_parsed_once(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"k": [1, {"j": 2.5}], "s": "t"}')
-        first = formats.load_doc(str(path))
-        second = formats.load_doc(str(path))
-        info = formats._parsed.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert first == second == {"k": [1, {"j": 2.5}], "s": "t"}
-        assert first is not second and first["k"] is not second["k"]
-        first["k"][1]["j"] = 0
-        first["k"].append(3)
-        del first["s"]
-        assert formats.load_doc(str(path)) == second == {"k": [1, {"j": 2.5}], "s": "t"}
+    def test_a_path_loaded_twice_is_parsed_once(self, tmp_path, builds):
+        space = grid_space(3)
+        lmap = identity_map(space)
+        mech = tabulate(ExpMechParams(base=uniform_measure(space), beta=1.0, query=lmap))
+        docs = {"space": formats.space_to_doc(space),
+                "measure": formats.measure_to_doc(uniform_measure(space)),
+                "map": {"domain": formats.space_to_doc(space), "codomain": formats.space_to_doc(space),
+                        "table": lmap.table},
+                "table": formats.table_to_doc(mech)}
+        builds.clear()
+        loads = {"space": formats.space_from_doc, "measure": formats.measure_from_doc,
+                 "map": formats.map_from_doc,
+                 "table": lambda path: formats.table_from_doc(path, input_space=space)}
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            first = loads[name](str(path))
+            assert loads[name](str(path)) is first
+        assert builds == {"_parse": 4, "_number_matrix": 5, "lipschitz_constant": 1, "__init__": 1}
+        assert np.array_equal(first.probs, mech.probs)
 
-    def test_a_rewrite_of_the_same_length_is_parsed_again(self, tmp_path):
+    def test_a_rewrite_of_the_same_length_is_parsed_again(self, tmp_path, builds):
         path = tmp_path / "x.json"
-        path.write_text('{"k": 1}')
-        assert formats.load_doc(str(path)) == {"k": 1}
-        path.write_text('{"k": 2}')
-        assert formats.load_doc(str(path)) == {"k": 2}
-        assert formats._parsed.cache_info().misses == 2
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, 1], [1, 0]]}))
+        first = formats.space_from_doc(str(path))
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, 2], [2, 0]]}))
+        second = formats.space_from_doc(str(path))
+        assert first.dist[0, 1] == 1.0 and second.dist[0, 1] == 2.0
+        assert builds["_parse"] == 2
 
     def test_key_order_and_float_bits_survive_the_copy(self, tmp_path):
         path = tmp_path / "x.json"
@@ -140,37 +152,171 @@ class TestParsedDocumentMemo:
             assert np.array(doc["b"]).tobytes() == np.array([-0.0, 5e-324, 0.1]).tobytes()
             assert doc["a"] == 12345678901234567890
 
-    @pytest.mark.parametrize("text,match", [("{nope", "not valid JSON"),
-                                            ('{"k": NaN}', "NaN"),
-                                            ("[1, 2]", "got list")])
-    def test_a_malformed_file_raises_the_same_error_every_time(self, tmp_path, text, match):
+    def test_load_doc_parses_every_call(self, tmp_path, builds):
+        path = tmp_path / "x.json"
+        path.write_text('{"k": [1, {"j": 2.5}], "s": "t"}')
+        first = formats.load_doc(str(path))
+        second = formats.load_doc(str(path))
+        assert first == second == {"k": [1, {"j": 2.5}], "s": "t"}
+        assert first is not second and first["k"] is not second["k"]
+        first["k"][1]["j"] = 0
+        del first["s"]
+        assert formats.load_doc(str(path)) == second == {"k": [1, {"j": 2.5}], "s": "t"}
+        assert builds["_parse"] == 3 and formats._built == {}
+
+    @pytest.mark.parametrize("text,match", [
+        ("{nope", "not valid JSON"),
+        ('{"k": NaN}', "NaN"),
+        ("[1, 2]", "got list"),
+        pytest.param('{"labels": [0, 1], "dist": [[0, 1], [1, 0]]}', "strings", id="schema"),
+        pytest.param('{"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}',
+                     "triangle", id="invalid-metric"),
+    ])
+    def test_a_malformed_file_raises_the_same_error_every_time(self, tmp_path, builds, text, match):
         path = tmp_path / "x.json"
         path.write_text(text)
         errors = []
         for _ in range(3):
-            with pytest.raises(SchemaError, match=match) as exc:
-                formats.load_doc(str(path))
-            errors.append(str(exc.value))
+            with pytest.raises((SchemaError, InvalidMetricError), match=match) as exc:
+                formats.space_from_doc(str(path))
+            errors.append((type(exc.value), str(exc.value)))
         assert errors == [errors[0]] * 3
+        assert builds["_parse"] == 3 and formats._built == {}
 
     @pytest.mark.parametrize("extra,kept", [(0, 1), (1, 0)])
-    def test_only_texts_up_to_the_cap_are_kept(self, tmp_path, extra, kept):
+    def test_only_texts_up_to_the_cap_are_kept(self, tmp_path, builds, extra, kept):
         path = tmp_path / "x.json"
-        frame = '{"k": ""}'
+        frame = '{"labels": ["a"], "dist": [[0]], "pad": ""}'
         pad = "x" * (formats._MEMO_CHARS - len(frame) + extra)
-        path.write_text('{"k": "%s"}' % pad)
+        path.write_text('{"labels": ["a"], "dist": [[0]], "pad": "%s"}' % pad)
         for _ in range(2):
-            assert formats.load_doc(str(path)) == {"k": pad}
-        info = formats._parsed.cache_info()
-        assert info.currsize == kept
-        assert (info.misses, info.hits) == ((1, 1) if kept else (0, 0))
+            assert formats.space_from_doc(str(path)).labels == ["a"]
+        assert len(formats._built) == kept
+        assert builds["_parse"] == 2 - kept
 
     def test_the_memo_holds_a_fixed_number_of_texts(self, tmp_path):
+        paths, first = [], []
         for i in range(formats._MEMO_DOCS + 3):
-            path = tmp_path / f"x{i}.json"
-            path.write_text('{"k": %d}' % i)
-            assert formats.load_doc(str(path)) == {"k": i}
-        assert formats._parsed.cache_info().currsize == formats._MEMO_DOCS
+            paths.append(str(tmp_path / f"x{i}.json"))
+            Path(paths[-1]).write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, i + 1], [i + 1, 0]]}))
+            first.append(formats.space_from_doc(paths[-1]))
+        assert len(formats._built) == formats._MEMO_DOCS
+        assert formats.space_from_doc(paths[-1]) is first[-1]
+        assert formats.space_from_doc(paths[0]) is not first[0]
+
+    def test_other_spaces_give_a_fresh_build(self, tmp_path, builds):
+        space = grid_space(3)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(formats.table_to_doc(tabulate(
+            ExpMechParams(base=uniform_measure(space), beta=1.0, query=identity_map(space))))))
+        table = formats.table_from_doc(str(path), input_space=space)
+        assert formats.table_from_doc(str(path), input_space=space) is table
+        twin = grid_space(3)  # equal, but another object
+        again = formats.table_from_doc(str(path), input_space=twin)
+        assert again is not table and again.input_space is twin
+        full = formats.table_from_doc(str(path), input_space=space, output_space=space)
+        assert full is not table and full.output_space is space
+        assert builds["__init__"] == 4  # the tabulated table and three loads
+        assert builds["_parse"] == 1  # which share one parse of the rows
+
+    def test_a_measure_naming_its_space_serves_any_supplied_space(self, tmp_path, builds):
+        own = tmp_path / "own.json"
+        own.write_text(json.dumps(formats.measure_to_doc(uniform_measure(discrete_space(3)))))
+        measure = formats.measure_from_doc(str(own))
+        assert formats.measure_from_doc(str(own), space=grid_space(3)) is measure
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"weights": {"0": 1.0}}))
+        grid, wider = grid_space(3), grid_space(5)
+        on_grid = formats.measure_from_doc(str(bare), space=grid)
+        assert formats.measure_from_doc(str(bare), space=grid) is on_grid
+        assert formats.measure_from_doc(str(bare), space=wider).space is wider
+        with pytest.raises(SchemaError, match="names no space"):
+            formats.measure_from_doc(str(bare))
+        assert builds["_parse"] == 4
+
+    def test_a_document_naming_another_file_is_kept_while_that_file_is(self, tmp_path, builds):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(formats.space_to_doc(grid_space(3))))
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"domain": str(space), "codomain": str(space),
+                                    "table": {"0": "0", "0.5": "0.5", "1": "1"}}))
+        first = formats.map_from_doc(str(path))
+        assert formats.map_from_doc(str(path)) is first
+        assert first.domain is first.codomain is formats.space_from_doc(str(space))
+        space.write_text(json.dumps({"labels": ["0", "0.5", "1"],
+                                     "dist": [[0, 2, 4], [2, 0, 2], [4, 2, 0]]}))
+        second = formats.map_from_doc(str(path))
+        assert second.domain.dist[0, 2] == 4.0 and first.domain.dist[0, 2] == 1.0
+        assert formats.map_from_doc(str(path)) is second
+        assert builds["lipschitz_constant"] == 2
+        # A build that builds the map depends on the space file too.
+        formats._built.clear()
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps({"map": str(path)}))
+        load = formats._kept(lambda source: formats.map_from_doc(formats.load_doc(source)["map"]))
+        assert load(str(index)) is load(str(index))
+        space.write_text(json.dumps(formats.space_to_doc(grid_space(3))))
+        assert load(str(index)).domain.dist[0, 2] == 1.0
+
+    def test_a_build_reads_each_file_once(self, tmp_path, monkeypatch):
+        # A file rewritten while a build runs is not seen by that build: the
+        # space file is rewritten once its first text is parsed, and both of
+        # the map's spaces still come from that text.
+        space = tmp_path / "space.json"
+        old = json.dumps(formats.space_to_doc(grid_space(3)))
+        new = json.dumps({"labels": ["0", "0.5", "1"], "dist": [[0, 2, 4], [2, 0, 2], [4, 2, 0]]})
+        space.write_text(old)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"domain": str(space), "codomain": str(space),
+                                    "table": {"0": "0", "0.5": "0.5", "1": "1"}}))
+        parse = formats._parse
+
+        def parse_and_rewrite(p, text):
+            if p == str(space):
+                space.write_text(new)
+            return parse(p, text)
+
+        monkeypatch.setattr(formats, "_parse", parse_and_rewrite)
+        first = formats.map_from_doc(str(path))
+        assert first.domain is first.codomain and first.domain.dist[0, 2] == 1.0
+        monkeypatch.setattr(formats, "_parse", parse)
+        assert formats.map_from_doc(str(path)).domain.dist[0, 2] == 4.0
+        space.write_text(old)
+        assert formats.map_from_doc(str(path)).domain.dist[0, 2] == 1.0
+
+    def test_threads_share_the_memo(self, tmp_path):
+        # More threads than cores, switching often, over more files than the
+        # memo holds: every load gets its own file's space, and the memo
+        # never grows past its bound.
+        paths = []
+        for i in range(formats._MEMO_DOCS + 2):
+            paths.append(str(tmp_path / f"x{i}.json"))
+            Path(paths[-1]).write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, i + 1], [i + 1, 0]]}))
+        errors, sizes = [], []
+
+        def work(k):
+            try:
+                for j in range(1000):
+                    i = (k + j) % len(paths)
+                    assert formats.space_from_doc(paths[i]).dist[0, 1] == i + 1
+                    with formats._built_lock:
+                        sizes.append(len(formats._built))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sizes) == 8 * 1000 and max(sizes) <= formats._MEMO_DOCS
 
 
 class TestSpaceDocs:
