@@ -153,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args):
-    doc = formats.load_doc(args.space)
     try:
-        return {"ok": True, "points": len(formats.space_from_doc(doc)), "violations": []}, 0
+        return {"ok": True, "points": len(formats.space_from_doc(args.space)), "violations": []}, 0
     except InvalidMetricError as exc:
-        labels = doc["labels"]  # only an explicit document reaches the validator
+        # Only an explicit document reaches the validator.
+        labels = formats.load_doc(args.space)["labels"]
         violations = [
             {"axiom": v.axiom, "witness": [labels[i] for i in v.witness], "detail": v.detail}
             for v in exc.report.violations
@@ -177,7 +177,7 @@ def cmd_build_measure(args):
     result = formats.measure_to_doc(measure)
     result["total_mass"] = measure.total_mass
     result["hierarchy"] = formats.hierarchy_to_doc(hier)
-    return result, 0
+    return result, 0, (formats.measure_from_doc, measure)
 
 
 def cmd_calibrate(args):
@@ -203,7 +203,8 @@ def cmd_tabulate(args):
     result = formats.table_to_doc(mech)
     result["lipschitz_c"] = lmap.constant
     result["privacy_bound"] = privacy_bound(args.beta, lmap.constant)
-    return result, 0
+    rows = list(mech.input_space.labels), list(mech.output_space.labels), mech.probs
+    return result, 0, (formats._table_rows, rows)
 
 
 def cmd_sample(args):
@@ -321,12 +322,17 @@ def _envelope(args, result: dict) -> dict:
     }
 
 
-def _emit(args, result: dict, code: int) -> int:
-    """Write the report; return ``code``, or 2 if it cannot be written."""
+def _emit(args, result: dict, code: int, built=None) -> int:
+    """Write the report; return ``code``, or 2 if it cannot be written.
+    ``built`` pairs a loader with the object it would build from the
+    report, filed for that loader once the report is written with --out."""
     doc = _envelope(args, result)
     try:
         if args.out:
-            formats.write_doc(args.out, doc)
+            text = formats.write_doc(args.out, doc)
+            if built:
+                loader, obj = built
+                loader.keep(text, obj)
         else:
             sys.stdout.write(formats.dump_doc(doc))
     except OSError as exc:
@@ -339,15 +345,16 @@ def main(argv=None) -> int:
     """Run one command; repeated calls in one process share one parser."""
     args = build_parser().parse_args(argv)
     try:
-        result, code = args.handler(args)
+        # A handler may add what the report's loader would build from it.
+        result, code, *built = args.handler(args)
     except SchemaError as exc:
         # Malformed input: report nothing, mirror argparse's own exit code.
         print(f"metricdp: error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ValueError) as exc:
         print(f"metricdp: error: {exc}", file=sys.stderr)
-        result, code = {"error": str(exc), "error_kind": type(exc).__name__}, 3
-    return _emit(args, result, code)
+        result, code, built = {"error": str(exc), "error_kind": type(exc).__name__}, 3, ()
+    return _emit(args, result, code, *built)
 
 
 if __name__ == "__main__":

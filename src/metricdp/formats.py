@@ -22,7 +22,10 @@ an identical text, the same supplied spaces and the same texts of the
 other files its build read, and a validated space only for identical
 labels and an equal raw matrix.  Nothing keys on a path or a file's time
 stamps.  A hit returns the object built before: loaded objects may be
-shared, and must not be mutated.
+shared, and must not be mutated.  The command-line tool files each
+measure and table it writes with ``--out`` under the text written, so a
+chain of commands in one process parses only the files it did not write:
+its space and its map.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
 INFINITY = "infinity"
 
 # Longest file text (in characters) whose object is kept for the process,
-# and how many objects are kept; a CLI chain needs the four newest.
+# and how many objects are kept.  A CLI chain needs the four newest: the
+# space and the map it loads, and the measure and the table rows it wrote.
 _MEMO_CHARS = 1 << 20
 _MEMO_DOCS = 4
 
@@ -139,7 +143,9 @@ def _kept(load):
     from the same text with the same spaces passed the same way, or with
     none (a measure naming its own space ignores the one supplied), if each
     other file that build read still holds the text it read.  It keeps what
-    it builds from texts of at most ``_MEMO_CHARS`` characters."""
+    it builds from texts of at most ``_MEMO_CHARS`` characters, and
+    ``loader.keep(text, obj)`` files an object built elsewhere, such as the
+    one a report was just written from, as if it had built it from ``text``."""
 
     @functools.wraps(load)
     def loader(source, *args, **kwargs):
@@ -160,13 +166,25 @@ def _kept(load):
                 _reads.frames[-1].update(files)
         del files[source]
         if all(len(t) <= _MEMO_CHARS for t in (text, *files.values())):
-            with _built_lock:
-                _built[key] = (args, kwargs), files, obj
-                if len(_built) > _MEMO_DOCS:
-                    del _built[next(iter(_built))]
+            _file(key, ((args, kwargs), files, obj))
         return obj
 
+    def keep(text: str, obj) -> None:
+        """File ``obj`` as the object ``loader`` builds, with no spaces
+        supplied, from a file holding ``text`` that names no other file."""
+        if len(text) <= _MEMO_CHARS:
+            _file((load, text, (), ()), (((), {}), {}, obj))
+
+    loader.keep = keep  # functools.wraps copies it to a wrapper
     return loader
+
+
+def _file(key, entry) -> None:
+    """Keep ``entry`` under ``key``, dropping the oldest past ``_MEMO_DOCS``."""
+    with _built_lock:
+        _built[key] = entry
+        if len(_built) > _MEMO_DOCS:
+            del _built[next(iter(_built))]
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -245,9 +263,10 @@ def dump_doc(doc: dict) -> str:
     return "".join(out)
 
 
-def write_doc(path: str, doc: dict) -> None:
+def write_doc(path: str, doc: dict) -> str:
     """Atomic write: a new file in the target directory, then rename.  The
-    file is created with mode 0666 less the umask, as a plain open is."""
+    file is created with mode 0666 less the umask, as a plain open is.
+    Returns the text written."""
     text = dump_doc(doc)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -259,6 +278,7 @@ def write_doc(path: str, doc: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return text
 
 
 def _require(doc: dict, key: str, context: str):

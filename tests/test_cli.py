@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import json
 import math
 import os
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,11 +301,175 @@ class TestLoaderMemos:
         warm = self.chain(files, cold=False)
         assert validations == [12]
         assert warm == cold
-        # Each of the four texts is parsed once.  The table's rows are bound
-        # twice, to audit-privacy's placeholder output space and to the
-        # map's codomain: with tabulate's own table, three tables are built.
-        assert builds == {"_parse": 4, "_number_matrix": 5, "lipschitz_constant": 1,
+        # Only the space and the map are parsed: the measure and the table
+        # are kept as written.  The table's rows are bound twice, to
+        # audit-privacy's placeholder output space and to the map's
+        # codomain: with tabulate's own table, three tables are built.
+        assert builds == {"_parse": 2, "_number_matrix": 3, "lipschitz_constant": 1,
                           "__init__": 3}
+
+
+def kept_texts() -> set:
+    """The file texts the loaders hold an object for."""
+    return {key[1] for key in formats._built}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWrittenReports:
+    """A measure or table written with ``--out`` is kept as the object its
+    loader would build from the text written: a later load in the process
+    parses nothing and gets what a fresh load gets, bit for bit.  Nothing
+    else is kept: no error report, no report that was not written, none on
+    stdout and none over ``_MEMO_CHARS``."""
+
+    @staticmethod
+    def build(d, space, the_map, beta):
+        """Paths of the measure built on ``space`` and of ``the_map``'s table
+        tabulated on it at ``beta``, both written with --out."""
+        measure, table = str(d / "measure.json"), str(d / "table.json")
+        assert main(["build-measure", "--space", space, "--out", measure]) == 0
+        assert main(["tabulate", "--map", the_map, "--measure", measure,
+                     "--beta", repr(beta), "--out", table]) == 0
+        return measure, table
+
+    @staticmethod
+    def kept_then_fresh(measure, table):
+        """The kept measure and table rows, loaded with no parse allowed, then
+        the same loaded afresh with both memos emptied."""
+        with mock.patch.object(formats, "_parse", side_effect=AssertionError("parsed")):
+            kept = formats.measure_from_doc(measure), formats._table_rows(table)
+        empty_memos()
+        return kept, (formats.measure_from_doc(measure), formats._table_rows(table))
+
+    @staticmethod
+    def assert_same(kept, fresh):
+        (measure, (inputs, outputs, rows)), (fresh_measure, fresh_rows) = kept, fresh
+        assert measure.space.labels == fresh_measure.space.labels
+        assert same_bits(measure.space.dist, fresh_measure.space.dist)
+        assert same_bits(measure.values, fresh_measure.values)
+        assert same_bits(measure.total_mass, fresh_measure.total_mass)
+        assert (inputs, outputs) == fresh_rows[:2]
+        assert same_bits(rows, fresh_rows[2])
+
+    def test_subnormal_probabilities(self, tmp_path, grid5_files):
+        measure, table = self.build(tmp_path, grid5_files["space"], grid5_files["map"], 960.0)
+        kept, fresh = self.kept_then_fresh(measure, table)
+        rows = kept[1][2]
+        assert ((rows > 0) & (rows < np.finfo(float).tiny)).any()
+        self.assert_same(kept, fresh)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_the_kept_objects_are_fresh_loads(self, data):
+        # An explicit space, perhaps with twins, whose raw matrix may differ
+        # from the one stored: in-band asymmetric, 1e-13 on the diagonal or
+        # between twins, or -0.0.
+        family = data.draw(st.sampled_from(["grid", "cloud", "twins"]))
+        n = data.draw(st.integers(1 if family == "grid" else 2, 6))
+        if family == "grid":
+            dist, points = grid_space(n).dist, list(range(n))
+        else:
+            dist = cloud_metric(np.random.default_rng(data.draw(st.integers(0, 99))), n, 0.7)
+            points = list(range(n))
+            if family == "twins":
+                points += data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        raw = dist[np.ix_(points, points)].tolist()
+        size = len(points)
+        pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+        twins = [(i, j) for i, j in pairs if points[i] == points[j]]
+        edits = [st.tuples(st.integers(0, size - 1).map(lambda i: (i, i)),
+                           st.sampled_from([1e-13, -1e-13, -0.0]), st.just(False))]
+        if pairs:
+            edits.append(st.tuples(st.sampled_from(pairs), st.sampled_from([4e-13, -4e-13]),
+                                   st.just(True)))
+        if twins:
+            edits.append(st.tuples(st.sampled_from(twins), st.sampled_from([1e-13, -1e-13, -0.0]),
+                                   st.just(False)))
+        for (i, j), value, offset in data.draw(st.lists(st.one_of(edits), max_size=2)):
+            raw[i][j] = raw[i][j] + value if offset else value
+        labels = [f"p{i}" for i in range(size)]
+        images = {labels[i]: labels[points.index(points[i])] for i in range(size)}
+        beta = data.draw(st.sampled_from([0.0, 1.0, 40.0, 800.0, 960.0]))
+        empty_memos()
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            space = write(d, "space.json", {"labels": labels, "dist": raw})
+            the_map = write(d, "map.json", {"domain": space, "codomain": space, "table": images})
+            self.assert_same(*self.kept_then_fresh(*self.build(d, space, the_map, beta)))
+
+    def test_a_report_changed_after_it_was_written_is_loaded_afresh(
+            self, tmp_path, grid5_files, builds, validations):
+        measure, _ = self.build(tmp_path, grid5_files["space"], grid5_files["map"], 1.0)
+        builds.clear()
+        validations.clear()
+        assert formats.measure_from_doc(measure).values[0] == 0.3
+        assert builds["_parse"] == 0 and validations == []
+        text = Path(measure).read_text()
+        assert text.count('"0": 0.3,') == 1
+        Path(measure).write_text(text.replace('"0": 0.3,', '"0": 0.4,'))
+        assert formats.measure_from_doc(measure).values[0] == 0.4
+        assert builds["_parse"] == 1 and validations == [5]
+
+    def test_an_error_report_is_not_kept(self, tmp_path, grid5_files):
+        out = tmp_path / "error.json"
+        assert main(["build-measure", "--space", grid5_files["space"], "--L", "0",
+                     "--out", str(out)]) == 3
+        assert out.read_text() not in kept_texts()
+
+    @pytest.mark.parametrize("command", ["build-measure", "tabulate"])
+    def test_a_report_that_is_not_written_is_not_kept(self, capsys, tmp_path, grid5_files,
+                                                      command):
+        argv = {"build-measure": ["--space", grid5_files["space"]],
+                "tabulate": ["--map", grid5_files["map"], "--measure", grid5_files["measure"],
+                             "--beta", "1"]}[command]
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main([command, *argv, "--out", str(taken)]) == 2
+        capsys.readouterr()
+        assert main([command, *argv]) == 0
+        printed = capsys.readouterr().out
+        kept = kept_texts()
+        assert main([command, *argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert printed not in kept and kept_texts() - kept == {printed}
+
+    @pytest.mark.parametrize("extra,kept", [(0, True), (1, False)])
+    def test_only_reports_up_to_the_cap_are_kept(self, tmp_path, grid5_files, monkeypatch,
+                                                 builds, extra, kept):
+        out = tmp_path / "measure.json"
+        assert main(["build-measure", "--space", grid5_files["space"], "--out", str(out)]) == 0
+        empty_memos()
+        monkeypatch.setattr(formats, "_MEMO_CHARS", len(out.read_text()) - extra)
+        assert main(["build-measure", "--space", grid5_files["space"], "--out", str(out)]) == 0
+        assert (out.read_text() in kept_texts()) == kept
+        builds.clear()
+        formats.measure_from_doc(str(out))
+        assert builds["_parse"] == (not kept)
+
+    def test_a_wrapped_loader_still_hits(self, tmp_path, grid5_files, monkeypatch, builds):
+        # As a tracer wraps the loaders: the report is filed for the loader
+        # the wrapper calls, and the wrapped name still finds it.
+        for name in ("measure_from_doc", "_table_rows"):
+            loader = getattr(formats, name)
+            monkeypatch.setattr(formats, name, functools.wraps(loader)(
+                lambda *args, _loader=loader, **kwargs: _loader(*args, **kwargs)))
+        measure, table = self.build(tmp_path, grid5_files["space"], grid5_files["map"], 1.0)
+        builds.clear()
+        formats.measure_from_doc(measure)
+        formats.table_from_doc(table, input_space=grid_space(5))
+        assert builds["_parse"] == 0
+
+    def test_validate_then_build_measure_parses_the_space_once(self, tmp_path, builds,
+                                                               validations):
+        labels = [f"p{i}" for i in range(8)]
+        space = write(tmp_path, "space.json",
+                      {"labels": labels, "dist": cloud_metric(np.random.default_rng(3), 8).tolist()})
+        assert main(["validate", "--space", space, "--out", str(tmp_path / "v.json")]) == 0
+        assert main(["build-measure", "--space", space, "--out", str(tmp_path / "m.json")]) == 0
+        assert builds["_parse"] == 1 and validations == [8]
 
 
 # Every flag the parser reads as a float, by command.
