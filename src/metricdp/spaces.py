@@ -11,7 +11,11 @@ about half of the n^3 sums: each pair's larger entry is compared with the
 least two-step path through the matrix's lower envelope min(dist, dist.T),
 a tile at a time.  Besides that one copy it holds one tile buffer of at
 most 1 MB, and only the points it flags are enumerated triple by triple for
-the report.
+the report.  A matrix whose largest entry is at most twice its least
+off-diagonal entry, plus METRIC_TOL, skips the pass: no two-step path is
+shorter than twice that entry, so the pass could flag nothing.  The
+discrete metric is one, as is any matrix whose off-diagonal entries lie
+within a factor of two of each other.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ def validate_metric(dist) -> MetricValidationReport:
     points at distance zero are allowed: definiteness is not an axiom here.
 
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
-    reduction over the pairs i <= k.  Memory is one float copy of the
-    matrix plus a tile buffer of at most 1 MB.  Only the points that pass
-    flags are enumerated triple by triple, so the report, its order and
-    details are those of a scalar loop over every (i, k, j).
+    reduction over the pairs i <= k, unless the matrix is near-equilateral
+    (see :func:`_triangle_rows`), when the triangle inequality is certified
+    in O(n^2).  Memory is one float copy of the matrix plus a tile buffer
+    of at most 1 MB.  Only the points that pass flags are enumerated triple
+    by triple, so the report, its order and details are those of a scalar
+    loop over every (i, k, j).
 
     Raises
     ------
@@ -140,11 +146,21 @@ def _triangle_rows(mat, low) -> list:
     so every raw violation is flagged; a point with none of its own may be
     flagged too.  Tiles reuse one buffer of at most ``_BLOCK_CELLS`` cells,
     or one row of n sums.
+
+    No pass runs when max(mat) <= fl(fl(m + m) + METRIC_TOL), m the least
+    off-diagonal entry of ``low``: every sum a tile takes is
+    fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is monotone, so no
+    pair's larger entry exceeds its least sum plus METRIC_TOL.  The bound
+    is taken in Python floats, where 2m past the float maximum is +inf
+    without a warning.
     """
     n = mat.shape[0]
     if n < 3:
         return []
     np.fill_diagonal(low, np.inf)
+    least = float(low.min())
+    if float(mat.max()) <= (least + least) + METRIC_TOL:
+        return []
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
     buf = np.empty(step * width * n)
@@ -244,9 +260,10 @@ class FiniteMetricSpace:
 
     def min_positive_distance(self) -> float:
         """Smallest nonzero pairwise distance; 0.0 if there is none
-        (singleton space or all points coincident)."""
-        off = self.dist[self.dist > 0]
-        return float(off.min()) if off.size else 0.0
+        (singleton space or all points coincident).  The minimum is taken
+        in place, beside one boolean mask of the matrix."""
+        least = float(np.min(self.dist, where=self.dist > 0.0, initial=math.inf))
+        return least if least < math.inf else 0.0
 
 
 def grid_space(n: int) -> FiniteMetricSpace:
@@ -280,6 +297,11 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
     ``table`` maps every domain label to a codomain label.  Constant maps
     (and singleton domains) give 0.  A pair at domain distance zero whose
     images are apart at all, by however little, has no finite constant.
+    The identity table on one space object is not enumerated: every
+    quotient is x / x, exactly 1.0, and twins map to twins, so its
+    constant is 1.0 if the space has a positive distance and 0.0 if not.
+    Any other table, a permutation or an equal copy of the space as the
+    codomain included, takes the blocked loop over the pairs.
 
     Raises
     ------
@@ -293,6 +315,8 @@ def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, t
         if lab not in table:
             raise StructuralError(f"function table missing domain label {lab!r}")
         images.append(codomain.index_of(table[lab]))
+    if codomain is domain and images == list(range(len(images))):
+        return float(domain.diameter() > 0.0)  # every quotient is x / x == 1.0
     images, n, best = np.asarray(images, dtype=np.intp), len(images), 0.0
     step = max(1, _BLOCK_CELLS // n)
     for r0 in range(0, n, step):  # row blocks of at most _BLOCK_CELLS cells, pairs i < j

@@ -488,15 +488,16 @@ def propose_centers_loop(query, radius) -> list:
     return chosen
 
 
-def covering_measure_loop(space):
-    """Oracle for ``covering_measure`` at its default depth: returns
-    (measure, centers per level).  The depth is the brute-force level of
-    the smallest positive distance, capped at 1073; level i is
+def covering_measure_loop(space, depth=None):
+    """Oracle for ``covering_measure``: returns (measure, centers per
+    level).  The default depth is the brute-force level of the smallest
+    positive distance, capped at 1073; level i is
     ``propose_centers_loop`` on the identity at 2^-(i+1), every point must
     lie within 2^-i (plus METRIC_TOL) of a center, and each center gets
     weight 2^-i / n_i added on its own."""
     positive = [d for d in space.dist.ravel().tolist() if d > 0.0]
-    depth = min(level_for_radius_loop(min(positive)), 1073) if positive else 1
+    if depth is None:
+        depth = min(level_for_radius_loop(min(positive)), 1073) if positive else 1
     query = identity_map(space)
     weights = np.zeros(len(space))
     levels = []

@@ -12,6 +12,7 @@ zero-distance twins, tiny positive probabilities at 1e-305 next to exact
 zeros, rows of nothing but zeros and tiny entries, and exact ties.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,7 @@ from metricdp import (
     default_depth,
     discrete_space,
     distribution,
+    greedy_net,
     grid_space,
     identity_map,
     impossibility_lower_bound,
@@ -65,7 +67,7 @@ from metricdp import (
     uniform_measure,
     validate_metric,
 )
-from metricdp import audit
+from metricdp import audit, covering
 from metricdp.formats import dump_doc
 from metricdp.spaces import _BLOCK_CELLS, _triangle_rows
 
@@ -316,6 +318,62 @@ class TestValidateMetricTiles:
         assert report == validate_metric_slabs(mat)
         assert [v.witness for v in report.violations if v.axiom == "symmetry"] == [
             (0, n - 1), (3, step + 5), (step - 1, step), (step, step + 1), (step + 2, n - 1)]
+
+
+@st.composite
+def near_equilateral(draw):
+    """An n x n matrix, 3 <= n <= 7, with every off-diagonal entry in
+    [m, 2m] and m = 2^e for e uniform over the doubles' exponents, so that
+    the triangle pass is certified away.  Draws may add an asymmetric pair
+    within METRIC_TOL, a pair just below zero or at zero (twins, so the
+    pass runs), and a last pair at exactly fl(2m' + METRIC_TOL), m' the
+    least entry, or one double above it."""
+    n = draw(st.integers(3, 7))
+    m = 2.0 ** draw(st.floats(-1074.0, 1022.0))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)))
+    mat = np.triu(m + m * u.reshape(n, n), 1)
+    mat += mat.T
+    mat[0, 1] = mat[1, 0] = m
+    i, j = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+    change = draw(st.sampled_from(["none", "asymmetric", "negative", "twins"]))
+    if change == "asymmetric":
+        mat[i, j] += draw(st.floats(-METRIC_TOL, METRIC_TOL))
+    elif change == "negative":
+        mat[i, j] = mat[j, i] = -draw(st.floats(0.0, METRIC_TOL))
+    elif change == "twins":
+        mat[i, j] = mat[j, i] = 0.0
+    low = np.minimum(mat, mat.T)
+    least = float(low[~np.eye(n, dtype=bool)].min())
+    edge = (least + least) + METRIC_TOL
+    bump = draw(st.sampled_from([None, 0, 1]))
+    if bump is not None and math.isfinite(edge):
+        mat[n - 1, n - 2] = mat[n - 2, n - 1] = edge if bump == 0 else math.nextafter(edge, math.inf)
+    return mat
+
+
+class TestTriangleCertificate:
+    """A matrix whose largest entry is at most twice its least off-diagonal
+    entry, plus METRIC_TOL, has no triangle the pass could flag: the
+    validator skips the pass and still returns the loop's report."""
+
+    @PROPERTY
+    @given(near_equilateral())
+    def test_near_equilateral_matrices(self, mat):
+        assert_same_validation(mat)
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-310, 1e-13, 0.6, 1.0, 2.0**600, 2.0**1022])
+    def test_tile_runs_one_ulp_above_the_bound(self, m, monkeypatch):
+        adds, add = [], np.add
+        monkeypatch.setattr(np, "add", lambda *args, **kw: adds.append(1) or add(*args, **kw))
+        mat = m * (1.0 - np.eye(6))
+        edge = (m + m) + METRIC_TOL
+        for entry, runs in ((edge, False), (math.nextafter(edge, math.inf), True)):
+            mat[1, 2] = mat[2, 1] = entry
+            adds.clear()
+            got = validate_metric(mat)
+            assert bool(adds) == runs
+            assert got == validate_metric_loop(mat)
+            assert got.ok != runs  # dist[1][2] beats its path through any point
 
 
 class TestAuditPrivacyOracle:
@@ -822,6 +880,79 @@ class TestBitsetScanOracle:
                              {x: codomain.labels[int(i)] for x, i in zip(domain.labels, images)})
         r = scale * max(codomain.diameter(), 0.1)
         assert propose_centers(query, r) == propose_centers_loop(query, r)
+
+
+def twin_level_spaces():
+    """(name, space) pairs with zero-distance twins, no positive distance,
+    a subnormal least distance, and twins within METRIC_TOL of one another
+    whose twins are not twins (0 and 2, 1 and 2, but 0 and 1 are 5e-13
+    apart, so the greedy scan's balls are not classes)."""
+    yield "planar", random_space(np.random.default_rng(29), 12)
+    yield "twins", line_space([0.5, 0.0, 0.5, 0.25, 0.0, 0.75, 0.5])
+    yield "pseudo", bit_edge_space(np.random.default_rng(29), 20, "pseudo")
+    yield "singleton", line_space([0.0])
+    yield "coincident", FiniteMetricSpace(list("abcd"), np.zeros((4, 4)))
+    yield "subnormal", line_space([0.0, 1e-310, 0.5, 1e-310, 3e-310, 1.0])
+    chain = np.ones((4, 4)) - np.eye(4)
+    chain[:3, :3] = [[0.0, 5e-13, 0.0], [5e-13, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    yield "tolerance chain", FiniteMetricSpace(list("wxyz"), chain)
+
+
+class TestTwinClassLevels:
+    """Levels that pack below the least positive distance keep the first
+    point of each twin class without a scan, bit for bit as the loops do."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 8])
+    @pytest.mark.parametrize("name, space", list(twin_level_spaces()))
+    def test_levels_past_the_default_depth(self, name, space, k, monkeypatch):
+        depth = min(default_depth(space) + k, 1073)
+        scans, scan = [], covering._disjoint_scan
+        monkeypatch.setattr(covering, "_disjoint_scan", lambda *args: scans.append(args) or scan(*args))
+        measure, hier = covering_measure(space, depth=depth)
+        want, levels = covering_measure_loop(space, depth)
+        assert [lv.centers for lv in hier.levels] == levels
+        assert measure.values.tobytes() == want.values.tobytes()
+        least = space.min_positive_distance()
+        reach = sum(least > 0.0 and math.ldexp(1.0, -i - 1) >= least for i in range(1, depth + 1))
+        assert len(scans) == (depth if name == "tolerance chain" else reach)
+
+    @pytest.mark.parametrize("name, space", list(twin_level_spaces()))
+    def test_nets_and_packings_below_the_least_distance(self, name, space):
+        query = identity_map(space)
+        least = space.min_positive_distance()
+        radii = [least / 2.0, math.nextafter(least, 0.0), least] if least else [0.5, 1e-300, 5e-324]
+        for r in radii:
+            assert max_packing(space, r) == propose_centers_loop(query, r)
+            assert greedy_net(space, r + r) == propose_centers_loop(query, r)
+
+
+class TestIdentityConstant:
+    """The identity on one space has constant 1.0 (0.0 with no positive
+    distance) without enumerating pairs; an equal copy of the space as the
+    codomain, and any other table, takes the blocked loop."""
+
+    @pytest.mark.parametrize("name, space", list(twin_level_spaces()))
+    def test_identity_is_the_loop_on_an_equal_copy(self, name, space):
+        copy = FiniteMetricSpace(space.labels, space.dist)
+        assert copy == space and copy is not space
+        table = {x: x for x in space.labels}
+        want = lipschitz_constant_loop(space, space, table)
+        assert bits(identity_map(space).constant) == bits(want)
+        assert bits(lipschitz_constant(space, copy, table)) == bits(want)
+        assert want == (1.0 if space.diameter() > 0.0 else 0.0)
+
+    def test_permutations_take_the_loop(self):
+        space = line_space([0.0, 0.0, 0.5, 1.0, 1.0, 0.25])
+        raised, constants = 0, set()
+        for perm in itertools.permutations(range(len(space))):
+            table = {x: space.labels[p] for x, p in zip(space.labels, perm)}
+            outcome = same_outcome(lipschitz_constant, lipschitz_constant_loop, space, space, table)
+            if outcome is None:
+                raised += 1
+            else:
+                assert bits(outcome[0]) == bits(outcome[1])
+                constants.add(outcome[0])
+        assert raised and len(constants) > 1
 
 
 class TestLevelForRadiusOracle:
