@@ -7,7 +7,8 @@ Exit status contract:
   2  parse or schema errors (bad flags, unreadable or malformed files,
      a report that cannot be written); no report is written
   3  domain precondition errors (invalid metric, degenerate measure,
-     unmet audit hypotheses); an error report is written
+     unmet audit hypotheses, an input too large to build in memory); an
+     error report is written
 
 Every report is a JSON envelope {"command", "version", "params",
 "result"} echoing the full configuration, so identical invocations
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
         # Malformed input: report nothing, mirror argparse's own exit code.
         print(f"metricdp: error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, MemoryError) as exc:
         print(f"metricdp: error: {exc}", file=sys.stderr)
         result, code, built = {"error": str(exc), "error_kind": type(exc).__name__}, 3, ()
     return _emit(args, result, code, *built)

@@ -16,16 +16,17 @@ generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
 ``grid_space`` is, and does not re-check it, so ``validate`` reports it ok
 by construction; the tests check the generators against the validator.
 
-A process builds each object from a file text once and validates each
-distinct space once.  Both memos are exact: an object is reused only for
-an identical text, the same supplied spaces and the same texts of the
-other files its build read, and a validated space only for identical
-labels and an equal raw matrix.  Nothing keys on a path or a file's time
-stamps.  A hit returns the object built before: loaded objects may be
-shared, and must not be mutated.  The command-line tool files each
-measure and table it writes with ``--out`` under the text written, so a
-chain of commands in one process parses only the files it did not write:
-its space and its map.
+A thread keeps what a file's text alone builds.  A loader given a path
+returns the object it built from the identical text before, in the same
+thread, if each other file that build read still holds the text it read.
+A load given a space is not kept; a measure naming its own space ignores
+a supplied one, so such a load may get what a path-only load kept.  The
+command-line tool files each measure and table it writes with ``--out``
+under the text written, so a chain of commands in one thread parses only
+its space and its map, and validates each distinct space once.  Nothing
+keys on a path or a file's time stamps, and nothing is shared between
+threads.  A hit returns the object built before: loaded objects may be
+shared, and must not be mutated.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
 # JSON has no infinity literal; reports spell it as this string.
 INFINITY = "infinity"
 
-# Longest file text (in characters) whose object is kept for the process,
-# and how many objects are kept.  A CLI chain needs the four newest: the
-# space and the map it loads, and the measure and the table rows it wrote.
+# Longest file text (in characters) whose object a thread keeps, and how
+# many objects it keeps.  A CLI chain needs the four newest: the space and
+# the map it loads, and the measure and the table rows it wrote.
 _MEMO_CHARS = 1 << 20
 _MEMO_DOCS = 4
 
@@ -81,27 +82,26 @@ def decode_value(v) -> float:
     raise SchemaError(f"expected a number or {INFINITY!r}, got {v!r}")
 
 
-# Objects built from file texts, oldest first: (loader, text, ids of the
-# spaces supplied) -> (those spaces, held so that no id is reused; the other
-# files the build read, path -> text; the object).
-_built: dict = {}
-_built_lock = threading.Lock()
-
-
-class _Reads(threading.local):
-    """A thread's builds under way, innermost last, each with the files it
-    read, path -> text.  A build reads a file once, and sees the text an
-    outer build read."""
+class _Memo(threading.local):
+    """A thread's memo: ``kept``, the objects built from file texts, oldest
+    first, (loader, text) -> (the other files the build read, path -> text;
+    the object); ``frames``, the builds under way, innermost last, each with
+    the files it read, path -> text; and ``space``, the explicit space built
+    last with the raw matrix it was built from, or None where that equals
+    its stored one.  A build reads a file once, and sees the text an outer
+    build read."""
 
     def __init__(self):
+        self.kept = {}
         self.frames = []
+        self.space = None
 
 
-_reads = _Reads()
+_memo = _Memo()
 
 
 def _read(path: str) -> str:
-    frames = _reads.frames
+    frames = _memo.frames
     text = next((files[path] for files in frames if path in files), None)
     if text is None:
         try:
@@ -120,7 +120,9 @@ def _parse(path: str, text: str):
     try:
         # decode_value refuses the NaN and Infinity json would accept.
         return json.loads(text, parse_constant=decode_value)
-    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+    # Bad JSON, an int past Python's digit limit, or nesting past the
+    # recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -139,41 +141,39 @@ def load_doc(source) -> dict:
 
 
 def _kept(load):
-    """``load``, which given a path returns the object an earlier call built
-    from the same text with the same spaces passed the same way, or with
-    none (a measure naming its own space ignores the one supplied), if each
+    """``load``, which given a path returns the object an earlier call in
+    this thread built from the same text with no spaces supplied, if each
     other file that build read still holds the text it read.  It keeps what
-    it builds from texts of at most ``_MEMO_CHARS`` characters, and
-    ``loader.keep(text, obj)`` files an object built elsewhere, such as the
-    one a report was just written from, as if it had built it from ``text``."""
+    it builds from a path alone and texts of at most ``_MEMO_CHARS``
+    characters, and ``loader.keep(text, obj)`` files an object built
+    elsewhere, such as the one a report was just written from, as if it had
+    built it from ``text``."""
 
     @functools.wraps(load)
     def loader(source, *args, **kwargs):
         if not isinstance(source, str):
             return load(source, *args, **kwargs)
         text = _read(source)
-        key = load, text, tuple(map(id, args)), tuple((k, id(v)) for k, v in sorted(kwargs.items()))
-        with _built_lock:
-            hit = _built.get(key) or _built.get((load, text, (), ()))
-        if hit and all(_read(path) == other for path, other in hit[1].items()):
-            return hit[2]
-        _reads.frames.append({source: text})
+        hit = _memo.kept.get((load, text))
+        if hit and all(_read(path) == other for path, other in hit[0].items()):
+            return hit[1]
+        _memo.frames.append({source: text})
         try:
             obj = load(source, *args, **kwargs)
         finally:
-            files = _reads.frames.pop()
-            if _reads.frames:
-                _reads.frames[-1].update(files)
+            files = _memo.frames.pop()
+            if _memo.frames:
+                _memo.frames[-1].update(files)
         del files[source]
-        if all(len(t) <= _MEMO_CHARS for t in (text, *files.values())):
-            _file(key, ((args, kwargs), files, obj))
+        if not (args or kwargs) and all(len(t) <= _MEMO_CHARS for t in (text, *files.values())):
+            _file((load, text), (files, obj))
         return obj
 
     def keep(text: str, obj) -> None:
-        """File ``obj`` as the object ``loader`` builds, with no spaces
-        supplied, from a file holding ``text`` that names no other file."""
+        """File ``obj`` as the object ``loader`` builds from a file holding
+        ``text`` that names no other file."""
         if len(text) <= _MEMO_CHARS:
-            _file((load, text, (), ()), (((), {}), {}, obj))
+            _file((load, text), ({}, obj))
 
     loader.keep = keep  # functools.wraps copies it to a wrapper
     return loader
@@ -181,10 +181,9 @@ def _kept(load):
 
 def _file(key, entry) -> None:
     """Keep ``entry`` under ``key``, dropping the oldest past ``_MEMO_DOCS``."""
-    with _built_lock:
-        _built[key] = entry
-        if len(_built) > _MEMO_DOCS:
-            del _built[next(iter(_built))]
+    _memo.kept[key] = entry
+    if len(_memo.kept) > _MEMO_DOCS:
+        del _memo.kept[next(iter(_memo.kept))]
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -304,19 +303,13 @@ def _number_matrix(rows, what: str) -> np.ndarray:
     return mat
 
 
-# The explicit space built last: (space, the raw matrix it was built from,
-# or None where that equals space.dist).
-_last_space: tuple | None = None
-
-
 @_kept
 def space_from_doc(source) -> FiniteMetricSpace:
     """The space a document describes, a generator form {"kind": "grid"|
     "discrete", "n": k} built trusted.  An explicit document with the labels
-    and raw matrix of the last explicit space built returns that space
-    itself, and any other is validated: a process validates each distinct
-    space once while it is the one being loaded."""
-    global _last_space
+    and raw matrix of the last explicit space this thread built returns
+    that space itself, and any other is validated: a thread validates each
+    distinct space once while it is the one being loaded."""
     doc = load_doc(source)
     if "kind" in doc:
         kind = doc["kind"]
@@ -333,12 +326,12 @@ def space_from_doc(source) -> FiniteMetricSpace:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("space labels must be a list of strings")
     mat = _number_matrix(dist, "space dist")
-    if _last_space is not None:
-        space, raw = _last_space
+    if _memo.space is not None:
+        space, raw = _memo.space
         if labels == space.labels and np.array_equal(mat, space.dist if raw is None else raw):
             return space
     space = FiniteMetricSpace(labels, mat)
-    _last_space = space, None if np.array_equal(mat, space.dist) else mat
+    _memo.space = space, None if np.array_equal(mat, space.dist) else mat
     return space
 
 
@@ -409,7 +402,6 @@ def _table_rows(source) -> tuple:
     return inputs, outputs, mat
 
 
-@_kept
 def table_from_doc(
     source,
     input_space: FiniteMetricSpace,
@@ -419,7 +411,8 @@ def table_from_doc(
     caller supplies the input space (privacy audits read its distances)
     and, where its distances matter, the output space; each must list the
     file's labels in order.  An omitted output space is an all-ones
-    placeholder over the file's output labels."""
+    placeholder over the file's output labels.  The rows are kept, and
+    bound to the spaces supplied on every call."""
     inputs, outputs, mat = _table_rows(source)
     if list(input_space.labels) != inputs:
         raise SchemaError("table inputs do not match the supplied input space's labels")

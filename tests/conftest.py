@@ -71,9 +71,9 @@ MATRIX_ENTRIES = st.sampled_from(
 
 
 def empty_memos() -> None:
-    """Forget every loaded object and the last validated space."""
-    formats._built.clear()
-    formats._last_space = None
+    """Forget every object this thread loaded and its last validated space."""
+    formats._memo.kept.clear()
+    formats._memo.space = None
 
 
 @pytest.fixture(autouse=True)

@@ -5,6 +5,7 @@ import math
 import os
 import shlex
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -261,7 +262,7 @@ class TestParserReuse:
 
 
 class TestLoaderMemos:
-    """A chain run through ``main`` in one process builds each object it
+    """A chain run through ``main`` in one thread builds each object it
     loads once and validates its one explicit space once, and writes the
     bytes it writes with the memos emptied before every command."""
 
@@ -302,16 +303,30 @@ class TestLoaderMemos:
         assert validations == [12]
         assert warm == cold
         # Only the space and the map are parsed: the measure and the table
-        # are kept as written.  The table's rows are bound twice, to
-        # audit-privacy's placeholder output space and to the map's
-        # codomain: with tabulate's own table, three tables are built.
+        # are kept as written.  The table's rows are bound once per audit:
+        # with tabulate's own table, four tables are built.
         assert builds == {"_parse": 2, "_number_matrix": 3, "lipschitz_constant": 1,
-                          "__init__": 3}
+                          "__init__": 4}
+
+    def test_a_fresh_thread_starts_its_own_memo(self, files, validations, builds):
+        # The main thread's memo holds the chain's objects; a chain run in a
+        # new thread does not see them, and counts what the first chain did.
+        first = self.chain(files, cold=False)
+        counts = validations.copy(), builds.copy()
+        validations.clear()
+        builds.clear()
+        outcome = []
+        thread = threading.Thread(target=lambda: outcome.append(self.chain(files, cold=False)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and outcome == [first]
+        assert (validations, builds) == counts == ([12], {"_parse": 2, "_number_matrix": 3,
+                                                         "lipschitz_constant": 1, "__init__": 4})
 
 
 def kept_texts() -> set:
-    """The file texts the loaders hold an object for."""
-    return {key[1] for key in formats._built}
+    """The file texts the loaders hold an object for in this thread."""
+    return {key[1] for key in formats._memo.kept}
 
 
 def same_bits(a, b) -> bool:
@@ -1178,6 +1193,27 @@ class TestExitContract:
     and writes an error report exactly when it exits 3: a report holding
     "error", or validate's violations report.  ``--flag value`` gives the
     exit codes and reports of ``--flag=value``."""
+
+    def test_nesting_past_the_recursion_limit_exits_2_without_report(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "never.json"
+        assert main(["validate", "--space", str(deep), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+
+    def test_an_input_too_large_to_build_exits_3_with_report(self, capsys, tmp_path, monkeypatch):
+        # As numpy raises on {"kind": "grid", "n": 1000000}, whose matrix
+        # would take 7.28 TiB; nothing that large is asked for here.
+        def refuse(n):
+            raise MemoryError(f"Unable to allocate a {n}x{n} matrix")
+
+        monkeypatch.setattr(formats, "grid_space", refuse)
+        space = write(tmp_path, "space.json", {"kind": "grid", "n": 1000000})
+        code, doc = run(capsys, "validate", "--space", space)
+        assert code == 3
+        assert doc["result"] == {"error": "Unable to allocate a 1000000x1000000 matrix",
+                                 "error_kind": "MemoryError"}
 
     def test_the_valid_documents_pass(self):
         assert [code for code, _ in run_contract(DOCUMENTS)] == [0] * len(CONTRACT_ARGV)

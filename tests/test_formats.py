@@ -102,6 +102,13 @@ class TestLoadDoc:
         with pytest.raises(SchemaError, match="non-object result"):
             formats.load_doc(doc)
 
+    def test_nesting_past_the_recursion_limit_is_a_schema_error(self, tmp_path):
+        # json raises RecursionError, not ValueError, on input this deep.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            formats.load_doc(str(path))
+
     def test_write_doc_round_trip(self, tmp_path):
         path = tmp_path / "out.json"
         formats.write_doc(str(path), {"x": [1, 2]})
@@ -110,8 +117,9 @@ class TestLoadDoc:
 
 class TestParsedDocumentMemo:
     """A loader given a path parses and builds once per file text: it
-    returns the very object an earlier call built from the identical text
-    with the same supplied spaces, and ``load_doc`` parses on every call."""
+    returns the very object an earlier call in the thread built from the
+    identical text with no space supplied, and ``load_doc`` parses on every
+    call."""
 
     def test_a_path_loaded_twice_is_parsed_once(self, tmp_path, builds):
         space = grid_space(3)
@@ -124,15 +132,16 @@ class TestParsedDocumentMemo:
                 "table": formats.table_to_doc(mech)}
         builds.clear()
         loads = {"space": formats.space_from_doc, "measure": formats.measure_from_doc,
-                 "map": formats.map_from_doc,
-                 "table": lambda path: formats.table_from_doc(path, input_space=space)}
+                 "map": formats.map_from_doc, "table": formats._table_rows}
         for name, doc in docs.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
             first = loads[name](str(path))
             assert loads[name](str(path)) is first
+        # A table is bound to its space on every call, from the kept rows.
+        table = formats.table_from_doc(str(path), input_space=space)
         assert builds == {"_parse": 4, "_number_matrix": 5, "lipschitz_constant": 1, "__init__": 1}
-        assert np.array_equal(first.probs, mech.probs)
+        assert np.array_equal(table.probs, mech.probs)
 
     def test_a_rewrite_of_the_same_length_is_parsed_again(self, tmp_path, builds):
         path = tmp_path / "x.json"
@@ -162,7 +171,7 @@ class TestParsedDocumentMemo:
         first["k"][1]["j"] = 0
         del first["s"]
         assert formats.load_doc(str(path)) == second == {"k": [1, {"j": 2.5}], "s": "t"}
-        assert builds["_parse"] == 3 and formats._built == {}
+        assert builds["_parse"] == 3 and formats._memo.kept == {}
 
     @pytest.mark.parametrize("text,match", [
         ("{nope", "not valid JSON"),
@@ -181,7 +190,7 @@ class TestParsedDocumentMemo:
                 formats.space_from_doc(str(path))
             errors.append((type(exc.value), str(exc.value)))
         assert errors == [errors[0]] * 3
-        assert builds["_parse"] == 3 and formats._built == {}
+        assert builds["_parse"] == 3 and formats._memo.kept == {}
 
     @pytest.mark.parametrize("extra,kept", [(0, 1), (1, 0)])
     def test_only_texts_up_to_the_cap_are_kept(self, tmp_path, builds, extra, kept):
@@ -191,7 +200,7 @@ class TestParsedDocumentMemo:
         path.write_text('{"labels": ["a"], "dist": [[0]], "pad": "%s"}' % pad)
         for _ in range(2):
             assert formats.space_from_doc(str(path)).labels == ["a"]
-        assert len(formats._built) == kept
+        assert len(formats._memo.kept) == kept
         assert builds["_parse"] == 2 - kept
 
     def test_the_memo_holds_a_fixed_number_of_texts(self, tmp_path):
@@ -200,23 +209,24 @@ class TestParsedDocumentMemo:
             paths.append(str(tmp_path / f"x{i}.json"))
             Path(paths[-1]).write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, i + 1], [i + 1, 0]]}))
             first.append(formats.space_from_doc(paths[-1]))
-        assert len(formats._built) == formats._MEMO_DOCS
+        assert len(formats._memo.kept) == formats._MEMO_DOCS
         assert formats.space_from_doc(paths[-1]) is first[-1]
         assert formats.space_from_doc(paths[0]) is not first[0]
 
     def test_other_spaces_give_a_fresh_build(self, tmp_path, builds):
+        # Every call binds the kept rows to the spaces it supplies.
         space = grid_space(3)
         path = tmp_path / "table.json"
         path.write_text(json.dumps(formats.table_to_doc(tabulate(
             ExpMechParams(base=uniform_measure(space), beta=1.0, query=identity_map(space))))))
         table = formats.table_from_doc(str(path), input_space=space)
-        assert formats.table_from_doc(str(path), input_space=space) is table
+        again = formats.table_from_doc(str(path), input_space=space)
+        assert again is not table and again.input_space is space
         twin = grid_space(3)  # equal, but another object
-        again = formats.table_from_doc(str(path), input_space=twin)
-        assert again is not table and again.input_space is twin
+        assert formats.table_from_doc(str(path), input_space=twin).input_space is twin
         full = formats.table_from_doc(str(path), input_space=space, output_space=space)
-        assert full is not table and full.output_space is space
-        assert builds["__init__"] == 4  # the tabulated table and three loads
+        assert full.output_space is space
+        assert builds["__init__"] == 5  # the tabulated table and four loads
         assert builds["_parse"] == 1  # which share one parse of the rows
 
     def test_a_measure_naming_its_space_serves_any_supplied_space(self, tmp_path, builds):
@@ -226,13 +236,15 @@ class TestParsedDocumentMemo:
         assert formats.measure_from_doc(str(own), space=grid_space(3)) is measure
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"weights": {"0": 1.0}}))
+        # A load given a space is not kept: each is built on its own space.
         grid, wider = grid_space(3), grid_space(5)
         on_grid = formats.measure_from_doc(str(bare), space=grid)
-        assert formats.measure_from_doc(str(bare), space=grid) is on_grid
+        again = formats.measure_from_doc(str(bare), space=grid)
+        assert again is not on_grid and again.space is grid
         assert formats.measure_from_doc(str(bare), space=wider).space is wider
         with pytest.raises(SchemaError, match="names no space"):
             formats.measure_from_doc(str(bare))
-        assert builds["_parse"] == 4
+        assert builds["_parse"] == 5
 
     def test_a_document_naming_another_file_is_kept_while_that_file_is(self, tmp_path, builds):
         space = tmp_path / "space.json"
@@ -250,7 +262,7 @@ class TestParsedDocumentMemo:
         assert formats.map_from_doc(str(path)) is second
         assert builds["lipschitz_constant"] == 2
         # A build that builds the map depends on the space file too.
-        formats._built.clear()
+        formats._memo.kept.clear()
         index = tmp_path / "index.json"
         index.write_text(json.dumps({"map": str(path)}))
         load = formats._kept(lambda source: formats.map_from_doc(formats.load_doc(source)["map"]))
@@ -284,23 +296,24 @@ class TestParsedDocumentMemo:
         space.write_text(old)
         assert formats.map_from_doc(str(path)).domain.dist[0, 2] == 1.0
 
-    def test_threads_share_the_memo(self, tmp_path):
+    def test_each_thread_keeps_its_own_memo(self, tmp_path):
         # More threads than cores, switching often, over more files than the
-        # memo holds: every load gets its own file's space, and the memo
-        # never grows past its bound.
+        # memo holds: every load gets its own file's space, each thread's
+        # memo fills to its bound and no further, and no thread gets another
+        # thread's object or fills the main thread's memo.
         paths = []
         for i in range(formats._MEMO_DOCS + 2):
             paths.append(str(tmp_path / f"x{i}.json"))
             Path(paths[-1]).write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, i + 1], [i + 1, 0]]}))
-        errors, sizes = [], []
+        errors, sizes, firsts = [], [], []
 
         def work(k):
             try:
                 for j in range(1000):
                     i = (k + j) % len(paths)
                     assert formats.space_from_doc(paths[i]).dist[0, 1] == i + 1
-                    with formats._built_lock:
-                        sizes.append(len(formats._built))
+                    sizes.append(len(formats._memo.kept))
+                firsts.append(formats.space_from_doc(paths[0]))
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -316,7 +329,9 @@ class TestParsedDocumentMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(sizes) == 8 * 1000 and max(sizes) <= formats._MEMO_DOCS
+        assert len(sizes) == 8 * 1000 and max(sizes) == formats._MEMO_DOCS
+        assert len(set(map(id, firsts))) == 8
+        assert formats._memo.kept == {}
 
 
 class TestSpaceDocs:
