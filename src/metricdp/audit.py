@@ -10,7 +10,7 @@ output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; twins (inputs
 at distance 0.0) are decided from their rows, and ``_pair_ratios`` only finds
-the witness output.  Every log is
+the witness output.  Every log is ``_ieee._logs``,
 fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
 the reported bits are the same on every IEEE host, whatever its libm or SIMD;
 every ball mass is one fixed-order sum per row, ``measures._mass_inside``.
@@ -23,19 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ieee import _logs
 from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
 from .measures import _mass_inside
 from .mechanisms import MechanismTable
 from .spaces import _BLOCK_CELLS, LipschitzMap
-
-# fdlibm's e_log.c constants: ln 2 split so that k * _LN2_HI is exact, and the
-# coefficients Lg1..Lg7 of its polynomial in s**2.
-_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-_LG1, _LG2, _LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
-_LG4, _LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
-_LG6, _LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
-
 
 @dataclass(frozen=True)
 class PrivacyAuditReport:
@@ -68,30 +61,6 @@ class UtilityAuditReport:
     min_mass: float
     worst_input: object
     per_input_mass: np.ndarray
-
-
-def _logs(probs) -> np.ndarray:
-    """Entrywise natural log by fdlibm's e_log.c, within 1 ulp: frexp, then add,
-    subtract, multiply and divide, each one correctly rounded ufunc call that cannot
-    fuse, so the bits do not depend on the host.  -inf exactly at 0.0, 0.0 exactly at
-    1.0, and a subnormal entry keeps its finite log.  Runs over chunks of the flat
-    table, so one chunk's temporaries stay well under a block."""
-    probs = np.asarray(probs, dtype=float)
-    flat, logs, chunk = probs.ravel(), np.empty(probs.size), _BLOCK_CELLS // 16
-    for c0 in range(0, flat.size, chunk):
-        x = flat[c0:c0 + chunk]
-        m, k = np.frexp(x)  # x = m * 2**k, m in [1/2, 1); move m into [sqrt(1/2), sqrt(2))
-        low = m < math.sqrt(0.5)
-        f = np.where(low, m + m, m) - 1.0  # exact
-        k = (k - low).astype(float)
-        s = f / (2.0 + f)
-        z = s * s
-        w = z * z
-        r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
-        hfsq = 0.5 * f * f
-        value = k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
-        logs[c0:c0 + chunk] = np.where(x == 0.0, -math.inf, value)
-    return logs.reshape(probs.shape)
 
 
 def _pair_ratios(mech, logs, i, j) -> np.ndarray:

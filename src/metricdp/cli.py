@@ -32,6 +32,7 @@ from .covering import covering_measure, greedy_net
 from .errors import DomainError, InvalidMetricError, SchemaError
 from .measures import uniform_measure
 from .mechanisms import (
+    MAX_DRAWS,
     ExpMechParams,
     calibrate_beta,
     privacy_bound,
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=_float, required=True)
     sp.add_argument("--input", required=True, help="input label to run the mechanism at")
     sp.add_argument("--seed", type=int, required=True, help="generator seed (no silent default)")
-    sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--count", type=int, default=1, help=f"number of draws, at most {MAX_DRAWS}")
 
     sp = cmd("audit-privacy", "exact smallest epsilon a mechanism table satisfies", cmd_audit_privacy)
     sp.add_argument("--mech", required=True, help="mechanism table file")

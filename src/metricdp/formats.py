@@ -27,6 +27,12 @@ its space and its map, and validates each distinct space once.  Nothing
 keys on a path or a file's time stamps, and nothing is shared between
 threads.  A hit returns the object built before: loaded objects may be
 shared, and must not be mutated.
+
+``dump_doc`` writes the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` with infinities spelled as strings.  It formats each
+distinct double once per block of float rows, not once per occurrence,
+so a symmetric matrix or a table of a few values is written faster; the
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .covering import CoverHierarchy
 from .errors import SchemaError, UnknownLabelError
 from .measures import DiscreteMeasure
 from .mechanisms import MechanismTable
-from .spaces import FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
+from .spaces import _BLOCK_CELLS, FiniteMetricSpace, LipschitzMap, discrete_space, grid_space
 
 # JSON has no infinity literal; reports spell it as this string.
 INFINITY = "infinity"
@@ -188,6 +194,13 @@ def _file(key, entry) -> None:
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
+# Rows of floats are formatted a block of at most ``_BLOCK_CELLS`` cells at
+# a time, each block judged from rows holding at most ``_SAMPLE`` cells.  A
+# block of fewer than ``_FEW`` cells is too small for the sort to pay.
+_SAMPLE = _BLOCK_CELLS >> 5
+_FEW = 256
+_repr = float.__repr__  # what formats each distinct double; tests count its calls
+
 
 @functools.lru_cache(maxsize=None)
 def _encoder(depth: int) -> json.JSONEncoder:
@@ -207,57 +220,141 @@ def _scalar(v):
     return v
 
 
-def _write(obj, depth: int, out: list) -> None:
-    """Append the ``indent=2`` text of ``obj``, nested ``depth`` deep, to
-    ``out``.  A scalar, or a container holding only scalars, takes one
+def _flat(obj, depth: int) -> str:
+    """The ``indent=2`` text of a scalar or a container of scalars, in one
     encoder call; infinities and numpy scalars make that call raise and
-    are encoded again through ``_scalar``, where a NaN still raises.  The
-    byte reference is ``tests/conftest.py::dump_doc_reference``."""
+    are encoded again through ``_scalar``, where a NaN still raises."""
+    encoder = _encoder(depth + 1)
+    try:
+        text = encoder.encode(obj)
+    except (TypeError, ValueError):
+        if isinstance(obj, dict):
+            obj = {k: _scalar(v) for k, v in obj.items()}
+        else:
+            obj = list(map(_scalar, obj)) if isinstance(obj, (list, tuple)) else _scalar(obj)
+        text = encoder.encode(obj)
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return text  # a scalar or an empty container stays on one line
+    pad = "\n" + "  " * (depth + 1)
+    return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+
+
+def _write(obj, depth: int, out: list, rows: list) -> None:
+    """Append the ``indent=2`` text of ``obj``, nested ``depth`` deep, to
+    ``out``.  A nonempty row of Python floats (a list, a tuple or a 1-d
+    float64 array; a 2-d array is its rows) gets a slot in ``out``, and
+    ``(slot, row, depth)`` goes on ``rows`` for ``_fill`` to format.  Any
+    other scalar, or container holding only scalars, is written by
+    ``_flat``.  The byte reference is
+    ``tests/conftest.py::dump_doc_reference``."""
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        if obj.dtype != np.float64 or obj.ndim == 0 or not obj.size:
+            obj = obj.tolist()
+        elif obj.ndim == 1:
+            rows.append((len(out), obj.view(np.ndarray), depth))
+            out.append(None)
+            return
+        else:
+            obj = list(obj.view(np.ndarray))
     if isinstance(obj, dict):
         if not all(type(k) is str for k in obj):
             obj = {str(k): v for k, v in obj.items()}
         items = obj.values()
     else:
         items = obj if isinstance(obj, (list, tuple)) else ()
-    pad = "\n" + "  " * (depth + 1)
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
-        encoder = _encoder(depth + 1)
-        try:
-            text = encoder.encode(obj)
-        except (TypeError, ValueError):
-            if isinstance(obj, dict):
-                obj = {k: _scalar(v) for k, v in obj.items()}
-            else:
-                obj = list(map(_scalar, obj)) if isinstance(obj, (list, tuple)) else _scalar(obj)
-            text = encoder.encode(obj)
-        # Scalars and empty containers stay on one line.
-        out.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if items else text)
+    kinds = set(map(type, items))
+    if kinds == {float} and not isinstance(obj, dict):
+        rows.append((len(out), obj, depth))
+        out.append(None)
         return
+    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        out.append(_flat(obj, depth))
+        return
+    pad = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             out.append(("," if i else "") + pad + json.dumps(key) + ": ")
-            _write(obj[key], depth + 1, out)
+            _write(obj[key], depth + 1, out, rows)
         out.append(pad[:-2] + "}")
     else:
         out.append("[")
         for i, item in enumerate(obj):
             out.append(("," if i else "") + pad)
-            _write(item, depth + 1, out)
+            _write(item, depth + 1, out, rows)
         out.append(pad[:-2] + "]")
+
+
+def _bits(block) -> np.ndarray:
+    """The int64 bit patterns of the cells of ``block``'s rows, in order."""
+    arrays = [row if isinstance(row, np.ndarray) else np.fromiter(row, np.float64, len(row))
+              for _, row, _ in block]
+    return np.concatenate(arrays).view(np.int64)
+
+
+def _fill(rows: list, out: list) -> None:
+    """Write the text of each row ``_write`` queued into its slot in
+    ``out``, a block of rows of at most ``_BLOCK_CELLS`` cells (or one
+    longer row) at a time.  A block of at least ``_FEW`` cells whose
+    sampled rows (all of them in a block of at most ``_SAMPLE`` cells,
+    else rows at an even stride) are at most 3/4 distinct doubles goes to
+    ``_join``; any other block is written by ``_flat``, row by row.  Both
+    give the same bytes."""
+    start, cells = 0, 0
+    for end, (_, row, _) in enumerate(rows):
+        if cells and cells + len(row) > _BLOCK_CELLS:
+            _fill_block(rows[start:end], cells, out)
+            start, cells = end, 0
+        cells += len(row)
+    if cells:
+        _fill_block(rows[start:], cells, out)
+
+
+def _fill_block(block: list, cells: int, out: list) -> None:
+    if cells >= _FEW:
+        stride = -(-cells // _SAMPLE)
+        bits = _bits(block[::stride])
+        seen = np.sort(bits)
+        if 4 * (1 + np.count_nonzero(seen[1:] != seen[:-1])) <= 3 * len(seen):
+            _join(block, bits if stride == 1 else _bits(block), out)
+            return
+    for slot, row, depth in block:
+        out[slot] = _flat(row.tolist() if isinstance(row, np.ndarray) else row, depth)
+
+
+def _join(block: list, bits: np.ndarray, out: list) -> None:
+    """Write ``block``'s rows, whose cells have the bit patterns ``bits``,
+    formatting each distinct pattern once: ``float.__repr__`` (through
+    ``_repr``), then the strings of ``encode_value`` for the infinities.
+    A NaN raises ValueError, as json's encoder does."""
+    distinct, where = np.unique(bits, return_inverse=True)
+    values = distinct.view(np.float64)
+    if np.isnan(values).any():
+        raise ValueError("Out of range float values are not JSON compliant")
+    texts = np.array(list(map(_repr, values.tolist())), dtype=object)
+    for i in np.flatnonzero(np.isinf(values)):
+        texts[i] = json.dumps(encode_value(values[i]))
+    texts = texts[where].tolist()
+    pos = 0
+    for slot, row, depth in block:
+        pad = "\n" + "  " * (depth + 1)
+        out[slot] = "[" + pad + ("," + pad).join(texts[pos:pos + len(row)]) + pad[:-2] + "]"
+        pos += len(row)
 
 
 def dump_doc(doc: dict) -> str:
     """Canonical serialization: sorted keys, two-space indent, one scalar
     per line, ASCII escapes, infinities as ``"infinity"`` strings and a
     trailing newline, written through json's C encoder one container of
-    scalars at a time.  The byte reference is ``json.dumps(..., indent=2)``
-    in ``tests/conftest.py::dump_doc_reference``.  A NaN raises ValueError
+    scalars at a time.  Rows of floats are formatted a block at a time,
+    where a block holding repeats formats each distinct double once; the
+    bytes are the same either way.  The byte reference is
+    ``json.dumps(..., indent=2)`` in
+    ``tests/conftest.py::dump_doc_reference``.  A NaN raises ValueError
     instead of producing invalid JSON."""
-    out = []
-    _write(doc, 0, out)
+    out, rows = [], []
+    _write(doc, 0, out, rows)
+    _fill(rows, out)
     out.append("\n")
     return "".join(out)
 

@@ -27,6 +27,10 @@ from .spaces import FiniteMetricSpace, LipschitzMap
 # Row sums of a mechanism table must match 1 to this absolute slack.
 ROW_SUM_TOL = 1e-9
 
+# Most draws one ``sample_many`` call makes.  Its working set is about 32
+# bytes a draw before any report is written (320 MB at the cap).
+MAX_DRAWS = 10**7
+
 
 @dataclass(frozen=True)
 class ExpMechParams:
@@ -141,9 +145,12 @@ def sample_many(params: ExpMechParams, x, seed: int, count: int) -> list:
 
     Only labels of positive probability are drawn: the CDF runs over the
     support, whose sums are those of the full CDF, and a draw past its last
-    sum takes the last supported label."""
+    sum takes the last supported label.  A count above ``MAX_DRAWS`` raises
+    ValueError before anything is allocated."""
     if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count}")
+    if count > MAX_DRAWS:
+        raise ValueError(f"count must be at most {MAX_DRAWS} (MAX_DRAWS), got {count}")
     probs = distribution(params, x)
     support = np.flatnonzero(probs)
     cum = np.cumsum(probs[support])

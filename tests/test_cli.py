@@ -776,6 +776,14 @@ class TestPipeline:
         assert a["result"]["outputs"] == b["result"]["outputs"]
         assert len(a["result"]["outputs"]) == 8
 
+    def test_sample_count_past_the_cap_exits_3_with_report(self, capsys, grid5_files):
+        code, doc = run(capsys, "sample", "--map", grid5_files["map"], "--measure",
+                        grid5_files["measure"], "--beta", "3", "--input", "0.5",
+                        "--seed", "11", "--count", "1000000000")
+        assert code == 3
+        assert doc["result"] == {"error": "count must be at most 10000000 (MAX_DRAWS), "
+                                          "got 1000000000", "error_kind": "ValueError"}
+
     def test_unknown_label_error_is_not_quoted(self, capsys, grid5_files):
         code = main(["sample", "--map", grid5_files["map"], "--measure", grid5_files["measure"],
                      "--beta", "1", "--input", "zz", "--seed", "1"])

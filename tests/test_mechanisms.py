@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from bisect import bisect_left
 from decimal import Decimal, localcontext
@@ -206,6 +207,33 @@ class TestSampling:
             sample_many(p, "0", seed=1, count=0)
         with pytest.raises(ValueError):
             sample_many(p, "0", seed=1, count=True)
+
+    @pytest.mark.parametrize("count", [mechanisms.MAX_DRAWS, mechanisms.MAX_DRAWS + 1, 10**12])
+    def test_count_cap_is_checked_before_allocating(self, count, monkeypatch):
+        """At the cap the draws are asked for (a stub generator hands back
+        one); above it ValueError names the cap before anything is built.
+        Either way the tracemalloc peak stays under 1 MB."""
+        p = x3_params()
+        asked = []
+
+        class Stub:
+            def random(self, n):
+                asked.append(n)
+                return np.zeros(1)
+
+        monkeypatch.setattr(mechanisms.np.random, "default_rng", lambda seed: Stub())
+        tracemalloc.start()
+        try:
+            if count > mechanisms.MAX_DRAWS:
+                with pytest.raises(ValueError, match=f"at most {mechanisms.MAX_DRAWS} "):
+                    sample_many(p, "0", seed=1, count=count)
+            else:
+                assert len(sample_many(p, "0", seed=1, count=count)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert asked == ([count] if count <= mechanisms.MAX_DRAWS else [])
 
     def test_point_mass_always_returns_it(self):
         s = grid_space(3)

@@ -67,7 +67,7 @@ from metricdp import (
     uniform_measure,
     validate_metric,
 )
-from metricdp import audit, covering
+from metricdp import audit, cli, covering, formats
 from metricdp.formats import dump_doc
 from metricdp.spaces import _BLOCK_CELLS, _triangle_rows
 
@@ -990,11 +990,122 @@ DOCS = st.dictionaries(DOC_KEYS, st.recursive(
 ), max_size=6)
 
 
+# Documents whose float rows repeat a few values, so the writer formats
+# each distinct double once: a pool holding, among others, 0.0 and -0.0,
+# both infinities, the least subnormal and 1e16, drawn into a matrix (as
+# an array, and as lists of rows with one row emptied or mixing 1 with 1.0
+# or a numpy float with a float) and an exactly symmetric one (as an array
+# and as a dict of rows).  Up to 6,400 cells, so large ones are judged
+# from sampled rows.
+POOL_FLOATS = FLOATS | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16])
+
+
+@st.composite
+def repeat_docs(draw):
+    pool = np.array(draw(st.lists(POOL_FLOATS, min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, cols = draw(st.integers(1, 40)), draw(st.integers(0, 40))
+    mat = pool[rng.integers(0, len(pool), (n, cols))]
+    square = pool[rng.integers(0, len(pool), (n, n))]
+    sym = np.where(np.triu(np.ones((n, n), dtype=bool)), square, square.T)
+    lists = mat.tolist()
+    i, odd = draw(st.integers(0, n - 1)), draw(st.sampled_from(["empty", "int", "numpy"]))
+    if odd == "empty" or not lists[i]:
+        lists[i] = []
+    else:
+        lists[i][-1:] = [1, 1.0] if odd == "int" else [np.float64(lists[i][0]), lists[i][0]]
+    return {"array": mat, "lists": lists, "rows": {f"x{k}": row for k, row in enumerate(sym.tolist())},
+            "symmetric": sym}
+
+
+def first_difference(got: str, want: str):
+    """None if ``got == want``, else the first offset where they differ
+    and the text there: pytest's own diff of two long reports is slow."""
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[i - 40:i + 40], want[i - 40:i + 40]
+
+
+def repr_calls(monkeypatch) -> list:
+    """The values ``formats._repr`` is called on from now on."""
+    calls = []
+    monkeypatch.setattr(formats, "_repr", lambda v: calls.append(v) or float.__repr__(v))
+    return calls
+
+
+def queued_bits(doc) -> list:
+    """The bit patterns of the float rows ``dump_doc`` formats a block at a
+    time, in order."""
+    rows = []
+    formats._write(doc, 0, [], rows)
+    return [np.float64(v).view(np.int64).item() for _, row, _ in rows for v in row]
+
+
 class TestDumpDocOracle:
     @settings(max_examples=300, deadline=None)
     @given(DOCS)
     def test_same_bytes_as_indent_2(self, doc):
         assert dump_doc(doc) == dump_doc_reference(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeat_docs())
+    def test_same_bytes_with_repeated_doubles(self, doc):
+        assert first_difference(dump_doc(doc), dump_doc_reference(doc)) is None
+
+    def test_past_one_block(self, monkeypatch):
+        """400x400 cells from a 7-value pool: two blocks, each formatting
+        its distinct doubles once, as an array and as lists of rows."""
+        pool = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 0.1])
+        mat = pool[np.random.default_rng(400).integers(0, 7, (400, 400))]
+        assert mat.size > _BLOCK_CELLS
+        for doc in ({"m": mat}, {"m": mat.tolist()}):
+            calls = repr_calls(monkeypatch)
+            assert first_difference(dump_doc(doc), dump_doc_reference(doc)) is None
+            assert len(calls) == 2 * 7
+
+    def test_one_repr_per_distinct_double_per_block(self, tmp_path, monkeypatch):
+        """A seeded 40-point discrete chain: each report's float rows make
+        one block, and each distinct bit pattern in it is formatted once."""
+        labels = [f"x{i}" for i in np.random.default_rng(40).permutation(40)]
+        space = {"labels": labels, "dist": (1.0 - np.eye(40)).tolist()}
+        files = {name: str(tmp_path / f"{name}.json") for name in
+                 ("space", "map", "measure", "calib", "table", "privacy", "utility")}
+        formats.write_doc(files["space"], space)
+        formats.write_doc(files["map"], {"domain": space, "codomain": space,
+                                         "table": {x: x for x in labels}})
+        calls, reports, write = repr_calls(monkeypatch), [], formats.dump_doc
+
+        def spy(doc):
+            before = len(calls)
+            text = write(doc)
+            reports.append((queued_bits(doc), calls[before:]))
+            return text
+
+        monkeypatch.setattr(formats, "dump_doc", spy)
+        run = [["build-measure", "--space", files["space"], "--out", files["measure"]],
+               ["calibrate", "--gamma", "0.5", "--delta", "0.1", "--measure", files["measure"],
+                "--out", files["calib"]]]
+        assert [cli.main(argv) for argv in run] == [0, 0]
+        beta = repr(formats.load_doc(files["calib"])["beta"])
+        run = [["tabulate", "--map", files["map"], "--measure", files["measure"], "--beta", beta,
+                "--out", files["table"]],
+               ["audit-privacy", "--mech", files["table"], "--space", files["space"], "--per-pair",
+                "--out", files["privacy"]],
+               ["audit-utility", "--mech", files["table"], "--map", files["map"], "--gamma", "0.5",
+                "--out", files["utility"]]]
+        assert [cli.main(argv) for argv in run] == [0, 0, 0]
+        assert len(reports) == 5
+        big = 0
+        for cells, reprs in reports:
+            assert len(cells) < _BLOCK_CELLS
+            if len(cells) < formats._FEW:
+                assert reprs == []
+                continue
+            big += 1
+            assert len(set(cells)) <= 4
+            assert sorted(np.float64(v).view(np.int64).item() for v in reprs) == sorted(set(cells))
+        assert big == 3  # the space in the measure report, the table and the per-pair matrix
 
     def test_report_shapes(self):
         """Envelopes around matrices, rows by label and empty containers."""
@@ -1010,6 +1121,9 @@ class TestDumpDocOracle:
         {"x": [1.0, math.nan]},
         {"x": {"y": np.float64("nan")}},
         {"x": [[0.0], np.array([math.nan])]},
+        {"x": [[0.5] * 30] * 19 + [[0.5] * 29 + [math.nan]]},
+        {"x": np.where(np.eye(30, dtype=bool), math.nan, 0.25)},
+        {"x": np.where(np.eye(30, dtype=bool), math.nan, np.arange(900.0).reshape(30, 30) / 7)},
     ])
     def test_nan_raises(self, doc):
         with pytest.raises(ValueError):
