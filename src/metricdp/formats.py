@@ -29,10 +29,11 @@ threads.  A hit returns the object built before: loaded objects may be
 shared, and must not be mutated.
 
 ``dump_doc`` writes the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` with infinities spelled as strings.  It formats each
-distinct double once per block of float rows, not once per occurrence,
-so a symmetric matrix or a table of a few values is written faster; the
-bytes are the same.
+sort_keys=True)`` with infinities spelled as strings and a float64 array
+as its ``tolist``.  It formats each distinct double once per block of
+array rows, not once per occurrence, so a symmetric matrix or a table of
+a few values is written faster.  The ``*_to_doc`` documents hold the
+objects' own read-only arrays, which must not be mutated.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _file(key, entry) -> None:
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
-# Rows of floats are formatted a block of at most ``_BLOCK_CELLS`` cells at
+# Float64 rows are formatted a block of at most ``_BLOCK_CELLS`` cells at
 # a time, each block judged from rows holding at most ``_SAMPLE`` cells.  A
 # block of fewer than ``_FEW`` cells is too small for the sort to pay.
 _SAMPLE = _BLOCK_CELLS >> 5
@@ -241,11 +242,10 @@ def _flat(obj, depth: int) -> str:
 
 def _write(obj, depth: int, out: list, rows: list) -> None:
     """Append the ``indent=2`` text of ``obj``, nested ``depth`` deep, to
-    ``out``.  A nonempty row of Python floats (a list, a tuple or a 1-d
-    float64 array; a 2-d array is its rows) gets a slot in ``out``, and
-    ``(slot, row, depth)`` goes on ``rows`` for ``_fill`` to format.  Any
-    other scalar, or container holding only scalars, is written by
-    ``_flat``.  The byte reference is
+    ``out``.  A nonempty 1-d float64 array (a 2-d one is its rows) gets a
+    slot in ``out``, and ``(slot, row, depth)`` goes on ``rows`` for
+    ``_fill`` to format.  Any other scalar, or container holding only
+    scalars, is written by ``_flat``.  The byte reference is
     ``tests/conftest.py::dump_doc_reference``."""
     if isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0 or not obj.size:
@@ -262,12 +262,7 @@ def _write(obj, depth: int, out: list, rows: list) -> None:
         items = obj.values()
     else:
         items = obj if isinstance(obj, (list, tuple)) else ()
-    kinds = set(map(type, items))
-    if kinds == {float} and not isinstance(obj, dict):
-        rows.append((len(out), obj, depth))
-        out.append(None)
-        return
-    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
         out.append(_flat(obj, depth))
         return
     pad = "\n" + "  " * (depth + 1)
@@ -286,15 +281,13 @@ def _write(obj, depth: int, out: list, rows: list) -> None:
 
 
 def _bits(block) -> np.ndarray:
-    """The int64 bit patterns of the cells of ``block``'s rows, in order."""
-    arrays = [row if isinstance(row, np.ndarray) else np.fromiter(row, np.float64, len(row))
-              for _, row, _ in block]
-    return np.concatenate(arrays).view(np.int64)
+    """The int64 bit patterns of ``block``'s float64 rows, in order."""
+    return np.concatenate([row for _, row, _ in block]).view(np.int64)
 
 
 def _fill(rows: list, out: list) -> None:
-    """Write the text of each row ``_write`` queued into its slot in
-    ``out``, a block of rows of at most ``_BLOCK_CELLS`` cells (or one
+    """Write the text of each float64 row ``_write`` queued into its slot
+    in ``out``, a block of rows of at most ``_BLOCK_CELLS`` cells (or one
     longer row) at a time.  A block of at least ``_FEW`` cells whose
     sampled rows (all of them in a block of at most ``_SAMPLE`` cells,
     else rows at an even stride) are at most 3/4 distinct doubles goes to
@@ -319,7 +312,7 @@ def _fill_block(block: list, cells: int, out: list) -> None:
             _join(block, bits if stride == 1 else _bits(block), out)
             return
     for slot, row, depth in block:
-        out[slot] = _flat(row.tolist() if isinstance(row, np.ndarray) else row, depth)
+        out[slot] = _flat(row.tolist(), depth)
 
 
 def _join(block: list, bits: np.ndarray, out: list) -> None:
@@ -346,7 +339,7 @@ def dump_doc(doc: dict) -> str:
     """Canonical serialization: sorted keys, two-space indent, one scalar
     per line, ASCII escapes, infinities as ``"infinity"`` strings and a
     trailing newline, written through json's C encoder one container of
-    scalars at a time.  Rows of floats are formatted a block at a time,
+    scalars at a time.  Float64 rows are formatted a block at a time,
     where a block holding repeats formats each distinct double once; the
     bytes are the same either way.  The byte reference is
     ``json.dumps(..., indent=2)`` in
@@ -433,7 +426,8 @@ def space_from_doc(source) -> FiniteMetricSpace:
 
 
 def space_to_doc(space: FiniteMetricSpace) -> dict:
-    return {"labels": list(space.labels), "dist": space.dist.tolist()}
+    """The labels and, as ``"dist"``, the space's own read-only matrix."""
+    return {"labels": list(space.labels), "dist": space.dist}
 
 
 @_kept
@@ -457,6 +451,7 @@ def measure_from_doc(source, space: FiniteMetricSpace | None = None) -> Discrete
 
 
 def measure_to_doc(measure: DiscreteMeasure) -> dict:
+    """The ``space_to_doc`` of its space and the weight of each label."""
     return {"space": space_to_doc(measure.space), "weights": measure.as_dict()}
 
 
@@ -521,10 +516,11 @@ def table_from_doc(
 
 
 def table_to_doc(mech: MechanismTable) -> dict:
+    """The labels and each input's row, a read-only view of ``mech.probs``."""
     return {
         "inputs": list(mech.input_space.labels),
         "outputs": list(mech.output_space.labels),
-        "rows": dict(zip(mech.input_space.labels, mech.probs.tolist())),
+        "rows": dict(zip(mech.input_space.labels, mech.probs)),
     }
 
 

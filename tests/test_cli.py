@@ -936,7 +936,8 @@ class TestMeasureSpace:
         # map's codomain and the measure is validated once per command.
         the_map, measure = grid5_files["map"], grid5_files["measure"]
         if explicit:
-            space = formats.space_to_doc(grid_space(5))
+            space = json.loads(json.dumps(formats.space_to_doc(grid_space(5)),
+                                          default=np.ndarray.tolist))
             docs = [json.loads(Path(path).read_text()) for path in (the_map, measure)]
             docs[0]["domain"] = docs[0]["codomain"] = docs[1]["space"] = space
             the_map = write(grid5_files["dir"], "explicit_map.json", docs[0])

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import jsonable
 from metricdp import (
     CoverHierarchy,
     CoverLevel,
+    FiniteMetricSpace,
     InvalidMetricError,
     SchemaError,
     StructuralError,
@@ -135,7 +137,7 @@ class TestParsedDocumentMemo:
                  "map": formats.map_from_doc, "table": formats._table_rows}
         for name, doc in docs.items():
             path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc, default=np.ndarray.tolist))
             first = loads[name](str(path))
             assert loads[name](str(path)) is first
         # A table is bound to its space on every call, from the kept rows.
@@ -218,7 +220,8 @@ class TestParsedDocumentMemo:
         space = grid_space(3)
         path = tmp_path / "table.json"
         path.write_text(json.dumps(formats.table_to_doc(tabulate(
-            ExpMechParams(base=uniform_measure(space), beta=1.0, query=identity_map(space))))))
+            ExpMechParams(base=uniform_measure(space), beta=1.0, query=identity_map(space)))),
+            default=np.ndarray.tolist))
         table = formats.table_from_doc(str(path), input_space=space)
         again = formats.table_from_doc(str(path), input_space=space)
         assert again is not table and again.input_space is space
@@ -231,7 +234,8 @@ class TestParsedDocumentMemo:
 
     def test_a_measure_naming_its_space_serves_any_supplied_space(self, tmp_path, builds):
         own = tmp_path / "own.json"
-        own.write_text(json.dumps(formats.measure_to_doc(uniform_measure(discrete_space(3)))))
+        own.write_text(json.dumps(formats.measure_to_doc(uniform_measure(discrete_space(3))),
+                                  default=np.ndarray.tolist))
         measure = formats.measure_from_doc(str(own))
         assert formats.measure_from_doc(str(own), space=grid_space(3)) is measure
         bare = tmp_path / "bare.json"
@@ -248,7 +252,7 @@ class TestParsedDocumentMemo:
 
     def test_a_document_naming_another_file_is_kept_while_that_file_is(self, tmp_path, builds):
         space = tmp_path / "space.json"
-        space.write_text(json.dumps(formats.space_to_doc(grid_space(3))))
+        space.write_text(json.dumps(formats.space_to_doc(grid_space(3)), default=np.ndarray.tolist))
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"domain": str(space), "codomain": str(space),
                                     "table": {"0": "0", "0.5": "0.5", "1": "1"}}))
@@ -267,7 +271,7 @@ class TestParsedDocumentMemo:
         index.write_text(json.dumps({"map": str(path)}))
         load = formats._kept(lambda source: formats.map_from_doc(formats.load_doc(source)["map"]))
         assert load(str(index)) is load(str(index))
-        space.write_text(json.dumps(formats.space_to_doc(grid_space(3))))
+        space.write_text(json.dumps(formats.space_to_doc(grid_space(3)), default=np.ndarray.tolist))
         assert load(str(index)).domain.dist[0, 2] == 1.0
 
     def test_a_build_reads_each_file_once(self, tmp_path, monkeypatch):
@@ -275,7 +279,7 @@ class TestParsedDocumentMemo:
         # space file is rewritten once its first text is parsed, and both of
         # the map's spaces still come from that text.
         space = tmp_path / "space.json"
-        old = json.dumps(formats.space_to_doc(grid_space(3)))
+        old = json.dumps(formats.space_to_doc(grid_space(3)), default=np.ndarray.tolist)
         new = json.dumps({"labels": ["0", "0.5", "1"], "dist": [[0, 2, 4], [2, 0, 2], [4, 2, 0]]})
         space.write_text(old)
         path = tmp_path / "map.json"
@@ -642,3 +646,29 @@ class TestHierarchyDocs:
         again = CoverHierarchy(s, [CoverLevel(lv["radius"], tuple(lv["centers"]))
                                    for lv in doc["levels"]])
         assert again.levels == hier.levels
+
+
+class TestWriterMemory:
+    """``dump_doc`` reads a ``*_to_doc`` document's arrays in place: an
+    n=600 space or table peaks at about twice its text, where a nested-list
+    copy of the matrix would add about as much again."""
+
+    @pytest.mark.parametrize("family", ["planar", "grid"])
+    def test_peak_under_two_and_a_half_times_the_text(self, family):
+        if family == "planar":
+            pts = np.random.default_rng(600).uniform(0.0, 0.7, size=(600, 2))
+            diff = pts[:, None, :] - pts[None, :, :]
+            space = FiniteMetricSpace([f"p{i}" for i in range(600)],
+                                      np.sqrt((diff * diff).sum(axis=2)))
+        else:
+            space = grid_space(600)
+        table = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0,
+                                       query=identity_map(space)))
+        for to_doc, obj in ((formats.space_to_doc, space), (formats.table_to_doc, table)):
+            tracemalloc.start()
+            try:
+                text = formats.dump_doc(to_doc(obj))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * len(text), (to_doc.__name__, peak, len(text))

@@ -13,6 +13,7 @@ zeros, rows of nothing but zeros and tiny entries, and exact ties.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from conftest import (
     MATRIX_ENTRIES,
     audit_privacy_loop,
     closure_metric,
+    cloud_metric,
     covering_measure_loop,
     distribution_loop,
     dump_doc_reference,
@@ -991,12 +993,12 @@ DOCS = st.dictionaries(DOC_KEYS, st.recursive(
 
 
 # Documents whose float rows repeat a few values, so the writer formats
-# each distinct double once: a pool holding, among others, 0.0 and -0.0,
-# both infinities, the least subnormal and 1e16, drawn into a matrix (as
-# an array, and as lists of rows with one row emptied or mixing 1 with 1.0
-# or a numpy float with a float) and an exactly symmetric one (as an array
-# and as a dict of rows).  Up to 6,400 cells, so large ones are judged
-# from sampled rows.
+# each distinct double of an array once: a pool holding, among others,
+# 0.0 and -0.0, both infinities, the least subnormal and 1e16, drawn into
+# a matrix (as an array, and as lists of rows with one row emptied or
+# mixing 1 with 1.0 or a numpy float with a float) and an exactly
+# symmetric one (as an array and as a dict of rows).  Up to 6,400 cells,
+# so large ones are judged from sampled rows.
 POOL_FLOATS = FLOATS | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16])
 
 
@@ -1054,15 +1056,16 @@ class TestDumpDocOracle:
         assert first_difference(dump_doc(doc), dump_doc_reference(doc)) is None
 
     def test_past_one_block(self, monkeypatch):
-        """400x400 cells from a 7-value pool: two blocks, each formatting
-        its distinct doubles once, as an array and as lists of rows."""
+        """400x400 cells from a 7-value pool: as an array, two blocks, each
+        formatting its distinct doubles once; as lists of rows, the same
+        bytes from json's encoder, with no block."""
         pool = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 0.1])
         mat = pool[np.random.default_rng(400).integers(0, 7, (400, 400))]
         assert mat.size > _BLOCK_CELLS
-        for doc in ({"m": mat}, {"m": mat.tolist()}):
+        for doc, reprs in (({"m": mat}, 2 * 7), ({"m": mat.tolist()}, 0)):
             calls = repr_calls(monkeypatch)
             assert first_difference(dump_doc(doc), dump_doc_reference(doc)) is None
-            assert len(calls) == 2 * 7
+            assert len(calls) == reprs
 
     def test_one_repr_per_distinct_double_per_block(self, tmp_path, monkeypatch):
         """A seeded 40-point discrete chain: each report's float rows make
@@ -1130,3 +1133,56 @@ class TestDumpDocOracle:
             dump_doc_reference(doc)
         with pytest.raises(ValueError):
             dump_doc(doc)
+
+
+def to_doc_space(family: str, n: int) -> FiniteMetricSpace:
+    """A seeded space of ``family``: planar points, the 1-d grid, the
+    discrete metric, or a line pseudometric whose coordinates repeat."""
+    rng = np.random.default_rng(n)
+    if family == "planar":
+        return FiniteMetricSpace([f"p{i}" for i in range(n)], cloud_metric(rng, n, 0.7))
+    if family == "grid":
+        return grid_space(n)
+    if family == "discrete":
+        return discrete_space(n)
+    return line_space(np.round(rng.uniform(0.0, 1.0, n), 1))
+
+
+class TestToDocOracle:
+    """The ``*_to_doc`` documents hold the objects' own read-only float64
+    arrays, and ``dump_doc`` writes them as the lists their ``tolist``
+    gives.  At n=400 a matrix is past one block of ``_BLOCK_CELLS`` cells,
+    whose rows are judged at a stride."""
+
+    @pytest.mark.parametrize("family, n", [
+        *itertools.product(["planar", "grid", "discrete", "pseudo"], [5, 40]),
+        ("planar", 400), ("grid", 400)])
+    def test_same_bytes_as_the_listed_document(self, family, n):
+        space = to_doc_space(family, n)
+        measure, _ = covering_measure(space)
+        table = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0,
+                                       query=identity_map(space)))
+        for doc in (formats.space_to_doc(space), formats.measure_to_doc(measure),
+                    formats.table_to_doc(table)):
+            listed = json.loads(json.dumps(doc, default=np.ndarray.tolist))
+            text = dump_doc(doc)
+            assert first_difference(text, dump_doc_reference(listed)) is None
+            assert dump_doc(listed) == text
+        if n == 400:  # two blocks, each judged from rows at a stride
+            assert n * n > _BLOCK_CELLS and _BLOCK_CELLS // n * n > formats._SAMPLE
+
+    def test_the_arrays_are_the_objects_own_and_read_only(self):
+        space = to_doc_space("planar", 40)
+        table = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0,
+                                       query=identity_map(space)))
+        dist = formats.space_to_doc(space)["dist"]
+        assert dist is space.dist
+        assert formats.measure_to_doc(uniform_measure(space))["space"]["dist"] is space.dist
+        rows = formats.table_to_doc(table)["rows"]
+        assert list(rows) == space.labels
+        for i, row in enumerate(rows.values()):
+            assert np.shares_memory(row, table.probs)
+            assert np.array_equal(row, table.probs[i])
+        for array in (dist, rows["p0"]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
