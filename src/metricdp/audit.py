@@ -9,8 +9,8 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; twins (inputs
-at distance 0.0) are decided from their rows, and ``_pair_ratios`` only finds
-the witness output.  Every log is ``_ieee._logs``,
+at distance 0.0) are decided from their rows, and the witness output is read
+from the chosen pair by the same rule.  Every log is ``_ieee._logs``,
 fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
 the reported bits are the same on every IEEE host, whatever its libm or SIMD;
 every ball mass is one fixed-order sum per row, ``measures._mass_inside``.
@@ -63,19 +63,6 @@ class UtilityAuditReport:
     per_input_mass: np.ndarray
 
 
-def _pair_ratios(mech, logs, i, j) -> np.ndarray:
-    """Ratios of the pair (i, j), output by output: -inf where the numerator's entry
-    is 0.0, else inf where the denominator's is; for twins, inf where rows differ."""
-    rho = mech.input_space.dist[i, j]
-    if rho == 0.0:
-        return np.where(mech.probs[i] != mech.probs[j], math.inf, -math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (logs[i] - logs[j]) / rho
-    ratio[logs[j] == -math.inf] = math.inf
-    ratio[logs[i] == -math.inf] = -math.inf
-    return ratio
-
-
 def _sweep(mech, logs, stop) -> np.ndarray:
     """Per-pair maxima, -inf for x = z; with ``stop``, rows after the first block
     holding an inf stay at -inf."""
@@ -103,7 +90,8 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
     per pair over blocks of rows, divided once; twins, x = z among them, are inf where
     their rows differ and -inf where they agree.  One argmax gives ``epsilon_max`` and
-    the witness pair, whose first maximizing output ``_pair_ratios`` finds.
+    the witness pair; the same rule, run on that pair's rows alone, gives its first
+    maximizing output.
 
     Every log is ``_logs``, the same bits on every host, and the default report and
     the per-pair matrix run the same reduction; without the matrix it stops after the
@@ -117,7 +105,12 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     pair_max = _sweep(mech, logs, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
-    k = np.argmax(_pair_ratios(mech, logs, i, j))
+    # The chosen pair's first maximizing output, by the sweep's rule for that one pair.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space.dist[i, j] == 0.0:
+            k = np.argmax(mech.probs[i] != mech.probs[j])
+        else:
+            k = np.argmax(np.fmax((logs[i] - logs[j]) / space.dist[i, j], -math.inf))
     live = pair_max[i, j] > -math.inf
     witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
     per_pair = np.where(pair_max > -math.inf, pair_max, 0.0) if include_per_pair else None
