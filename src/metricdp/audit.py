@@ -9,11 +9,12 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum; twins (inputs
-at distance 0.0) are decided from their rows, and the witness output is read
-from the chosen pair by the same rule.  Every log is ``_ieee._logs``,
-fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls, so
-the reported bits are the same on every IEEE host, whatever its libm or SIMD;
-every ball mass is one fixed-order sum per row, ``measures._mass_inside``.
+at distance 0.0) are decided from their rows, inf where x's row exceeds z's.
+The witness output is read from the chosen pair by the same rule.  Every log
+is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of
+numpy ufunc calls, so the reported bits are the same on every IEEE host,
+whatever its libm or SIMD; every ball mass is one fixed-order sum per row,
+``measures._mass_inside``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ class PrivacyAuditReport:
 
     ``epsilon_max`` is inf when some output has positive mass under one
     input and zero under another (no finite epsilon works), or when twins
-    (inputs at distance 0.0) have different rows.  ``witness`` is the
-    first (x, z, y) triple in label order attaining the maximum, None when
-    there is no constraint at all (single-input spaces).  ``per_pair_max``
-    is the optional matrix of per-(x, z) maxima in label order: 0 where a
-    pair constrains nothing, inf where twins' rows differ.  Asking for it
+    (inputs at distance 0.0) have different rows: the ordered twin pair
+    (x, z) is inf where x's row exceeds z's at some output.  ``witness`` is
+    the first (x, z, y) triple in label order attaining the maximum, None
+    when there is no constraint at all (single-input spaces); for twins,
+    P[x->y] > P[z->y].  ``per_pair_max`` is the optional matrix of per-(x, z)
+    maxima in label order: 0 where a pair constrains nothing.  Asking for it
     changes neither ``epsilon_max`` nor ``witness``.
     """
 
@@ -75,9 +77,10 @@ def _sweep(mech, logs, stop) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             top = np.fmax.reduce(logs[block, :, None] - lt, axis=1, initial=-math.inf)
             pair_max[block] = top / dist[block]
-        # Twins, x = z among them (the diagonal is 0.0): inf where their rows differ.
+        # Twins, x = z among them (the diagonal is 0.0): inf where x's row exceeds z's
+        # at some output, compared as probabilities, since two tiny ones can share a log.
         a, b = np.nonzero(dist[block] == 0.0)
-        pair_max[a + r0, b] = np.where((mech.probs[a + r0] != mech.probs[b]).any(axis=1), math.inf, -math.inf)
+        pair_max[a + r0, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
         if stop and (pair_max[block] == math.inf).any():
             break
     return pair_max
@@ -89,9 +92,9 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     Fills the matrix of per-pair maxima of (ln rows[x][y] - ln rows[z][y]) / dist(x, z)
     over single outputs y, -inf where a pair constrains nothing: one max-plus reduction
     per pair over blocks of rows, divided once; twins, x = z among them, are inf where
-    their rows differ and -inf where they agree.  One argmax gives ``epsilon_max`` and
-    the witness pair; the same rule, run on that pair's rows alone, gives its first
-    maximizing output.
+    x's row exceeds z's at some output and -inf where it nowhere does.  One argmax
+    gives ``epsilon_max`` and the witness pair; the same rule, run on that pair's rows
+    alone, gives its first maximizing output.
 
     Every log is ``_logs``, the same bits on every host, and the default report and
     the per-pair matrix run the same reduction; without the matrix it stops after the
@@ -108,7 +111,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     # The chosen pair's first maximizing output, by the sweep's rule for that one pair.
     with np.errstate(over="ignore", invalid="ignore"):
         if space.dist[i, j] == 0.0:
-            k = np.argmax(mech.probs[i] != mech.probs[j])
+            k = np.argmax(mech.probs[i] > mech.probs[j])
         else:
             k = np.argmax(np.fmax((logs[i] - logs[j]) / space.dist[i, j], -math.inf))
     live = pair_max[i, j] > -math.inf

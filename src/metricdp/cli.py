@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True, help="input space file (supplies the metric)")
     sp.add_argument("--per-pair", action="store_true",
                     help="add the full per-pair maxima matrix (0 where a pair constrains "
-                         "nothing, inf where zero-distance rows differ); epsilon_max and "
-                         "witness are unchanged")
+                         "nothing, inf where x's row exceeds its zero-distance twin z's); "
+                         "epsilon_max and witness are unchanged")
     sp.add_argument("--threshold", type=_float, help="pass iff epsilon_max <= threshold")
 
     sp = cmd("audit-utility", "worst-case in-ball mass at radius gamma", cmd_audit_utility)

@@ -7,9 +7,10 @@ command-line tool are wrapped in a report envelope ({"command", "version",
 written by one command can feed the next.
 
 Malformed documents (wrong JSON shape, missing keys, a number too large
-for a double) raise SchemaError.  Well-formed documents describing invalid
-objects (a matrix violating the triangle inequality, rows that do not sum
-to 1) raise the domain errors of the module that owns the object.
+for a double, a table label list with a repeat) raise SchemaError.
+Well-formed documents describing invalid objects (a matrix violating the
+triangle inequality, rows that do not sum to 1) raise the domain errors of
+the module that owns the object.
 
 ``space_from_doc`` is the one loader of space documents.  It builds a
 generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
@@ -479,6 +480,8 @@ def _table_rows(source) -> tuple:
     for name, val in (("inputs", inputs), ("outputs", outputs)):
         if not isinstance(val, list) or not val or not all(isinstance(x, str) for x in val):
             raise SchemaError(f"table {name} must be a nonempty list of strings")
+        if len(set(val)) != len(val):
+            raise SchemaError(f"table {name} must not repeat a label")
     if not isinstance(rows, dict):
         raise SchemaError("table rows must be an object mapping input label to a row")
     missing = [x for x in inputs if x not in rows]

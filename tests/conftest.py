@@ -559,7 +559,7 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
     output label, in (i, j, k) order.  A pair's value is its largest log
     difference divided once by its distance; its witness output is the
     first with the largest per-output ratio.  A zero-distance pair's ratio
-    is inf where its rows differ and -inf where they agree.  Without
+    is inf where x's entry exceeds z's and -inf elsewhere.  Without
     per-pair maxima the audit ends after the first row whose maximum is inf."""
     space = mech.input_space
     labels = space.labels
@@ -580,7 +580,7 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
             for k in range(probs.shape[1]):
                 a, b = probs[i, k], probs[j, k]
                 if rho == 0.0:
-                    diff = math.inf if a != b else -math.inf
+                    diff = math.inf if a > b else -math.inf
                 elif a == 0.0:
                     diff = -math.inf  # zero numerator never binds
                 elif b == 0.0:

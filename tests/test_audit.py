@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_near_fsum,
+    audit_privacy_loop,
     check_em_inequalities,
     cycle_space,
     hamming_cube,
@@ -131,6 +132,28 @@ def x3_mech(beta=1.0):
     return tabulate(params), params
 
 
+@st.composite
+def twin_tables(draw):
+    """A table over a line pseudometric with twins: each row is uniform, a copy
+    of an earlier twin's row, or seeded weights with some entries exactly 0.0."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    coords = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["uniform", "copy", "weights"]))
+        twins = [j for j in range(i) if coords[j] == coords[i]]
+        if kind == "uniform":
+            rows.append(np.full(m, 1.0 / m))
+        elif kind == "copy" and twins:
+            rows.append(rows[draw(st.sampled_from(twins))])
+        else:
+            w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                                       min_size=m, max_size=m)))
+            w[draw(st.integers(0, m - 1))] += w.sum() == 0.0
+            rows.append(w / w.sum())
+    return MechanismTable(line_space(coords), line_space(np.arange(m, dtype=float)), np.array(rows))
+
+
 class TestAuditPrivacy:
     def test_beta_zero_is_perfectly_private(self):
         mech, _ = x3_mech(beta=0.0)
@@ -158,6 +181,24 @@ class TestAuditPrivacy:
         rep = audit_privacy(mech)
         assert rep.epsilon_max == math.inf
         assert rep.witness[:2] == ("a", "b")
+
+    def test_zero_distance_witness_is_where_x_has_more_mass(self):
+        # P[a->0] = 0.4 < P[b->0] = 0.5 witnesses nothing; P[a->1] > P[b->1] does.
+        pseudo = FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
+        mech = MechanismTable(pseudo, grid_space(2), [[0.4, 0.6], [0.5, 0.5]])
+        rep = audit_privacy(mech)
+        assert rep.epsilon_max == math.inf
+        assert rep.witness == ("a", "b", "1")
+
+    def test_zero_distance_pair_below_its_twin_everywhere(self):
+        # Rows sum to one within a tolerance, so a's row may lie at or below
+        # b's at every output: the pair (a, b) constrains nothing, (b, a) is inf.
+        pseudo = FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
+        mech = MechanismTable(pseudo, grid_space(2), [[0.5, 0.5 - 1e-12], [0.5, 0.5]])
+        rep = audit_privacy(mech, include_per_pair=True)
+        assert rep.epsilon_max == math.inf
+        assert rep.witness == ("b", "a", "1")
+        assert rep.per_pair_max.tolist() == [[0.0, 0.0], [math.inf, 0.0]]
 
     def test_zero_distance_pair_with_equal_rows_is_ignored(self):
         pseudo = FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
@@ -200,6 +241,25 @@ class TestAuditPrivacy:
             k = cod.index_of(y)
             ratio = (math.log(mech.probs[i, k]) - math.log(mech.probs[j, k]))
             assert ratio / dom.dist[i, j] == pytest.approx(rep.epsilon_max)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(twin_tables())
+    def test_every_witness_is_checkable(self, mech):
+        # A finite epsilon is the witness's own ratio; an infinite one is a
+        # twin pair where x has more mass at y, or mass against an exact zero.
+        rep = audit_privacy(mech)
+        assert rep.epsilon_max == audit_privacy_loop(mech).epsilon_max
+        if rep.witness is None:
+            assert rep.epsilon_max == 0.0
+            return
+        x, z, y = rep.witness
+        space = mech.input_space
+        i, j, k = space.index_of(x), space.index_of(z), mech.output_space.index_of(y)
+        p, q, rho = mech.probs[i, k], mech.probs[j, k], space.dist[i, j]
+        if rep.epsilon_max == math.inf:
+            assert (rho == 0.0 and p > q) or p > 0.0 == q
+        else:
+            assert rep.epsilon_max == (log_scalar(p) - log_scalar(q)) / rho
 
     def test_peak_memory_is_a_few_tables(self):
         # The audit holds the logs, their transpose, the pair matrix and one
@@ -251,6 +311,8 @@ LOG_INPUTS = st.one_of(st.just(5e-324),
 ONE_BITS = int(np.array(1.0).view(np.uint64))
 # sha256 of the kernel's little-endian output on seeded_log_inputs().
 LOG_DIGEST = "0cf2c019057d7cf8cf66dcb0a846c2b0e8f6cf5c7a06b5545337fd2e46426fb1"
+# sha256 of seeded_audit_digest's reports.
+AUDIT_DIGEST = "51c6a203348ccbb2e05ab4717dfca72402fa84be4e2b898717da6638b0573cc1"
 
 
 def seeded_log_inputs() -> np.ndarray:
@@ -318,6 +380,48 @@ class TestLogKernel:
         # arithmetic differs anywhere changes this digest.
         logs = audit._logs(seeded_log_inputs()).astype("<f8")
         assert hashlib.sha256(logs.tobytes()).hexdigest() == LOG_DIGEST
+
+
+def seeded_audit_tables():
+    """Tables built without exp: integer weights over their integer row sum,
+    some exactly 0, on line inputs with integer coordinates and twins (some
+    sharing a row) and on grid inputs."""
+    rng = np.random.default_rng(33)
+    for k in range(16):
+        n, m = int(rng.integers(2, 41)), int(rng.integers(1, 41))
+        w = rng.integers(1, 50, size=(n, m))
+        w[rng.random((n, m)) < (0.0, 0.02, 0.2, 0.5)[k % 4]] = 0
+        w[np.arange(n), rng.integers(0, m, size=n)] += 1
+        coords = rng.integers(0, n, size=n)
+        if k % 2:
+            first = [coords.tolist().index(c) for c in coords.tolist()]
+            w = np.where((rng.random(n) < 0.5)[:, None], w[first], w)
+        domain = line_space(coords) if k % 2 else grid_space(n)
+        yield MechanismTable(domain, grid_space(m), w / w.sum(axis=1, keepdims=True))
+
+
+def seeded_audit_digest() -> str:
+    """sha256 of each seeded table's epsilon_max, per_pair_max and witness."""
+    h = hashlib.sha256()
+    for mech in seeded_audit_tables():
+        rep = audit_privacy(mech, include_per_pair=True)
+        h.update(np.append(rep.per_pair_max, rep.epsilon_max).astype("<f8").tobytes())
+        h.update(repr(rep.witness).encode())
+    return h.hexdigest()
+
+
+class TestAuditDigest:
+    """Pinned: the audit's epsilon, witness and per-pair maxima have the same
+    bits on every IEEE host.  CI runs this class on macOS too."""
+
+    def test_golden_digest(self):
+        assert seeded_audit_digest() == AUDIT_DIGEST
+
+    def test_the_tables_cover_every_case(self):
+        reports = [audit_privacy(mech, include_per_pair=True) for mech in seeded_audit_tables()]
+        values = np.concatenate([rep.per_pair_max.ravel() for rep in reports])
+        assert np.isinf(values).any() and (np.isfinite(values) & (values > 0)).any()
+        assert any(rep.epsilon_max < math.inf for rep in reports)
 
 
 UNDERFLOW = pytest.mark.xfail(

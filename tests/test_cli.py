@@ -1102,6 +1102,18 @@ class TestMalformedDocuments:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["audit-privacy", "--mech", "bad.json", "--space", "space"],
+        ["audit-utility", "--mech", "bad.json", "--map", "map", "--gamma", "0.5"],
+        ["lower-bound", "--mech", "bad.json", "--map", "map", "--centers", "0,1", "--r", "0.1"],
+    ])
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_repeated_table_labels_exit_2(self, capsys, grid5_files, key, argv):
+        labels = {"inputs": GRID5 + ["0"], "outputs": GRID5[:4] + ["0"]}[key]
+        doc = {"inputs": GRID5, "outputs": GRID5, key: labels,
+               "rows": {x: [0.2] * 5 for x in GRID5}}
+        self.test_exits_2(capsys, grid5_files, doc, argv, f"table {key} must not repeat a label")
+
 
 def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
     # Every line of the README's command block exits 0 on the files it

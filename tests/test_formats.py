@@ -622,6 +622,16 @@ class TestTableDocs:
         with pytest.raises(SchemaError, match=f"table {key} must be a nonempty list"):
             formats.table_from_doc(doc, grid_space(1))
 
+    @pytest.mark.parametrize("output_space", [None, grid_space(2)])
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_repeated_labels(self, key, output_space):
+        # A repeated output label is rejected before the placeholder output
+        # space is built, so every reader gives the same schema error.
+        doc = {"inputs": ["0", "1"], "outputs": ["0", "1"],
+               "rows": {"0": [0.5, 0.5], "1": [0.5, 0.5]}, key: ["0", "1", "0"]}
+        with pytest.raises(SchemaError, match=f"table {key} must not repeat a label"):
+            formats.table_from_doc(doc, grid_space(2), output_space)
+
     def test_ragged_rows(self):
         doc = formats.table_to_doc(self.make_mech())
         doc["rows"]["0"] = [1.0]

@@ -478,8 +478,8 @@ class TestAuditPrivacyOracle:
 
     def test_distance_below_zero_with_a_floored_entry(self):
         # b is given within METRIC_TOL below zero from a, so the space
-        # stores 0.0 and a, b are twins; their rows differ first at x0
-        # (b's row also gives x1 zero mass), so the pair is inf there.
+        # stores 0.0 and a, b are twins; a's row exceeds b's only at x1
+        # (where b gives zero mass), so the pair (a, b) is inf there.
         space = FiniteMetricSpace(["a", "b", "c"], [[0.0, -5e-13, 1.0],
                                                     [-5e-13, 0.0, 1.0],
                                                     [1.0, 1.0, 0.0]])
@@ -488,7 +488,7 @@ class TestAuditPrivacyOracle:
         assert_same_audit(mech)
         report = audit_privacy(mech, include_per_pair=True)
         assert report.epsilon_max == math.inf
-        assert report.witness == ("a", "b", "x0")
+        assert report.witness == ("a", "b", "x1")
         assert report.per_pair_max[0, 1] == math.inf
 
     @pytest.mark.parametrize("seed", [0, 1])
