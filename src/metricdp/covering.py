@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .measures import DiscreteMeasure
-from .spaces import METRIC_TOL, FiniteMetricSpace
+from .spaces import _BLOCK_CELLS, METRIC_TOL, FiniteMetricSpace
 
 # Level i packs at 2^-(i+1); past this depth that radius underflows to 0.
 _MAX_DEPTH = 1073
@@ -54,13 +54,16 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
 
 def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     """Positions in ``centers`` (point indices of ``space``, repeats
-    allowed) kept by one greedy pass: a center is kept iff its closed
-    ``radius``-ball shares no point with the balls kept before it.  Each
-    center's ball becomes one Python int, bit j set iff point j is in it,
-    as the scan reaches it, so a step is one ``&`` and one ``|`` of ints,
-    not numpy calls.  A repeated center's ball meets the union once its
-    first copy is scanned, kept or not, so no repeat is kept."""
-    balls = space.dist[np.asarray(centers, dtype=np.intp)] <= radius
+    allowed; None for every point in label order) kept by one greedy pass:
+    a center is kept iff its closed ``radius``-ball shares no point with
+    the balls kept before it.  Each center's ball becomes one Python int,
+    bit j set iff point j is in it, as the scan reaches it, so a step is
+    one ``&`` and one ``|`` of ints, not numpy calls.  A repeated center's
+    ball meets the union once its first copy is scanned, kept or not, so
+    no repeat is kept.  A scan of every point compares the matrix in
+    place, with no gathered copy of its rows."""
+    rows = space.dist if centers is None else space.dist[np.asarray(centers, dtype=np.intp)]
+    balls = rows <= radius
     data = np.packbits(balls, axis=1, bitorder="little").tobytes()
     width = (len(space) + 7) // 8  # bytes per packed row
     covered, kept = 0, []  # covered: the union of kept balls
@@ -86,14 +89,19 @@ def _packings(space: FiniteMetricSpace, radii, least) -> list:
         first = twins.argmax(axis=1)  # each point's first twin: itself at the latest
         if np.array_equal(twins[first], twins):
             firsts = np.flatnonzero(first == np.arange(len(space))).tolist()
-    return [firsts if r < cut and firsts is not None else _disjoint_scan(space, range(len(space)), r)
+    return [firsts if r < cut and firsts is not None else _disjoint_scan(space, None, r)
             for r in radii]
 
 
 def _uncovered(space: FiniteMetricSpace, idx, radius) -> list:
     """Labels outside every closed ``radius``-ball around the points at
-    indices ``idx`` (with METRIC_TOL slack), in label order."""
-    covered = (space.dist[idx] <= radius + METRIC_TOL).any(axis=0)
+    indices ``idx`` (with METRIC_TOL slack), in label order.  The centers'
+    rows are read in blocks of at most ``_BLOCK_CELLS`` cells, never all
+    at once."""
+    idx, covered = np.asarray(idx, dtype=np.intp), np.zeros(len(space), dtype=bool)
+    step = max(1, _BLOCK_CELLS // len(space))
+    for c0 in range(0, len(idx), step):
+        covered |= (space.dist[idx[c0:c0 + step]] <= radius + METRIC_TOL).any(axis=0)
     return [space.labels[i] for i in np.flatnonzero(~covered)]
 
 

@@ -15,7 +15,13 @@ the report.  A matrix whose largest entry is at most twice its least
 off-diagonal entry, plus METRIC_TOL, skips the pass: no two-step path is
 shorter than twice that entry, so the pass could flag nothing.  The
 discrete metric is one, as is any matrix whose off-diagonal entries lie
-within a factor of two of each other.
+within a factor of two of each other.  An exactly symmetric matrix of
+modest scale that is, within rounding, the distance matrix of points in
+a Euclidean space of rank at most n/8 skips it too: the check builds
+float coordinates from the matrix, recomputes every distance from them
+in O(n^2·r), and skips the pass when the misfit is too small for any
+triangle to exceed METRIC_TOL (see :func:`_euclidean`).  Planar points
+and a shuffled 1-D grid are such matrices.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ METRIC_TOL = 1e-12
 # Cells of scratch a blocked reduction fills at a time (1 MB), or one row of
 # it if that is larger.
 _BLOCK_CELLS = 1 << 17
+
+# Unit roundoff of a double.
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -81,12 +90,14 @@ def validate_metric(dist) -> MetricValidationReport:
     points at distance zero are allowed: definiteness is not an axiom here.
 
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
-    reduction over the pairs i <= k, unless the matrix is near-equilateral
-    (see :func:`_triangle_rows`), when the triangle inequality is certified
-    in O(n^2).  Memory is one float copy of the matrix plus a tile buffer
-    of at most 1 MB.  Only the points that pass flags are enumerated triple
-    by triple, so the report, its order and details are those of a scalar
-    loop over every (i, k, j).
+    reduction over the pairs i <= k, unless the matrix is near-equilateral,
+    when it is certified in O(n^2), or Euclidean within rounding, when it
+    is certified in O(n^2·r) from the rank-r points it implies (see
+    :func:`_triangle_rows`).  Memory is one float copy of the matrix plus a
+    tile buffer of at most 1 MB, and for the certificate its coordinates,
+    at most n^2 bytes.  Only the points that pass flags are enumerated
+    triple by triple, so the report, its order and details are those of a
+    scalar loop over every (i, k, j).
 
     Raises
     ------
@@ -152,14 +163,18 @@ def _triangle_rows(mat, low) -> list:
     fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is monotone, so no
     pair's larger entry exceeds its least sum plus METRIC_TOL.  The bound
     is taken in Python floats, where 2m past the float maximum is +inf
-    without a warning.
+    without a warning.  Nor does one run when :func:`_euclidean` certifies
+    the matrix from the points it implies.
     """
     n = mat.shape[0]
     if n < 3:
         return []
     np.fill_diagonal(low, np.inf)
     least = float(low.min())
-    if float(mat.max()) <= (least + least) + METRIC_TOL:
+    top = float(mat.max())
+    if top <= (least + least) + METRIC_TOL:
+        return []
+    if _euclidean(mat, max(top, -float(mat.min()))):
         return []
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
@@ -172,13 +187,127 @@ def _triangle_rows(mat, low) -> list:
                 c1 = min(c0 + width, n)
                 tile = buf[: (r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
                 np.add(low[r0:r1, None, :], low[None, c0:c1, :], out=tile)
-                least = tile.min(axis=2)
+                # fmin skips min's NaN check; no tile holds a NaN (entries
+                # are finite, the diagonal +inf), so the bits are min's.
+                least = np.fmin.reduce(tile, axis=2)
                 least += METRIC_TOL
                 bad = np.maximum(mat[r0:r1, c0:c1], mat[c0:c1, r0:r1].T) > least
                 np.fill_diagonal(bad[c0 - r0:], False)  # k = i
                 flagged[r0:r1] |= bad.any(axis=1)
                 flagged[c0:c1] |= bad.any(axis=0)
     return np.flatnonzero(flagged).tolist()
+
+
+def _euclidean(mat, s) -> bool:
+    """True when no triangle of ``mat`` can exceed METRIC_TOL: the matrix
+    lies so close to the distances of some float points that the pass of
+    :func:`_triangle_rows` could flag nothing.  ``s`` is the largest
+    |entry|.  O(n·r^2 + n^2·r) for points of rank r, in elementwise numpy.
+
+    Only an exactly symmetric matrix with 6u·s <= METRIC_TOL (u = 2^-53,
+    s up to about 1.5e3) is tried.  :func:`_coordinates` builds float
+    points x_i from it, and :func:`_misfit` recomputes their distances
+    Ê[i, k] = fl(sqrt(sum_c fl(fl(x_ic - x_kc)^2))), summed in order c, to
+    give η̂ = max |mat - Ê| off the diagonal and M = max Ê.  The exact
+    distances E of the points are a metric, so with η = max |mat - E|,
+    every triangle has mat[i][k] <= mat[i][j] + mat[j][k] + 3η.
+
+    In the standard model (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), the difference, square and r - 1 additions give
+    the sum under the root a relative error of at most γ_{r+2}; the root
+    halves it and rounds once more, so |Ê - E| <= (r + 4)/2 · u · E to
+    first order.  The higher-order terms, E <= M(1 + O(ru)) among them,
+    stay below u·M/2 while (r + 4)^2 · u < 2^-18, that is for r under the
+    cap n // 8 at any n below 2^20.  A square that underflows is off by at
+    most 2^-1075, which moves the root by at most sqrt(r · 2^-1075) <=
+    r · 2^-536.  So η <= η̂ + e with e = (r + 5)/2 · u · M + r · 2^-536.
+
+    The pass compares mat[i][k] with fl(fl(a + b) + METRIC_TOL), a and b
+    the entries via j.  Its two roundings cost at most u|a + b| +
+    u(2s(1 + u) + METRIC_TOL) <= 6u·s' with s' = max(s, METRIC_TOL), so
+    the pass can flag no pair when 3(η̂ + e) + 6u·s' <= METRIC_TOL.  That
+    sum is taken in floats, six roundings of nonnegative terms, and held
+    to METRIC_TOL·(1 - 2^-45), which absorbs them.
+    """
+    n = len(mat)
+    s = max(s, METRIC_TOL)
+    if 6.0 * _U * s > METRIC_TOL:
+        return False
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):  # exact symmetry, row blocks of at most _BLOCK_CELLS cells
+        if not np.array_equal(mat[r0:r0 + step], mat[:, r0:r0 + step].T):
+            return False
+    cols = _coordinates(mat, s, n // 8)
+    fit = None if cols is None else _misfit(mat, cols)
+    if fit is None:
+        return False
+    r, (eta, top) = len(cols), fit
+    e = (r + 5) * 0.5 * _U * top + r * 2.0**-536
+    return 3.0 * (eta + e) + 6.0 * _U * s <= METRIC_TOL * (1.0 - 2.0**-45)
+
+
+def _coordinates(mat, s, cap):
+    """Coordinate columns of points whose distances approximate the
+    exactly symmetric ``mat``, or None past ``cap`` columns.
+
+    Point 0 is the origin, and G[i, k] = (d0i^2 + d0k^2 - dik^2) / 2 is
+    the Gram matrix of the points.  Pivoted Cholesky takes, at each step,
+    the point p farthest from the span of the columns so far (the largest
+    residual G[p, p] - sum_c x_pc^2), and stops once that residual is at
+    most the Gram noise floor 16·n·u·s^2.  Each step reads one row of
+    ``mat``, so a rank-r space costs O(n·r^2) and r + 3 vectors of n.
+    """
+    n = len(mat)
+    origin = mat[0] * mat[0]
+    origin[0] = 0.0
+    resid = origin.copy()
+    floor = 16.0 * n * _U * s * s
+    cols = []
+    while True:
+        p = int(resid.argmax())
+        if not resid[p] > floor:
+            return cols
+        if len(cols) == cap:
+            return None
+        col = mat[p] * mat[p]
+        np.subtract(origin + origin[p], col, out=col)
+        col *= 0.5
+        for c in cols:
+            col -= c * c[p]
+        col /= math.sqrt(resid[p])
+        cols.append(col)
+        resid -= col * col
+
+
+def _misfit(mat, cols):
+    """(η̂, M) for the points with coordinate columns ``cols``: the largest
+    |mat[i][k] - Ê[i, k]| off the diagonal and the largest Ê, or None once
+    3η̂ exceeds METRIC_TOL.  Only k >= i is computed, as Ê and ``mat`` are
+    both exactly symmetric, in row blocks whose two buffers fill at most
+    ``_BLOCK_CELLS`` cells, or two rows of n."""
+    n = len(mat)
+    rows = max(1, _BLOCK_CELLS // (2 * n))
+    buf = np.empty(2 * rows * n)
+    eta = top = 0.0
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        cells = (r1 - r0) * (n - r0)
+        acc = buf[:cells].reshape(r1 - r0, n - r0)
+        term = buf[rows * n : rows * n + cells].reshape(r1 - r0, n - r0)
+        acc.fill(0.0)
+        for c in cols:
+            np.subtract(c[r0:r1, None], c[None, r0:], out=term)
+            term *= term
+            acc += term
+        np.sqrt(acc, out=acc)
+        top = max(top, float(acc.max()))
+        acc -= mat[r0:r1, r0:]
+        np.abs(acc, out=acc)
+        np.fill_diagonal(acc, 0.0)
+        eta = max(eta, float(acc.max()))
+        if 3.0 * eta > METRIC_TOL:
+            return None
+    return eta, top
 
 
 class FiniteMetricSpace:

@@ -71,7 +71,7 @@ from metricdp import (
 )
 from metricdp import audit, cli, covering, formats
 from metricdp.formats import dump_doc
-from metricdp.spaces import _BLOCK_CELLS, _triangle_rows
+from metricdp.spaces import _BLOCK_CELLS, _euclidean, _triangle_rows
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -376,6 +376,96 @@ class TestTriangleCertificate:
             assert bool(adds) == runs
             assert got == validate_metric_loop(mat)
             assert got.ok != runs  # dist[1][2] beats its path through any point
+
+
+@st.composite
+def point_clouds(draw):
+    """Distances of 3 to 40 seeded points in 1 to 4 dimensions, coordinates
+    in [-1, 1] times 2^e for e in [-30, 10], with shapes that stress the
+    coordinates the certificate builds: every third point a twin, a
+    collinear run between points 0 and 1, or a twin pair set apart by a
+    subnormal entry.  One symmetric pair may then move by k·METRIC_TOL/4,
+    k in [-8, 8], or by up to three ulps either way."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.sampled_from(range(3, 41)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, dim)) * 2.0 ** draw(st.sampled_from(range(-30, 11)))
+    shape = draw(st.sampled_from(["plain", "twins", "collinear", "subnormal"]))
+    if shape in ("twins", "subnormal"):
+        pts[1::3] = pts[0:-1:3][: len(pts[1::3])]
+    elif shape == "collinear":
+        run = rng.uniform(-0.5, 1.5, size=(n - 2, 1))
+        pts[2:] = pts[0] + run * (pts[1] - pts[0])
+    diff = pts[:, None, :] - pts[None, :, :]
+    mat = np.sqrt((diff * diff).sum(axis=2))
+    if shape == "subnormal":
+        mat[0, 1] = mat[1, 0] = 1e-310
+    move = draw(st.sampled_from(["none", "tolerance", "ulps"]))
+    if move != "none":
+        i, k = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+        if move == "tolerance":
+            entry = mat[i, k] + draw(st.integers(-8, 8)) * METRIC_TOL / 4
+        else:
+            steps = draw(st.integers(-3, 3))
+            entry = mat[i, k]
+            for _ in range(abs(steps)):
+                entry = math.nextafter(entry, math.copysign(math.inf, steps))
+        mat[i, k] = mat[k, i] = entry
+    return mat
+
+
+class TestEuclideanCertificate:
+    """An exactly symmetric matrix within 3η of the distances of float
+    points (see ``spaces._euclidean``) skips the pass, and the report is
+    still the loop's: the certificate never accepts a matrix with a
+    triangle the pass would flag."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_clouds())
+    def test_point_clouds(self, mat):
+        got = validate_metric(mat)
+        with np.errstate(over="ignore"):
+            want = validate_metric_loop(mat)
+        assert got == want
+        if _euclidean(mat, float(np.abs(mat).max())):
+            assert not any(v.axiom == "triangle" for v in want.violations)
+
+    @pytest.mark.parametrize("n", [96, 400])
+    def test_which_inputs_reach_a_tile(self, n, monkeypatch):
+        """Planar, 1-D and 3-D clouds, and a planar one with a pair moved
+        by METRIC_TOL/4, are certified; an ℓ1 grid and a shortest-path
+        closure are not Euclidean, an in-band asymmetric twin is not
+        exactly symmetric, and a pair moved by METRIC_TOL/2 or scaled by
+        3 is too far from any cloud: those reach a tile."""
+        rng = np.random.default_rng(n)
+
+        def cloud(dim):
+            pts = rng.uniform(size=(n, dim))
+            diff = pts[:, None, :] - pts[None, :, :]
+            return np.sqrt((diff * diff).sum(axis=2))
+
+        def moved(by):
+            mat = cloud(2)
+            mat[5, 9] = mat[9, 5] = mat[5, 9] * by[0] + by[1]
+            return mat
+
+        twin = cloud(2)
+        upper = np.triu_indices(n, 1)
+        twin[upper] = np.nextafter(twin[upper], math.inf)
+        x, y = np.divmod(np.arange(n), 8 if n == 96 else 20)
+        l1 = np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])
+        cases = [("planar", cloud(2), False), ("1-D", cloud(1), False), ("3-D", cloud(3), False),
+                 ("moved by TOL/4", moved((1.0, METRIC_TOL / 4)), False),
+                 ("moved by TOL/2", moved((1.0, METRIC_TOL / 2)), True),
+                 ("l1 grid", l1.astype(float), True), ("closure", closure_metric(rng, n), True),
+                 ("in-band asymmetric twin", twin, True), ("one violation", moved((3.0, 0.0)), True)]
+        adds, add = [], np.add
+        monkeypatch.setattr(np, "add", lambda *args, **kw: adds.append(1) or add(*args, **kw))
+        for name, mat, tiled in cases:
+            adds.clear()
+            report = validate_metric(mat)
+            assert bool(adds) == tiled, name
+            assert report.ok == (name != "one violation"), name
 
 
 class TestAuditPrivacyOracle:

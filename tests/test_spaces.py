@@ -98,16 +98,20 @@ class TestValidateMetric:
         check, over row blocks of at most one tile, no more.  At n=600 the
         per-point slabs the triangle pass replaced peaked at 6.9 MB, about
         2.4 copies; it peaks at 4.0 MB.  At n=1000 a symmetry check over
-        the whole matrix peaked at 11.0 MB, 1.375 copies; it peaks at 9.1 MB."""
-        for n in (600, 1000):
-            d = cloud_metric(np.random.default_rng(5), n)
+        the whole matrix peaked at 11.0 MB, 1.375 copies; it peaks at 9.1 MB.
+        A cloud is certified from its coordinates instead, whose columns
+        and two row-block buffers fit the same allowance (4.1 MB at n=600).
+        The closure metric is not Euclidean: its certificate stops at the
+        first row block, and it takes the pass (4.2 MB)."""
+        for make, n in ((cloud_metric, 600), (cloud_metric, 1000), (closure_metric, 600)):
+            d = make(np.random.default_rng(5), n)
             tracemalloc.start()
             try:
                 assert validate_metric(d).ok
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n, n
+            assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n, (make.__name__, n)
 
     @pytest.mark.parametrize("case", ["violation", "in-band twin", "twin with a violation"])
     def test_peak_memory_on_the_error_paths(self, case):
