@@ -8,13 +8,15 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 (mediant inequality), so the singleton maximum already dominates every
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
-over blocks of rows that stop at the first infinite maximum; twins (inputs
-at distance 0.0) are decided from their rows, inf where x's row exceeds z's.
+over blocks of rows that stop at the first infinite maximum: one buffer,
+allocated once, takes each block's logs, the other rows' logs are subtracted
+in place and the reduction writes into the pair matrix.  Twins (inputs at
+distance 0.0) are decided from their rows, inf where x's row exceeds z's.
 The witness output is read from the chosen pair by the same rule.  Every log
 is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of
-numpy ufunc calls, so the reported bits are the same on every IEEE host,
-whatever its libm or SIMD; every ball mass is one fixed-order sum per row,
-``measures._mass_inside``.
+in-place numpy ufunc calls, so the reported bits are the same on every IEEE
+host, whatever its libm or SIMD; every ball mass is one fixed-order sum per
+row, ``measures._mass_inside``.
 """
 
 from __future__ import annotations
@@ -67,21 +69,28 @@ class UtilityAuditReport:
 
 def _sweep(mech, logs, stop) -> np.ndarray:
     """Per-pair maxima, -inf for x = z; with ``stop``, rows after the first block
-    holding an inf stay at -inf."""
+    holding an inf stay at -inf.  Each block of x rows fills one reused
+    (rows, m, n) buffer with logs[x, y], subtracts logs[z, y] in place and
+    reduces over y into the pair matrix, which it then divides in place."""
     dist, lt = mech.input_space.dist, np.ascontiguousarray(logs.T)
-    pair_max, step = np.full(dist.shape, -math.inf), max(1, _BLOCK_CELLS // logs.size)
-    for r0 in range(0, len(logs), step):
+    (n, m), step = logs.shape, max(1, _BLOCK_CELLS // logs.size)
+    pair_max, buf = np.full(dist.shape, -math.inf), np.empty((min(step, n), m, n))
+    for r0 in range(0, n, step):
         block = slice(r0, r0 + step)
+        top = pair_max[block]
+        diff = buf[:len(top)]
+        np.copyto(diff, logs[block, :, None])
         # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
         # skips it); a near-zero distance overflows the quotient to inf, the exact value.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            top = np.fmax.reduce(logs[block, :, None] - lt, axis=1, initial=-math.inf)
-            pair_max[block] = top / dist[block]
+            diff -= lt
+            np.fmax.reduce(diff, axis=1, initial=-math.inf, out=top)
+            top /= dist[block]
         # Twins, x = z among them (the diagonal is 0.0): inf where x's row exceeds z's
         # at some output, compared as probabilities, since two tiny ones can share a log.
         a, b = np.nonzero(dist[block] == 0.0)
         pair_max[a + r0, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
-        if stop and (pair_max[block] == math.inf).any():
+        if stop and (top == math.inf).any():
             break
     return pair_max
 

@@ -82,12 +82,15 @@ def _packings(space: FiniteMetricSpace, radii, least) -> list:
     row equals its first twin's, being twins is an equivalence whose classes
     are those rows, and the scan keeps the first point of each: those radii
     share that one list.  Otherwise, possible only when ``least`` is at most
-    METRIC_TOL, they are scanned like the rest."""
+    METRIC_TOL, they are scanned like the rest.  The rows are compared in
+    blocks of at most ``_BLOCK_CELLS`` cells, beside the one twin mask."""
     cut, firsts = least or math.inf, None
     if min(radii) < cut:
         twins = space.dist == 0.0
         first = twins.argmax(axis=1)  # each point's first twin: itself at the latest
-        if np.array_equal(twins[first], twins):
+        step = max(1, _BLOCK_CELLS // len(space))
+        if all(np.array_equal(twins[first[r0:r0 + step]], twins[r0:r0 + step])
+               for r0 in range(0, len(space), step)):
             firsts = np.flatnonzero(first == np.arange(len(space))).tolist()
     return [firsts if r < cut and firsts is not None else _disjoint_scan(space, None, r)
             for r in radii]

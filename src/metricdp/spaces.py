@@ -5,6 +5,8 @@ The metric axioms are checked with an absolute slack of ``METRIC_TOL`` (a
 floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
+A space reads its matrix against the transpose once: an exactly symmetric
+matrix has no symmetry violation and is its own envelope and stored band.
 
 The triangle check is one tiled min-plus reduction over the pairs i <= k,
 about half of the n^3 sums: each pair's larger entry is compared with the
@@ -82,22 +84,27 @@ def _square_matrix(dist) -> np.ndarray:
     return mat
 
 
-def validate_metric(dist) -> MetricValidationReport:
+def validate_metric(dist, *, _symmetric=None) -> MetricValidationReport:
     """Check a square matrix against the four metric axioms.
 
     Returns a report listing every violation (nonnegativity, zero diagonal,
     symmetry, triangle inequality) with witnessing index tuples.  Distinct
     points at distance zero are allowed: definiteness is not an axiom here.
 
+    Exact symmetry is decided once, by :func:`_exactly_symmetric`, unless
+    ``_symmetric`` is that decision for this matrix already.  An exactly
+    symmetric matrix has no symmetry violation and is its own lower
+    envelope; any other takes the symmetry check in row blocks.
+
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
     reduction over the pairs i <= k, unless the matrix is near-equilateral,
-    when it is certified in O(n^2), or Euclidean within rounding, when it
-    is certified in O(n^2·r) from the rank-r points it implies (see
-    :func:`_triangle_rows`).  Memory is one float copy of the matrix plus a
-    tile buffer of at most 1 MB, and for the certificate its coordinates,
-    at most n^2 bytes.  Only the points that pass flags are enumerated
-    triple by triple, so the report, its order and details are those of a
-    scalar loop over every (i, k, j).
+    when it is certified in O(n^2), or exactly symmetric and Euclidean within
+    rounding, when it is certified in O(n^2·r) from the rank-r points it
+    implies (see :func:`_triangle_rows`).  Memory is one float copy of the
+    matrix plus a tile buffer of at most 1 MB, and for the certificate its
+    coordinates, at most n^2 bytes.  Only the points that pass flags are
+    enumerated triple by triple, so the report, its order and details are
+    those of a scalar loop over every (i, k, j).
 
     Raises
     ------
@@ -106,6 +113,7 @@ def validate_metric(dist) -> MetricValidationReport:
         different failure mode from an axiom violation.
     """
     mat = _square_matrix(dist)
+    symmetric = _exactly_symmetric(mat) if _symmetric is None else _symmetric
     violations = [
         AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
         for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
@@ -118,13 +126,13 @@ def validate_metric(dist) -> MetricValidationReport:
     ]
     del negative
     step = max(1, _BLOCK_CELLS // max(1, len(mat)))
-    for r0 in range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
+    for r0 in () if symmetric else range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
         upper, lower = mat[r0:r0 + step], mat[:, r0:r0 + step].T
         violations += [
             AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
             for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
         ]
-    rows = _triangle_rows(mat, np.minimum(mat, mat.T))
+    rows = _triangle_rows(mat, mat.copy() if symmetric else np.minimum(mat, mat.T), symmetric)
     # Only the points the pass flags go through a (k, j) slab: bad[k, j] means
     # dist[i][k] exceeds the path through j, summed as the scalar expression
     # is.  An overflowed sum is +inf, which no finite distance exceeds: exact.
@@ -144,7 +152,14 @@ def validate_metric(dist) -> MetricValidationReport:
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _triangle_rows(mat, low) -> list:
+def _exactly_symmetric(mat) -> bool:
+    """True when ``mat`` equals its transpose, compared in row blocks of at
+    most ``_BLOCK_CELLS`` cells; stops at the first block that differs."""
+    step = max(1, _BLOCK_CELLS // max(1, len(mat)))
+    return all(np.array_equal(mat[r0:r0 + step], mat[:, r0:r0 + step].T) for r0 in range(0, len(mat), step))
+
+
+def _triangle_rows(mat, low, symmetric) -> list:
     """Sorted indices of a superset of the points i with some k != i and j
     not in {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
 
@@ -163,8 +178,8 @@ def _triangle_rows(mat, low) -> list:
     fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is monotone, so no
     pair's larger entry exceeds its least sum plus METRIC_TOL.  The bound
     is taken in Python floats, where 2m past the float maximum is +inf
-    without a warning.  Nor does one run when :func:`_euclidean` certifies
-    the matrix from the points it implies.
+    without a warning.  Nor does one run when ``mat`` is exactly symmetric
+    and :func:`_euclidean` certifies it from the points it implies.
     """
     n = mat.shape[0]
     if n < 3:
@@ -174,7 +189,7 @@ def _triangle_rows(mat, low) -> list:
     top = float(mat.max())
     if top <= (least + least) + METRIC_TOL:
         return []
-    if _euclidean(mat, max(top, -float(mat.min()))):
+    if symmetric and _euclidean(mat, max(top, -float(mat.min()))):
         return []
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
@@ -202,13 +217,14 @@ def _euclidean(mat, s) -> bool:
     """True when no triangle of ``mat`` can exceed METRIC_TOL: the matrix
     lies so close to the distances of some float points that the pass of
     :func:`_triangle_rows` could flag nothing.  ``s`` is the largest
-    |entry|.  O(n·r^2 + n^2·r) for points of rank r, in elementwise numpy.
+    |entry|, and ``mat`` is exactly symmetric.  O(n·r^2 + n^2·r) for points
+    of rank r, in elementwise numpy.
 
-    Only an exactly symmetric matrix with 6u·s <= METRIC_TOL (u = 2^-53,
-    s up to about 1.5e3) is tried.  :func:`_coordinates` builds float
-    points x_i from it, and :func:`_misfit` recomputes their distances
-    Ê[i, k] = fl(sqrt(sum_c fl(fl(x_ic - x_kc)^2))), summed in order c, to
-    give η̂ = max |mat - Ê| off the diagonal and M = max Ê.  The exact
+    Only a matrix with 6u·s <= METRIC_TOL (u = 2^-53, s up to about 1.5e3)
+    is tried.  :func:`_coordinates` builds float points x_i from it, and
+    :func:`_misfit` recomputes their distances Ê[i, k] =
+    fl(sqrt(sum_c fl(fl(x_ic - x_kc)^2))), summed in order c, to give
+    η̂ = max |mat - Ê| off the diagonal and M = max Ê.  The exact
     distances E of the points are a metric, so with η = max |mat - E|,
     every triangle has mat[i][k] <= mat[i][j] + mat[j][k] + 3η.
 
@@ -233,10 +249,6 @@ def _euclidean(mat, s) -> bool:
     s = max(s, METRIC_TOL)
     if 6.0 * _U * s > METRIC_TOL:
         return False
-    step = max(1, _BLOCK_CELLS // n)
-    for r0 in range(0, n, step):  # exact symmetry, row blocks of at most _BLOCK_CELLS cells
-        if not np.array_equal(mat[r0:r0 + step], mat[:, r0:r0 + step].T):
-            return False
     cols = _coordinates(mat, s, n // 8)
     fit = None if cols is None else _misfit(mat, cols)
     if fit is None:
@@ -330,8 +342,9 @@ class FiniteMetricSpace:
         mat = _square_matrix(dist)
         if len(mat) != len(labels):
             raise StructuralError(f"{len(labels)} labels but a {len(mat)}x{len(mat)} matrix")
+        symmetric = _exactly_symmetric(mat)  # read against the transpose once
         if not _trusted:
-            report = validate_metric(mat)
+            report = validate_metric(mat, _symmetric=symmetric)
             if not report.ok:
                 first = report.violations[0]
                 raise InvalidMetricError(
@@ -339,7 +352,7 @@ class FiniteMetricSpace:
                     f"{len(report.violations)} violation(s) total)",
                     report=report,
                 )
-        mat = np.maximum(mat, mat.T)  # the validator's band, read once
+        mat = mat.copy() if symmetric else np.maximum(mat, mat.T)  # the validator's band
         mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
         mat.flags.writeable = False
         self.labels = labels

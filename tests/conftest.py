@@ -18,6 +18,9 @@ implementation, the oracle for its tiled pass beyond the loop's reach.
 that ``level_for_radius`` computes from the binary exponent.
 ``log_scalar`` is the audits' log kernel, fdlibm's ``e_log.c``, on one
 Python float; the audit and lower-bound oracles take their logs from it.
+``sweep_broadcast`` is the privacy sweep's earlier block kernel, one
+broadcast subtraction per block of rows, the oracle for ``audit._sweep``'s
+reused buffer.
 ``mass_inside_loop`` sums one masked row at a time in 1-D, the order every
 ball mass must have; ``assert_near_fsum`` bounds those sums against
 ``math.fsum``.
@@ -59,7 +62,7 @@ from metricdp import (
     StructuralError,
     identity_map,
 )
-from metricdp import formats, spaces
+from metricdp import audit, formats, spaces
 from metricdp.formats import encode_value
 from metricdp.spaces import METRIC_TOL, AxiomViolation, MetricValidationReport
 
@@ -91,9 +94,9 @@ def validations(monkeypatch):
     calls = []
     original = spaces.validate_metric
 
-    def counted(dist):
+    def counted(dist, **kwargs):
         calls.append(len(dist))
-        return original(dist)
+        return original(dist, **kwargs)
 
     monkeypatch.setattr(spaces, "validate_metric", counted)
     return calls
@@ -606,6 +609,25 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
         if eps_max == math.inf and not include_per_pair:
             break
     return PrivacyAuditReport(max(0.0, eps_max), witness, per_pair)
+
+
+def sweep_broadcast(mech, logs, stop) -> np.ndarray:
+    """Oracle for ``audit._sweep``: the same blocks of rows, each one fresh
+    broadcast ``logs[block, :, None] - logs.T`` reduced over the outputs and
+    divided by the block's distances, then the twin rule.  The block size is
+    read from ``audit`` at each call, so a test that patches it moves both."""
+    dist, lt = mech.input_space.dist, np.ascontiguousarray(logs.T)
+    pair_max, step = np.full(dist.shape, -math.inf), max(1, audit._BLOCK_CELLS // logs.size)
+    for r0 in range(0, len(logs), step):
+        block = slice(r0, r0 + step)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            top = np.fmax.reduce(logs[block, :, None] - lt, axis=1, initial=-math.inf)
+            pair_max[block] = top / dist[block]
+        a, b = np.nonzero(dist[block] == 0.0)
+        pair_max[a + r0, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
+        if stop and (pair_max[block] == math.inf).any():
+            break
+    return pair_max
 
 
 def impossibility_lower_bound_loop(mech, query, centers, radius,

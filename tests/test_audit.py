@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
     random_space,
     randomized_response,
     subset_epsilon,
+    sweep_broadcast,
     truncated_geometric,
 )
 from metricdp import (
@@ -48,6 +50,7 @@ from metricdp import (
     uniform_measure,
 )
 from metricdp import audit
+from metricdp._ieee import _LOG_CHUNK
 
 
 KNOWN_ANSWER = settings(max_examples=40, deadline=None)
@@ -303,6 +306,69 @@ class TestAuditPrivacy:
             assert rep.epsilon_max <= privacy_bound(beta, query.constant) + 1e-9
 
 
+@st.composite
+def sweep_tables(draw):
+    """A table for the sweep: n and m drawn apart; line inputs with twins,
+    spaced by a unit from the least subnormal to near the float maximum; each
+    row a copy of an earlier one, twin or not, or weights with exact zeros,
+    some in the same column as another row's."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    unit = draw(st.sampled_from([5e-324, 1e-300, 1e-3, 1.0, 4e307]))
+    coords = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float) * unit
+    rows = []
+    for i in range(n):
+        if i and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, i - 1))])
+        else:
+            w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 10.0)),
+                                       min_size=m, max_size=m)))
+            w[draw(st.integers(0, m - 1))] += w.sum() == 0.0
+            rows.append(w / w.sum())
+    return MechanismTable(line_space(coords), line_space(np.arange(m, dtype=float)), np.array(rows))
+
+
+def assert_sweeps_agree(mech):
+    """``audit._sweep`` gives ``sweep_broadcast``'s per-pair bits under both
+    stop modes, and ``audit_privacy`` the same report on either sweep."""
+    logs = audit._logs(mech.probs)
+    for stop in (False, True):
+        assert audit._sweep(mech, logs, stop).tobytes() == sweep_broadcast(mech, logs, stop).tobytes()
+    for include in (False, True):
+        got = audit_privacy(mech, include_per_pair=include)
+        with mock.patch.object(audit, "_sweep", sweep_broadcast):
+            want = audit_privacy(mech, include_per_pair=include)
+        assert np.float64(got.epsilon_max).tobytes() == np.float64(want.epsilon_max).tobytes()
+        assert got.witness == want.witness
+        if include:
+            assert got.per_pair_max.tobytes() == want.per_pair_max.tobytes()
+
+
+class TestSweep:
+    """The sweep subtracts into one reused (rows, m, n) buffer; the oracle
+    takes a fresh broadcast per block.  Every cell is the same subtraction of
+    the same operands, so the bits, the sign of a zero among them, agree."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sweep_tables(), st.integers(1, 100))
+    def test_equals_the_broadcast_oracle(self, mech, cells):
+        # A patched block size gives one-row blocks (cells < n * m) and blocks
+        # of several rows with a shorter last one, in both kernels.
+        with mock.patch.object(audit, "_BLOCK_CELLS", cells):
+            assert_sweeps_agree(mech)
+
+    def test_one_row_blocks_at_the_real_block_size(self):
+        # n * m > _BLOCK_CELLS: each block is one row of m * n cells, m != n.
+        n, m = 400, 330
+        rng = np.random.default_rng(17)
+        w = rng.uniform(size=(n, m))
+        w[rng.random((n, m)) < 0.3] = 0.0
+        w[1::3] = w[0::3][:len(w[1::3])]  # equal rows, twins (0, 1) or not (3, 4)
+        coords = np.repeat(np.arange(n // 2), 2) * 1e-300
+        mech = MechanismTable(line_space(coords), discrete_space(m), w / w.sum(axis=1, keepdims=True))
+        assert n * m > audit._BLOCK_CELLS
+        assert_sweeps_agree(mech)
+
+
 # Doubles for the log kernel: any positive finite double, subnormals and the
 # smallest one included, doubles in [1/2, 2] and doubles within 1e-3 of 1.
 LOG_INPUTS = st.one_of(st.just(5e-324),
@@ -352,7 +418,7 @@ class TestLogKernel:
     def test_equals_the_scalar_port_over_many_chunks(self):
         x = seeded_log_inputs()
         want = np.array([log_scalar(v) for v in x.tolist()])
-        assert x.size > 10 * (audit._BLOCK_CELLS // 16)
+        assert x.size >= 10 * _LOG_CHUNK
         assert audit._logs(x).tobytes() == want.tobytes()
         assert audit._logs(x[1:].reshape(2, -1)).tobytes() == want[1:].tobytes()
 
@@ -374,6 +440,17 @@ class TestLogKernel:
         logs = audit._logs(x)
         assert ((logs == 0.0) == (x == 1.0)).all()
         assert not np.signbit(logs[x == 1.0]).any()
+
+    def test_holds_its_output_and_one_block(self):
+        # The kernel's temporaries are one chunk's buffers, reused.
+        probs = np.random.default_rng(9).uniform(size=(300, 300))
+        tracemalloc.start()
+        try:
+            audit._logs(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= probs.nbytes + audit._BLOCK_CELLS * 8
 
     def test_golden_digest(self):
         # The kernel's bits on seeded_log_inputs, pinned: a host whose

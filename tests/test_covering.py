@@ -325,6 +325,23 @@ class TestCoveringMeasure:
         assert hier.levels[-1].size == n
         assert peak <= 3 * n * n + _BLOCK_CELLS * 8
 
+    def test_twin_classes_hold_one_mask(self):
+        """Below the least positive distance the packing compares each row
+        of the twin mask with its first twin's a block at a time, so it holds
+        one n x n mask and a block: 1.3 MB at n=1000.  Gathering every first
+        twin's row and comparing whole masks peaked at 3.0 MB."""
+        n = 1000
+        coords = np.repeat(np.arange(n // 2), 2) / n
+        space = FiniteMetricSpace([f"x{i}" for i in range(n)], np.abs(coords[:, None] - coords[None, :]))
+        tracemalloc.start()
+        try:
+            kept = max_packing(space, 0.25 / n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == space.labels[::2]
+        assert peak <= n * n + _BLOCK_CELLS * 8
+
     def test_deterministic(self):
         a, _ = covering_measure(grid_space(9))
         b, _ = covering_measure(grid_space(9))
