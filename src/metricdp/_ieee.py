@@ -2,12 +2,8 @@
 
 ``_logs`` is fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of numpy
 ufunc calls, each correctly rounded, so its bits do not depend on the
-host's libm or SIMD.  The calls write into six float buffers of one chunk,
-``_LOG_CHUNK`` cells, reused from chunk to chunk: every operation is the C
-code's, on the same operands in the same order, except that some additions
-and multiplications take their two operands swapped, which is exact.  It
-needs only ``spaces``' block size, so ``mechanisms``, which ``audit``
-imports, can use it too.
+host's libm or SIMD.  It needs only ``spaces``' block size, so
+``mechanisms``, which ``audit`` imports, can use it too.
 """
 
 from __future__ import annotations
@@ -25,9 +21,8 @@ _LG1, _LG2, _LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.8571428
 _LG4, _LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
 _LG6, _LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
 
-# Cells of the flat table _logs takes at a time: a 96 x 96 table is one chunk,
-# and its temporaries, six doubles, an int32 and a bool a cell, fit in one block.
-_LOG_CHUNK = _BLOCK_CELLS // 10
+# Cells of the flat table _logs takes at a time; its temporaries stay within a block.
+_LOG_CHUNK = _BLOCK_CELLS // 16
 
 
 def _logs(probs) -> np.ndarray:
@@ -35,49 +30,21 @@ def _logs(probs) -> np.ndarray:
     subtract, multiply and divide, each one correctly rounded ufunc call that cannot
     fuse, so the bits do not depend on the host.  -inf exactly at 0.0, 0.0 exactly at
     1.0, and a subnormal entry keeps its finite log.  Runs over chunks of
-    ``_LOG_CHUNK`` cells of the flat table, in place in buffers of one chunk, so it
-    holds its output and at most one block besides."""
+    ``_LOG_CHUNK`` cells of the flat table, so one chunk's temporaries stay within
+    a block."""
     probs = np.asarray(probs, dtype=float)
     flat, logs = probs.ravel(), np.empty(probs.size)
-    size = min(flat.size, _LOG_CHUNK)
-    bufs = (*np.empty((6, size)), np.empty(size, dtype=np.int32), np.empty(size, dtype=bool))
     for c0 in range(0, flat.size, _LOG_CHUNK):
-        x, out = flat[c0:c0 + _LOG_CHUNK], logs[c0:c0 + _LOG_CHUNK]
-        f, s, z, w, t, r, k, low = (a[:len(x)] for a in bufs)
-        np.frexp(x, out=(f, k))  # x = m * 2**k, m in [1/2, 1); move m into [sqrt(1/2), sqrt(2))
-        np.less(f, math.sqrt(0.5), out=low)
-        np.add(f, f, out=f, where=low)
-        f -= 1.0  # f = m - 1, exact
-        k -= low
-        np.add(f, 2.0, out=s)
-        np.divide(f, s, out=s)  # s = f / (2 + f)
-        np.multiply(s, s, out=z)
-        np.multiply(z, z, out=w)
-        # r = z * (Lg1 + w * (Lg3 + w * (Lg5 + w * Lg7))) + w * (Lg2 + w * (Lg4 + w * Lg6))
-        np.multiply(w, _LG7, out=t)
-        t += _LG5
-        t *= w
-        t += _LG3
-        t *= w
-        t += _LG1
-        t *= z
-        np.multiply(w, _LG6, out=r)
-        r += _LG4
-        r *= w
-        r += _LG2
-        r *= w
-        r += t
-        hfsq = z  # z is done with: hfsq = 0.5 * f * f
-        np.multiply(f, 0.5, out=hfsq)
-        hfsq *= f
-        # k * ln2_hi - ((hfsq - (s * (hfsq + r) + k * ln2_lo)) - f)
-        r += hfsq
-        r *= s
-        np.multiply(k, _LN2_LO, out=t)
-        r += t
-        np.subtract(hfsq, r, out=hfsq)
-        hfsq -= f
-        np.multiply(k, _LN2_HI, out=t)
-        np.subtract(t, hfsq, out=out)
-        np.copyto(out, -math.inf, where=np.equal(x, 0.0, out=low))
+        x = flat[c0:c0 + _LOG_CHUNK]
+        m, k = np.frexp(x)  # x = m * 2**k, m in [1/2, 1); move m into [sqrt(1/2), sqrt(2))
+        low = m < math.sqrt(0.5)
+        f = np.where(low, m + m, m) - 1.0  # exact
+        k = (k - low).astype(float)
+        s = f / (2.0 + f)
+        z = s * s
+        w = z * z
+        r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+        hfsq = 0.5 * f * f
+        value = k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+        logs[c0:c0 + _LOG_CHUNK] = np.where(x == 0.0, -math.inf, value)
     return logs.reshape(probs.shape)

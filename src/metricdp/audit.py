@@ -14,9 +14,9 @@ in place and the reduction writes into the pair matrix.  Twins (inputs at
 distance 0.0) are decided from their rows, inf where x's row exceeds z's.
 The witness output is read from the chosen pair by the same rule.  Every log
 is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of
-in-place numpy ufunc calls, so the reported bits are the same on every IEEE
-host, whatever its libm or SIMD; every ball mass is one fixed-order sum per
-row, ``measures._mass_inside``.
+numpy ufunc calls, so the reported bits are the same on every IEEE host,
+whatever its libm or SIMD; every ball mass is one fixed-order sum per row,
+``measures._mass_inside``.
 """
 
 from __future__ import annotations

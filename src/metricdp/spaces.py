@@ -5,8 +5,8 @@ The metric axioms are checked with an absolute slack of ``METRIC_TOL`` (a
 floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
-A space reads its matrix against the transpose once: an exactly symmetric
-matrix has no symmetry violation and is its own envelope and stored band.
+Validation reads the matrix against its transpose once: an exactly
+symmetric matrix has no symmetry violation and is its own lower envelope.
 
 The triangle check is one tiled min-plus reduction over the pairs i <= k,
 about half of the n^3 sums: each pair's larger entry is compared with the
@@ -84,16 +84,15 @@ def _square_matrix(dist) -> np.ndarray:
     return mat
 
 
-def validate_metric(dist, *, _symmetric=None) -> MetricValidationReport:
+def validate_metric(dist) -> MetricValidationReport:
     """Check a square matrix against the four metric axioms.
 
     Returns a report listing every violation (nonnegativity, zero diagonal,
     symmetry, triangle inequality) with witnessing index tuples.  Distinct
     points at distance zero are allowed: definiteness is not an axiom here.
 
-    Exact symmetry is decided once, by :func:`_exactly_symmetric`, unless
-    ``_symmetric`` is that decision for this matrix already.  An exactly
-    symmetric matrix has no symmetry violation and is its own lower
+    Exact symmetry is decided once, by :func:`_exactly_symmetric`.  An
+    exactly symmetric matrix has no symmetry violation and is its own lower
     envelope; any other takes the symmetry check in row blocks.
 
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
@@ -113,7 +112,7 @@ def validate_metric(dist, *, _symmetric=None) -> MetricValidationReport:
         different failure mode from an axiom violation.
     """
     mat = _square_matrix(dist)
-    symmetric = _exactly_symmetric(mat) if _symmetric is None else _symmetric
+    symmetric = _exactly_symmetric(mat)
     violations = [
         AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
         for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
@@ -342,9 +341,8 @@ class FiniteMetricSpace:
         mat = _square_matrix(dist)
         if len(mat) != len(labels):
             raise StructuralError(f"{len(labels)} labels but a {len(mat)}x{len(mat)} matrix")
-        symmetric = _exactly_symmetric(mat)  # read against the transpose once
         if not _trusted:
-            report = validate_metric(mat, _symmetric=symmetric)
+            report = validate_metric(mat)
             if not report.ok:
                 first = report.violations[0]
                 raise InvalidMetricError(
@@ -352,7 +350,7 @@ class FiniteMetricSpace:
                     f"{len(report.violations)} violation(s) total)",
                     report=report,
                 )
-        mat = mat.copy() if symmetric else np.maximum(mat, mat.T)  # the validator's band
+        mat = np.maximum(mat, mat.T)  # the validator's band, read once
         mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
         mat.flags.writeable = False
         self.labels = labels

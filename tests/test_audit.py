@@ -442,7 +442,7 @@ class TestLogKernel:
         assert not np.signbit(logs[x == 1.0]).any()
 
     def test_holds_its_output_and_one_block(self):
-        # The kernel's temporaries are one chunk's buffers, reused.
+        # The kernel's temporaries are one chunk's, _LOG_CHUNK cells.
         probs = np.random.default_rng(9).uniform(size=(300, 300))
         tracemalloc.start()
         try:
