@@ -86,10 +86,14 @@ def _sweep(mech, logs, stop) -> np.ndarray:
             diff -= lt
             np.fmax.reduce(diff, axis=1, initial=-math.inf, out=top)
             top /= dist[block]
-        # Twins, x = z among them (the diagonal is 0.0): inf where x's row exceeds z's
+        # x = z constrains nothing.  Twins off the diagonal: inf where x's row exceeds z's
         # at some output, compared as probabilities, since two tiny ones can share a log.
-        a, b = np.nonzero(dist[block] == 0.0)
-        pair_max[a + r0, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
+        np.fill_diagonal(top[:, r0:], -math.inf)
+        twin = dist[block] == 0.0
+        np.fill_diagonal(twin[:, r0:], False)
+        if twin.any():  # most blocks hold none, and the gather's fixed cost is not small
+            a, b = np.nonzero(twin)
+            top[a, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
         if stop and (top == math.inf).any():
             break
     return pair_max

@@ -158,7 +158,7 @@ def cmd_validate(args):
     try:
         return {"ok": True, "points": len(formats.space_from_doc(args.space)), "violations": []}, 0
     except InvalidMetricError as exc:
-        # Only an explicit document reaches the validator.
+        # Generators pass the validator; only an explicit document, which has labels, fails it.
         labels = formats.load_doc(args.space)["labels"]
         violations = [
             {"axiom": v.axiom, "witness": [labels[i] for i in v.witness], "detail": v.detail}

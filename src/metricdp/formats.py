@@ -12,10 +12,9 @@ Well-formed documents describing invalid objects (a matrix violating the
 triangle inequality, rows that do not sum to 1) raise the domain errors of
 the module that owns the object.
 
-``space_from_doc`` is the one loader of space documents.  It builds a
-generator document ({"kind": "grid", "n": 5}) as trusted, as a call to
-``grid_space`` is, and does not re-check it, so ``validate`` reports it ok
-by construction; the tests check the generators against the validator.
+``space_from_doc`` is the one loader of space documents.  A generator
+document ({"kind": "grid", "n": 5}) is a call to ``grid_space`` or
+``discrete_space``, which validates its matrix as every space does.
 
 A thread keeps what a file's text alone builds.  A loader given a path
 returns the object it built from the identical text before, in the same
@@ -24,10 +23,11 @@ A load given a space is not kept; a measure naming its own space ignores
 a supplied one, so such a load may get what a path-only load kept.  The
 command-line tool files each measure and table it writes with ``--out``
 under the text written, so a chain of commands in one thread parses only
-its space and its map, and validates each distinct space once.  Nothing
-keys on a path or a file's time stamps, and nothing is shared between
-threads.  A hit returns the object built before: loaded objects may be
-shared, and must not be mutated.
+its space and its map, and validates each distinct explicit space once; a
+generator document is validated each time it is read.  Nothing keys on a
+path or a file's time stamps, and nothing is shared between threads.  A
+hit returns the object built before: loaded objects may be shared, and
+must not be mutated.
 
 ``dump_doc`` writes the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` with infinities spelled as strings and a float64 array
@@ -396,11 +396,10 @@ def _number_matrix(rows, what: str) -> np.ndarray:
 
 @_kept
 def space_from_doc(source) -> FiniteMetricSpace:
-    """The space a document describes, a generator form {"kind": "grid"|
-    "discrete", "n": k} built trusted.  An explicit document with the labels
-    and raw matrix of the last explicit space this thread built returns
-    that space itself, and any other is validated: a thread validates each
-    distinct space once while it is the one being loaded."""
+    """The space a document describes; a generator form {"kind": "grid"|
+    "discrete", "n": k} is built and validated on every call.  An explicit
+    document with the labels and raw matrix of the last explicit space this
+    thread built returns that space itself, and any other is validated."""
     doc = load_doc(source)
     if "kind" in doc:
         kind = doc["kind"]
@@ -512,7 +511,7 @@ def table_from_doc(
     if list(input_space.labels) != inputs:
         raise SchemaError("table inputs do not match the supplied input space's labels")
     if output_space is None:
-        output_space = FiniteMetricSpace(outputs, discrete_space(len(outputs)).dist, _trusted=True)
+        output_space = FiniteMetricSpace(outputs, 1.0 - np.eye(len(outputs)))
     elif list(output_space.labels) != outputs:
         raise SchemaError("table outputs do not match the supplied output space's labels")
     return MechanismTable(input_space, output_space, mat)

@@ -119,9 +119,9 @@ def validate_metric(dist) -> MetricValidationReport:
     ]
     negative = mat < -METRIC_TOL
     np.fill_diagonal(negative, False)
-    violations += [
+    violations += [  # most matrices have no negative entry: enumerate only when one is there
         AxiomViolation("nonnegativity", (i, j), f"dist[{i}][{j}] = {mat[i, j]}")
-        for i, j in np.argwhere(negative).tolist()
+        for i, j in (np.argwhere(negative).tolist() if negative.any() else ())
     ]
     del negative
     step = max(1, _BLOCK_CELLS // max(1, len(mat)))
@@ -332,7 +332,7 @@ class FiniteMetricSpace:
 
     __slots__ = ("labels", "dist", "_index")
 
-    def __init__(self, labels, dist, _trusted=False):
+    def __init__(self, labels, dist):
         labels = list(labels)
         if not labels:
             raise StructuralError("a metric space needs at least one point")
@@ -341,15 +341,14 @@ class FiniteMetricSpace:
         mat = _square_matrix(dist)
         if len(mat) != len(labels):
             raise StructuralError(f"{len(labels)} labels but a {len(mat)}x{len(mat)} matrix")
-        if not _trusted:
-            report = validate_metric(mat)
-            if not report.ok:
-                first = report.violations[0]
-                raise InvalidMetricError(
-                    f"metric axioms violated ({first.axiom} at {first.witness}; "
-                    f"{len(report.violations)} violation(s) total)",
-                    report=report,
-                )
+        report = validate_metric(mat)
+        if not report.ok:
+            first = report.violations[0]
+            raise InvalidMetricError(
+                f"metric axioms violated ({first.axiom} at {first.witness}; "
+                f"{len(report.violations)} violation(s) total)",
+                report=report,
+            )
         mat = np.maximum(mat, mat.T)  # the validator's band, read once
         mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
         mat.flags.writeable = False
@@ -414,13 +413,10 @@ def grid_space(n: int) -> FiniteMetricSpace:
     """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
-    if n == 1:
-        coords = np.array([0.0])
-    else:
-        coords = np.arange(n) / (n - 1)
+    coords = np.arange(n) / max(n - 1, 1)
     labels = [f"{c:g}" for c in coords]
     dist = np.abs(coords[:, None] - coords[None, :])
-    return FiniteMetricSpace(labels, dist, _trusted=True)
+    return FiniteMetricSpace(labels, dist)
 
 
 def discrete_space(n: int) -> FiniteMetricSpace:
@@ -428,7 +424,7 @@ def discrete_space(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise ValueError(f"discrete size must be >= 1, got {n}")
     dist = np.ones((n, n)) - np.eye(n)
-    return FiniteMetricSpace([str(i) for i in range(n)], dist, _trusted=True)
+    return FiniteMetricSpace([str(i) for i in range(n)], dist)
 
 
 def lipschitz_constant(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, table) -> float:

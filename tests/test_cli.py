@@ -294,13 +294,15 @@ class TestLoaderMemos:
         return {command: (d / command).read_bytes() for command in argvs}
 
     def test_one_validation_and_the_same_bytes(self, files, validations, builds):
+        # Each command validates the space, and audit-privacy also the
+        # placeholder output space over the table's 12 output labels.
         cold = self.chain(files, cold=True)
-        assert validations == [12] * 6
+        assert validations == [12] * 7
         empty_memos()
         validations.clear()
         builds.clear()
         warm = self.chain(files, cold=False)
-        assert validations == [12]
+        assert validations == [12, 12]
         assert warm == cold
         # Only the space and the map are parsed: the measure and the table
         # are kept as written.  The table's rows are bound once per audit:
@@ -320,8 +322,8 @@ class TestLoaderMemos:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and outcome == [first]
-        assert (validations, builds) == counts == ([12], {"_parse": 2, "_number_matrix": 3,
-                                                         "lipschitz_constant": 1, "__init__": 4})
+        assert (validations, builds) == counts == ([12, 12], {"_parse": 2, "_number_matrix": 3,
+                                                             "lipschitz_constant": 1, "__init__": 4})
 
 
 def kept_texts() -> set:
@@ -928,12 +930,13 @@ class TestMeasureSpace:
         assert "measure document names no space and none is implied" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("explicit, expected", [(False, []), (True, [5])],
+    @pytest.mark.parametrize("explicit, expected", [(False, [5, 5, 5]), (True, [5])],
                              ids=["generator", "explicit"])
     def test_tabulate_validates_one_space(self, capsys, grid5_files, validations,
                                           explicit, expected):
-        # Generator documents are trusted; an explicit space repeated in the
-        # map's codomain and the measure is validated once per command.
+        # A generator document is validated each time it is read, here as the
+        # map's domain and codomain and the measure's space; an explicit space
+        # repeated in those three places is validated once per command.
         the_map, measure = grid5_files["map"], grid5_files["measure"]
         if explicit:
             space = json.loads(json.dumps(formats.space_to_doc(grid_space(5)),
@@ -942,6 +945,7 @@ class TestMeasureSpace:
             docs[0]["domain"] = docs[0]["codomain"] = docs[1]["space"] = space
             the_map = write(grid5_files["dir"], "explicit_map.json", docs[0])
             measure = write(grid5_files["dir"], "explicit_measure.json", docs[1])
+        validations.clear()
         code, _ = run(capsys, "tabulate", "--map", the_map, "--measure", measure, "--beta", "2")
         assert code == 0
         assert validations == expected

@@ -340,20 +340,36 @@ class TestParsedDocumentMemo:
 
 class TestSpaceDocs:
     def test_generator_forms(self, validations):
+        # A generator document is validated as the call it stands for is.
         assert formats.space_from_doc({"kind": "grid", "n": 3}) == grid_space(3)
         assert formats.space_from_doc({"kind": "discrete", "n": 4}) == discrete_space(4)
-        assert validations == []
+        assert validations == [3, 3, 4, 4]
 
     def test_generator_form_ignores_known(self, validations):
         # Only explicit documents meet the validated-space memo: a
-        # generator's fresh space equals the memo's by value, and leaves it
-        # in place.
+        # generator's fresh space is validated, equals the memo's by value,
+        # and leaves it in place.
         explicit = formats.space_to_doc(grid_space(3))
+        validations.clear()
         known = formats.space_from_doc(explicit)
         space = formats.space_from_doc({"kind": "grid", "n": 3})
         assert space == known and space is not known
         assert formats.space_from_doc(explicit) is known
-        assert validations == [3]
+        assert validations == [3, 3]
+
+    def test_every_construction_validates(self, validations):
+        # No space is built unchecked: each generator, each generator
+        # document kind and a table's placeholder output space take one
+        # validate_metric call, told apart here by their sizes.
+        inputs = grid_space(2)
+        discrete_space(3)
+        formats.space_from_doc({"kind": "grid", "n": 4})
+        formats.space_from_doc({"kind": "discrete", "n": 5})
+        doc = {"inputs": inputs.labels, "outputs": [f"o{i}" for i in range(6)],
+               "rows": {x: [1.0] + [0.0] * 5 for x in inputs.labels}}
+        outputs = formats.table_from_doc(doc, inputs).output_space
+        assert validations == [2, 3, 4, 5, 6]
+        assert outputs.dist.tobytes() == discrete_space(6).dist.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="kind"):

@@ -865,7 +865,7 @@ class TestTabulateOracle:
         rng = np.random.default_rng(m)
         coords = rng.random(m)
         space = FiniteMetricSpace([f"p{i}" for i in range(m)],
-                                  np.abs(coords[:, None] - coords[None, :]), _trusted=True)
+                                  np.abs(coords[:, None] - coords[None, :]))
         params = ExpMechParams(base=random_measure(rng, space, low=0.0), beta=3.0,
                                query=identity_map(space))
         assert tabulate(params).probs.tobytes() == tabulate_loop(params).probs.tobytes()

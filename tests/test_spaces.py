@@ -327,8 +327,9 @@ class TestGenerators:
         assert s.dist[2, 2] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
-    def test_trusted_generators_are_metrics(self, n):
-        # Generator documents skip the validator, so the check lives here.
+    def test_generators_store_their_snapped_metrics(self, n):
+        # Each generator's stored matrix is a metric and the snap of its raw
+        # matrix, bit for bit.
         coords = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
         raws = {grid_space: np.abs(coords[:, None] - coords[None, :]),
                 discrete_space: np.ones((n, n)) - np.eye(n)}
@@ -379,7 +380,7 @@ class TestLipschitz:
         # identity on one space enumerates no pair, so the blocks are
         # measured on an equal copy of the space.
         space = grid_space(1000)
-        copy = FiniteMetricSpace(space.labels, space.dist, _trusted=True)
+        copy = FiniteMetricSpace(space.labels, space.dist)
         table = {x: x for x in space.labels}
         for constant_of in (lambda: identity_map(space).constant,
                             lambda: lipschitz_constant(space, copy, table)):
