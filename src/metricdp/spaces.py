@@ -5,19 +5,19 @@ The metric axioms are checked with an absolute slack of ``METRIC_TOL`` (a
 floating-point guard); the space stores each pair's larger entry, and +0.0
 on the diagonal and for every entry not above zero.  Twins, distinct points
 at distance 0.0, are allowed, but a Lipschitz map must give them one image.
-Validation reads the matrix against its transpose once: an exactly
-symmetric matrix has no symmetry violation and is its own lower envelope.
+Validation reads the matrix against its transpose once, in row blocks: a
+block equal to its transpose has no symmetry violation.
 
 The triangle check is one tiled min-plus reduction over the pairs i <= k,
 about half of the n^3 sums: each pair's larger entry is compared with the
 least two-step path through the matrix's lower envelope min(dist, dist.T),
-a tile at a time.  Besides that one copy it holds one tile buffer of at
-most 1 MB, and only the points it flags are enumerated triple by triple for
-the report.  A matrix whose largest entry is at most twice its least
-off-diagonal entry, plus METRIC_TOL, skips the pass: no two-step path is
-shorter than twice that entry, so the pass could flag nothing.  The
-discrete metric is one, as is any matrix whose off-diagonal entries lie
-within a factor of two of each other.  An exactly symmetric matrix of
+a tile at a time.  Only this pass copies the matrix, into that envelope,
+beside one tile buffer of at most 1 MB, and only the points it flags are
+enumerated triple by triple for the report.  A matrix whose largest entry
+is at most twice its least off-diagonal entry, plus METRIC_TOL, skips the
+pass: no two-step path is shorter than twice that entry.  The discrete
+metric is one, as is any matrix whose off-diagonal entries lie within a
+factor of two of each other.  An exactly symmetric matrix of
 modest scale that is, within rounding, the distance matrix of points in
 a Euclidean space of rank at most n/8 skips it too: the check builds
 float coordinates from the matrix, recomputes every distance from them
@@ -91,17 +91,16 @@ def validate_metric(dist) -> MetricValidationReport:
     symmetry, triangle inequality) with witnessing index tuples.  Distinct
     points at distance zero are allowed: definiteness is not an axiom here.
 
-    Exact symmetry is decided once, by :func:`_exactly_symmetric`.  An
-    exactly symmetric matrix has no symmetry violation and is its own lower
-    envelope; any other takes the symmetry check in row blocks.
+    Symmetry is checked in row blocks; a block equal to its transpose has
+    no violation, and the matrix is exactly symmetric when every block is.
 
     The triangle inequality is checked in O(n^3) time by one tiled min-plus
     reduction over the pairs i <= k, unless the matrix is near-equilateral,
     when it is certified in O(n^2), or exactly symmetric and Euclidean within
     rounding, when it is certified in O(n^2·r) from the rank-r points it
-    implies (see :func:`_triangle_rows`).  Memory is one float copy of the
-    matrix plus a tile buffer of at most 1 MB, and for the certificate its
-    coordinates, at most n^2 bytes.  Only the points that pass flags are
+    implies (see :func:`_triangle_rows`).  Only the pass copies the matrix,
+    beside a tile buffer of at most 1 MB; the certificate holds coordinates
+    of at most n^2 bytes.  Only the points that pass flags are
     enumerated triple by triple, so the report, its order and details are
     those of a scalar loop over every (i, k, j).
 
@@ -112,7 +111,6 @@ def validate_metric(dist) -> MetricValidationReport:
         different failure mode from an axiom violation.
     """
     mat = _square_matrix(dist)
-    symmetric = _exactly_symmetric(mat)
     violations = [
         AxiomViolation("zero_diagonal", (i,), f"dist[{i}][{i}] = {mat[i, i]}")
         for i in np.flatnonzero(np.abs(np.diagonal(mat)) > METRIC_TOL).tolist()
@@ -124,14 +122,18 @@ def validate_metric(dist) -> MetricValidationReport:
         for i, j in (np.argwhere(negative).tolist() if negative.any() else ())
     ]
     del negative
+    symmetric = True
     step = max(1, _BLOCK_CELLS // max(1, len(mat)))
-    for r0 in () if symmetric else range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
+    for r0 in range(0, len(mat), step):  # row blocks of at most _BLOCK_CELLS cells
         upper, lower = mat[r0:r0 + step], mat[:, r0:r0 + step].T
+        if np.array_equal(upper, lower):
+            continue
+        symmetric = False
         violations += [
             AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
             for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
         ]
-    rows = _triangle_rows(mat, mat.copy() if symmetric else np.minimum(mat, mat.T), symmetric)
+    rows = _triangle_rows(mat, symmetric)
     # Only the points the pass flags go through a (k, j) slab: bad[k, j] means
     # dist[i][k] exceeds the path through j, summed as the scalar expression
     # is.  An overflowed sum is +inf, which no finite distance exceeds: exact.
@@ -151,45 +153,41 @@ def validate_metric(dist) -> MetricValidationReport:
     return MetricValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _exactly_symmetric(mat) -> bool:
-    """True when ``mat`` equals its transpose, compared in row blocks of at
-    most ``_BLOCK_CELLS`` cells; stops at the first block that differs."""
-    step = max(1, _BLOCK_CELLS // max(1, len(mat)))
-    return all(np.array_equal(mat[r0:r0 + step], mat[:, r0:r0 + step].T) for r0 in range(0, len(mat), step))
-
-
-def _triangle_rows(mat, low, symmetric) -> list:
+def _triangle_rows(mat, symmetric) -> list:
     """Sorted indices of a superset of the points i with some k != i and j
     not in {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
 
-    ``low`` is the lower envelope min(mat, mat.T), which this overwrites with
-    +inf on its diagonal to drop j = i and j = k.  One tiled min-plus
-    reduction of low[i, j] + low[k, j] over j serves the pair (i, k) in both
-    directions, so k runs from the row block's first row: the pair flags
-    both its points when its larger entry exceeds that least sum plus
-    METRIC_TOL.  Rounding is monotone and ``low`` is below both raw entries,
-    so every raw violation is flagged; a point with none of its own may be
-    flagged too.  Tiles reuse one buffer of at most ``_BLOCK_CELLS`` cells,
-    or one row of n sums.
+    The pass builds the lower envelope low = min(mat, mat.T), with +inf on
+    its diagonal to drop j = i and j = k.  One tiled min-plus reduction of
+    low[i, j] + low[k, j] over j serves the pair (i, k) in both directions,
+    so k runs from the row block's first row: the pair flags both its
+    points when its larger entry exceeds that least sum plus METRIC_TOL.
+    Rounding is monotone and ``low`` is below both raw entries, so every
+    raw violation is flagged; a point with none of its own may be flagged
+    too.  Tiles reuse one buffer of at most ``_BLOCK_CELLS`` cells, or one
+    row of n sums.
 
     No pass runs when max(mat) <= fl(fl(m + m) + METRIC_TOL), m the least
-    off-diagonal entry of ``low``: every sum a tile takes is
-    fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is monotone, so no
-    pair's larger entry exceeds its least sum plus METRIC_TOL.  The bound
-    is taken in Python floats, where 2m past the float maximum is +inf
-    without a warning.  Nor does one run when ``mat`` is exactly symmetric
-    and :func:`_euclidean` certifies it from the points it implies.
+    off-diagonal entry of ``mat``, read in place, which is that of ``low``
+    too: every sum a tile takes is fl(low[i, j] + low[k, j]) >= fl(m + m),
+    and rounding is monotone, so no pair's larger entry exceeds its least
+    sum plus METRIC_TOL.  The bound is taken in Python floats, where 2m
+    past the float maximum is +inf without a warning.  Nor does one run
+    when ``mat`` is exactly symmetric and :func:`_euclidean` certifies it.
     """
     n = mat.shape[0]
     if n < 3:
         return []
-    np.fill_diagonal(low, np.inf)
-    least = float(low.min())
+    # The off-diagonal entries, read in place: in either memory order the
+    # diagonal is every (n + 1)-th element of the flat matrix.
+    least = float(mat.ravel("A")[1:].reshape(n - 1, n + 1)[:, :n].min())
     top = float(mat.max())
     if top <= (least + least) + METRIC_TOL:
         return []
     if symmetric and _euclidean(mat, max(top, -float(mat.min()))):
         return []
+    low = np.minimum(mat, mat.T)
+    np.fill_diagonal(low, np.inf)
     step = max(1, _BLOCK_CELLS // (n * n))
     width = min(n, max(1, _BLOCK_CELLS // (step * n)))
     buf = np.empty(step * width * n)
@@ -350,7 +348,8 @@ class FiniteMetricSpace:
                 report=report,
             )
         mat = np.maximum(mat, mat.T)  # the validator's band, read once
-        mat[~(mat > 0.0) | np.eye(len(labels), dtype=bool)] = 0.0
+        mat[~(mat > 0.0)] = 0.0
+        np.fill_diagonal(mat, 0.0)
         mat.flags.writeable = False
         self.labels = labels
         self.dist = mat

@@ -14,6 +14,8 @@ library computes the same results with numpy slabs or shared helpers;
 ``test_oracles.py`` requires the two to agree bit for bit.
 ``validate_metric_slabs`` is the validator's earlier per-point slab
 implementation, the oracle for its tiled pass beyond the loop's reach.
+``sampler_table`` counts, for each input and label, the 2^53 values of
+u that ``sample_many`` maps there: the distribution it draws, exactly.
 ``level_for_radius_loop`` is a brute-force search for the same level
 that ``level_for_radius`` computes from the binary exponent.
 ``log_scalar`` is the audits' log kernel, fdlibm's ``e_log.c``, on one
@@ -60,6 +62,7 @@ from metricdp import (
     NotLipschitzError,
     PrivacyAuditReport,
     StructuralError,
+    distribution,
     identity_map,
 )
 from metricdp import audit, formats, spaces
@@ -460,6 +463,26 @@ def tabulate_loop(params) -> MechanismTable:
     """Oracle for ``tabulate``: one ``distribution_loop`` call per input."""
     rows = [distribution_loop(params, x) for x in params.input_space.labels]
     return MechanismTable(params.input_space, params.output_space, np.array(rows))
+
+
+def sampler_table(params) -> np.ndarray:
+    """Exact draw counts of ``sample_many``: entry [x, y] is how many of
+    the 2^53 values u = k·2^-53 that PCG64's ``random`` returns it maps
+    input x to label y.  The labels of positive probability take, in
+    order, the k with C[t-1] < u <= C[t], C the float cumsum over the
+    support (``searchsorted`` with side="left"); the last one also takes
+    every k past the row's sum.  Each row sums to exactly 2^53."""
+    scale = 2.0**53
+    counts = np.zeros((len(params.input_space), len(params.output_space)), dtype=np.int64)
+    for x, label in enumerate(params.input_space.labels):
+        row = distribution(params, label)
+        support = np.flatnonzero(row)
+        # The k <= C[t]·2^53 below 2^53, counted exactly in doubles: the
+        # scaling is by a power of two and every count is at most 2^53.
+        upto = np.minimum(np.floor(np.cumsum(row[support]) * scale), scale - 1.0) + 1.0
+        counts[x, support] = np.diff(upto, prepend=0.0).astype(np.int64)
+        counts[x, support[-1]] += 2**53 - int(upto[-1])
+    return counts
 
 
 def level_for_radius_loop(radius) -> int:

@@ -304,7 +304,7 @@ class TestValidateMetricTiles:
             elif name.endswith("True"):
                 assert (1, n - 1, 13) in triangles
             elif name == "one-sided":
-                flagged = set(_triangle_rows(mat, np.minimum(mat, mat.T), np.array_equal(mat, mat.T)))
+                flagged = set(_triangle_rows(mat, np.array_equal(mat, mat.T)))
                 assert flagged > {w[0] for w in triangles}
 
     def test_symmetry_over_row_blocks(self):
@@ -376,6 +376,40 @@ class TestTriangleCertificate:
             assert bool(adds) == runs
             assert got == validate_metric_loop(mat)
             assert got.ok != runs  # dist[1][2] beats its path through any point
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_the_least_entry_is_the_envelopes(self, n, monkeypatch):
+        """The rule reads the least off-diagonal entry of the matrix in
+        place, and it is the minimum of the envelope min(mat, mat.T) with
+        +inf on its diagonal: with the largest entry at fl(2m + METRIC_TOL),
+        m that minimum, the pass does not run and builds no envelope, and
+        one ulp above it does.  The diagonal holds in-band entries below m,
+        and m sits on one side of an in-band asymmetric pair.  Entries are
+        near 1, tiny with twins, or tiny with an in-band negative pair; the
+        input is C-ordered, Fortran-ordered, a transposed view or a strided
+        view."""
+        rng = np.random.default_rng(n)
+        minimum, envelopes = np.minimum, []
+        monkeypatch.setattr(np, "minimum", lambda *args, **kw: envelopes.append(1) or minimum(*args, **kw))
+        for lo, hi, least, other, diagonal in ((0.6, 1.0, 0.5, 0.5 + 1e-13, 1e-13),
+                                               (0.0, 5e-13, 0.0, 1e-14, -1e-13),
+                                               (-2e-13, 3e-13, -3e-13, -2e-13, -1e-12)):
+            mat = rng.uniform(lo, hi, size=(n, n))
+            np.fill_diagonal(mat, diagonal)
+            i, j, k = rng.permutation(n)[:3].tolist()
+            mat[i, j], mat[j, i] = least, other
+            low = minimum(mat, mat.T)
+            np.fill_diagonal(low, np.inf)
+            m = float(low.min())
+            edge = (m + m) + METRIC_TOL
+            for top in (edge, math.nextafter(edge, math.inf)):
+                mat[j, k] = mat[k, j] = top
+                wide = np.zeros((n, 2 * n))
+                wide[:, ::2] = mat
+                for view in (mat, np.asfortranarray(mat), np.ascontiguousarray(mat.T).T, wide[:, ::2]):
+                    envelopes.clear()
+                    _triangle_rows(view, False)
+                    assert bool(envelopes) == (top > edge), (lo, top, view.flags)
 
 
 @st.composite

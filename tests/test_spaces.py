@@ -136,6 +136,35 @@ class TestValidateMetric:
         assert report.ok == (case == "in-band twin")
         assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n
 
+    @pytest.mark.parametrize("family", ["planar", "near-equilateral"])
+    def test_decided_without_the_pass_means_no_float_copy(self, family, monkeypatch):
+        """A C-ordered matrix that the certificate or the near-equilateral
+        rule decides is read in place: besides the boolean sign mask it
+        holds row-block temporaries and the certificate's coordinates, 1.2
+        and 1.0 MB at n=1000.  Building the 8 MB lower envelope before the
+        rule ran peaked at 9.2 and 8.0 MB."""
+        n = 1000
+        rng = np.random.default_rng(1000)
+        if family == "planar":
+            pts = rng.uniform(size=(n, 2))
+            diff = pts[:, None, :] - pts[None, :, :]
+            mat = np.sqrt((diff * diff).sum(axis=2))
+            del diff
+        else:
+            mat = np.triu(rng.uniform(0.6, 1.0, size=(n, n)), 1)
+            mat += mat.T
+        certified, certify = [], spaces._euclidean
+        monkeypatch.setattr(spaces, "_euclidean", lambda *args: certified.append(certify(*args)) or certified[-1])
+        tracemalloc.start()
+        try:
+            report = validate_metric(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and mat.flags.c_contiguous
+        assert certified == ([True] if family == "planar" else [])
+        assert peak < 4e6
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_cloud_returns_with_its_scaled_gap(self, seed):
         # Past 24 points the gap shrinks as 24/n, so this takes a few draws.
