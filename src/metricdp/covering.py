@@ -12,13 +12,10 @@ once: :class:`CoverHierarchy` certifies every level that
 
 Greedy scans walk points in label order, so every construction here is
 deterministic and reproducible from the space file alone.  Scans run over
-Python-int bitsets, one bit row per scanned center.  A packing radius below
-the least positive distance needs no scan: each closed ball is then its
-center's twin class (the points at distance 0.0), and where twins of twins
-are twins, as in any space whose least positive distance exceeds
-METRIC_TOL, the scan keeps the first point of each class, in label order.
-Those classes are read from the matrix once per call, however many levels
-lie below that distance.
+Python-int bitsets, one bit row per scanned center, and one scan is the
+only packing rule.  Below the least positive distance every closed ball is
+its center's row of twins (the points at distance 0.0) at any radius, so
+:func:`covering_measure` scans once for all the levels that pack there.
 """
 
 from __future__ import annotations
@@ -43,13 +40,11 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
 
     Scans in label order; a point is kept iff its ball shares no point
     with any previously kept ball.  Maximality is by construction: every
-    rejected point's ball meets a kept one.  Below the least positive
-    distance the result is the first point of each twin class, read
-    without a scan (see the module docstring).
+    rejected point's ball meets a kept one.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return [space.labels[i] for i in _packings(space, [radius], space.min_positive_distance())[0]]
+    return [space.labels[i] for i in _disjoint_scan(space, None, radius)]
 
 
 def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
@@ -75,27 +70,6 @@ def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     return kept
 
 
-def _packings(space: FiniteMetricSpace, radii, least) -> list:
-    """``_disjoint_scan`` of every point of ``space`` at each of ``radii``.
-    Below ``least``, the least positive distance, or at any radius when it
-    is 0.0, a closed ball is its center's row of twins.  When every point's
-    row equals its first twin's, being twins is an equivalence whose classes
-    are those rows, and the scan keeps the first point of each: those radii
-    share that one list.  Otherwise, possible only when ``least`` is at most
-    METRIC_TOL, they are scanned like the rest.  The rows are compared in
-    blocks of at most ``_BLOCK_CELLS`` cells, beside the one twin mask."""
-    cut, firsts = least or math.inf, None
-    if min(radii) < cut:
-        twins = space.dist == 0.0
-        first = twins.argmax(axis=1)  # each point's first twin: itself at the latest
-        step = max(1, _BLOCK_CELLS // len(space))
-        if all(np.array_equal(twins[first[r0:r0 + step]], twins[r0:r0 + step])
-               for r0 in range(0, len(space), step)):
-            firsts = np.flatnonzero(first == np.arange(len(space))).tolist()
-    return [firsts if r < cut and firsts is not None else _disjoint_scan(space, None, r)
-            for r in radii]
-
-
 def _uncovered(space: FiniteMetricSpace, idx, radius) -> list:
     """Labels outside every closed ``radius``-ball around the points at
     indices ``idx`` (with METRIC_TOL slack), in label order.  The centers'
@@ -115,13 +89,11 @@ def greedy_net(space: FiniteMetricSpace, radius) -> list:
     len(greedy_net(X, r)) == len(max_packing(X, r/2)) always.  The net
     re-checks its own cover before returning; failure is impossible by the
     maximality argument and would indicate a bug, hence AssertionError
-    rather than a domain error.  When radius/2 is below the least positive
-    distance the net is the first point of each twin class, read without
-    a scan (see the module docstring).
+    rather than a domain error.
     """
     if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
         raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
-    net = _packings(space, [radius / 2.0], space.min_positive_distance())[0]
+    net = _disjoint_scan(space, None, radius / 2.0)
     missing = _uncovered(space, net, radius)
     if missing:
         raise AssertionError(f"net at radius {radius} failed to cover {missing}")
@@ -243,8 +215,9 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     every point, making the measure full-support, except at its cap of
     1073, whose level packs at 2^-1074: points 2^-1074 apart share a center.
     The least positive distance is read once.  Levels that pack below it,
-    the last one or two at the default depth and every level past it,
-    share one list of twin-class firsts instead of a scan each.
+    the last one or two at the default depth and every level past it, all
+    pack alike, since each closed ball is then its center's row of twins:
+    the first of them scans, and the rest share its list.
     """
     least = space.min_positive_distance()
     if depth is None:
@@ -259,10 +232,14 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
             "at 1/2, so shallow levels may need many centers",
             stacklevel=2,
         )
+    cut, below = least or math.inf, None  # below: the scan shared under the least distance
     weights = np.zeros(len(space))
     levels = []
-    radii = [math.ldexp(1.0, -i) for i in range(1, depth + 1)]
-    for radius, net in zip(radii, _packings(space, [r / 2.0 for r in radii], least)):
+    for radius in (math.ldexp(1.0, -i) for i in range(1, depth + 1)):
+        if radius / 2.0 >= cut:
+            net = _disjoint_scan(space, None, radius / 2.0)
+        else:
+            net = below = below or _disjoint_scan(space, None, radius / 2.0)
         levels.append(CoverLevel(radius, tuple(space.labels[j] for j in net)))
         weights[net] += radius / len(net)
     return DiscreteMeasure(space, weights), CoverHierarchy(space, levels)

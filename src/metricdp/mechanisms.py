@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -242,4 +241,6 @@ def min_database_size(eps_target, gamma, delta, modulus) -> int:
     eps_star = privacy_bound(calibrate_beta(gamma, delta, modulus), 1.0)
     if eps_target == math.inf:
         return 1
+    from fractions import Fraction  # here only, so no CLI start-up imports it
+
     return max(1, math.ceil(Fraction(eps_star) / Fraction(eps_target)))

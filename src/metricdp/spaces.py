@@ -14,7 +14,8 @@ least two-step path through the matrix's lower envelope min(dist, dist.T),
 a tile at a time.  Only this pass copies the matrix, into that envelope,
 beside one tile buffer of at most 1 MB, and only the points it flags are
 enumerated triple by triple for the report.  A matrix whose largest entry
-is at most twice its least off-diagonal entry, plus METRIC_TOL, skips the
+is at most twice its least off-diagonal entry, plus METRIC_TOL, read
+through one row-block buffer of at most 1 MB for any strides, skips the
 pass: no two-step path is shorter than twice that entry.  The discrete
 metric is one, as is any matrix whose off-diagonal entries lie within a
 factor of two of each other.  An exactly symmetric matrix of
@@ -168,19 +169,28 @@ def _triangle_rows(mat, symmetric) -> list:
     row of n sums.
 
     No pass runs when max(mat) <= fl(fl(m + m) + METRIC_TOL), m the least
-    off-diagonal entry of ``mat``, read in place, which is that of ``low``
-    too: every sum a tile takes is fl(low[i, j] + low[k, j]) >= fl(m + m),
-    and rounding is monotone, so no pair's larger entry exceeds its least
-    sum plus METRIC_TOL.  The bound is taken in Python floats, where 2m
-    past the float maximum is +inf without a warning.  Nor does one run
-    when ``mat`` is exactly symmetric and :func:`_euclidean` certifies it.
+    off-diagonal entry of ``mat``, read in row blocks of at most
+    ``_BLOCK_CELLS`` cells, which is that of ``low`` too: every sum a tile
+    takes is fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is
+    monotone, so no pair's larger entry exceeds its least sum plus
+    METRIC_TOL.  The bound is taken in Python floats, where 2m past the
+    float maximum is +inf without a warning.  Nor does one run when
+    ``mat`` is exactly symmetric and :func:`_euclidean` certifies it.
     """
     n = mat.shape[0]
     if n < 3:
         return []
-    # The off-diagonal entries, read in place: in either memory order the
-    # diagonal is every (n + 1)-th element of the flat matrix.
-    least = float(mat.ravel("A")[1:].reshape(n - 1, n + 1)[:, :n].min())
+    # The off-diagonal entries, a row block at a time through one buffer
+    # whose diagonal cells are +inf, for any strides: the rows of the
+    # transpose, the same entries, when theirs are the shorter stride.
+    rows = mat.T if mat.strides[0] < mat.strides[1] else mat
+    buf, least = np.empty((min(n, max(1, _BLOCK_CELLS // n)), n)), math.inf
+    for r0 in range(0, n, len(buf)):
+        block = buf[: n - r0]
+        np.copyto(block, rows[r0 : r0 + len(block)])
+        np.fill_diagonal(block[:, r0:], np.inf)
+        least = min(least, float(block.min()))
+    del buf, block
     top = float(mat.max())
     if top <= (least + least) + METRIC_TOL:
         return []

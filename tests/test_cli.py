@@ -4,6 +4,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -1268,3 +1270,14 @@ class TestExitContract:
             assert (report is None) == (code == 2), (argv, code)
         if flag is not None:
             assert run_contract(documents, flag, not joined) == outcomes
+
+
+def test_start_up_imports_no_exact_arithmetic():
+    """``fractions`` (and through it ``decimal``) serves only
+    ``min_database_size``, which imports it itself, so no command pays
+    for it at start-up."""
+    src = str(Path(formats.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, metricdp.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -326,10 +326,11 @@ class TestCoveringMeasure:
         assert peak <= 3 * n * n + _BLOCK_CELLS * 8
 
     def test_twin_classes_hold_one_mask(self):
-        """Below the least positive distance the packing compares each row
-        of the twin mask with its first twin's a block at a time, so it holds
-        one n x n mask and a block: 1.3 MB at n=1000.  Gathering every first
-        twin's row and comparing whole masks peaked at 3.0 MB."""
+        """Below the least positive distance the packing is the ordinary
+        scan: it compares the matrix in place into one n x n boolean mask
+        and packs its rows to n/8 bytes each, so it holds the mask and its
+        packed rows: 1.25 MB at n=1000.  Gathering every first twin's row
+        and comparing whole masks peaked at 3.0 MB."""
         n = 1000
         coords = np.repeat(np.arange(n // 2), 2) / n
         space = FiniteMetricSpace([f"x{i}" for i in range(n)], np.abs(coords[:, None] - coords[None, :]))
