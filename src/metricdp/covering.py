@@ -7,8 +7,8 @@ at radii 2^-1, 2^-2, ..., 2^-L and giving each level-i center weight
 1/(2^i * n_i) yields a measure whose every r-ball holds at least
 1/(2^i * n_i) mass for the smallest level i with 2^-i <= r.  That lower
 bound is what ``positivity_lower_bound`` certifies.  Each cover is checked
-once: :class:`CoverHierarchy` certifies every level that
-:func:`covering_measure` builds, and :func:`greedy_net` re-checks its own net.
+once: :class:`CoverHierarchy` certifies each run of levels with one center
+list at its smallest radius, and :func:`greedy_net` re-checks its own net.
 
 Greedy scans walk points in label order, so every construction here is
 deterministic and reproducible from the space file alone.  Scans run over
@@ -58,8 +58,7 @@ def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     no repeat is kept.  A scan of every point compares the matrix in
     place, with no gathered copy of its rows."""
     rows = space.dist if centers is None else space.dist[np.asarray(centers, dtype=np.intp)]
-    balls = rows <= radius
-    data = np.packbits(balls, axis=1, bitorder="little").tobytes()
+    data = np.packbits(rows <= radius, axis=1, bitorder="little").tobytes()  # mask freed before the copy
     width = (len(space) + 7) // 8  # bytes per packed row
     covered, kept = 0, []  # covered: the union of kept balls
     for pos, start in enumerate(range(0, len(data), width)):
@@ -115,10 +114,12 @@ class CoverHierarchy:
     :class:`CoverLevel` per level.
 
     Level i's radius must be exactly 2^-i, and its closed balls of that
-    radius around its centers must cover the whole space; this is verified
-    on construction so a hand-built hierarchy certifies as much as one from
-    :func:`covering_measure`.  Covers are checked with ``METRIC_TOL`` slack,
-    so a certificate at radii near or below 1e-12 carries no information.
+    radius around its centers must cover the whole space.  Both are checked
+    on construction, so a hand-built hierarchy certifies as much as one
+    from :func:`covering_measure`; a run of levels with one center list is
+    checked once, at its smallest radius, whose cover implies the others'
+    and names a failure.  Covers are checked with ``METRIC_TOL`` slack, so
+    a certificate at radii near or below 1e-12 carries no information.
     """
 
     __slots__ = ("space", "levels")
@@ -129,16 +130,14 @@ class CoverHierarchy:
             raise StructuralError("a hierarchy needs at least one level")
         for depth, level in enumerate(levels, start=1):
             if level.radius != math.ldexp(1.0, -depth):
-                raise StructuralError(
-                    f"level {depth} radius {level.radius} is not 2^-{depth}"
-                )
+                raise StructuralError(f"level {depth} radius {level.radius} is not 2^-{depth}")
             if not level.centers:
                 raise StructuralError(f"level {depth} has no centers")
+            if depth < len(levels) and levels[depth].centers == level.centers:
+                continue  # the next level's smaller balls certify this list
             missing = _uncovered(space, [space.index_of(c) for c in level.centers], level.radius)
             if missing:
-                raise StructuralError(
-                    f"level {depth} balls do not cover the space (missing {missing})"
-                )
+                raise StructuralError(f"level {depth} balls do not cover the space (missing {missing})")
         self.space = space
         self.levels = levels
 
@@ -208,7 +207,8 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     and gives each of its n_i centers weight 1/(2^i * n_i).  A point in
     several nets accumulates the sum.  Total mass is exactly 1 - 2^-depth;
     :func:`tradeoff_upper_bound` divides by it to calibrate.  The returned
-    :class:`CoverHierarchy` is the one cover check: it certifies each level.
+    :class:`CoverHierarchy` is the one cover check: it certifies each run of
+    levels with one center list once, at its smallest radius.
 
     Returns (measure, hierarchy).  ``depth=None`` uses
     :func:`default_depth`, which is deep enough that the last level nets

@@ -197,10 +197,8 @@ def _file(key, entry) -> None:
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 # Float64 rows are formatted a block of at most ``_BLOCK_CELLS`` cells at
-# a time, each block judged from rows holding at most ``_SAMPLE`` cells.  A
-# block of fewer than ``_FEW`` cells is too small for the sort to pay.
+# a time, each block judged from rows holding at most ``_SAMPLE`` cells.
 _SAMPLE = _BLOCK_CELLS >> 5
-_FEW = 256
 _repr = float.__repr__  # what formats each distinct double; tests count its calls
 
 
@@ -289,11 +287,10 @@ def _bits(block) -> np.ndarray:
 def _fill(rows: list, out: list) -> None:
     """Write the text of each float64 row ``_write`` queued into its slot
     in ``out``, a block of rows of at most ``_BLOCK_CELLS`` cells (or one
-    longer row) at a time.  A block of at least ``_FEW`` cells whose
-    sampled rows (all of them in a block of at most ``_SAMPLE`` cells,
-    else rows at an even stride) are at most 3/4 distinct doubles goes to
-    ``_join``; any other block is written by ``_flat``, row by row.  Both
-    give the same bytes."""
+    longer row) at a time.  A block whose sampled rows (all of them in a
+    block of at most ``_SAMPLE`` cells, else rows at an even stride) are
+    at most 3/4 distinct doubles goes to ``_join``; any other block is
+    written by ``_flat``, row by row.  Both give the same bytes."""
     start, cells = 0, 0
     for end, (_, row, _) in enumerate(rows):
         if cells and cells + len(row) > _BLOCK_CELLS:
@@ -305,13 +302,12 @@ def _fill(rows: list, out: list) -> None:
 
 
 def _fill_block(block: list, cells: int, out: list) -> None:
-    if cells >= _FEW:
-        stride = -(-cells // _SAMPLE)
-        bits = _bits(block[::stride])
-        seen = np.sort(bits)
-        if 4 * (1 + np.count_nonzero(seen[1:] != seen[:-1])) <= 3 * len(seen):
-            _join(block, bits if stride == 1 else _bits(block), out)
-            return
+    stride = -(-cells // _SAMPLE)
+    bits = _bits(block[::stride])
+    seen = np.sort(bits)
+    if 4 * (1 + np.count_nonzero(seen[1:] != seen[:-1])) <= 3 * len(seen):
+        _join(block, bits if stride == 1 else _bits(block), out)
+        return
     for slot, row, depth in block:
         out[slot] = _flat(row.tolist(), depth)
 

@@ -539,6 +539,29 @@ def covering_measure_loop(space, depth=None):
     return DiscreteMeasure(space, weights), levels
 
 
+def cover_hierarchy_loop(space, levels) -> list:
+    """Oracle for ``CoverHierarchy``'s checks, each level on its own and
+    at its own radius: ``(i, kind, detail)`` for every faulty level i, in
+    order.  ``kind`` is "radius" for a radius that is not exactly 2^-i,
+    "empty" for a level with no centers, and "cover" for balls of radius
+    2^-i (plus METRIC_TOL) around the centers that miss a point, whose
+    ``detail`` is the missing labels in label order."""
+    faults = []
+    for i, level in enumerate(levels, start=1):
+        if level.radius != 2.0 ** -i:
+            faults.append((i, "radius", level.radius))
+        elif not level.centers:
+            faults.append((i, "empty", None))
+        else:
+            idx = [space.index_of(c) for c in level.centers]
+            reach = level.radius + METRIC_TOL
+            missing = [x for j, x in enumerate(space.labels)
+                       if not any(float(space.dist[j, c]) <= reach for c in idx)]
+            if missing:
+                faults.append((i, "cover", missing))
+    return faults
+
+
 # fdlibm's e_log.c constants (Sun, 1993), written out again rather than
 # imported, so that a wrong digit in the library shows.
 LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10

@@ -146,6 +146,19 @@ class TestHierarchy:
         with pytest.raises(StructuralError, match="cover"):
             CoverHierarchy(s, [CoverLevel(0.5, ("0",))])
 
+    @pytest.mark.parametrize("centers, depth, missing", [
+        (("0", "0.5", "1"), 3, ["0.25", "0.75"]),
+        (("0",), 2, ["0.375", "0.5", "0.625", "0.75", "0.875", "1"]),
+    ], ids=["only-at-the-deepest", "from-the-first"])
+    def test_a_run_fails_at_its_deepest_level(self, centers, depth, missing):
+        """A run of levels with one center list is checked once, at its
+        smallest radius, whose failure is named, also where the run's first
+        level already misses a point."""
+        levels = [CoverLevel(math.ldexp(1.0, -d), centers) for d in range(1, depth + 1)]
+        with pytest.raises(StructuralError) as err:
+            CoverHierarchy(grid_space(9), levels)
+        assert str(err.value) == f"level {depth} balls do not cover the space (missing {missing})"
+
     def test_empty_levels_rejected(self):
         with pytest.raises(StructuralError):
             CoverHierarchy(grid_space(3), [])
@@ -296,20 +309,34 @@ class TestCoveringMeasure:
             covering_measure(grid_space(3), depth=1074)
         assert scans == []
 
-    def test_each_level_is_checked_once(self, monkeypatch):
-        # The hierarchy's check is the only cover check on this path.
+    def test_each_run_of_levels_is_checked_once(self, monkeypatch):
+        # The hierarchy's check is the only cover check on this path, and
+        # grid9's three levels have three different center lists.
         calls, check = [], covering._uncovered
         monkeypatch.setattr(covering, "_uncovered", lambda *args: calls.append(args) or check(*args))
         _, hier = covering_measure(grid_space(9))
         assert len(calls) == hier.depth == 3
+
+    def test_levels_past_the_default_depth_are_checked_once(self, monkeypatch):
+        """At depth 1073 a 96-point planar space's deepest levels all share
+        one center list: the cover is checked once per run of equal
+        consecutive lists, at the run's smallest radius, not once a level."""
+        dist = cloud_metric(np.random.default_rng(96), 96)
+        space = FiniteMetricSpace([f"s{i}" for i in range(96)], dist / dist.max())
+        calls, check = [], covering._uncovered
+        monkeypatch.setattr(covering, "_uncovered", lambda *args: calls.append(args) or check(*args))
+        _, hier = covering_measure(space, depth=1073)
+        runs = [d for d in range(1, 1074) if d == 1073 or hier.levels[d].centers != hier.levels[d - 1].centers]
+        assert len(runs) == 6 and runs[-2] < default_depth(space)
+        assert [radius for _, _, radius in calls] == [math.ldexp(1.0, -d) for d in runs]
 
     @pytest.mark.parametrize("family", ["planar", "grid"])
     def test_peak_memory_copies_no_float_matrix(self, family):
         """Each level's scan of every point compares the matrix in place,
         and the cover check reads its centers' rows in blocks of at most
         _BLOCK_CELLS cells, so the build holds boolean masks, never a float
-        copy: 3.0 MB at n=1000.  Gathering the scanned points' float rows
-        on every level peaked at 10.1 MB."""
+        copy: 1.29 MB planar and 1.26 MB grid at n=1000.  Gathering the
+        scanned points' float rows on every level peaked at 10.1 MB."""
         n = 1000
         if family == "grid":
             space = grid_space(n)
@@ -328,9 +355,11 @@ class TestCoveringMeasure:
     def test_twin_classes_hold_one_mask(self):
         """Below the least positive distance the packing is the ordinary
         scan: it compares the matrix in place into one n x n boolean mask
-        and packs its rows to n/8 bytes each, so it holds the mask and its
-        packed rows: 1.25 MB at n=1000.  Gathering every first twin's row
-        and comparing whole masks peaked at 3.0 MB."""
+        and packs its rows to n/8 bytes each, and the mask is freed before
+        the packed rows are copied to bytes, so it holds the mask and one
+        packed copy: 1.13 MB at n=1000.  Keeping the mask alive through the
+        copy peaked at 1.25 MB, and gathering every first twin's row and
+        comparing whole masks at 3.0 MB."""
         n = 1000
         coords = np.repeat(np.arange(n // 2), 2) / n
         space = FiniteMetricSpace([f"x{i}" for i in range(n)], np.abs(coords[:, None] - coords[None, :]))
@@ -341,7 +370,7 @@ class TestCoveringMeasure:
         finally:
             tracemalloc.stop()
         assert kept == space.labels[::2]
-        assert peak <= n * n + _BLOCK_CELLS * 8
+        assert peak <= n * n * 9 // 8 + 16_384
 
     def test_deterministic(self):
         a, _ = covering_measure(grid_space(9))

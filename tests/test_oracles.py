@@ -27,6 +27,7 @@ from conftest import (
     audit_privacy_loop,
     closure_metric,
     cloud_metric,
+    cover_hierarchy_loop,
     covering_measure_loop,
     distribution_loop,
     dump_doc_reference,
@@ -45,6 +46,8 @@ from conftest import (
 )
 from metricdp import (
     METRIC_TOL,
+    CoverHierarchy,
+    CoverLevel,
     DiscreteMeasure,
     DomainError,
     ExpMechParams,
@@ -52,6 +55,7 @@ from metricdp import (
     LipschitzMap,
     MechanismTable,
     NotLipschitzError,
+    StructuralError,
     audit_privacy,
     covering_measure,
     default_depth,
@@ -1053,6 +1057,66 @@ class TestTwinClassLevels:
             assert greedy_net(space, r + r) == propose_centers_loop(query, r)
 
 
+def cover_spaces():
+    """Small spaces of diameter 1 for hand-built hierarchies: a grid, a
+    planar cloud and a line with zero-distance twins."""
+    cloud = cloud_metric(np.random.default_rng(31), 8)
+    yield "grid", grid_space(9)
+    yield "cloud", FiniteMetricSpace([f"p{i}" for i in range(8)], cloud / cloud.max())
+    yield "twins", line_space([0.5, 0.0, 0.5, 0.25, 0.0, 0.75, 0.5, 1.0])
+
+
+COVER_SPACES = dict(cover_spaces())
+
+
+class TestCoverHierarchyOracle:
+    """``CoverHierarchy`` checks radius and emptiness on every level, in
+    order, and the cover once per run of levels with one center list, at
+    its last level; ``cover_hierarchy_loop`` checks every level at its own
+    radius.  Runs are nets at radii near their own, some with a center
+    dropped, so some fail only at their deepest level and some at their
+    first; a few levels get a radius one ulp off or lose their only
+    center."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_run_is_certified_by_its_smallest_radius(self, data):
+        space = COVER_SPACES[data.draw(st.sampled_from(sorted(COVER_SPACES)))]
+        levels = []
+        for length in data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+            first = len(levels) + 1
+            centers = greedy_net(space, math.ldexp(1.0, -data.draw(st.integers(first - 1, first + length))))
+            if data.draw(st.booleans()):
+                del centers[data.draw(st.integers(0, len(centers) - 1))]
+            for depth in range(first, first + length):
+                radius = math.ldexp(1.0, -depth)
+                if data.draw(st.integers(0, 19)) == 0:
+                    radius = math.nextafter(radius, 1.0)
+                levels.append(CoverLevel(radius, tuple(centers)))
+        faults = cover_hierarchy_loop(space, levels)
+        ends = [d for d in range(1, len(levels) + 1)
+                if d == len(levels) or levels[d].centers != levels[d - 1].centers]
+        if not faults:
+            assert CoverHierarchy(space, levels).levels == tuple(levels)
+            return
+        # Each fault raises where the hierarchy reaches it: a radius or an
+        # empty list at its own level, before that level's cover check, and
+        # a missed point at the last level of its run, which must miss one
+        # too, and whose missing labels the message names.
+        found = {(d, kind): detail for d, kind, detail in faults}
+        d, _, kind = min((d, 0, kind) if kind != "cover" else (next(e for e in ends if e >= d), 1, kind)
+                         for d, kind, _ in faults)
+        if kind == "radius":
+            want = f"level {d} radius {found[d, kind]} is not 2^-{d}"
+        elif kind == "empty":
+            want = f"level {d} has no centers"
+        else:
+            want = f"level {d} balls do not cover the space (missing {found[d, kind]})"
+        with pytest.raises(StructuralError) as err:
+            CoverHierarchy(space, levels)
+        assert str(err.value) == want
+
+
 class TestIdentityConstant:
     """The identity on one space has constant 1.0 (0.0 with no positive
     distance) without enumerating pairs; an equal copy of the space as the
@@ -1194,7 +1258,9 @@ class TestDumpDocOracle:
 
     def test_one_repr_per_distinct_double_per_block(self, tmp_path, monkeypatch):
         """A seeded 40-point discrete chain: each report's float rows make
-        one block, and each distinct bit pattern in it is formatted once."""
+        one block, and each distinct bit pattern in it is formatted at most
+        once: none when the block went through ``_flat``, exactly its
+        distinct set when it joined, whatever its size."""
         labels = [f"x{i}" for i in np.random.default_rng(40).permutation(40)]
         space = {"labels": labels, "dist": (1.0 - np.eye(40)).tolist()}
         files = {name: str(tmp_path / f"{name}.json") for name in
@@ -1224,16 +1290,13 @@ class TestDumpDocOracle:
                 "--out", files["utility"]]]
         assert [cli.main(argv) for argv in run] == [0, 0, 0]
         assert len(reports) == 5
-        big = 0
+        joined = 0
         for cells, reprs in reports:
             assert len(cells) < _BLOCK_CELLS
-            if len(cells) < formats._FEW:
-                assert reprs == []
-                continue
-            big += 1
-            assert len(set(cells)) <= 4
-            assert sorted(np.float64(v).view(np.int64).item() for v in reprs) == sorted(set(cells))
-        assert big == 3  # the space in the measure report, the table and the per-pair matrix
+            assert sorted(np.float64(v).view(np.int64).item() for v in reprs) in ([], sorted(set(cells)))
+            joined += bool(reprs)
+            assert not reprs or len(set(cells)) <= 4
+        assert joined == 4  # the measure report's space, the table, the per-pair matrix, the utility row
 
     def test_report_shapes(self):
         """Envelopes around matrices, rows by label and empty containers."""
