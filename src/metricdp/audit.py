@@ -251,9 +251,12 @@ def propose_centers(query: LipschitzMap, radius) -> list:
 
     Convenience feeder for :func:`impossibility_lower_bound`: scans the
     domain in label order and keeps an input iff the closed ``radius``-ball
-    around its image avoids every ball kept so far.
+    around its image avoids every ball kept so far.  Images that are every
+    codomain index in label order (an identity map's) are scanned in the
+    codomain's matrix in place; any other map's rows are gathered first.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    labels = query.domain.labels
-    return [labels[p] for p in _disjoint_scan(query.codomain, query.images, radius)]
+    labels, images = query.domain.labels, query.images
+    every = np.array_equal(images, np.arange(len(query.codomain)))
+    return [labels[p] for p in _disjoint_scan(query.codomain, None if every else images, radius)]

@@ -49,14 +49,14 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
 
 def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
     """Positions in ``centers`` (point indices of ``space``, repeats
-    allowed; None for every point in label order) kept by one greedy pass:
-    a center is kept iff its closed ``radius``-ball shares no point with
-    the balls kept before it.  Each center's ball becomes one Python int,
-    bit j set iff point j is in it, as the scan reaches it, so a step is
-    one ``&`` and one ``|`` of ints, not numpy calls.  A repeated center's
-    ball meets the union once its first copy is scanned, kept or not, so
-    no repeat is kept.  A scan of every point compares the matrix in
-    place, with no gathered copy of its rows."""
+    allowed; None for every point in label order, as an identity map's
+    images are) kept by one greedy pass: a center is kept iff its closed
+    ``radius``-ball shares no point with the balls kept before it.  Each
+    center's ball becomes one Python int, bit j set iff point j is in it,
+    as the scan reaches it, so a step is one ``&`` and one ``|`` of ints,
+    not numpy calls.  A repeated center's ball meets the union once its
+    first copy is scanned, kept or not, so no repeat is kept.  A scan of
+    every point compares the matrix in place, with no gathered copy."""
     rows = space.dist if centers is None else space.dist[np.asarray(centers, dtype=np.intp)]
     data = np.packbits(rows <= radius, axis=1, bitorder="little").tobytes()  # mask freed before the copy
     width = (len(space) + 7) // 8  # bytes per packed row

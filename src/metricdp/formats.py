@@ -94,10 +94,10 @@ class _Memo(threading.local):
     """A thread's memo: ``kept``, the objects built from file texts, oldest
     first, (loader, text) -> (the other files the build read, path -> text;
     the object); ``frames``, the builds under way, innermost last, each with
-    the files it read, path -> text; and ``space``, the explicit space built
-    last with the raw matrix it was built from, or None where that equals
-    its stored one.  A build reads a file once, and sees the text an outer
-    build read."""
+    every file read since it began, path -> text; and ``space``, the
+    explicit space built last with the raw matrix it was built from, or None
+    where that equals its stored one.  A build reads a file once, and sees
+    the text an outer build read."""
 
     def __init__(self):
         self.kept = {}
@@ -109,8 +109,10 @@ _memo = _Memo()
 
 
 def _read(path: str) -> str:
+    """The text of ``path`` as the outermost build under way read it, else
+    as the file holds it; filed in every build under way."""
     frames = _memo.frames
-    text = next((files[path] for files in frames if path in files), None)
+    text = frames[0].get(path) if frames else None
     if text is None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -119,8 +121,8 @@ def _read(path: str) -> str:
             raise SchemaError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # not UTF-8
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if frames:
-        frames[-1][path] = text
+    for files in frames:
+        files[path] = text
     return text
 
 
@@ -170,8 +172,6 @@ def _kept(load):
             obj = load(source, *args, **kwargs)
         finally:
             files = _memo.frames.pop()
-            if _memo.frames:
-                _memo.frames[-1].update(files)
         del files[source]
         if not (args or kwargs) and all(len(t) <= _MEMO_CHARS for t in (text, *files.values())):
             _file((load, text), (files, obj))
@@ -197,7 +197,7 @@ def _file(key, entry) -> None:
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 # Float64 rows are formatted a block of at most ``_BLOCK_CELLS`` cells at
-# a time, each block judged from rows holding at most ``_SAMPLE`` cells.
+# a time, each block judged from every k-th cell, at most ``_SAMPLE`` cells.
 _SAMPLE = _BLOCK_CELLS >> 5
 _repr = float.__repr__  # what formats each distinct double; tests count its calls
 
@@ -279,34 +279,29 @@ def _write(obj, depth: int, out: list, rows: list) -> None:
         out.append(pad[:-2] + "]")
 
 
-def _bits(block) -> np.ndarray:
-    """The int64 bit patterns of ``block``'s float64 rows, in order."""
-    return np.concatenate([row for _, row, _ in block]).view(np.int64)
-
-
 def _fill(rows: list, out: list) -> None:
     """Write the text of each float64 row ``_write`` queued into its slot
     in ``out``, a block of rows of at most ``_BLOCK_CELLS`` cells (or one
-    longer row) at a time.  A block whose sampled rows (all of them in a
-    block of at most ``_SAMPLE`` cells, else rows at an even stride) are
-    at most 3/4 distinct doubles goes to ``_join``; any other block is
+    longer row) at a time.  A block's bit patterns are concatenated once;
+    a block whose sampled cells (all of them in a block of at most
+    ``_SAMPLE`` cells, else every k-th cell, k = ceil(cells / ``_SAMPLE``))
+    are at most 3/4 distinct doubles goes to ``_join``; any other block is
     written by ``_flat``, row by row.  Both give the same bytes."""
     start, cells = 0, 0
     for end, (_, row, _) in enumerate(rows):
         if cells and cells + len(row) > _BLOCK_CELLS:
-            _fill_block(rows[start:end], cells, out)
+            _fill_block(rows[start:end], out)
             start, cells = end, 0
         cells += len(row)
     if cells:
-        _fill_block(rows[start:], cells, out)
+        _fill_block(rows[start:], out)
 
 
-def _fill_block(block: list, cells: int, out: list) -> None:
-    stride = -(-cells // _SAMPLE)
-    bits = _bits(block[::stride])
-    seen = np.sort(bits)
+def _fill_block(block: list, out: list) -> None:
+    bits = np.concatenate([row for _, row, _ in block]).view(np.int64)
+    seen = np.sort(bits[::-(-len(bits) // _SAMPLE)])
     if 4 * (1 + np.count_nonzero(seen[1:] != seen[:-1])) <= 3 * len(seen):
-        _join(block, bits if stride == 1 else _bits(block), out)
+        _join(block, bits, out)
         return
     for slot, row, depth in block:
         out[slot] = _flat(row.tolist(), depth)

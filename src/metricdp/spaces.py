@@ -371,7 +371,7 @@ class FiniteMetricSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.dist, other.dist)
+        return other is self or (self.labels == other.labels and np.array_equal(self.dist, other.dist))
 
     def __hash__(self):
         return hash((tuple(self.labels), self.dist.tobytes()))

@@ -13,6 +13,7 @@ from conftest import (
     assert_near_fsum,
     audit_privacy_loop,
     check_em_inequalities,
+    cloud_metric,
     cycle_space,
     hamming_cube,
     hamming_space,
@@ -784,9 +785,9 @@ class TestProposeCenters:
             propose_centers(identity_map(grid_space(3)), 0.0)
 
     def test_small_domain_into_a_large_codomain_stays_small(self):
-        """Bit rows are built for the distinct images only: three inputs
-        into 3000 outputs stay far below the 9 MB of a full 3000 x 3000
-        membership mask."""
+        """Bit rows are built for the images only, one per input, repeats
+        included: three inputs into 3000 outputs stay far below the 9 MB of
+        a full 3000 x 3000 membership mask."""
         codomain = grid_space(3000)
         images = [codomain.labels[0], codomain.labels[2999], codomain.labels[0]]
         query = LipschitzMap(line_space([0.0, 1.0, 2.0]), codomain, dict(zip(["x0", "x1", "x2"], images)))
@@ -798,6 +799,40 @@ class TestProposeCenters:
             tracemalloc.stop()
         assert centers == propose_centers_loop(query, 0.1) == ["x0", "x1"]
         assert peak < 1_000_000
+
+    def test_an_identity_map_scans_its_matrix_in_place(self):
+        """The scan of a 1000-point identity map holds its membership mask
+        and packed rows (1.13 MB), not a gathered float copy of the
+        matrix (8 MB more)."""
+        space = FiniteMetricSpace([f"p{i}" for i in range(1000)], cloud_metric(np.random.default_rng(97), 1000))
+        query = identity_map(space)
+        tracemalloc.start()
+        try:
+            centers = propose_centers(query, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert centers == propose_centers_loop(query, 0.05)
+        assert peak <= 1_500_000
+
+    def test_identity_images_scan_in_place_and_others_gather(self, monkeypatch):
+        """Images that are every codomain index in label order, on one space
+        object or on two with the same labels, pass None to the scan; a
+        permutation passes its images.  All three match the loop."""
+        rng = np.random.default_rng(101)
+        space = random_space(rng, 40)
+        twin = FiniteMetricSpace(space.labels, space.dist.copy())
+        shuffled = rng.permutation(space.labels).tolist()
+        assert shuffled != space.labels
+        scans, scan = [], audit._disjoint_scan
+        monkeypatch.setattr(audit, "_disjoint_scan", lambda *args: scans.append(args[1]) or scan(*args))
+        for query, gathers in ((identity_map(space), False),
+                               (LipschitzMap(twin, space, {x: x for x in twin.labels}), False),
+                               (LipschitzMap(space, space, dict(zip(space.labels, shuffled))), True)):
+            for r in (0.05, 0.2, 0.5):
+                scans.clear()
+                assert propose_centers(query, r) == propose_centers_loop(query, r)
+                assert len(scans) == 1 and (scans[0] is not None) == gathers
 
 
 class TestEMInequalities:

@@ -274,6 +274,34 @@ class TestParsedDocumentMemo:
         space.write_text(json.dumps(formats.space_to_doc(grid_space(3)), default=np.ndarray.tolist))
         assert load(str(index)).domain.dist[0, 2] == 1.0
 
+    def test_each_build_files_exactly_the_files_it_read(self, tmp_path):
+        # index -> map -> space, and a file the index build reads before and
+        # after the map: each kept build names the files it and the builds
+        # inside it read, and no file read outside it.
+        texts = {"space": json.dumps(formats.space_to_doc(grid_space(3)), default=np.ndarray.tolist),
+                 "other": json.dumps({"k": 1})}
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("space", "other", "map", "index")}
+        texts["map"] = json.dumps({"domain": paths["space"], "codomain": paths["space"],
+                                   "table": {"0": "0", "0.5": "0.5", "1": "1"}})
+        texts["index"] = json.dumps({"map": paths["map"]})
+        for name, text in texts.items():
+            Path(paths[name]).write_text(text)
+
+        def index(source):
+            formats.load_doc(paths["other"])
+            query = formats.map_from_doc(formats.load_doc(source)["map"])
+            formats.load_doc(paths["other"])
+            return query
+
+        load = formats._kept(index)
+        assert load(paths["index"]) is load(paths["index"])
+        files = {key[0]: entry[0] for key, entry in formats._memo.kept.items()}
+        assert files == {
+            formats.space_from_doc.__wrapped__: {},
+            formats.map_from_doc.__wrapped__: {paths["space"]: texts["space"]},
+            index: {paths[name]: texts[name] for name in ("other", "map", "space")},
+        }
+
     def test_a_build_reads_each_file_once(self, tmp_path, monkeypatch):
         # A file rewritten while a build runs is not seen by that build: the
         # space file is rewritten once its first text is parsed, and both of

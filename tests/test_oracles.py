@@ -1187,7 +1187,7 @@ DOCS = st.dictionaries(DOC_KEYS, st.recursive(
 # a matrix (as an array, and as lists of rows with one row emptied or
 # mixing 1 with 1.0 or a numpy float with a float) and an exactly
 # symmetric one (as an array and as a dict of rows).  Up to 6,400 cells,
-# so large ones are judged from sampled rows.
+# so large ones are judged from every k-th cell.
 POOL_FLOATS = FLOATS | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16])
 
 
@@ -1340,12 +1340,12 @@ class TestToDocOracle:
     """The ``*_to_doc`` documents hold the objects' own read-only float64
     arrays, and ``dump_doc`` writes them as the lists their ``tolist``
     gives.  At n=400 a matrix is past one block of ``_BLOCK_CELLS`` cells,
-    whose rows are judged at a stride."""
+    each judged from every k-th cell."""
 
     @pytest.mark.parametrize("family, n", [
         *itertools.product(["planar", "grid", "discrete", "pseudo"], [5, 40]),
         ("planar", 400), ("grid", 400)])
-    def test_same_bytes_as_the_listed_document(self, family, n):
+    def test_same_bytes_as_the_listed_document(self, family, n, monkeypatch):
         space = to_doc_space(family, n)
         measure, _ = covering_measure(space)
         table = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0,
@@ -1356,8 +1356,17 @@ class TestToDocOracle:
             text = dump_doc(doc)
             assert first_difference(text, dump_doc_reference(listed)) is None
             assert dump_doc(listed) == text
-        if n == 400:  # two blocks, each judged from rows at a stride
+        if n == 400:  # two blocks, each judged from every k-th cell
             assert n * n > _BLOCK_CELLS and _BLOCK_CELLS // n * n > formats._SAMPLE
+            calls = repr_calls(monkeypatch)
+            if family == "grid":  # 400 distances: each block joins, one repr per distinct double
+                dump_doc(formats.space_to_doc(space))
+                k = _BLOCK_CELLS // n
+                bits = [np.unique(block.view(np.int64)) for block in (space.dist[:k], space.dist[k:])]
+                assert calls == np.concatenate(bits).view(np.float64).tolist()
+            else:  # mostly distinct probabilities: every row goes through _flat
+                dump_doc(formats.table_to_doc(table))
+                assert calls == []
 
     def test_the_arrays_are_the_objects_own_and_read_only(self):
         space = to_doc_space("planar", 40)

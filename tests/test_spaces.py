@@ -237,6 +237,17 @@ class TestFiniteMetricSpace:
         assert hash(a) == hash(b)
         assert a != discrete_space(4)
 
+    def test_a_space_equals_itself_without_a_matrix_compare(self, monkeypatch):
+        s, twin = grid_space(4), grid_space(4)
+        apart = FiniteMetricSpace(s.labels, 2.0 * s.dist)
+        calls, array_equal = [], np.array_equal
+        monkeypatch.setattr(spaces.np, "array_equal", lambda *args: calls.append(args) or array_equal(*args))
+        assert s == s and not s != s
+        assert calls == []
+        # Equal but distinct spaces still compare by content.
+        assert s == twin and s != apart
+        assert len(calls) == 2
+
     def test_signed_zeros_hash_alike(self):
         a = FiniteMetricSpace(["a", "b"], [[-0.0, 1], [1, 0]])
         b = FiniteMetricSpace(["a", "b"], [[0.0, 1], [1, 0]])
