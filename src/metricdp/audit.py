@@ -117,7 +117,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
-    logs = _logs(mech.probs)
+    logs = mech.logs
     pair_max = _sweep(mech, logs, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
@@ -133,6 +133,12 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
 
 
+def _images(query: LipschitzMap):
+    """``query.images``, or None when they are every codomain index in label
+    order (an identity map's), so that the caller reads the matrix in place."""
+    return None if np.array_equal(query.images, np.arange(len(query.codomain))) else query.images
+
+
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
     """The query must map the table's input space to its output space."""
     if query.codomain != mech.output_space:
@@ -142,11 +148,13 @@ def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
 
 
 def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAuditReport:
-    """Per-input mass inside the closed gamma-ball around the true image."""
+    """Per-input mass inside the closed gamma-ball around the true image; an
+    identity map's balls are read from the codomain's matrix in place."""
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
-    masses = _mass_inside(mech.output_space.dist[query.images] <= gamma, mech.probs)
+    images, dist = _images(query), mech.output_space.dist
+    masses = _mass_inside((dist if images is None else dist[images]) <= gamma, mech.probs)
     worst = int(np.argmin(masses))
     return UtilityAuditReport(gamma=float(gamma), min_mass=float(masses[worst]),
                               worst_input=mech.input_space.labels[worst], per_input_mass=masses)
@@ -251,12 +259,11 @@ def propose_centers(query: LipschitzMap, radius) -> list:
 
     Convenience feeder for :func:`impossibility_lower_bound`: scans the
     domain in label order and keeps an input iff the closed ``radius``-ball
-    around its image avoids every ball kept so far.  Images that are every
-    codomain index in label order (an identity map's) are scanned in the
-    codomain's matrix in place; any other map's rows are gathered first.
+    around its image avoids every ball kept so far.  An identity map's
+    balls are scanned in the codomain's matrix in place (see :func:`_images`);
+    any other map's rows are gathered first.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    labels, images = query.domain.labels, query.images
-    every = np.array_equal(images, np.arange(len(query.codomain)))
-    return [labels[p] for p in _disjoint_scan(query.codomain, None if every else images, radius)]
+    labels = query.domain.labels
+    return [labels[p] for p in _disjoint_scan(query.codomain, _images(query), radius)]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ieee import _logs
 from .errors import (
     DegenerateMeasureError,
     NotUniformlyPositiveError,
@@ -123,6 +124,11 @@ class MechanismTable:
 
     def row(self, x) -> np.ndarray:
         return self.probs[self.input_space.index_of(x)]
+
+    @property
+    def logs(self) -> np.ndarray:
+        """``_ieee._logs(probs)``, computed afresh on each read and not kept."""
+        return _logs(self.probs)
 
     def __repr__(self):
         return f"MechanismTable({len(self.input_space)}x{len(self.output_space)})"

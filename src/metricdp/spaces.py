@@ -8,23 +8,24 @@ at distance 0.0, are allowed, but a Lipschitz map must give them one image.
 Validation reads the matrix against its transpose once, in row blocks: a
 block equal to its transpose has no symmetry violation.
 
-The triangle check is one tiled min-plus reduction over the pairs i <= k,
-about half of the n^3 sums: each pair's larger entry is compared with the
-least two-step path through the matrix's lower envelope min(dist, dist.T),
-a tile at a time.  Only this pass copies the matrix, into that envelope,
-beside one tile buffer of at most 1 MB, and only the points it flags are
-enumerated triple by triple for the report.  A matrix whose largest entry
-is at most twice its least off-diagonal entry, plus METRIC_TOL, read
-through one row-block buffer of at most 1 MB for any strides, skips the
-pass: no two-step path is shorter than twice that entry.  The discrete
-metric is one, as is any matrix whose off-diagonal entries lie within a
-factor of two of each other.  An exactly symmetric matrix of
-modest scale that is, within rounding, the distance matrix of points in
-a Euclidean space of rank at most n/8 skips it too: the check builds
-float coordinates from the matrix, recomputes every distance from them
-in O(n^2·r), and skips the pass when the misfit is too small for any
-triangle to exceed METRIC_TOL (see :func:`_euclidean`).  Planar points
-and a shuffled 1-D grid are such matrices.
+The triangle check takes one of four paths, and the validation report and
+the space name it as ``certified_by``.  "trivial": fewer than three points.
+Then the certificates of ``_CERTIFICATES``, cheapest first, which read no
+more than the validator knows.  "near-equilateral": the largest entry is at
+most twice the least off-diagonal entry, plus METRIC_TOL, so no two-step
+path is shorter; the discrete metric is one, as is any matrix whose
+off-diagonal entries lie within a factor of two of each other.  "euclidean": an exactly symmetric
+matrix of modest scale is, within rounding, the distance matrix of points
+in a Euclidean space of rank at most n/8; the check builds float
+coordinates from the matrix, recomputes every distance from them in
+O(n^2·r), and finds the misfit too small for any triangle to exceed
+METRIC_TOL (see :func:`_euclidean`).  Planar points and a shuffled 1-D grid
+are such matrices.  Otherwise "tiled": one tiled min-plus reduction over the
+pairs i <= k, about half of the n^3 sums, compares each pair's larger entry
+with the least two-step path through the matrix's lower envelope
+min(dist, dist.T), a tile at a time.  Only this pass copies the matrix, into
+that envelope, beside one tile buffer of at most 1 MB, and only the points
+it flags are enumerated triple by triple for the report.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ class AxiomViolation:
 class MetricValidationReport:
     ok: bool
     violations: tuple = field(default_factory=tuple)
+    certified_by: str | None = field(default=None, compare=False)  # see _triangle_rows
 
 
 def _square_matrix(dist) -> np.ndarray:
@@ -92,18 +94,12 @@ def validate_metric(dist) -> MetricValidationReport:
     symmetry, triangle inequality) with witnessing index tuples.  Distinct
     points at distance zero are allowed: definiteness is not an axiom here.
 
-    Symmetry is checked in row blocks; a block equal to its transpose has
-    no violation, and the matrix is exactly symmetric when every block is.
-
-    The triangle inequality is checked in O(n^3) time by one tiled min-plus
-    reduction over the pairs i <= k, unless the matrix is near-equilateral,
-    when it is certified in O(n^2), or exactly symmetric and Euclidean within
-    rounding, when it is certified in O(n^2·r) from the rank-r points it
-    implies (see :func:`_triangle_rows`).  Only the pass copies the matrix,
-    beside a tile buffer of at most 1 MB; the certificate holds coordinates
-    of at most n^2 bytes.  Only the points that pass flags are
-    enumerated triple by triple, so the report, its order and details are
-    those of a scalar loop over every (i, k, j).
+    Symmetry is checked in row blocks (see the module docstring).  The
+    triangle inequality takes the path the report's ``certified_by`` names:
+    O(n^2) near-equilateral, O(n^2·r) Euclidean of rank r, or the O(n^3)
+    tiled pass (see :func:`_triangle_rows`).  Only the points that pass
+    flags are enumerated triple by triple, so the report, its order and
+    details are those of a scalar loop over every (i, k, j).
 
     Raises
     ------
@@ -134,7 +130,7 @@ def validate_metric(dist) -> MetricValidationReport:
             AxiomViolation("symmetry", (i, j), f"dist[{i}][{j}] = {mat[i, j]} != {mat[j, i]}")
             for i, j in (np.argwhere(np.triu(abs(upper - lower) > METRIC_TOL, r0 + 1)) + [r0, 0]).tolist()
         ]
-    rows = _triangle_rows(mat, symmetric)
+    rows, path = _triangle_rows(mat, symmetric)
     # Only the points the pass flags go through a (k, j) slab: bad[k, j] means
     # dist[i][k] exceeds the path through j, summed as the scalar expression
     # is.  An overflowed sum is +inf, which no finite distance exceeds: exact.
@@ -151,12 +147,14 @@ def validate_metric(dist) -> MetricValidationReport:
                 )
                 for k, j in np.argwhere(bad).tolist()
             ]
-    return MetricValidationReport(ok=not violations, violations=tuple(violations))
+    return MetricValidationReport(not violations, tuple(violations), path)
 
 
-def _triangle_rows(mat, symmetric) -> list:
-    """Sorted indices of a superset of the points i with some k != i and j
-    not in {i, k} such that dist[i][k] > dist[i][j] + dist[j][k] + METRIC_TOL.
+def _triangle_rows(mat, symmetric) -> tuple:
+    """(rows, path): the sorted indices of a superset of the points i with
+    some k != i and j not in {i, k} such that dist[i][k] > dist[i][j] +
+    dist[j][k] + METRIC_TOL, and the path that decided: "trivial" below three
+    points, the first of ``_CERTIFICATES`` that holds (no rows), or "tiled".
 
     The pass builds the lower envelope low = min(mat, mat.T), with +inf on
     its diagonal to drop j = i and j = k.  One tiled min-plus reduction of
@@ -167,35 +165,15 @@ def _triangle_rows(mat, symmetric) -> list:
     raw violation is flagged; a point with none of its own may be flagged
     too.  Tiles reuse one buffer of at most ``_BLOCK_CELLS`` cells, or one
     row of n sums.
-
-    No pass runs when max(mat) <= fl(fl(m + m) + METRIC_TOL), m the least
-    off-diagonal entry of ``mat``, read in row blocks of at most
-    ``_BLOCK_CELLS`` cells, which is that of ``low`` too: every sum a tile
-    takes is fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is
-    monotone, so no pair's larger entry exceeds its least sum plus
-    METRIC_TOL.  The bound is taken in Python floats, where 2m past the
-    float maximum is +inf without a warning.  Nor does one run when
-    ``mat`` is exactly symmetric and :func:`_euclidean` certifies it.
     """
     n = mat.shape[0]
     if n < 3:
-        return []
-    # The off-diagonal entries, a row block at a time through one buffer
-    # whose diagonal cells are +inf, for any strides: the rows of the
-    # transpose, the same entries, when theirs are the shorter stride.
-    rows = mat.T if mat.strides[0] < mat.strides[1] else mat
-    buf, least = np.empty((min(n, max(1, _BLOCK_CELLS // n)), n)), math.inf
-    for r0 in range(0, n, len(buf)):
-        block = buf[: n - r0]
-        np.copyto(block, rows[r0 : r0 + len(block)])
-        np.fill_diagonal(block[:, r0:], np.inf)
-        least = min(least, float(block.min()))
-    del buf, block
+        return [], "trivial"
     top = float(mat.max())
-    if top <= (least + least) + METRIC_TOL:
-        return []
-    if symmetric and _euclidean(mat, max(top, -float(mat.min()))):
-        return []
+    s = max(top, -float(mat.min()))
+    for path, certifies in _CERTIFICATES:
+        if certifies(mat, s, top, symmetric):
+            return [], path
     low = np.minimum(mat, mat.T)
     np.fill_diagonal(low, np.inf)
     step = max(1, _BLOCK_CELLS // (n * n))
@@ -217,15 +195,32 @@ def _triangle_rows(mat, symmetric) -> list:
                 np.fill_diagonal(bad[c0 - r0:], False)  # k = i
                 flagged[r0:r1] |= bad.any(axis=1)
                 flagged[c0:c1] |= bad.any(axis=0)
-    return np.flatnonzero(flagged).tolist()
+    return np.flatnonzero(flagged).tolist(), "tiled"
 
 
-def _euclidean(mat, s) -> bool:
-    """True when no triangle of ``mat`` can exceed METRIC_TOL: the matrix
-    lies so close to the distances of some float points that the pass of
-    :func:`_triangle_rows` could flag nothing.  ``s`` is the largest
-    |entry|, and ``mat`` is exactly symmetric.  O(n·r^2 + n^2·r) for points
-    of rank r, in elementwise numpy.
+def _near_equilateral(mat, s, top, symmetric) -> bool:
+    """True when top <= fl(fl(m + m) + METRIC_TOL), m the least off-diagonal
+    entry, which is that of the pass's ``low`` too: every sum a tile takes
+    is fl(low[i, j] + low[k, j]) >= fl(m + m), and rounding is monotone.
+    The bound is taken in Python floats, where 2m past the float maximum is
+    +inf without a warning.  m is read a row block at a time through one
+    buffer whose diagonal cells are +inf, for any strides: the rows of the
+    transpose, the same entries, when theirs are the shorter stride."""
+    n = mat.shape[0]
+    rows = mat.T if mat.strides[0] < mat.strides[1] else mat
+    buf, least = np.empty((min(n, max(1, _BLOCK_CELLS // n)), n)), math.inf
+    for r0 in range(0, n, len(buf)):
+        block = buf[: n - r0]
+        np.copyto(block, rows[r0 : r0 + len(block)])
+        np.fill_diagonal(block[:, r0:], np.inf)
+        least = min(least, float(block.min()))
+    return top <= (least + least) + METRIC_TOL
+
+
+def _euclidean(mat, s, top=None, symmetric=True) -> bool:
+    """True when ``mat`` is exactly symmetric and so close to the distances
+    of some float points that the pass of :func:`_triangle_rows` could flag
+    nothing.  O(n·r^2 + n^2·r) for points of rank r, in elementwise numpy.
 
     Only a matrix with 6u·s <= METRIC_TOL (u = 2^-53, s up to about 1.5e3)
     is tried.  :func:`_coordinates` builds float points x_i from it, and
@@ -254,14 +249,13 @@ def _euclidean(mat, s) -> bool:
     """
     n = len(mat)
     s = max(s, METRIC_TOL)
-    if 6.0 * _U * s > METRIC_TOL:
+    if not symmetric or 6.0 * _U * s > METRIC_TOL:
         return False
     cols = _coordinates(mat, s, n // 8)
-    fit = None if cols is None else _misfit(mat, cols)
-    if fit is None:
+    if cols is None or (fit := _misfit(mat, cols)) is None:
         return False
-    r, (eta, top) = len(cols), fit
-    e = (r + 5) * 0.5 * _U * top + r * 2.0**-536
+    r, (eta, m) = len(cols), fit
+    e = (r + 5) * 0.5 * _U * m + r * 2.0**-536
     return 3.0 * (eta + e) + 6.0 * _U * s <= METRIC_TOL * (1.0 - 2.0**-45)
 
 
@@ -329,6 +323,12 @@ def _misfit(mat, cols):
     return eta, top
 
 
+# The triangle check's certificates, cheapest first, by path name: each, given
+# (mat, s, top, symmetric), s the largest |entry| and top the largest entry,
+# holds only if no triangle can exceed METRIC_TOL.
+_CERTIFICATES = (("near-equilateral", _near_equilateral), ("euclidean", _euclidean))
+
+
 class FiniteMetricSpace:
     """A finite metric space: distinct labels plus a distance matrix.
 
@@ -336,9 +336,10 @@ class FiniteMetricSpace:
     the module docstring) and frozen; all operations on the space are pure,
     so instances are safe to share between threads.  Label order is
     significant: greedy scans and sampling both iterate points in this order.
+    ``certified_by`` names the triangle check's path; ``==`` and hash ignore it.
     """
 
-    __slots__ = ("labels", "dist", "_index")
+    __slots__ = ("labels", "dist", "_index", "certified_by")
 
     def __init__(self, labels, dist):
         labels = list(labels)
@@ -364,6 +365,7 @@ class FiniteMetricSpace:
         self.labels = labels
         self.dist = mat
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self.certified_by = report.certified_by
 
     def __len__(self):
         return len(self.labels)

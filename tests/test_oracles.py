@@ -308,7 +308,7 @@ class TestValidateMetricTiles:
             elif name.endswith("True"):
                 assert (1, n - 1, 13) in triangles
             elif name == "one-sided":
-                flagged = set(_triangle_rows(mat, np.array_equal(mat, mat.T)))
+                flagged = set(_triangle_rows(mat, np.array_equal(mat, mat.T))[0])
                 assert flagged > {w[0] for w in triangles}
 
     def test_symmetry_over_row_blocks(self):
@@ -503,6 +503,7 @@ class TestEuclideanCertificate:
             adds.clear()
             report = validate_metric(mat)
             assert bool(adds) == tiled, name
+            assert (report.certified_by == "tiled") == bool(adds), name
             assert report.ok == (name != "one violation"), name
 
 

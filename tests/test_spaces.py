@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import tracemalloc
 
@@ -12,6 +14,7 @@ from metricdp import (
     FiniteMetricSpace,
     InvalidMetricError,
     LipschitzMap,
+    MetricValidationReport,
     NotLipschitzError,
     StructuralError,
     UnknownLabelError,
@@ -21,7 +24,7 @@ from metricdp import (
     lipschitz_constant,
     validate_metric,
 )
-from metricdp import spaces
+from metricdp import formats, spaces
 from metricdp.spaces import _BLOCK_CELLS
 
 
@@ -136,7 +139,7 @@ class TestValidateMetric:
         assert peak <= (n * n + _BLOCK_CELLS) * 8 + n * n
 
     @pytest.mark.parametrize("family", ["planar", "near-equilateral"])
-    def test_decided_without_the_pass_means_no_float_copy(self, family, monkeypatch):
+    def test_decided_without_the_pass_means_no_float_copy(self, family):
         """A C-ordered matrix that the certificate or the near-equilateral
         rule decides is never copied whole: besides the boolean sign mask
         it holds row-block temporaries and the certificate's coordinates,
@@ -152,8 +155,6 @@ class TestValidateMetric:
         else:
             mat = np.triu(rng.uniform(0.6, 1.0, size=(n, n)), 1)
             mat += mat.T
-        certified, certify = [], spaces._euclidean
-        monkeypatch.setattr(spaces, "_euclidean", lambda *args: certified.append(certify(*args)) or certified[-1])
         tracemalloc.start()
         try:
             report = validate_metric(mat)
@@ -161,7 +162,7 @@ class TestValidateMetric:
         finally:
             tracemalloc.stop()
         assert report.ok and mat.flags.c_contiguous
-        assert certified == ([True] if family == "planar" else [])
+        assert report.certified_by == ("euclidean" if family == "planar" else family)
         assert peak < 4e6
 
     def test_a_strided_view_is_read_a_block_at_a_time(self):
@@ -190,6 +191,74 @@ class TestValidateMetric:
         # Past 24 points the gap shrinks as 24/n, so this takes a few draws.
         d = cloud_metric(np.random.default_rng(seed), 400, scale=2.0)
         assert d[~np.eye(400, dtype=bool)].min() >= 0.03 * 2.0 * 24 / 400
+
+
+class TestCertifiedBy:
+    """The report and the space name the path that decided the triangle
+    check; each family takes the path its shape allows."""
+
+    @staticmethod
+    def families(n):
+        """{family: (matrix, path)}, perfbench's four families of diameter 1
+        (pseudo: a third of the planar points repeated, then shuffled) and an
+        ℓ1 grid graph, which is neither near-equilateral nor Euclidean."""
+        rng = np.random.default_rng(n)
+
+        def planar(pts):
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            return dist / dist.max()
+
+        distinct = (2 * n) // 3
+        pts = rng.uniform(size=(distinct, 2))
+        pseudo = rng.permutation(np.vstack([pts, pts[rng.integers(distinct, size=n - distinct)]]))
+        line = rng.permutation(n) / (n - 1)
+        x, y = np.divmod(np.arange(n), 8)
+        return {"discrete": (np.ones((n, n)) - np.eye(n), "near-equilateral"),
+                "planar": (planar(rng.uniform(size=(n, 2))), "euclidean"),
+                "1-D grid": (np.abs(line[:, None] - line[None, :]), "euclidean"),
+                "pseudo": (planar(pseudo), "euclidean"),
+                "l1 grid graph": ((np.abs(x[:, None] - x) + np.abs(y[:, None] - y)).astype(float), "tiled")}
+
+    @pytest.mark.parametrize("n", [24, 96])
+    def test_each_family_names_its_path(self, n, tmp_path, validations):
+        """The report and the space built from it name one path, and a
+        loader memo hit returns the space built before with its path."""
+        for family, (mat, path) in self.families(n).items():
+            labels = [f"{family}{i}" for i in range(n)]
+            assert validate_metric(mat).certified_by == path, family
+            assert FiniteMetricSpace(labels, mat).certified_by == path, family
+            doc = tmp_path / f"{n}.json"
+            doc.write_text(json.dumps({"labels": labels, "dist": mat.tolist()}))
+            validations.clear()
+            first = formats.space_from_doc(str(doc))
+            assert formats.space_from_doc(str(doc)) is first and first.certified_by == path, family
+            assert formats.space_from_doc({"labels": labels, "dist": mat}) is first
+            assert validations == [n], family
+        assert grid_space(n).certified_by == "euclidean"
+        assert discrete_space(n).certified_by == "near-equilateral"
+
+    def test_the_cheaper_certificate_names_what_both_accept(self):
+        """The 120 points of {0, 1}^16 with two ones are 2^0.5 or 2 apart,
+        near-equilateral and Euclidean of rank 15 = 120 // 8: the rule
+        tried first names them."""
+        pts = np.array([np.isin(np.arange(16), pair) for pair in itertools.combinations(range(16), 2)], float)
+        diff = pts[:, None, :] - pts[None, :, :]
+        mat = np.sqrt((diff * diff).sum(axis=2))
+        assert spaces._euclidean(mat, 2.0)
+        assert validate_metric(mat).certified_by == "near-equilateral"
+
+    def test_below_three_points_is_trivial(self):
+        for mat in (np.zeros((0, 0)), [[0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [2.0, 0.0]]):
+            assert validate_metric(mat).certified_by == "trivial"
+        for space in (grid_space(1), grid_space(2), discrete_space(2), FiniteMetricSpace("ab", [[0, 0], [0, 0]])):
+            assert space.certified_by == "trivial"
+
+    def test_equality_and_hash_ignore_the_path(self):
+        assert MetricValidationReport(True, (), "tiled") == MetricValidationReport(True, ())
+        space, other = grid_space(5), grid_space(5)
+        other.certified_by = "tiled"
+        assert other == space and hash(other) == hash(space)
 
 
 class TestFiniteMetricSpace:
