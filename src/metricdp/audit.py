@@ -16,7 +16,10 @@ The witness output is read from the chosen pair by the same rule.  Every log
 is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of
 numpy ufunc calls, so the reported bits are the same on every IEEE host,
 whatever its libm or SIMD; every ball mass is one fixed-order sum per row,
-``measures._mass_inside``.
+``measures._mass_inside``.  The codomain rows of a query's images are read
+by one in-place rule, ``spaces._image_rows``: the matrix itself for an
+identity map's images, a gathered copy for any others, in the utility
+audit, the lower bound and the disjoint scan alike.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .covering import _disjoint_scan
 from .errors import DomainError, StructuralError
 from .measures import _mass_inside
 from .mechanisms import MechanismTable
-from .spaces import _BLOCK_CELLS, LipschitzMap
+from .spaces import _BLOCK_CELLS, LipschitzMap, _image_rows
 
 @dataclass(frozen=True)
 class PrivacyAuditReport:
@@ -133,12 +136,6 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
 
 
-def _images(query: LipschitzMap):
-    """``query.images``, or None when they are every codomain index in label
-    order (an identity map's), so that the caller reads the matrix in place."""
-    return None if np.array_equal(query.images, np.arange(len(query.codomain))) else query.images
-
-
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:
     """The query must map the table's input space to its output space."""
     if query.codomain != mech.output_space:
@@ -153,8 +150,7 @@ def audit_utility(mech: MechanismTable, query: LipschitzMap, gamma) -> UtilityAu
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _require_query_spaces(mech, query)
-    images, dist = _images(query), mech.output_space.dist
-    masses = _mass_inside((dist if images is None else dist[images]) <= gamma, mech.probs)
+    masses = _mass_inside(_image_rows(mech.output_space, query.images), gamma, mech.probs)
     worst = int(np.argmin(masses))
     return UtilityAuditReport(gamma=float(gamma), min_mass=float(masses[worst]),
                               worst_input=mech.input_space.labels[worst], per_input_mass=masses)
@@ -217,7 +213,8 @@ def impossibility_lower_bound(
     _require_query_spaces(mech, query)
     space = mech.input_space
     idx = [space.index_of(c) for c in centers]
-    balls = mech.output_space.dist[query.images[idx]] <= radius
+    rows = _image_rows(mech.output_space, query.images[idx])
+    balls = rows <= radius
     # A point in two balls means some pair overlaps; the first such pair
     # with a < b in row-major order is reported.
     if (balls.sum(axis=0) > 1).any():
@@ -230,8 +227,8 @@ def impossibility_lower_bound(
                     "the disjointness hypothesis fails"
                 )
 
-    mass_self = tuple(_mass_inside(balls, mech.probs[idx]).tolist())
-    mass_ref = tuple(_mass_inside(balls, mech.probs[idx[0]]).tolist())
+    mass_self = tuple(_mass_inside(rows, radius, mech.probs[idx]).tolist())
+    mass_ref = tuple(_mass_inside(rows, radius, mech.probs[idx[0]]).tolist())
     for c, m in zip(centers, mass_self):
         if not m > utility_threshold:
             raise DomainError(
@@ -260,10 +257,10 @@ def propose_centers(query: LipschitzMap, radius) -> list:
     Convenience feeder for :func:`impossibility_lower_bound`: scans the
     domain in label order and keeps an input iff the closed ``radius``-ball
     around its image avoids every ball kept so far.  An identity map's
-    balls are scanned in the codomain's matrix in place (see :func:`_images`);
-    any other map's rows are gathered first.
+    balls are scanned in the codomain's matrix in place; any other map's
+    rows are gathered first.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    labels = query.domain.labels
-    return [labels[p] for p in _disjoint_scan(query.codomain, _images(query), radius)]
+    rows = _image_rows(query.codomain, query.images)
+    return [query.domain.labels[p] for p in _disjoint_scan(rows, radius)]

@@ -12,8 +12,11 @@ list at its smallest radius, and :func:`greedy_net` re-checks its own net.
 
 Greedy scans walk points in label order, so every construction here is
 deterministic and reproducible from the space file alone.  Scans run over
-Python-int bitsets, one bit row per scanned center, and one scan is the
-only packing rule.  Below the least positive distance every closed ball is
+Python-int bitsets, one bit row per scanned row of distances, and one scan
+is the only packing rule.  It takes the rows it scans: the space's matrix
+here, and in ``audit.propose_centers`` the rows of a query's images by the
+one in-place rule, ``spaces._image_rows``, which reads an identity map's in
+the matrix itself.  Below the least positive distance every closed ball is
 its center's row of twins (the points at distance 0.0) at any radius, so
 :func:`covering_measure` scans once for all the levels that pack there.
 """
@@ -44,22 +47,19 @@ def max_packing(space: FiniteMetricSpace, radius) -> list:
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return [space.labels[i] for i in _disjoint_scan(space, None, radius)]
+    return [space.labels[i] for i in _disjoint_scan(space.dist, radius)]
 
 
-def _disjoint_scan(space: FiniteMetricSpace, centers, radius) -> list:
-    """Positions in ``centers`` (point indices of ``space``, repeats
-    allowed; None for every point in label order, as an identity map's
-    images are) kept by one greedy pass: a center is kept iff its closed
+def _disjoint_scan(rows, radius) -> list:
+    """Positions in ``rows`` (distance rows to every point of one space,
+    repeats allowed) kept by one greedy pass: a row is kept iff its closed
     ``radius``-ball shares no point with the balls kept before it.  Each
-    center's ball becomes one Python int, bit j set iff point j is in it,
-    as the scan reaches it, so a step is one ``&`` and one ``|`` of ints,
-    not numpy calls.  A repeated center's ball meets the union once its
-    first copy is scanned, kept or not, so no repeat is kept.  A scan of
-    every point compares the matrix in place, with no gathered copy."""
-    rows = space.dist if centers is None else space.dist[np.asarray(centers, dtype=np.intp)]
+    row's ball becomes one Python int, bit j set iff point j is in it, as
+    the scan reaches it, so a step is one ``&`` and one ``|`` of ints, not
+    numpy calls.  A repeated row's ball meets the union once its first copy
+    is scanned, kept or not, so no repeat is kept."""
     data = np.packbits(rows <= radius, axis=1, bitorder="little").tobytes()  # mask freed before the copy
-    width = (len(space) + 7) // 8  # bytes per packed row
+    width = (rows.shape[1] + 7) // 8  # bytes per packed row
     covered, kept = 0, []  # covered: the union of kept balls
     for pos, start in enumerate(range(0, len(data), width)):
         ball = int.from_bytes(data[start : start + width], "little")
@@ -92,7 +92,7 @@ def greedy_net(space: FiniteMetricSpace, radius) -> list:
     """
     if not radius / 2.0 > 0:  # true exactly when radius >= 2^-_MAX_DEPTH
         raise ValueError(f"radius must be at least 2^-{_MAX_DEPTH}, got {radius}")
-    net = _disjoint_scan(space, None, radius / 2.0)
+    net = _disjoint_scan(space.dist, radius / 2.0)
     missing = _uncovered(space, net, radius)
     if missing:
         raise AssertionError(f"net at radius {radius} failed to cover {missing}")
@@ -237,9 +237,9 @@ def covering_measure(space: FiniteMetricSpace, depth: int | None = None):
     levels = []
     for radius in (math.ldexp(1.0, -i) for i in range(1, depth + 1)):
         if radius / 2.0 >= cut:
-            net = _disjoint_scan(space, None, radius / 2.0)
+            net = _disjoint_scan(space.dist, radius / 2.0)
         else:
-            net = below = below or _disjoint_scan(space, None, radius / 2.0)
+            net = below = below or _disjoint_scan(space.dist, radius / 2.0)
         levels.append(CoverLevel(radius, tuple(space.labels[j] for j in net)))
         weights[net] += radius / len(net)
     return DiscreteMeasure(space, weights), CoverHierarchy(space, levels)

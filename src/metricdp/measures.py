@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .spaces import FiniteMetricSpace
+from .spaces import _BLOCK_CELLS, FiniteMetricSpace
 
 
 class DiscreteMeasure:
@@ -62,13 +62,20 @@ class DiscreteMeasure:
         order; a ball holding every point weighs exactly ``total_mass``."""
         if not radius >= 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        return _mass_inside(self.space.dist <= radius, self.values)
+        return _mass_inside(self.space.dist, radius, self.values)
 
 
-def _mass_inside(inside, weights) -> np.ndarray:
-    """Each row's mass inside its mask, zeros outside it summed in too;
-    ``weights`` is one row per mask row, or one row for all of them."""
-    return np.where(inside, weights, 0.0).sum(axis=1)
+def _mass_inside(rows, radius, weights) -> np.ndarray:
+    """Each distance row's mass inside its closed ``radius``-ball, zeros
+    outside it summed in too; ``weights`` is one row per row of ``rows``,
+    or one row for all of them.  Blocks of at most ``_BLOCK_CELLS`` cells
+    are compared and summed at a time, so no full-size copy is made."""
+    masses, step = np.empty(len(rows)), max(1, _BLOCK_CELLS // rows.shape[1])
+    for r0 in range(0, len(rows), step):
+        block = slice(r0, r0 + step)
+        w = weights if weights.ndim == 1 else weights[block]
+        np.where(rows[block] <= radius, w, 0.0).sum(axis=1, out=masses[block])
+    return masses
 
 
 def uniform_measure(space: FiniteMetricSpace) -> DiscreteMeasure:

@@ -22,7 +22,7 @@ from .errors import (
     StructuralError,
 )
 from .measures import DiscreteMeasure
-from .spaces import FiniteMetricSpace, LipschitzMap
+from .spaces import FiniteMetricSpace, LipschitzMap, _image_rows
 
 # Row sums of a mechanism table must match 1 to this absolute slack.
 ROW_SUM_TOL = 1e-9
@@ -80,7 +80,7 @@ def _rows(params: ExpMechParams, images) -> np.ndarray:
     # mass, so every row keeps exp(0) at a supported point and its total
     # is positive.
     support = params.base.values > 0
-    exponents = np.where(support, -params.beta * params.output_space.dist[images], -np.inf)
+    exponents = np.where(support, -params.beta * _image_rows(params.output_space, images), -np.inf)
     shift = exponents.max(axis=1)
     weights = params.base.values * np.exp(exponents - shift[:, None])
     return weights / weights.sum(axis=1)[:, None]
@@ -138,7 +138,9 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
     """Materialize the mechanism as a full row-stochastic table.
 
     Row x equals ``distribution(params, x)`` bit for bit: both run the
-    same kernel, here for all rows at once.
+    same kernel, here for all rows at once.  The kernel reads the
+    codomain's rows by the one in-place rule, ``spaces._image_rows``: an
+    identity map's are the matrix itself, with no gathered copy.
     """
     rows = _rows(params, params.query.images)
     return MechanismTable(params.input_space, params.output_space, rows)

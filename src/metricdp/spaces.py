@@ -217,7 +217,7 @@ def _near_equilateral(mat, s, top, symmetric) -> bool:
     return top <= (least + least) + METRIC_TOL
 
 
-def _euclidean(mat, s, top=None, symmetric=True) -> bool:
+def _euclidean(mat, s, top, symmetric) -> bool:
     """True when ``mat`` is exactly symmetric and so close to the distances
     of some float points that the pass of :func:`_triangle_rows` could flag
     nothing.  O(n·r^2 + n^2·r) for points of rank r, in elementwise numpy.
@@ -527,3 +527,9 @@ def identity_map(space: FiniteMetricSpace) -> LipschitzMap:
     """The identity on ``space`` (constant 1 for any space with two
     separated points)."""
     return LipschitzMap(space, space, {lab: lab for lab in space.labels})
+
+
+def _image_rows(space: FiniteMetricSpace, images) -> np.ndarray:
+    """``space.dist`` itself, read in place, when ``images`` are every index in
+    label order (an identity map's images), else their gathered rows."""
+    return space.dist if np.array_equal(images, np.arange(len(space))) else space.dist[images]

@@ -42,6 +42,7 @@ from metricdp import (
     audit_privacy,
     audit_utility,
     discrete_space,
+    distribution,
     grid_space,
     identity_map,
     impossibility_lower_bound,
@@ -50,7 +51,7 @@ from metricdp import (
     tabulate,
     uniform_measure,
 )
-from metricdp import audit
+from metricdp import audit, mechanisms
 from metricdp._ieee import _LOG_CHUNK
 
 
@@ -615,6 +616,24 @@ class TestAuditUtility:
         with pytest.raises(StructuralError):
             audit_utility(mech, identity_map(grid_space(4)), 0.5)
 
+    def test_a_large_identity_map_makes_no_full_size_copy(self):
+        """The balls of a 1000-point planar identity map are compared in the
+        codomain's matrix in place, and masked and summed a block of rows at
+        a time: the audit peaks near one block's mask and float copy
+        (1.13 MB), not a full n x n float copy (8 MB more).  The masses are
+        those of the full masked copy summed along its rows, to the bit."""
+        space = FiniteMetricSpace([f"p{i}" for i in range(1000)], cloud_metric(np.random.default_rng(97), 1000))
+        query = identity_map(space)
+        mech = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0, query=query))
+        tracemalloc.start()
+        try:
+            masses = audit_utility(mech, query, 0.1).per_input_mass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masses.tobytes() == np.where(space.dist <= 0.1, mech.probs, 0.0).sum(axis=1).tobytes()
+        assert peak <= 1_500_000
+
     def test_masses_are_the_one_row_sum(self):
         """Each input's mass is its masked row summed in 1-D, to the bit, and
         within the summation bound of math.fsum; balls hold up to 60 outputs."""
@@ -817,22 +836,61 @@ class TestProposeCenters:
 
     def test_identity_images_scan_in_place_and_others_gather(self, monkeypatch):
         """Images that are every codomain index in label order, on one space
-        object or on two with the same labels, pass None to the scan; a
-        permutation passes its images.  All three match the loop."""
+        object or on two with the same labels, pass the codomain's matrix
+        itself to the scan; a permutation passes a gathered copy.  All three
+        match the loop."""
         rng = np.random.default_rng(101)
         space = random_space(rng, 40)
         twin = FiniteMetricSpace(space.labels, space.dist.copy())
         shuffled = rng.permutation(space.labels).tolist()
         assert shuffled != space.labels
         scans, scan = [], audit._disjoint_scan
-        monkeypatch.setattr(audit, "_disjoint_scan", lambda *args: scans.append(args[1]) or scan(*args))
+        monkeypatch.setattr(audit, "_disjoint_scan", lambda *args: scans.append(args[0]) or scan(*args))
         for query, gathers in ((identity_map(space), False),
                                (LipschitzMap(twin, space, {x: x for x in twin.labels}), False),
                                (LipschitzMap(space, space, dict(zip(space.labels, shuffled))), True)):
             for r in (0.05, 0.2, 0.5):
                 scans.clear()
                 assert propose_centers(query, r) == propose_centers_loop(query, r)
-                assert len(scans) == 1 and (scans[0] is not None) == gathers
+                assert len(scans) == 1 and (scans[0] is not space.dist) == gathers
+
+
+class TestImageRows:
+    """``tabulate`` and ``audit_utility`` read a query's codomain rows by the
+    rule the scan of ``propose_centers`` follows (its test is
+    ``TestProposeCenters``): the matrix itself for images that are every
+    codomain index in label order, on one space object or on two with the
+    same labels, and a gathered copy for a permutation.  Each result
+    matches its oracle either way."""
+
+    @pytest.mark.parametrize("consumer", ["tabulate", "audit_utility"])
+    def test_identity_images_are_read_in_place_and_others_gathered(self, consumer, monkeypatch):
+        rng = np.random.default_rng(103)
+        space = random_space(rng, 40)
+        twin = FiniteMetricSpace(space.labels, space.dist.copy())
+        shuffled = rng.permutation(space.labels).tolist()
+        assert shuffled != space.labels
+        seen = []
+        if consumer == "tabulate":  # the kernel's rows are what the reader returns
+            read = mechanisms._image_rows
+            monkeypatch.setattr(mechanisms, "_image_rows", lambda *args: seen.append(read(*args)) or seen[-1])
+        else:
+            read = audit._mass_inside
+            monkeypatch.setattr(audit, "_mass_inside", lambda *args: seen.append(args[0]) or read(*args))
+        for query, gathers in ((identity_map(space), False),
+                               (LipschitzMap(twin, space, {x: x for x in twin.labels}), False),
+                               (LipschitzMap(space, space, dict(zip(space.labels, shuffled))), True)):
+            params = ExpMechParams(base=random_measure(rng, space), beta=8.0, query=query)
+            mech = tabulate(params)
+            rows = np.array([distribution(params, x) for x in query.domain.labels])
+            seen.clear()
+            if consumer == "tabulate":
+                assert tabulate(params).probs.tobytes() == rows.tobytes()
+            else:
+                inside = space.dist[query.images] <= 0.2
+                got = audit_utility(mech, query, 0.2).per_input_mass
+                assert got.tobytes() == mass_inside_loop(mech.probs, inside).tobytes()
+            assert len(seen) == 1 and (seen[0] is not space.dist) == gathers
 
 
 class TestEMInequalities:

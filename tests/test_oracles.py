@@ -465,7 +465,7 @@ class TestEuclideanCertificate:
         with np.errstate(over="ignore"):
             want = validate_metric_loop(mat)
         assert got == want
-        if _euclidean(mat, float(np.abs(mat).max())):
+        if _euclidean(mat, float(np.abs(mat).max()), float(mat.max()), True):
             assert not any(v.axiom == "triangle" for v in want.violations)
 
     @pytest.mark.parametrize("n", [96, 400])

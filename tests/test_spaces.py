@@ -18,6 +18,7 @@ from metricdp import (
     NotLipschitzError,
     StructuralError,
     UnknownLabelError,
+    covering_measure,
     discrete_space,
     grid_space,
     identity_map,
@@ -245,7 +246,7 @@ class TestCertifiedBy:
         pts = np.array([np.isin(np.arange(16), pair) for pair in itertools.combinations(range(16), 2)], float)
         diff = pts[:, None, :] - pts[None, :, :]
         mat = np.sqrt((diff * diff).sum(axis=2))
-        assert spaces._euclidean(mat, 2.0)
+        assert spaces._euclidean(mat, 2.0, 2.0, True)
         assert validate_metric(mat).certified_by == "near-equilateral"
 
     def test_below_three_points_is_trivial(self):
@@ -576,3 +577,14 @@ class TestLipschitzMap:
         table = {lab: lab for lab in s.labels}
         f = LipschitzMap(s, s, table, declared_constant=1.0 + 1e-12)
         assert f.constant == 1.0
+
+
+def test_reprs_name_sizes_and_headline_numbers():
+    """The reprs of a space, a map, a measure and a cover hierarchy, pinned
+    on grid_space(5), its identity map and its covering measure."""
+    space = grid_space(5)
+    measure, hier = covering_measure(space)
+    assert repr(space) == "FiniteMetricSpace(5 points, diameter=1)"
+    assert repr(identity_map(space)) == "LipschitzMap(5 -> 5 points, constant=1)"
+    assert repr(measure) == "DiscreteMeasure(5 points, total_mass=0.75)"
+    assert repr(hier) == "CoverHierarchy(depth=2, level_sizes=[2, 5])"
