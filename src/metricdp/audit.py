@@ -8,18 +8,18 @@ vectors the ratio of set sums never exceeds the largest entrywise ratio
 (mediant inequality), so the singleton maximum already dominates every
 output set.  Division by a positive distance is monotone, so each input
 pair's maximum is one max-plus reduction of log differences divided once,
-over blocks of rows that stop at the first infinite maximum: one buffer,
-allocated once, takes each block's logs, the other rows' logs are subtracted
-in place and the reduction writes into the pair matrix.  Twins (inputs at
-distance 0.0) are decided from their rows, inf where x's row exceeds z's.
-The witness output is read from the chosen pair by the same rule.  Every log
-is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun, 1993) as a fixed sequence of
-numpy ufunc calls, so the reported bits are the same on every IEEE host,
-whatever its libm or SIMD; every ball mass is one fixed-order sum per row,
-``measures._mass_inside``.  The codomain rows of a query's images are read
-by one in-place rule, ``spaces._image_rows``: the matrix itself for an
-identity map's images, a gathered copy for any others, in the utility
-audit, the lower bound and the disjoint scan alike.
+over blocks of rows that stop at the first infinite maximum: the logs are
+held once, transposed, one buffer takes each block's logs from them, the
+other rows' are subtracted in place and the reduction writes into the pair
+matrix.  Twins (inputs at distance 0.0) are decided from their rows, inf
+where x's row exceeds z's.  The witness output is read from the chosen pair
+by the same rule.  Every log is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun,
+1993) as a fixed sequence of numpy ufunc calls, so the reported bits are the
+same on every IEEE host, whatever its libm or SIMD; every ball mass is one
+fixed-order sum per row, ``measures._mass_inside``.  The codomain rows of a
+query's images are read by one in-place rule, ``spaces._image_rows``: the
+matrix itself for an identity map's images, a gathered copy for any others,
+in the utility audit, the lower bound and the disjoint scan alike.
 """
 
 from __future__ import annotations
@@ -70,19 +70,20 @@ class UtilityAuditReport:
     per_input_mass: np.ndarray
 
 
-def _sweep(mech, logs, stop) -> np.ndarray:
+def _sweep(mech, lt, stop) -> np.ndarray:
     """Per-pair maxima, -inf for x = z; with ``stop``, rows after the first block
-    holding an inf stay at -inf.  Each block of x rows fills one reused
-    (rows, m, n) buffer with logs[x, y], subtracts logs[z, y] in place and
-    reduces over y into the pair matrix, which it then divides in place."""
-    dist, lt = mech.input_space.dist, np.ascontiguousarray(logs.T)
-    (n, m), step = logs.shape, max(1, _BLOCK_CELLS // logs.size)
+    holding an inf stay at -inf.  It reads one log array, ``lt``, the table's logs
+    transposed to (m, n) and contiguous: each block of x rows is copied from the view
+    ``lt.T`` into one reused (rows, m, n) buffer, ``lt`` is subtracted in place, and
+    the reduction over y writes into the pair matrix, which it divides in place."""
+    dist = mech.input_space.dist
+    (m, n), step = lt.shape, max(1, _BLOCK_CELLS // lt.size)
     pair_max, buf = np.full(dist.shape, -math.inf), np.empty((min(step, n), m, n))
     for r0 in range(0, n, step):
         block = slice(r0, r0 + step)
         top = pair_max[block]
         diff = buf[:len(top)]
-        np.copyto(diff, logs[block, :, None])
+        np.copyto(diff, lt.T[block, :, None])
         # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
         # skips it); a near-zero distance overflows the quotient to inf, the exact value.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -112,16 +113,16 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     gives ``epsilon_max`` and the witness pair; the same rule, run on that pair's rows
     alone, gives its first maximizing output.
 
-    Every log is ``_logs``, the same bits on every host, and the default report and
-    the per-pair matrix run the same reduction; without the matrix it stops after the
-    first block of rows holding an inf.
+    Every log is ``_logs``, held once as a contiguous transpose that the sweep and the
+    witness read.  Both modes run the same reduction; without the matrix it stops after
+    the first block of rows holding an inf, and with it the pair matrix is zeroed in place.
 
     It audits the stored table.  At tiny beta epsilon can pass ``privacy_bound`` by a few
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
-    logs = mech.logs
-    pair_max = _sweep(mech, logs, stop=not include_per_pair)
+    lt = np.ascontiguousarray(mech.logs.T)
+    pair_max = _sweep(mech, lt, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
     # The chosen pair's first maximizing output, by the sweep's rule for that one pair.
@@ -129,11 +130,13 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
         if space.dist[i, j] == 0.0:
             k = np.argmax(mech.probs[i] > mech.probs[j])
         else:
-            k = np.argmax(np.fmax((logs[i] - logs[j]) / space.dist[i, j], -math.inf))
+            k = np.argmax(np.fmax((lt[:, i] - lt[:, j]) / space.dist[i, j], -math.inf))
     live = pair_max[i, j] > -math.inf
     witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
-    per_pair = np.where(pair_max > -math.inf, pair_max, 0.0) if include_per_pair else None
-    return PrivacyAuditReport(max(0.0, float(pair_max[i, j])), witness, per_pair)
+    epsilon = max(0.0, float(pair_max[i, j]))
+    if include_per_pair:  # a pair that constrains nothing reports 0, zeroed in place
+        pair_max[pair_max == -math.inf] = 0.0
+    return PrivacyAuditReport(epsilon, witness, pair_max if include_per_pair else None)
 
 
 def _require_query_spaces(mech: MechanismTable, query: LipschitzMap) -> None:

@@ -74,32 +74,32 @@ def distribution(params: ExpMechParams, x) -> np.ndarray:
 
 
 def _rows(params: ExpMechParams, images) -> np.ndarray:
-    """Exact output distributions, one row per codomain index in ``images``."""
+    """One exact output distribution per codomain index in ``images``, in one array built in place."""
     # Unsupported outputs get the exponent -inf, so they weigh exactly 0
     # however close they lie.  ExpMechParams guarantees positive total
     # mass, so every row keeps exp(0) at a supported point and its total
     # is positive.
-    support = params.base.values > 0
-    exponents = np.where(support, -params.beta * _image_rows(params.output_space, images), -np.inf)
-    shift = exponents.max(axis=1)
-    weights = params.base.values * np.exp(exponents - shift[:, None])
-    return weights / weights.sum(axis=1)[:, None]
+    rows = -params.beta * _image_rows(params.output_space, images)
+    rows[:, params.base.values <= 0] = -np.inf
+    rows -= rows.max(axis=1)[:, None]
+    np.multiply(np.exp(rows, out=rows), params.base.values, out=rows)
+    return np.divide(rows, rows.sum(axis=1)[:, None], out=rows)
 
 
 class MechanismTable:
     """One exact output distribution per input point.
 
     ``rows`` is a matrix with one row per input and one column per output,
-    in label order.  Rows are validated on construction: entrywise
-    nonnegative and summing to 1 within ROW_SUM_TOL.  This is both the
-    audit subject and the interchange object for externally produced
-    mechanisms.
+    in label order, copied once into ``probs``, which is validated (entrywise
+    nonnegative, rows summing to 1 within ROW_SUM_TOL) and frozen.  This is
+    both the audit subject and the interchange object for externally
+    produced mechanisms.
     """
 
     __slots__ = ("input_space", "output_space", "probs")
 
     def __init__(self, input_space: FiniteMetricSpace, output_space: FiniteMetricSpace, rows):
-        mat = np.asarray(rows, dtype=float)
+        mat = np.array(rows, dtype=float, order="C")
         if mat.shape != (len(input_space), len(output_space)):
             raise StructuralError(
                 f"row matrix shape {mat.shape} does not match "
@@ -116,7 +116,6 @@ class MechanismTable:
             raise StructuralError(
                 f"row for input {input_space.labels[k]!r} sums to {float(sums[k])}, not 1"
             )
-        mat = mat.copy()
         mat.flags.writeable = False
         self.input_space = input_space
         self.output_space = output_space
@@ -138,9 +137,9 @@ def tabulate(params: ExpMechParams) -> MechanismTable:
     """Materialize the mechanism as a full row-stochastic table.
 
     Row x equals ``distribution(params, x)`` bit for bit: both run the
-    same kernel, here for all rows at once.  The kernel reads the
-    codomain's rows by the one in-place rule, ``spaces._image_rows``: an
-    identity map's are the matrix itself, with no gathered copy.
+    same kernel, here for all rows at once, on the codomain's rows read by
+    ``spaces._image_rows`` (an identity map's are the matrix itself).  It
+    holds the kernel's one array and the table's one validated copy of it.
     """
     rows = _rows(params, params.query.images)
     return MechanismTable(params.input_space, params.output_space, rows)

@@ -267,9 +267,9 @@ class TestAuditPrivacy:
             assert rep.epsilon_max == (log_scalar(p) - log_scalar(q)) / rho
 
     def test_peak_memory_is_a_few_tables(self):
-        # The audit holds the logs, their transpose, the pair matrix and one
-        # block of log differences, never an n x n x m slab or a list of
-        # n * m Python floats.
+        # The audit holds the logs' transpose, the pair matrix and one block
+        # of log differences, never an n x n x m slab or a list of n * m
+        # Python floats.
         n = m = 300
         rng = np.random.default_rng(11)
         probs = rng.uniform(0.0, 1.0, size=(n, m))
@@ -283,6 +283,33 @@ class TestAuditPrivacy:
             finally:
                 tracemalloc.stop()
             assert peak <= (5 * n * m + audit._BLOCK_CELLS) * 8, include
+
+    def test_a_planar_table_holds_one_log_layout(self):
+        """On the seeded 500-point planar identity map (uniform base, beta 8),
+        the audit holds the logs' transpose, the pair matrix and one block
+        buffer of n * n cells, having freed the logs before the sweep: it
+        peaks at three n x n float arrays plus 1 MiB in both modes.  Its
+        report has the bits of the row-major expression, written out here
+        with the broadcast oracle's sweep over the row-major logs, the
+        witness's row difference and the per-pair matrix's ``np.where``."""
+        n = 500
+        space = FiniteMetricSpace([f"p{i}" for i in range(n)], cloud_metric(np.random.default_rng(1000), n))
+        mech = tabulate(ExpMechParams(base=uniform_measure(space), beta=8.0, query=identity_map(space)))
+        logs = audit._logs(mech.probs)
+        pair_max = sweep_broadcast(mech, logs, stop=False)
+        i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
+        k = np.argmax(np.fmax((logs[i] - logs[j]) / space.dist[i, j], -math.inf))
+        for include in (False, True):
+            tracemalloc.start()
+            try:
+                report = audit_privacy(mech, include_per_pair=include)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * n * n * 8 + 2**20, include
+            assert np.float64(report.epsilon_max).tobytes() == np.float64(max(0.0, pair_max[i, j])).tobytes()
+            assert report.witness == (space.labels[i], space.labels[j], space.labels[k])
+        assert report.per_pair_max.tobytes() == np.where(pair_max > -math.inf, pair_max, 0.0).tobytes()
 
     def test_relabeling_invariance(self):
         mech, _ = x3_mech(beta=2.1)
@@ -334,10 +361,15 @@ def assert_sweeps_agree(mech):
     stop modes, and ``audit_privacy`` the same report on either sweep."""
     logs = audit._logs(mech.probs)
     for stop in (False, True):
-        assert audit._sweep(mech, logs, stop).tobytes() == sweep_broadcast(mech, logs, stop).tobytes()
+        got = audit._sweep(mech, np.ascontiguousarray(logs.T), stop)
+        assert got.tobytes() == sweep_broadcast(mech, logs, stop).tobytes()
+
+    def oracle(mech, lt, stop):  # ``audit._sweep``'s call, on the oracle's log layout
+        return sweep_broadcast(mech, np.ascontiguousarray(lt.T), stop)
+
     for include in (False, True):
         got = audit_privacy(mech, include_per_pair=include)
-        with mock.patch.object(audit, "_sweep", sweep_broadcast):
+        with mock.patch.object(audit, "_sweep", oracle):
             want = audit_privacy(mech, include_per_pair=include)
         assert np.float64(got.epsilon_max).tobytes() == np.float64(want.epsilon_max).tobytes()
         assert got.witness == want.witness

@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_map, random_measure, random_space, sampler_table
+from conftest import cloud_metric, random_map, random_measure, random_space, sampler_table
 from metricdp import mechanisms
 from metricdp import (
     DegenerateMeasureError,
     DiscreteMeasure,
     ExpMechParams,
+    FiniteMetricSpace,
     LipschitzMap,
     MechanismTable,
     NotUniformlyPositiveError,
@@ -179,6 +180,32 @@ class TestTabulate:
         p = ExpMechParams(base=base, beta=5.0, query=identity_map(s))
         t = tabulate(p)
         assert t.row("0")[2] == pytest.approx(1.0)
+
+    def test_a_large_identity_map_holds_two_tables(self):
+        """On a seeded 1000-point planar identity map, ``_rows`` shifts,
+        exponentiates, weights and normalizes one array in place, and the
+        table keeps one validated copy of it: ``tabulate`` peaks at two
+        tables plus 1 MiB for the validation's masks.  The bits are those of
+        the expression with a temporary per step, written out here, with
+        full and with partial support."""
+        space = FiniteMetricSpace([f"p{i}" for i in range(1000)], cloud_metric(np.random.default_rng(97), 1000))
+        uniform = uniform_measure(space)
+        params = ExpMechParams(base=uniform, beta=8.0, query=identity_map(space))
+        tracemalloc.start()
+        try:
+            table = tabulate(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.probs.nbytes + 2**20
+        partial = DiscreteMeasure(space, np.arange(1000) % 3 != 0)
+        for base in (uniform, partial):
+            support = base.values > 0
+            exponents = np.where(support, -8.0 * space.dist, -np.inf)
+            weights = base.values * np.exp(exponents - exponents.max(axis=1)[:, None])
+            want = weights / weights.sum(axis=1)[:, None]
+            got = tabulate(ExpMechParams(base=base, beta=8.0, query=identity_map(space))).probs
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSampling:
