@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import re
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from . import formats
@@ -158,8 +158,7 @@ def cmd_validate(args):
     try:
         return {"ok": True, "points": len(formats.space_from_doc(args.space)), "violations": []}, 0
     except InvalidMetricError as exc:
-        # Generators pass the validator; only an explicit document, which has labels, fails it.
-        labels = formats.load_doc(args.space)["labels"]
+        labels = exc.labels
         violations = [
             {"axiom": v.axiom, "witness": [labels[i] for i in v.witness], "detail": v.detail}
             for v in exc.report.violations
@@ -215,23 +214,23 @@ def cmd_sample(args):
     return {"input": args.input, "outputs": outputs}, 0
 
 
-def _thresholded(result, passed, threshold):
+def _thresholded(result, value, passes, threshold):
+    """The one verdict rule: given a threshold, add ``passes(value, threshold)``; exit 1 if false."""
     if threshold is None:
         return result, 0
     result["threshold"] = threshold
-    result["passed"] = bool(passed)
-    return result, (0 if passed else 1)
+    result["passed"] = bool(passes(value, threshold))
+    return result, (0 if result["passed"] else 1)
 
 
 def cmd_audit_privacy(args):
     space = formats.space_from_doc(args.space)
     mech = formats.table_from_doc(args.mech, input_space=space)
     rep = audit_privacy(mech, include_per_pair=args.per_pair)
-    result = asdict(rep)
+    result = dict(vars(rep))
     if not args.per_pair:
         del result["per_pair_max"]
-    ok = args.threshold is None or rep.epsilon_max <= args.threshold
-    return _thresholded(result, ok, args.threshold)
+    return _thresholded(result, rep.epsilon_max, operator.le, args.threshold)
 
 
 def _map_and_table(args):
@@ -244,9 +243,7 @@ def _map_and_table(args):
 def cmd_audit_utility(args):
     lmap, mech = _map_and_table(args)
     rep = audit_utility(mech, lmap, args.gamma)
-    result = asdict(rep)
-    ok = args.threshold is None or rep.min_mass >= args.threshold
-    return _thresholded(result, ok, args.threshold)
+    return _thresholded(dict(vars(rep)), rep.min_mass, operator.ge, args.threshold)
 
 
 def cmd_lower_bound(args):
@@ -254,15 +251,13 @@ def cmd_lower_bound(args):
     centers = [c for c in args.centers.split(",") if c]
     rep = impossibility_lower_bound(mech, lmap, centers, args.r,
                                     utility_threshold=args.utility_threshold)
-    result = asdict(rep)
-    result["witness_center"] = centers[rep.witness_index]
-    ok = args.threshold is None or rep.eps_lower >= args.threshold
-    return _thresholded(result, ok, args.threshold)
+    result = dict(vars(rep), witness_center=centers[rep.witness_index])
+    return _thresholded(result, rep.eps_lower, operator.ge, args.threshold)
 
 
 def cmd_tradeoff(args):
     base = formats.measure_from_doc(args.measure)
-    return asdict(tradeoff_upper_bound(base, args.gamma, args.delta)), 0
+    return dict(vars(tradeoff_upper_bound(base, args.gamma, args.delta))), 0
 
 
 def pipeline_demo(space_name: str, gamma: float, delta: float) -> dict:
@@ -313,7 +308,7 @@ def cmd_demo(args):
 def _envelope(args, result: dict) -> dict:
     params = {
         k: v
-        for k, v in sorted(vars(args).items())
+        for k, v in vars(args).items()
         if k not in ("command", "handler", "out") and v is not None
     }
     return {

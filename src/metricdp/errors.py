@@ -19,12 +19,14 @@ class StructuralError(DomainError):
 class InvalidMetricError(StructuralError):
     """A distance matrix violates the metric axioms.
 
-    Carries the full validation report in ``report``.
+    Carries the full validation report in ``report`` and the space's
+    labels, which its witnesses index, in ``labels``.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, labels=None):
         super().__init__(message)
         self.report = report
+        self.labels = labels
 
 
 class UnknownLabelError(DomainError, KeyError):

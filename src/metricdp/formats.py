@@ -188,7 +188,8 @@ def _kept(load):
 
 
 def _file(key, entry) -> None:
-    """Keep ``entry`` under ``key``, dropping the oldest past ``_MEMO_DOCS``."""
+    """Keep ``entry`` under ``key`` as the newest, dropping the oldest past ``_MEMO_DOCS``."""
+    _memo.kept.pop(key, None)
     _memo.kept[key] = entry
     if len(_memo.kept) > _MEMO_DOCS:
         del _memo.kept[next(iter(_memo.kept))]

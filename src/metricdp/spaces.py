@@ -357,6 +357,7 @@ class FiniteMetricSpace:
                 f"metric axioms violated ({first.axiom} at {first.witness}; "
                 f"{len(report.violations)} violation(s) total)",
                 report=report,
+                labels=labels,
             )
         mat = np.maximum(mat, mat.T)  # the validator's band, read once
         mat[~(mat > 0.0)] = 0.0

@@ -20,6 +20,9 @@ u that ``sample_many`` maps there: the distribution it draws, exactly.
 that ``level_for_radius`` computes from the binary exponent.
 ``log_scalar`` is the audits' log kernel, fdlibm's ``e_log.c``, on one
 Python float; the audit and lower-bound oracles take their logs from it.
+``audit_privacy_decimal`` takes its logs from ``decimal`` at 40 digits
+instead: the stored table's exact epsilon, the accuracy oracle of ROADMAP
+item 13.
 ``sweep_broadcast`` is the privacy sweep's earlier block kernel, one
 broadcast subtraction per block of rows, the oracle for ``audit._sweep``'s
 reused buffer.
@@ -41,12 +44,14 @@ and ``hamming_space`` look the same from every point, so an exponential
 mechanism on them has known answers too.
 """
 
+import decimal
 import functools
 import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -655,6 +660,32 @@ def audit_privacy_loop(mech, include_per_pair: bool = False) -> PrivacyAuditRepo
         if eps_max == math.inf and not include_per_pair:
             break
     return PrivacyAuditReport(max(0.0, eps_max), witness, per_pair)
+
+
+def audit_privacy_decimal(mech) -> tuple:
+    """Oracle for the accuracy of ``audit_privacy`` (ROADMAP item 13): the
+    stored table's epsilon as a 40-digit ``Decimal``, and the first (x, z, y)
+    in label order attaining it, or None.  Each entry's log is taken at 40
+    digits from the double's exact value, so two nearly equal rows do not
+    cancel; a pair's value is its largest log difference over its exact
+    distance.  As in ``audit_privacy_loop``, a zero entry of x's row binds
+    nothing, a zero of z's under a positive one of x's is inf, and so is a
+    pair at distance 0 where x's entry exceeds z's."""
+    labels, out_labels = mech.input_space.labels, mech.output_space.labels
+    probs, dist = mech.probs.tolist(), mech.input_space.dist.tolist()
+    inf = Decimal("Infinity")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        logs = [[Decimal(p).ln() if p > 0.0 else None for p in row] for row in probs]
+        eps, witness = Decimal(0), None
+        for i, j in itertools.permutations(range(len(labels)), 2):
+            for k, (a, b) in enumerate(zip(logs[i], logs[j])):
+                if a is None or (dist[i][j] == 0.0 and not probs[i][k] > probs[j][k]):
+                    continue
+                value = inf if b is None or dist[i][j] == 0.0 else (a - b) / Decimal(dist[i][j])
+                if witness is None or value > eps:
+                    eps, witness = value, (labels[i], labels[j], out_labels[k])
+    return max(eps, Decimal(0)), witness
 
 
 def sweep_broadcast(mech, logs, stop) -> np.ndarray:

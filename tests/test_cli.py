@@ -24,7 +24,9 @@ from metricdp import (
     UtilityAuditReport,
     formats,
     grid_space,
+    validate_metric,
 )
+from metricdp import cli
 from metricdp.cli import _float, build_parser, main
 
 SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
@@ -118,6 +120,19 @@ class TestValidate:
         v = doc["result"]["violations"][0]
         assert v["axiom"] == "triangle"
         assert v["witness"] == ["a", "c", "b"]
+
+    def test_a_failing_space_is_read_once(self, capsys, tmp_path, builds):
+        # The witnesses are named from the labels of the text validated,
+        # carried on the error, not from a second read of the file.
+        labels = [f"p{i}" for i in range(6)]
+        dist = cloud_metric(np.random.default_rng(5), 6)
+        dist[1, 4] = dist[4, 1] = 3 * dist[1, 4]
+        space = write(tmp_path, "bad.json", {"labels": labels, "dist": dist.tolist()})
+        code, doc = run(capsys, "validate", "--space", space)
+        assert code == 3 and builds["_parse"] == 1
+        want = [[labels[i] for i in v.witness] for v in validate_metric(dist).violations]
+        assert [v["witness"] for v in doc["result"]["violations"]] == want and want
+        assert doc["result"]["points"] == 6
 
     def test_duplicate_labels_exit_3_with_report(self, capsys, tmp_path):
         space = write(tmp_path, "dup.json", {"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]})
@@ -670,6 +685,26 @@ class TestPipeline:
         assert code == 1
         assert doc["result"]["passed"] is False
 
+    def test_a_threshold_at_the_reported_value_passes(self, capsys, grid5_files):
+        # The verdict rule at its edge: epsilon_max <= threshold passes
+        # audit-privacy, min_mass or eps_lower >= threshold passes the other
+        # two, and a threshold one ulp to the failing side exits 1.
+        files = grid5_files
+        mech = str(files["dir"] / "mech.json")
+        main(["tabulate", "--map", files["map"], "--measure", files["measure"],
+              "--beta", "12", "--out", mech])
+        cases = [
+            (["audit-privacy", "--space", files["space"]], "epsilon_max", -math.inf),
+            (["audit-utility", "--map", files["map"], "--gamma", "0.5"], "min_mass", math.inf),
+            (["lower-bound", "--map", files["map"], "--centers", "0,1", "--r", "0.25"],
+             "eps_lower", math.inf),
+        ]
+        for argv, key, failing_side in cases:
+            value = run(capsys, *argv, "--mech", mech)[1]["result"][key]
+            for threshold, want in ((value, 0), (math.nextafter(value, failing_side), 1)):
+                code, doc = run(capsys, *argv, "--mech", mech, "--threshold", repr(threshold))
+                assert (code, doc["result"]["passed"]) == (want, want == 0), (argv, threshold)
+
     def test_per_pair_keeps_the_witness_on_a_pseudometric(self, capsys, tmp_path):
         # a and b are at distance 0 with differing rows; (a, c) is infinite
         # first in label order, with or without the per-pair matrix.
@@ -689,6 +724,24 @@ class TestPipeline:
         assert code == 0
         assert plain["result"]["witness"] == full["result"]["witness"] == ["a", "c", "y1"]
         assert plain["result"]["epsilon_max"] == full["result"]["epsilon_max"]
+
+    def test_per_pair_hands_the_writer_the_reports_own_matrix(self, grid5_files, monkeypatch):
+        # The result holds the report's own arrays: nothing copies the n x n
+        # matrix between the audit and the writer.
+        reports, docs = [], []
+        audit, write_doc = cli.audit_privacy, formats.write_doc
+        monkeypatch.setattr(cli, "audit_privacy",
+                            lambda *args, **kwargs: reports.append(audit(*args, **kwargs)) or reports[-1])
+        monkeypatch.setattr(formats, "write_doc",
+                            lambda path, doc: docs.append(doc) or write_doc(path, doc))
+        mech = str(grid5_files["dir"] / "mech.json")
+        assert main(["tabulate", "--map", grid5_files["map"], "--measure",
+                     grid5_files["measure"], "--beta", "2", "--out", mech]) == 0
+        assert main(["audit-privacy", "--mech", mech, "--space", grid5_files["space"],
+                     "--per-pair", "--out", str(grid5_files["dir"] / "audit.json")]) == 0
+        (report,), doc = reports, docs[-1]
+        assert doc["result"]["per_pair_max"] is report.per_pair_max
+        assert doc["result"]["witness"] is report.witness
 
     def test_results_hold_the_report_fields(self, capsys, grid5_files):
         files = grid5_files

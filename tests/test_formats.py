@@ -215,6 +215,21 @@ class TestParsedDocumentMemo:
         assert formats.space_from_doc(paths[-1]) is first[-1]
         assert formats.space_from_doc(paths[0]) is not first[0]
 
+    def test_an_object_filed_again_is_kept_as_the_newest(self, tmp_path, builds):
+        # The same report written twice, or a map rebuilt after a file it
+        # names changed, files its text again: it then outlives the objects
+        # filed before it, and the oldest of those is the one dropped.
+        keep = formats.measure_from_doc.keep
+        measures = [uniform_measure(grid_space(i + 1)) for i in range(formats._MEMO_DOCS + 1)]
+        texts = [formats.dump_doc(formats.measure_to_doc(m)) for m in measures]
+        for i in (*range(formats._MEMO_DOCS), 0, formats._MEMO_DOCS):
+            keep(texts[i], measures[i])
+        assert [key[1] for key in formats._memo.kept] == [*texts[2:-1], texts[0], texts[-1]]
+        path = tmp_path / "measure.json"
+        path.write_text(texts[0])
+        assert formats.measure_from_doc(str(path)) is measures[0]
+        assert builds["_parse"] == 0
+
     def test_other_spaces_give_a_fresh_build(self, tmp_path, builds):
         # Every call binds the kept rows to the spaces it supplies.
         space = grid_space(3)
