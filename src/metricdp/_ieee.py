@@ -30,21 +30,41 @@ def _logs(probs) -> np.ndarray:
     subtract, multiply and divide, each one correctly rounded ufunc call that cannot
     fuse, so the bits do not depend on the host.  -inf exactly at 0.0, 0.0 exactly at
     1.0, and a subnormal entry keeps its finite log.  Runs over chunks of
-    ``_LOG_CHUNK`` cells of the flat table, so one chunk's temporaries stay within
-    a block."""
+    ``_LOG_CHUNK`` cells of the flat table, in any memory layout; each step writes in
+    place into a few chunk buffers and the last into the output, the same operations
+    on the same operands as the expression written out, so the bits are its bits."""
     probs = np.asarray(probs, dtype=float)
     flat, logs = probs.ravel(), np.empty(probs.size)
     for c0 in range(0, flat.size, _LOG_CHUNK):
-        x = flat[c0:c0 + _LOG_CHUNK]
-        m, k = np.frexp(x)  # x = m * 2**k, m in [1/2, 1); move m into [sqrt(1/2), sqrt(2))
-        low = m < math.sqrt(0.5)
-        f = np.where(low, m + m, m) - 1.0  # exact
-        k = (k - low).astype(float)
-        s = f / (2.0 + f)
+        x, out = flat[c0:c0 + _LOG_CHUNK], logs[c0:c0 + _LOG_CHUNK]
+        f, k = np.frexp(x)  # x = f * 2**k, f in [1/2, 1); move f into [sqrt(1/2), sqrt(2))
+        low = f < math.sqrt(0.5)
+        np.ldexp(f, low, out=f)  # f + f where low, exact
+        f -= 1.0  # exact
+        k = np.subtract(k, low, dtype=float)
+        s = f + 2.0
+        np.divide(f, s, out=s)  # f / (2 + f)
         z = s * s
         w = z * z
-        r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
-        hfsq = 0.5 * f * f
-        value = k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
-        logs[c0:c0 + _LOG_CHUNK] = np.where(x == 0.0, -math.inf, value)
+        # r = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7))) + w * (LG2 + w * (LG4 + w * LG6))
+        r = w * _LG7
+        for c, by in ((_LG5, w), (_LG3, w), (_LG1, z)):
+            r += c
+            r *= by
+        t = np.multiply(w, _LG6, out=z)
+        for c in (_LG4, _LG2):
+            t += c
+            t *= w
+        r += t
+        hfsq = np.multiply(f, 0.5, out=w)
+        hfsq *= f
+        # k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+        r += hfsq
+        r *= s
+        r += np.multiply(k, _LN2_LO, out=t)
+        np.subtract(hfsq, r, out=r)
+        r -= f
+        np.multiply(k, _LN2_HI, out=out)
+        out -= r
+        out[x == 0.0] = -math.inf
     return logs.reshape(probs.shape)

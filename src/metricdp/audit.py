@@ -11,15 +11,18 @@ pair's maximum is one max-plus reduction of log differences divided once,
 over blocks of rows that stop at the first infinite maximum: the logs are
 held once, transposed, one buffer takes each block's logs from them, the
 other rows' are subtracted in place and the reduction writes into the pair
-matrix.  Twins (inputs at distance 0.0) are decided from their rows, inf
-where x's row exceeds z's.  The witness output is read from the chosen pair
-by the same rule.  Every log is ``_ieee._logs``, fdlibm's ``e_log.c`` (Sun,
-1993) as a fixed sequence of numpy ufunc calls, so the reported bits are the
-same on every IEEE host, whatever its libm or SIMD; every ball mass is one
-fixed-order sum per row, ``measures._mass_inside``.  The codomain rows of a
-query's images are read by one in-place rule, ``spaces._image_rows``: the
-matrix itself for an identity map's images, a gathered copy for any others,
-in the utility audit, the lower bound and the disjoint scan alike.
+matrix.  An output that no input produces (zero in every row) constrains no
+pair, so the sweep reads only the others; its error state and twin mask are
+set up once per sweep.  Twins (inputs at distance 0.0) are decided from
+their rows, inf where x's row exceeds z's.  The witness output is read from
+the chosen pair by the same rule.  Every log is ``_ieee._logs``, fdlibm's
+``e_log.c`` (Sun, 1993) as a fixed sequence of numpy ufunc calls written in
+place, so the reported bits are the same on every IEEE host, whatever its
+libm or SIMD; every ball mass is one fixed-order sum per row,
+``measures._mass_inside``.  The codomain rows of a query's images are read
+by one in-place rule, ``spaces._image_rows``: the matrix itself for an
+identity map's images, a gathered copy for any others, in the utility
+audit, the lower bound and the disjoint scan alike.
 """
 
 from __future__ import annotations
@@ -72,34 +75,41 @@ class UtilityAuditReport:
 
 def _sweep(mech, lt, stop) -> np.ndarray:
     """Per-pair maxima, -inf for x = z; with ``stop``, rows after the first block
-    holding an inf stay at -inf.  It reads one log array, ``lt``, the table's logs
-    transposed to (m, n) and contiguous: each block of x rows is copied from the view
-    ``lt.T`` into one reused (rows, m, n) buffer, ``lt`` is subtracted in place, and
-    the reduction over y writes into the pair matrix, which it divides in place."""
+    holding an inf stay at -inf.  It reads one log array, ``lt``, the table's logs of
+    the swept outputs transposed to (outputs, n) and contiguous: each block of x rows
+    is copied from the view ``lt.T`` into one reused (rows, outputs, n) buffer, ``lt``
+    is subtracted in place, and the reduction over y writes into the pair matrix,
+    which it divides in place.  The error state and the mask of twins off the diagonal
+    are set up once per sweep, the mask before the sweep's arrays and kept only when
+    it holds a twin; each block then takes its diagonal, twin and stop steps in that
+    order."""
     dist = mech.input_space.dist
+    twins = dist == 0.0
+    np.fill_diagonal(twins, False)
+    if not twins.any():  # the n x n mask outlives the set-up only where there are twins
+        twins = None
     (m, n), step = lt.shape, max(1, _BLOCK_CELLS // lt.size)
     pair_max, buf = np.full(dist.shape, -math.inf), np.empty((min(step, n), m, n))
-    for r0 in range(0, n, step):
-        block = slice(r0, r0 + step)
-        top = pair_max[block]
-        diff = buf[:len(top)]
-        np.copyto(diff, lt.T[block, :, None])
-        # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax
-        # skips it); a near-zero distance overflows the quotient to inf, the exact value.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax skips
+    # it); a near-zero distance overflows the quotient to inf, the exact value.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for r0 in range(0, n, step):
+            block = slice(r0, r0 + step)
+            top = pair_max[block]
+            diff = buf[:len(top)]
+            np.copyto(diff, lt.T[block, :, None])
             diff -= lt
             np.fmax.reduce(diff, axis=1, initial=-math.inf, out=top)
             top /= dist[block]
-        # x = z constrains nothing.  Twins off the diagonal: inf where x's row exceeds z's
-        # at some output, compared as probabilities, since two tiny ones can share a log.
-        np.fill_diagonal(top[:, r0:], -math.inf)
-        twin = dist[block] == 0.0
-        np.fill_diagonal(twin[:, r0:], False)
-        if twin.any():  # most blocks hold none, and the gather's fixed cost is not small
-            a, b = np.nonzero(twin)
-            top[a, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
-        if stop and (top == math.inf).any():
-            break
+            # x = z constrains nothing.  Twins off the diagonal: inf where x's row exceeds
+            # z's at some output, compared as probabilities, since two tiny ones can share
+            # a log.
+            np.fill_diagonal(top[:, r0:], -math.inf)
+            if twins is not None and twins[block].any():  # the gather's fixed cost is not small
+                a, b = np.nonzero(twins[block])
+                top[a, b] = np.where((mech.probs[a + r0] > mech.probs[b]).any(axis=1), math.inf, -math.inf)
+            if stop and (top == math.inf).any():
+                break
     return pair_max
 
 
@@ -113,15 +123,23 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     gives ``epsilon_max`` and the witness pair; the same rule, run on that pair's rows
     alone, gives its first maximizing output.
 
-    Every log is ``_logs``, held once as a contiguous transpose that the sweep and the
-    witness read.  Both modes run the same reduction; without the matrix it stops after
-    the first block of rows holding an inf, and with it the pair matrix is zeroed in place.
+    Every log is ``_logs``, read once and held as the contiguous transpose of the
+    outputs some input produces, which the sweep and the witness read; an output with
+    no mass in any row constrains no pair and is left out, and the witness is mapped
+    back to its own output index.  A table with no mass at all keeps every output.
+    Both modes run the same reduction; without the matrix it stops after the first
+    block of rows holding an inf, and with it the pair matrix is zeroed in place.
 
     It audits the stored table.  At tiny beta epsilon can pass ``privacy_bound`` by a few
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
-    lt = np.ascontiguousarray(mech.logs.T)
+    # A column whose largest entry is 0.0 gives only nan differences.  With no column
+    # left the sweep would have no cells to size its blocks by, so it keeps them all.
+    kept = np.flatnonzero(mech.probs.max(axis=0))
+    if not kept.size:
+        kept = np.arange(mech.probs.shape[1])
+    lt = np.ascontiguousarray(mech.logs.T[kept])
     pair_max = _sweep(mech, lt, stop=not include_per_pair)
     space = mech.input_space
     i, j = np.unravel_index(np.argmax(pair_max), pair_max.shape)
@@ -130,7 +148,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
         if space.dist[i, j] == 0.0:
             k = np.argmax(mech.probs[i] > mech.probs[j])
         else:
-            k = np.argmax(np.fmax((lt[:, i] - lt[:, j]) / space.dist[i, j], -math.inf))
+            k = kept[np.argmax(np.fmax((lt[:, i] - lt[:, j]) / space.dist[i, j], -math.inf))]
     live = pair_max[i, j] > -math.inf
     witness = (space.labels[i], space.labels[j], mech.output_space.labels[k]) if live else None
     epsilon = max(0.0, float(pair_max[i, j]))

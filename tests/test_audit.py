@@ -312,6 +312,31 @@ class TestAuditPrivacy:
             assert report.witness == (space.labels[i], space.labels[j], space.labels[k])
         assert report.per_pair_max.tobytes() == np.where(pair_max > -math.inf, pair_max, 0.0).tobytes()
 
+    def test_a_table_with_unsupported_outputs_holds_one_log_layout(self):
+        """On a 500-point planar identity map whose base is zero on a third of
+        the points, the audit gathers the logs of the other outputs alone and
+        frees the full logs before the sweep: it peaks within two n x n float
+        arrays, the kept outputs' logs and 1 MiB, below the planar table's
+        bound, and the full logs left alive through the sweep would exceed it.
+        It reports what a sweep over every output reports."""
+        n = 500
+        space = FiniteMetricSpace([f"p{i}" for i in range(n)], cloud_metric(np.random.default_rng(1001), n))
+        base = DiscreteMeasure(space, np.arange(n) % 3 != 0)
+        mech = tabulate(ExpMechParams(base=base, beta=8.0, query=identity_map(space)))
+        kept = n - (n + 2) // 3
+        assert mech.probs.any(axis=0).sum() == kept
+        pair_max = sweep_broadcast(mech, audit._logs(mech.probs), stop=False)
+        for include in (False, True):
+            tracemalloc.start()
+            try:
+                report = audit_privacy(mech, include_per_pair=include)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (2 * n + kept) * n * 8 + 2**20, include
+            assert report.epsilon_max == max(0.0, pair_max.max())
+        assert report.per_pair_max.tobytes() == np.where(pair_max > -math.inf, pair_max, 0.0).tobytes()
+
     def test_relabeling_invariance(self):
         mech, _ = x3_mech(beta=2.1)
         eps = audit_privacy(mech).epsilon_max
@@ -475,6 +500,14 @@ class TestLogKernel:
         logs = audit._logs(x)
         assert ((logs == 0.0) == (x == 1.0)).all()
         assert not np.signbit(logs[x == 1.0]).any()
+
+    def test_every_memory_layout_gives_the_same_bits(self):
+        # The kernel walks the flat table in chunks of any layout: C-ordered,
+        # Fortran-ordered and strided input all give a C-ordered copy's bits.
+        p = seeded_log_inputs()[:300 * 300].reshape(300, 300)
+        for layout in (p, np.asfortranarray(p), p[:, ::2], p.T):
+            want = audit._logs(np.ascontiguousarray(layout))
+            assert audit._logs(layout).tobytes() == want.tobytes()
 
     def test_holds_its_output_and_one_block(self):
         # The kernel's temporaries are one chunk's, _LOG_CHUNK cells.

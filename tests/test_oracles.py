@@ -547,6 +547,36 @@ class TestAuditPrivacyOracle:
         mech = MechanismTable(discrete_space(300), discrete_space(2), np.stack([p, 1 - p], axis=1))
         assert_same_audit(mech)
 
+    def test_outputs_no_input_produces_are_left_out(self):
+        """The sweep reads only outputs some input produces.  The covering
+        base on a planar pseudometric gives its duplicate points no weight,
+        and a base that is zero on a prefix puts every witness output after
+        the outputs left out, so the witness must be mapped back to its own
+        output.  A table with no mass anywhere keeps every output."""
+        rng = np.random.default_rng(45)
+        n = 24
+        pts = rng.uniform(size=(2 * n // 3, 2))
+        pts = rng.permutation(np.vstack([pts, pts[rng.integers(len(pts), size=n - len(pts))]]))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        pseudo = FiniteMetricSpace([f"q{i}" for i in range(n)], dist / dist.max())
+        covered, _ = covering_measure(pseudo)
+        plane = FiniteMetricSpace([f"p{i}" for i in range(n)], cloud_metric(rng, n))
+        prefix = DiscreteMeasure(plane, np.r_[np.zeros(n // 3), np.ones(n - n // 3)])
+        for base in (covered, prefix):
+            space = base.space
+            mech = tabulate(ExpMechParams(base=base, beta=6.0, query=identity_map(space)))
+            unsupported = np.flatnonzero(~mech.probs.any(axis=0))
+            assert 0 < unsupported.size < n
+            assert_same_audit(mech)
+            x, z, y = audit_privacy(mech).witness
+            assert space.dist[space.index_of(x), space.index_of(z)] > 0.0
+            assert space.index_of(y) > unsupported[0]
+        empty = raw_table(line_space([0.0, 1.0, 1.0]), line_space([0.0, 1.0]), np.zeros((3, 2)))
+        assert_same_audit(empty)
+        report = audit_privacy(empty)
+        assert (report.epsilon_max, report.witness) == (0.0, None)
+
     def test_distances_within_tolerance_of_zero(self):
         space = FiniteMetricSpace(["a", "b", "c", "d"], NEAR_ZERO_DIST)
         out = line_space([0.0, 1.0, 2.0])
