@@ -88,7 +88,7 @@ def _sweep(mech, lt, stop) -> np.ndarray:
     np.fill_diagonal(twins, False)
     if not twins.any():  # the n x n mask outlives the set-up only where there are twins
         twins = None
-    (m, n), step = lt.shape, max(1, _BLOCK_CELLS // lt.size)
+    (m, n), step = lt.shape, max(1, _BLOCK_CELLS // max(1, lt.size))
     pair_max, buf = np.full(dist.shape, -math.inf), np.empty((min(step, n), m, n))
     # A zero numerator entry gives -inf, a zero denominator one inf, both nan (fmax skips
     # it); a near-zero distance overflows the quotient to inf, the exact value.
@@ -126,7 +126,7 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     Every log is ``_logs``, read once and held as the contiguous transpose of the
     outputs some input produces, which the sweep and the witness read; an output with
     no mass in any row constrains no pair and is left out, and the witness is mapped
-    back to its own output index.  A table with no mass at all keeps every output.
+    back to its own output index.  A table with no mass at all sweeps no output.
     Both modes run the same reduction; without the matrix it stops after the first
     block of rows holding an inf, and with it the pair matrix is zeroed in place.
 
@@ -134,11 +134,8 @@ def audit_privacy(mech: MechanismTable, include_per_pair: bool = False) -> Priva
     units of 2**-52 over the least distance, from two errors: ``tabulate`` rounds entries
     to doubles, and ln p - ln q cancels here when two rows are nearly equal.
     """
-    # A column whose largest entry is 0.0 gives only nan differences.  With no column
-    # left the sweep would have no cells to size its blocks by, so it keeps them all.
+    # A column whose largest entry is 0.0 gives only nan differences, so it is left out.
     kept = np.flatnonzero(mech.probs.max(axis=0))
-    if not kept.size:
-        kept = np.arange(mech.probs.shape[1])
     lt = np.ascontiguousarray(mech.logs.T[kept])
     pair_max = _sweep(mech, lt, stop=not include_per_pair)
     space = mech.input_space

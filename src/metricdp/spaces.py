@@ -82,7 +82,7 @@ def _square_matrix(dist) -> np.ndarray:
         raise StructuralError(f"not a numeric matrix: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StructuralError(f"matrix must be square, got shape {mat.shape}")
-    if mat.size and not np.isfinite(mat).all():
+    if not np.isfinite(mat).all():
         raise StructuralError("matrix entries must be finite")
     return mat
 

@@ -482,6 +482,14 @@ class TestLogKernel:
         assert audit._logs(x).tobytes() == want.tobytes()
         assert audit._logs(x[1:].reshape(2, -1)).tobytes() == want[1:].tobytes()
 
+    def test_equals_the_scalar_port_at_the_reduction_edge(self):
+        # sqrt(1/2) * 2**k has frexp fraction exactly sqrt(1/2), the edge at which the
+        # kernel doubles f.  These inputs stay out of seeded_log_inputs, whose digest
+        # is pinned.
+        x = [math.ldexp(math.sqrt(0.5), k) for k in range(-1021, 1024)]
+        want = np.array([log_scalar(v) for v in x])
+        assert audit._logs(x).tobytes() == want.tobytes()
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(LOG_INPUTS)
     def test_within_0_9_ulp_of_decimal(self, x):
@@ -855,9 +863,12 @@ class TestImpossibility:
                                       query=identity_map(s)))
         with pytest.raises(ValueError):
             impossibility_lower_bound(mech, identity_map(s), ["0", "1"], 0.0)
-        with pytest.raises(ValueError):
-            impossibility_lower_bound(mech, identity_map(s), ["0", "1"], 0.5,
-                                      utility_threshold=1.0)
+        # Both edges of (0, 1) are refused by the threshold check itself, not later as a
+        # DomainError, which is also a ValueError.
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"utility threshold must be in \(0, 1\)"):
+                impossibility_lower_bound(mech, identity_map(s), ["0", "1"], 0.5,
+                                          utility_threshold=threshold)
 
     def test_ball_masses_are_the_one_row_sum(self):
         # Three disjoint balls of 17 outputs each on a 41-point grid.

@@ -385,10 +385,9 @@ class TestCalibration:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             calibrate_beta(0.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_beta(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_beta(1.0, 1.0, 1.0)
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+                calibrate_beta(1.0, delta, 1.0)
 
     @pytest.mark.parametrize("gamma,delta,modulus", [
         (1e-320, 0.1, 0.5),  # 2 / gamma overflows

@@ -552,7 +552,7 @@ class TestAuditPrivacyOracle:
         base on a planar pseudometric gives its duplicate points no weight,
         and a base that is zero on a prefix puts every witness output after
         the outputs left out, so the witness must be mapped back to its own
-        output.  A table with no mass anywhere keeps every output."""
+        output.  A table with no mass anywhere sweeps no output."""
         rng = np.random.default_rng(45)
         n = 24
         pts = rng.uniform(size=(2 * n // 3, 2))
