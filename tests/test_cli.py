@@ -221,32 +221,52 @@ class TestArgparseErrors:
         assert exc.value.code == 2
 
 
+# The environment of a child interpreter that imports this package.
+SRC = str(Path(formats.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def process(argv) -> int:
+    """Run ``argv`` as a ``python -W error -m metricdp.cli`` process; return its exit code."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "metricdp.cli", *argv],
+                          env=ENV).returncode
+
+
+def chain(files, run=main, cold=False):
+    """Run six commands through ``run``, the memos emptied before each if
+    ``cold``, each writing its report under ``files["dir"]``; return each
+    report's bytes.  ``files`` names the space, the map, and the lower
+    bound's centers and radius."""
+    d, space, the_map = files["dir"], files["space"], files["map"]
+    argvs = {
+        "build-measure": ["--space", space],
+        "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--measure", d / "build-measure"],
+        "tabulate": ["--map", the_map, "--measure", d / "build-measure", "--beta", "40"],
+        "audit-privacy": ["--mech", d / "tabulate", "--space", space, "--per-pair"],
+        "audit-utility": ["--mech", d / "tabulate", "--map", the_map, "--gamma", "0.5"],
+        "lower-bound": ["--mech", d / "tabulate", "--map", the_map,
+                        "--centers", files["centers"], "--r", files["r"]],
+    }
+    for command, argv in argvs.items():
+        if cold:
+            empty_memos()
+        assert run([command, *map(str, argv), "--out", str(d / command)]) == 0
+    return {command: (d / command).read_bytes() for command in argvs}
+
+
 class TestParserReuse:
     """``main`` parses every call with the one parser ``build_parser``
     built; no call leaves behind anything a later call reads."""
 
-    def chain(self, files):
-        """Run six commands, each writing its report under ``files["dir"]``;
-        return each report's bytes."""
-        d = files["dir"]
-        argvs = {
-            "build-measure": ["--space", files["space"]],
-            "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--measure", d / "build-measure"],
-            "tabulate": ["--map", files["map"], "--measure", d / "build-measure", "--beta", "4"],
-            "audit-privacy": ["--mech", d / "tabulate", "--space", files["space"], "--per-pair"],
-            "audit-utility": ["--mech", d / "tabulate", "--map", files["map"], "--gamma", "0.5"],
-            "lower-bound": ["--mech", d / "tabulate", "--map", files["map"],
-                            "--centers", "0,1", "--r", "0.25"],
-        }
-        for command, argv in argvs.items():
-            assert main([command, *map(str, argv), "--out", str(d / command)]) == 0
-        return {command: (d / command).read_bytes() for command in argvs}
+    @pytest.fixture
+    def files(self, grid5_files):
+        return {**grid5_files, "centers": "0,1", "r": 0.25}
 
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_reports_survive_errors_help_and_version(self, capsys, grid5_files):
-        first = self.chain(grid5_files)
+    def test_reports_survive_errors_help_and_version(self, capsys, files):
+        first = chain(files)
         for argv, code in ((["calibrate", "--gamma", "one", "--delta", "0.5", "--m", "1"], 2),
                            (["calibrate", "--gamma", "1", "--delta", "0.5"], 2),
                            (["audit-privacy", "--help"], 0),
@@ -255,11 +275,10 @@ class TestParserReuse:
                 main(argv)
             assert exc.value.code == code
         capsys.readouterr()
-        assert self.chain(grid5_files) == first
+        assert chain(files) == first
 
-    def test_params_hold_only_the_commands_own_flags(self, grid5_files):
-        params = {command: json.loads(report)["params"]
-                  for command, report in self.chain(grid5_files).items()}
+    def test_params_hold_only_the_commands_own_flags(self, files):
+        params = {command: json.loads(report)["params"] for command, report in chain(files).items()}
         for command, keys in params.items():
             flags = {action.dest for action in SUBCOMMANDS[command]._actions}
             assert set(keys) <= flags - {"help", "out"}
@@ -278,69 +297,64 @@ class TestParserReuse:
         assert texts[0].startswith(f"usage: metricdp {command}")
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoaderMemos:
     """A chain run through ``main`` in one thread builds each object it
-    loads once and validates its one explicit space once, and writes the
-    bytes it writes with the memos emptied before every command."""
+    loads once: it parses only the space and the map, computes the map's
+    Lipschitz constant once, and validates its one explicit space once and,
+    in audit-privacy, the all-ones output space over the table's 12 output
+    labels once.  It writes the bytes it writes with the memos emptied
+    before every command, and the bytes six ``python -W error -m
+    metricdp.cli`` processes write.  Any warning fails it.  The map embeds
+    its spaces, as perfbench's does, or names them by path, as README's
+    does: it is then kept while the file it names holds the text its build
+    read."""
 
-    @pytest.fixture
-    def files(self, tmp_path):
+    # What the warm chain builds.  Only the space and the map are parsed:
+    # the measure and the table are kept as written.  The table's rows are
+    # bound once per audit: with tabulate's own table, four tables are
+    # built.  A map that embeds its spaces reads their two matrices too.
+    BUILDS = {"inline": {"_parse": 2, "_number_matrix": 3, "lipschitz_constant": 1, "__init__": 4},
+              "by path": {"_parse": 2, "_number_matrix": 1, "lipschitz_constant": 1, "__init__": 4}}
+
+    @pytest.fixture(params=BUILDS)
+    def files(self, request, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         labels = [f"p{i}" for i in range(12)]
         space = {"labels": labels, "dist": cloud_metric(np.random.default_rng(24), 12).tolist()}
-        far = labels[int(np.argmax(space["dist"][0]))]
-        return {"dir": tmp_path, "far": far,
+        named = space if request.param == "inline" else "space.json"
+        return {"dir": tmp_path, "builds": self.BUILDS[request.param],
+                "centers": "p0," + labels[int(np.argmax(space["dist"][0]))], "r": 0.01,
                 "space": write(tmp_path, "space.json", space),
-                "map": write(tmp_path, "map.json", {"domain": space, "codomain": space,
+                "map": write(tmp_path, "map.json", {"domain": named, "codomain": named,
                                                     "table": {x: x for x in labels}})}
-
-    def chain(self, files, cold):
-        d, space, the_map = files["dir"], files["space"], files["map"]
-        argvs = {
-            "build-measure": ["--space", space],
-            "calibrate": ["--gamma", "0.5", "--delta", "0.1", "--measure", d / "build-measure"],
-            "tabulate": ["--map", the_map, "--measure", d / "build-measure", "--beta", "40"],
-            "audit-privacy": ["--mech", d / "tabulate", "--space", space, "--per-pair"],
-            "audit-utility": ["--mech", d / "tabulate", "--map", the_map, "--gamma", "0.5"],
-            "lower-bound": ["--mech", d / "tabulate", "--map", the_map,
-                            "--centers", "p0," + files["far"], "--r", "0.01"],
-        }
-        for command, argv in argvs.items():
-            if cold:
-                empty_memos()
-            assert main([command, *map(str, argv), "--out", str(d / command)]) == 0
-        return {command: (d / command).read_bytes() for command in argvs}
 
     def test_one_validation_and_the_same_bytes(self, files, validations, builds):
         # Each command validates the space, and audit-privacy also the
-        # placeholder output space over the table's 12 output labels.
-        cold = self.chain(files, cold=True)
+        # output space.
+        cold = chain(files, cold=True)
         assert validations == [12] * 7
         empty_memos()
         validations.clear()
         builds.clear()
-        warm = self.chain(files, cold=False)
+        warm = chain(files)
         assert validations == [12, 12]
-        assert warm == cold
-        # Only the space and the map are parsed: the measure and the table
-        # are kept as written.  The table's rows are bound once per audit:
-        # with tabulate's own table, four tables are built.
-        assert builds == {"_parse": 2, "_number_matrix": 3, "lipschitz_constant": 1,
-                          "__init__": 4}
+        assert builds == files["builds"]
+        assert warm == cold == chain(files, run=process)
 
     def test_a_fresh_thread_starts_its_own_memo(self, files, validations, builds):
         # The main thread's memo holds the chain's objects; a chain run in a
         # new thread does not see them, and counts what the first chain did.
-        first = self.chain(files, cold=False)
+        first = chain(files)
         counts = validations.copy(), builds.copy()
         validations.clear()
         builds.clear()
         outcome = []
-        thread = threading.Thread(target=lambda: outcome.append(self.chain(files, cold=False)))
+        thread = threading.Thread(target=lambda: outcome.append(chain(files)))
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and outcome == [first]
-        assert (validations, builds) == counts == ([12, 12], {"_parse": 2, "_number_matrix": 3,
-                                                             "lipschitz_constant": 1, "__init__": 4})
+        assert (validations, builds) == counts == ([12, 12], files["builds"])
 
 
 def kept_texts() -> set:
@@ -1329,8 +1343,6 @@ def test_start_up_imports_no_exact_arithmetic():
     """``fractions`` (and through it ``decimal``) serves only
     ``min_database_size``, which imports it itself, so no command pays
     for it at start-up."""
-    src = str(Path(formats.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, metricdp.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
